@@ -72,4 +72,10 @@ from .convexoid import (
     vertices,
 )
 
+# No module on the chart path imports ``lp`` any more; it is the exact
+# reference oracle for the closed forms in ``convexoid``.  Loading it with the
+# package keeps ``grassball.lp`` importable by name for code that looks up
+# the package's modules, such as a tracer that wraps ``lp.solve_lp``.
+from . import lp  # noqa: E402,F401
+
 __version__ = "0.1.0"

@@ -244,8 +244,11 @@ class EFiberFrame:
         self.polytope = HPolytope(self.dim, constraints)
         self._origin_image = origin_image
         self._basis_images = basis_images
-        # centered coordinates: frame-origin jumps across support strata are
-        # pure translations there, and centering cancels them exactly
+        # centered coordinates: centering cancels the translation part of a
+        # frame jump across support strata, but not all of it.  When a
+        # Plucker coordinate hits exactly 0, spanning_vectors picks other
+        # pivots, so the generators change by a linear map and the fiber
+        # frame can be rescaled as well as moved.
         self.center = _centroid_any(self.polytope) if self.dim else ()
         self.centered_polytope = self.polytope.translated(
             [-c for c in self.center]

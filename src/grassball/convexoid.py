@@ -7,7 +7,11 @@ body is homeomorphic to a closed half-ball with bottom going to bottom; two
 of them glued along their bottoms give a closed ball.
 
 Polytope data is exact rational; the half-ball and ball maps emit floats
-with explicit tolerances (exit times by bisection to ``exit_tol``).
+with explicit tolerances.  No linear program runs: boundedness is an exact
+extreme-ray check on the constraint normals, and the joined body's exit times
+and radial functions are closed forms in the support functions of the two
+fibers it joins.  The exit time is still rounded to a dyadic within
+``EXIT_TOL`` (see ``_Ray.exit_scale``).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import linalg, lp
+from . import linalg
 
 __all__ = [
     "HPolytope",
@@ -82,24 +86,6 @@ def rationalize_point(point) -> tuple[Fraction, ...]:
     return tuple(rationalize(v) for v in point)
 
 
-def _interval_bounds(poly: "HPolytope") -> tuple[Fraction, Fraction]:
-    """Exact [lo, hi] of a bounded one-dimensional polytope."""
-    cached = poly._cache.get("interval")
-    if cached is None:
-        lo = hi = None
-        for (a,), b in poly.constraints:
-            v = b / a
-            if a > 0:
-                hi = v if hi is None else min(hi, v)
-            else:
-                lo = v if lo is None else max(lo, v)
-        if lo is None or hi is None:
-            raise UnboundedError("one-dimensional fiber is unbounded")
-        cached = (lo, hi)
-        poly._cache["interval"] = cached
-    return cached
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 
@@ -151,27 +137,48 @@ class HPolytope:
         )
 
 
-def _recession_direction(poly: HPolytope):
-    """A nonzero direction staying inside all half-spaces, or None."""
-    a_ub = [list(n) for n, _ in poly.constraints]
-    b_ub = [Fraction(0)] * len(a_ub)
-    box = []
-    for i in range(poly.dim):
-        row = [Fraction(0)] * poly.dim
-        row[i] = Fraction(1)
-        box.append(row)
-    for i in range(poly.dim):
-        for sign in (1, -1):
-            obj = [Fraction(0)] * poly.dim
-            obj[i] = Fraction(sign)
-            res = lp.lp_maximize(
-                obj,
-                a_ub + box + [[-v for v in row] for row in box],
-                b_ub + [Fraction(1)] * poly.dim + [Fraction(1)] * poly.dim,
-            )
-            if res.status == lp.OPTIMAL and res.value > 0:
-                return res.x
-    return None
+def _cross(a, b) -> tuple:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def _kernel_line(rows, dim: int):
+    """Spanning vector of {d : rows d = 0} if that is a line, else None."""
+    if dim == 1:
+        return (Fraction(1),)
+    if dim == 2:
+        (a, b), = rows
+        return (-b, a)
+    if dim == 3:
+        r = _cross(*rows)
+        return r if any(r) else None
+    basis = linalg.kernel_basis(rows, dim)
+    return basis[0] if len(basis) == 1 else None
+
+
+def _is_unbounded(poly: HPolytope) -> bool:
+    """Whether some d != 0 has normal . d <= 0 for every constraint.
+
+    When the normals have full rank the recession cone {d : A d <= 0} is
+    pointed, so it is nonzero iff it has an extreme ray, and an extreme ray
+    spans the kernel of dim - 1 independent normals.  When they have rank
+    dim - 1 that kernel is the kernel of all of them, and when their rank is
+    lower no dim - 1 of them are independent; either way d exists.
+    """
+    normals = [n for n, _ in poly.constraints]
+    independent = False
+    for rows in itertools.combinations(normals, poly.dim - 1):
+        r = _kernel_line(rows, poly.dim)
+        if r is None:
+            continue
+        independent = True
+        dots = [linalg.dot(n, r) for n in normals]
+        if all(d <= 0 for d in dots) or all(d >= 0 for d in dots):
+            return True
+    return not independent
 
 
 def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
@@ -181,7 +188,7 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
     if poly.dim == 0:
         poly._cache["vertices"] = [()]
         return [()]
-    if _recession_direction(poly) is not None:
+    if _is_unbounded(poly):
         raise UnboundedError("polytope is unbounded")
     found = []
     seen = set()
@@ -490,12 +497,9 @@ def _hull_h_rep(points, dim) -> HPolytope:
         pts = sorted(set(points))
         for trio in itertools.combinations(pts, 3):
             a, b, c = trio
-            u = [b[i] - a[i] for i in range(3)]
-            v = [c[i] - a[i] for i in range(3)]
-            normal = (
-                u[1] * v[2] - u[2] * v[1],
-                u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0],
+            normal = _cross(
+                [b[i] - a[i] for i in range(3)],
+                [c[i] - a[i] for i in range(3)],
             )
             if not any(normal):
                 continue
@@ -551,8 +555,81 @@ def join_fiber(spec: ConvexoidSpec, p) -> HPolytope:
 # rays, exit times, half-ball map
 
 
+def _support(poly: HPolytope, u) -> Fraction:
+    """Support function h(u) = max of u . v over the vertices, cached per u."""
+    table = poly._cache.setdefault("support", {})
+    h = table.get(u)
+    if h is None:
+        verts = vertices(poly)
+        if not verts:
+            raise DegenerateError("empty polytope")
+        h = table[u] = max(linalg.dot(u, v) for v in verts)
+    return h
+
+
+def _edge_directions(poly: HPolytope) -> list[tuple[Fraction, ...]]:
+    """v - w for every edge [w, v] of a polytope in dimension 3.
+
+    Two vertices span an edge iff two independent constraints are tight at
+    both: those cut out a line, and its intersection with the polytope is a
+    face holding both vertices.
+    """
+    cached = poly._cache.get("edges")
+    if cached is None:
+        verts = vertices(poly)
+        tight = [
+            {i for i, (n, o) in enumerate(poly.constraints)
+             if linalg.dot(n, v) == o}
+            for v in verts
+        ]
+        cached = []
+        for (v, tv), (w, tw) in itertools.combinations(zip(verts, tight), 2):
+            common = [poly.constraints[i][0] for i in tv & tw]
+            if any(any(_cross(a, b)) for a, b in
+                   itertools.combinations(common, 2)):
+                cached.append(tuple(x - y for x, y in zip(v, w)))
+        poly._cache["edges"] = cached
+    return cached
+
+
+def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
+    """Directions u whose inequalities u . y <= (1 - s) h0(u) + s h1(u)
+    together cut out (1 - s) E0 + s E1 for every s in [0, 1].
+
+    A facet of a Minkowski sum is a sum of faces of the summands, so its
+    normal is a facet normal of E0 or of E1 or, in dimension 3, normal to an
+    edge of each (Gritzmann-Sturmfels 1993; Fukuda 2004).  Every u gives a
+    valid inequality, so extra directions cost time, not exactness.  With no
+    E1 (a ray inside the bottom center's fiber) only E0 counts.
+    """
+    owner = e0 if e1 is None else e1
+    key = ("join normals", e0)
+    normals = owner._cache.get(key)
+    if normals is None:
+        if e0.dim > 3:
+            raise ValueError("exit times implemented for fiber dimension <= 3")
+        polys = (e0,) if e1 is None else (e0, e1)
+        found = dict.fromkeys(n for poly in polys for n, _ in poly.constraints)
+        if e0.dim == 3 and e1 is not None:
+            for a in _edge_directions(e0):
+                for b in _edge_directions(e1):
+                    u = _cross(a, b)
+                    if any(u):
+                        found[u] = None
+                        found[tuple(-x for x in u)] = None
+        normals = owner._cache[key] = tuple(found)
+    return normals
+
+
 class _Ray:
-    """Membership oracle along the ray t -> t * direction, t >= 0."""
+    """The ray t -> t * direction, t >= 0, against the joined body.
+
+    With g the base gauge of the direction, t * direction lies in the body
+    iff t * g <= 1, so that the base point stays in the cube, and
+    t u . vf <= (1 - t g) h0(u) + t g h1(u) for every join normal u, where
+    h0 and h1 are the support functions of the bottom center's fiber E0 and
+    of the fiber E1 the ray's base part points at.
+    """
 
     def __init__(self, fiber_at: Callable, base_dim: int, direction):
         self.base_dim = base_dim
@@ -568,6 +645,11 @@ class _Ray:
             self.E1 = fiber_at(q)
         else:
             self.E1 = None
+        self.normals = _join_normals(self.E0, self.E1)
+
+    def _bound(self, u, s: Fraction) -> Fraction:
+        h0 = _support(self.E0, u)
+        return h0 if s == 0 else (1 - s) * h0 + s * _support(self.E1, u)
 
     def member(self, t: Fraction) -> bool:
         if t < 0:
@@ -577,36 +659,42 @@ class _Ray:
             return False
         y = tuple(t * x for x in self.vf)
         s = t * self.g
-        if s == 0:
-            return self.E0.contains_point(y)
-        if s == 1:
-            return self.E1.contains_point(y)
-        return self._combo_feasible(s, y)
+        return all(linalg.dot(u, y) <= self._bound(u, s) for u in self.normals)
 
-    def _combo_feasible(self, s: Fraction, y) -> bool:
-        m = len(y)
-        if m == 1:
-            lo0, hi0 = _interval_bounds(self.E0)
-            lo1, hi1 = _interval_bounds(self.E1)
-            lo = (1 - s) * lo0 + s * lo1
-            hi = (1 - s) * hi0 + s * hi1
-            return lo <= y[0] <= hi
-        # substitute y0 = (y - s*y1)/(1 - s): feasibility in y1 alone
-        a_ub = []
-        b_ub = []
-        for normal, offset in self.E0.constraints:
-            a_ub.append([-s * v for v in normal])
-            b_ub.append((1 - s) * offset - linalg.dot(normal, y))
-        for normal, offset in self.E1.constraints:
-            a_ub.append(list(normal))
-            b_ub.append(offset)
-        return lp.lp_feasible(a_ub, b_ub)
+    def exit_bound(self) -> Fraction | None:
+        """max{t : t * direction in the joined body}, exact; None if unbounded.
 
-    def exit_scale(self, tol: Fraction = EXIT_TOL) -> Fraction:
-        """sup{t : t * direction in the joined body}, by doubling + bisection."""
+        The fibers are centered, so h0 >= 0 and the ray starts inside.  A
+        join normal with d(u) = u . vf - g (h1(u) - h0(u)) > 0 caps t at
+        h0(u) / d(u); one with d(u) <= 0 never binds.  A ray whose base part
+        points below the bottom leaves the base cube at once.
+        """
+        if self.vb[0] < 0:
+            return Fraction(0)
+        best = 1 / self.g if self.g else None
+        for u in self.normals:
+            h0 = _support(self.E0, u)
+            d = linalg.dot(u, self.vf)
+            if self.g:
+                d -= self.g * (_support(self.E1, u) - h0)
+            if d > 0 and (best is None or h0 < best * d):
+                best = h0 / d
+        return best
+
+    def exit_scale(self) -> Fraction:
+        """The exit time, rounded to the midpoint of a dyadic bracket.
+
+        Doubling from 1 and then bisecting until the bracket is narrower
+        than ``EXIT_TOL`` lands within ``EXIT_TOL`` of the exact exit time;
+        each step is one comparison with it.  The rounding is kept on
+        purpose: dividing by the exact exit time puts the images of boundary
+        points exactly on the support strata where the fiber frames change,
+        and chart round trips then get worse (G(2,5) samples by up to 8.6e-2).
+        """
+        t_star = self.exit_bound()
         hi = Fraction(1)
         steps = 0
-        while self.member(hi):
+        while t_star is None or hi <= t_star:
             hi *= 2
             steps += 1
             if steps > 80:
@@ -614,19 +702,19 @@ class _Ray:
         lo = Fraction(0)
         if hi > 1:
             lo = hi / 2
-        while hi - lo > tol:
+        while hi - lo > EXIT_TOL:
             mid = (lo + hi) / 2
-            if self.member(mid):
+            if mid <= t_star:
                 lo = mid
             else:
                 hi = mid
         return (lo + hi) / 2
 
 
-def exit_time(spec: ConvexoidSpec, direction, tol: Fraction = EXIT_TOL) -> ExitTime:
+def exit_time(spec: ConvexoidSpec, direction) -> ExitTime:
     """Exit time of a ray from the joined body of a centered spec."""
     ray = _Ray(spec.fiber, spec.base_dim, direction)
-    return ExitTime(tuple(direction), ray.exit_scale(tol))
+    return ExitTime(tuple(direction), ray.exit_scale())
 
 
 def scan_ray(spec: ConvexoidSpec, direction, ts) -> list[bool]:
@@ -648,13 +736,15 @@ class HalfBallMap:
 
     Pipeline: center fibers, radially rescale each fiber onto the joined
     body's fiber, then divide by the exit time of the ray through the point.
-    The bottom (base first coordinate 0) lands on the half-ball bottom.
+    Both the rescale and the exit time are exact closed forms in the support
+    functions of the two fibers the joined body combines; the exit time is
+    then rounded to a dyadic within ``EXIT_TOL`` (``_Ray.exit_scale`` says
+    why).  The bottom (base first coordinate 0) lands on the half-ball
+    bottom.
     """
 
-    def __init__(self, spec: ConvexoidSpec, exit_tol: Fraction = EXIT_TOL,
-                 slack: Fraction = SLACK):
+    def __init__(self, spec: ConvexoidSpec, slack: Fraction = SLACK):
         self.spec = spec
-        self.exit_tol = exit_tol
         self.slack = slack
         self.degenerate_rescales = 0
         self._centroids: dict = {}
@@ -696,7 +786,7 @@ class HalfBallMap:
         return best
 
     def _lambda_joined(self, p, y) -> Fraction:
-        """sup{l : l * y in joined fiber over p}, via one exact LP."""
+        """sup{l : l * y in joined fiber over p}, by support functions."""
         key = rationalize_point(p)
         if all(v == 0 for v in key):
             return self._lambda_fiber(self.centered_fiber(key), y)
@@ -705,29 +795,16 @@ class HalfBallMap:
             return self._lambda_fiber(self.centered_fiber(key), y)
         e0 = self.centered_fiber(self.spec.origin())
         e1 = self.centered_fiber(q)
-        m = len(y)
-        if m == 1:
-            lo0, hi0 = _interval_bounds(e0)
-            lo1, hi1 = _interval_bounds(e1)
-            lo = (1 - s) * lo0 + s * lo1
-            hi = (1 - s) * hi0 + s * hi1
-            return hi / y[0] if y[0] > 0 else lo / y[0]
-        # variables: lam, y1; y0 substituted as (lam*y - s*y1)/(1 - s)
-        a_ub = []
-        b_ub = []
-        for normal, offset in e0.constraints:
-            a_ub.append(
-                [linalg.dot(normal, y)] + [-s * v for v in normal]
-            )
-            b_ub.append((1 - s) * offset)
-        for normal, offset in e1.constraints:
-            a_ub.append([Fraction(0)] + list(normal))
-            b_ub.append(offset)
-        obj = [Fraction(1)] + [Fraction(0)] * m
-        res = lp.lp_maximize(obj, a_ub, b_ub)
-        if res.status != lp.OPTIMAL:
+        best = None
+        for u in _join_normals(e0, e1):
+            d = linalg.dot(u, y)
+            if d > 0:
+                lam = ((1 - s) * _support(e0, u) + s * _support(e1, u)) / d
+                if best is None or lam < best:
+                    best = lam
+        if best is None:
             raise UnboundedError("joined fiber radial function undefined")
-        return res.value
+        return best
 
     def _rescale_report(self, lam_from, lam_to):
         # 0 on the boundary of either body means the radial map degenerates;
@@ -773,7 +850,7 @@ class HalfBallMap:
         if not any(point):
             return np.zeros(self.spec.dim)
         ray = _Ray(self.centered_fiber, nb, point)
-        t_star = ray.exit_scale(self.exit_tol)
+        t_star = ray.exit_scale()
         arr = np.array([float(v) for v in point])
         return arr / (float(t_star) * float(np.linalg.norm(arr)))
 
@@ -793,7 +870,7 @@ class HalfBallMap:
             )
         direction = rationalize_point(h)
         ray = _Ray(self.centered_fiber, nb, direction)
-        t_star = ray.exit_scale(self.exit_tol)
+        t_star = ray.exit_scale()
         point = tuple(v * t_star * rationalize(norm) for v in direction)
         p = point[:nb]
         p = tuple(
@@ -816,18 +893,18 @@ class HalfBallMap:
         return tuple(float(v) for v in p) + tuple(float(v) for v in y)
 
 
-def to_half_ball(spec: ConvexoidSpec, x, exit_tol: Fraction = EXIT_TOL):
-    return _half_ball_map(spec, exit_tol).forward(x)
+def to_half_ball(spec: ConvexoidSpec, x):
+    return _half_ball_map(spec).forward(x)
 
 
-def from_half_ball(spec: ConvexoidSpec, h, exit_tol: Fraction = EXIT_TOL):
-    return _half_ball_map(spec, exit_tol).inverse(h)
+def from_half_ball(spec: ConvexoidSpec, h):
+    return _half_ball_map(spec).inverse(h)
 
 
-def _half_ball_map(spec: ConvexoidSpec, exit_tol: Fraction) -> HalfBallMap:
+def _half_ball_map(spec: ConvexoidSpec) -> HalfBallMap:
     cached = getattr(spec, "_half_ball_map", None)
-    if cached is None or cached.exit_tol != exit_tol:
-        cached = HalfBallMap(spec, exit_tol)
+    if cached is None:
+        cached = HalfBallMap(spec)
         spec._half_ball_map = cached
     return cached
 
@@ -885,12 +962,12 @@ class GluedBallMap:
     """
 
     def __init__(self, e_spec, f_spec, phi, phi_inverse=None,
-                 bottom_samples=(), tol=1e-6, exit_tol: Fraction = EXIT_TOL):
+                 bottom_samples=(), tol=1e-6):
         if e_spec.dim != f_spec.dim:
             raise ValueError("the two convexoids have different dimensions")
         self.dim = e_spec.dim
-        self.e_map = HalfBallMap(e_spec, exit_tol)
-        self.f_map = HalfBallMap(f_spec, exit_tol)
+        self.e_map = HalfBallMap(e_spec)
+        self.f_map = HalfBallMap(f_spec)
         self.phi = phi
         self.phi_inverse = phi_inverse
         self.tol = tol
@@ -940,8 +1017,6 @@ class GluedBallMap:
 
 
 def glue(e_spec, f_spec, phi, phi_inverse=None, bottom_samples=(),
-         tol=1e-6, exit_tol: Fraction = EXIT_TOL) -> GluedBallMap:
+         tol=1e-6) -> GluedBallMap:
     """Build the ball evaluator for two convexoids with identified bottoms."""
-    return GluedBallMap(
-        e_spec, f_spec, phi, phi_inverse, bottom_samples, tol, exit_tol
-    )
+    return GluedBallMap(e_spec, f_spec, phi, phi_inverse, bottom_samples, tol)

@@ -4,6 +4,10 @@ Two-phase primal simplex over ``fractions.Fraction`` with Bland's rule, so
 every answer is exact and the iteration terminates.  Variables are free-sign
 (they are split internally); constraints are rows of A_ub x <= b_ub and
 A_eq x = b_eq.
+
+No part of the chart runs a linear program: ``convexoid`` computes
+boundedness, exit times and radial functions in closed form.  This module is
+the tests' independent reference oracle for those closed forms.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -171,6 +172,55 @@ def test_t_degenerate_points_round_trip():
     omega = random_positive_point(rng, 2, 3).rho.shift(+1, n=4)
     bottom = assemble(SplitTriple(Fraction(0), None, omega))
     assert roundtrip_error(chart, bottom) < 1e-6
+
+
+# -- G(2,5) and G(3,5) -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 5)])
+def test_larger_chart_round_trips(k, n):
+    chart = get_chart(k, n)
+    rng = random.Random(39)
+    for _ in range(3):
+        point = random_positive_point(rng, k, n)
+        assert float(np.linalg.norm(chart.forward(point).coords)) <= 1
+        assert roundtrip_error(chart, point) < 1e-6
+
+
+# Known defects are strict xfails, so that a fix shows up as an XPASS.
+DEFECTS = {
+    (2, 5, (1, 2)): (AssertionError, "round-trip error 0.715"),
+    (2, 5, (1, 3)): (AssertionError, "round-trip error 5.1e-3"),
+    (2, 5, (1, 5)): (DomainError, "fiber point outside its polytope"),
+    (3, 5, (1, 2, 3)): (DomainError, "fiber point outside its polytope"),
+    (3, 5, (1, 2, 5)): (DomainError, "fiber point outside its polytope"),
+    (3, 5, (1, 3, 5)): (AssertionError, "round-trip error 0.136"),
+}
+
+
+def _coordinate_point_param(k, n, key):
+    marks = ()
+    if (k, n, key) in DEFECTS:
+        raises, reason = DEFECTS[k, n, key]
+        marks = pytest.mark.xfail(strict=True, raises=raises, reason=reason)
+    name = f"G{k}{n}-e" + "".join(map(str, key))
+    return pytest.param(k, n, key, marks=marks, id=name)
+
+
+COORDINATE_POINTS = [
+    _coordinate_point_param(k, n, key)
+    for k, n in [(2, 5), (3, 5)]
+    for key in combinations(range(1, n + 1), k)
+]
+
+
+@pytest.mark.parametrize("k, n, key", COORDINATE_POINTS)
+def test_coordinate_points_reach_sphere_and_round_trip(k, n, key):
+    chart = get_chart(k, n)
+    point = ChamberPoint(MultiVector.basis(n, key))
+    norm = float(np.linalg.norm(chart.forward(point).coords))
+    assert abs(norm - 1) < 1e-4
+    assert roundtrip_error(chart, point) < 1e-6
 
 
 # -- interface edges ---------------------------------------------------------------

@@ -7,7 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grassball import chamber, lp
+from grassball.sampling import random_positive_point
 from grassball.convexoid import (
+    EXIT_TOL,
     ConvexoidSpec,
     DegenerateError,
     DomainError,
@@ -15,13 +18,16 @@ from grassball.convexoid import (
     HalfBallMap,
     HPolytope,
     UnboundedError,
+    _Ray,
     barycenter,
+    base_gauge,
     center_fibers,
     exit_time,
     from_half_ball,
     glue,
     join_fiber,
     radial_project_base,
+    rationalize_point,
     scan_ray,
     to_half_ball,
     vertices,
@@ -248,9 +254,6 @@ def exit_time_lp_oracle(spec, direction):
     Substituting z0 = (1 - t g) y0 and z1 = t g y1 makes the membership of
     t * direction a linear feasibility problem jointly in (t, z0, z1).
     """
-    from grassball import lp
-    from grassball.convexoid import base_gauge, rationalize_point
-
     v = rationalize_point(direction)
     nb, m = spec.base_dim, spec.fiber_dim
     vb, vf = v[:nb], v[nb:]
@@ -532,3 +535,295 @@ def test_glue_rejects_wrong_identification():
             identity_phi,
             bottom_samples=samples,
         )
+
+
+# -- closed forms against their LP forms ----------------------------------------------
+# The library computes boundedness, exit times and radial functions in closed
+# form.  Each oracle below is the exact LP form that these replaced, kept
+# here as an independent reference; every comparison is exact equality.
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+def recession_lp_oracle(poly):
+    """A nonzero d with normal . d <= 0 for every constraint, or None.
+
+    Maximizes each coordinate, with either sign, over that cone cut by the
+    unit box: 2 * dim exact LPs.
+    """
+    m = poly.dim
+    box = [[F(int(i == j)) for j in range(m)] for i in range(m)]
+    a_ub = [list(n) for n, _ in poly.constraints] + box + [
+        [-v for v in row] for row in box
+    ]
+    b_ub = [F(0)] * len(poly.constraints) + [F(1)] * (2 * m)
+    for i in range(m):
+        for sign in (1, -1):
+            obj = [F(0)] * m
+            obj[i] = F(sign)
+            res = lp.lp_maximize(obj, a_ub, b_ub)
+            if res.status == lp.OPTIMAL and res.value > 0:
+                return res.x
+    return None
+
+
+def member_lp_oracle(spec, direction, t):
+    """Whether t * direction lies in the joined body, by one exact LP.
+
+    Off the ends of the join, y in (1 - s) E0 + s E1 becomes feasibility in
+    y1 alone once y0 = (y - s y1) / (1 - s) is substituted.
+    """
+    v = rationalize_point(direction)
+    nb = spec.base_dim
+    vb, vf = v[:nb], v[nb:]
+    p = tuple(t * x for x in vb)
+    if t < 0 or not spec.in_base(p):
+        return False
+    y = tuple(t * x for x in vf)
+    g = base_gauge(vb) if any(vb) else F(0)
+    s = t * g
+    e0 = spec.fiber(spec.origin())
+    if s == 0:
+        return e0.contains_point(y)
+    e1 = spec.fiber(tuple(x / g for x in vb))
+    if s == 1:
+        return e1.contains_point(y)
+    a_ub = [[-s * a for a in n] for n, _ in e0.constraints]
+    b_ub = [(1 - s) * o - dot(n, y) for n, o in e0.constraints]
+    a_ub += [list(n) for n, _ in e1.constraints]
+    b_ub += [o for _, o in e1.constraints]
+    return lp.lp_feasible(a_ub, b_ub)
+
+
+def bisection_lp_oracle(spec, direction):
+    """The dyadic exit scale: doubling, then bisection to EXIT_TOL, with an
+    LP membership test at every step."""
+    hi = F(1)
+    while member_lp_oracle(spec, direction, hi):
+        hi *= 2
+    lo = hi / 2 if hi > 1 else F(0)
+    while hi - lo > EXIT_TOL:
+        mid = (lo + hi) / 2
+        if member_lp_oracle(spec, direction, mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def lambda_joined_lp_oracle(e0, e1, s, y):
+    """sup{l : l y in (1 - s) E0 + s E1}, one exact LP in (l, y1)."""
+    a_ub = [[dot(n, y)] + [-s * a for a in n] for n, _ in e0.constraints]
+    b_ub = [(1 - s) * o for _, o in e0.constraints]
+    a_ub += [[F(0)] + list(n) for n, _ in e1.constraints]
+    b_ub += [o for _, o in e1.constraints]
+    res = lp.lp_maximize([F(1)] + [F(0)] * len(y), a_ub, b_ub)
+    assert res.status == lp.OPTIMAL
+    return res.value
+
+
+def segment(a, b):
+    """H-representation of the segment [a, b] in dimension 2 or 3."""
+    a, b = tuple(map(F, a)), tuple(map(F, b))
+    d = tuple(y - x for x, y in zip(a, b))
+    if len(d) == 2:
+        normals = [(-d[1], d[0])]
+    else:
+        normals = [
+            n for n in (
+                (F(0), -d[2], d[1]), (d[2], F(0), -d[0]), (-d[1], d[0], F(0))
+            ) if any(n)
+        ][:2]
+    cons = [(d, dot(d, b)), (tuple(-x for x in d), -dot(d, a))]
+    for n in normals:
+        cons.append((n, dot(n, a)))
+        cons.append((tuple(-x for x in n), -dot(n, a)))
+    return HPolytope(len(d), cons)
+
+
+# Facet normals and per-facet offset slopes in the cube coordinate z; every
+# offset stays >= 1/2, so the fibers are bounded with the origin inside.
+FIBER_FAMILIES = {
+    1: (((F(2),), F(1, 4)), ((F(-3),), F(-1, 3))),
+    2: (
+        ((F(1), F(0)), F(1, 4)),
+        ((F(1), F(1)), F(-1, 8)),
+        ((F(0), F(1)), F(1, 8)),
+        ((F(-1), F(0)), F(-1, 4)),
+        ((F(-1), F(-1)), F(0)),
+        ((F(0), F(-1)), F(1, 3)),
+    ),
+    3: (
+        ((F(1), F(0), F(0)), F(1, 4)),
+        ((F(-1), F(0), F(0)), F(-1, 8)),
+        ((F(0), F(1), F(0)), F(1, 8)),
+        ((F(0), F(-1), F(0)), F(0)),
+        ((F(0), F(0), F(1)), F(-1, 4)),
+        ((F(0), F(0), F(-1)), F(1, 3)),
+        ((F(1), F(1), F(1)), F(1, 5)),
+        ((F(-1), F(1), F(0)), F(-1, 6)),
+    ),
+}
+SEGMENT_ENDS = {
+    2: ((F(-1), F(1, 2)), (F(3, 2), F(1))),
+    3: ((F(-1), F(1, 2), F(0)), (F(1), F(1), F(1, 3))),
+}
+
+
+def degenerate_spec(m):
+    """Base (tau, z), fibers (1 - tau) H(z) in dimension m.
+
+    The rays that leave through the top tau = 1 join E0 to a point (the
+    fiber there scales to {0}); in dimension >= 2 those that leave through
+    z = 1 join it to a segment.
+    """
+    def oracle(p):
+        tau, z = p
+        if m > 1 and z == 1:
+            return segment(*SEGMENT_ENDS[m])
+        return HPolytope(m, [
+            (n, (1 + slope * z) * (1 - tau))
+            for n, slope in FIBER_FAMILIES[m]
+        ])
+
+    return ConvexoidSpec(2, m, oracle)
+
+
+def oracle_directions(rng, m, count):
+    """Rays through the top (a point E1), the z = 1 side (a segment E1), the
+    z = -1 side, straight up, and inside the bottom center's fiber."""
+    def r(lo, hi):
+        return F(rng.randint(lo * 8, hi * 8), 8)
+
+    dirs = [
+        (F(1), F(1, 2)) + tuple(r(-1, 1) for _ in range(m)),
+        (F(1, 2), F(1)) + tuple(r(-1, 1) for _ in range(m)),
+        (F(1, 4), F(-1)) + tuple(r(-1, 1) for _ in range(m)),
+        (F(1), F(0)) + (F(0),) * m,
+        (F(0), F(0)) + tuple(F(1, i + 2) for i in range(m)),
+    ]
+    while len(dirs) < count:
+        vb = (r(0, 1), r(-1, 1))
+        vf = tuple(r(-1, 1) for _ in range(m))
+        if any(vb + vf):
+            dirs.append(vb + vf)
+    return dirs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exit_time_closed_form_equals_lp_exactly(m):
+    spec = degenerate_spec(m)
+    for direction in oracle_directions(random.Random(40 + m), m, 12):
+        ray = _Ray(spec.fiber, spec.base_dim, direction)
+        t_star = ray.exit_bound()
+        assert t_star == exit_time_lp_oracle(spec, direction)
+        for t in (t_star, t_star * F(999, 1000), t_star * F(1001, 1000)):
+            assert ray.member(t) == member_lp_oracle(spec, direction, t)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exit_scale_equals_lp_bisection(m):
+    spec = degenerate_spec(m)
+    for direction in oracle_directions(random.Random(50 + m), m, 6):
+        assert exit_time(spec, direction).t == bisection_lp_oracle(
+            spec, direction
+        )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lambda_joined_equals_lp(m):
+    rng = random.Random(60 + m)
+    hb = HalfBallMap(degenerate_spec(m))
+    e0 = hb.centered_fiber(hb.spec.origin())
+    tops = [(F(1), F(1, 3)), (F(1, 2), F(-1))]
+    if m > 1:
+        tops.append((F(3, 4), F(1)))  # the segment fiber
+    for q in tops:
+        e1 = hb.centered_fiber(q)
+        for s in (F(1, 5), F(1, 2), F(7, 8)):
+            p = tuple(s * x for x in q)
+            for _ in range(3):
+                y = tuple(F(rng.randint(-8, 8), 8) for _ in range(m))
+                if not any(y):
+                    continue
+                assert hb._lambda_joined(p, y) == lambda_joined_lp_oracle(
+                    e0, e1, s, y
+                )
+
+
+def test_vertices_unbounded_lineality_and_pointed_cones():
+    def poly(*normals):
+        return HPolytope(len(normals[0]), [(n, F(1)) for n in normals])
+
+    unbounded = [
+        poly((F(1),), (F(2),)),  # 1-D: one sign only
+        poly((F(1), F(0)), (F(-1), F(0))),  # strip: lineality
+        poly((F(-1), F(0)), (F(0), F(-1)), (F(-1), F(-1))),  # pointed
+        poly((F(0), F(0), F(1)), (F(0), F(0), F(-1))),  # slab: rank 1
+        poly((F(1), F(0), F(0)), (F(0), F(1), F(0)),
+             (F(-1), F(-1), F(0))),  # triangular prism: rank 2
+        poly((F(1), F(0), F(-1)), (F(-1), F(0), F(-1)),
+             (F(0), F(1), F(-1)), (F(0), F(-1), F(-1))),  # pointed cone
+    ]
+    bounded = [
+        poly((F(1),), (F(-1),)),
+        poly((F(-1), F(0)), (F(0), F(-1)), (F(1), F(1))),
+        poly((F(1), F(0), F(-1)), (F(-1), F(0), F(-1)),
+             (F(0), F(1), F(-1)), (F(0), F(-1), F(-1)),
+             (F(0), F(0), F(1))),  # the cone closed into a pyramid
+    ]
+    for p in unbounded:
+        assert recession_lp_oracle(p) is not None
+        with pytest.raises(UnboundedError):
+            vertices(p)
+    for p in bounded:
+        assert recession_lp_oracle(p) is None
+        assert vertices(p)
+
+
+def test_vertices_boundedness_matches_lp_on_random_normals():
+    rng = random.Random(41)
+    outcomes = set()
+    for _ in range(60):
+        m = rng.randint(1, 3)
+        size = rng.randint(1, 2 * m + 2)
+        normals = set()
+        while len(normals) < size:
+            n = tuple(F(rng.randint(-2, 2)) for _ in range(m))
+            if any(n):
+                normals.add(n)
+        p = HPolytope(m, [(n, F(rng.randint(1, 3))) for n in sorted(normals)])
+        want = recession_lp_oracle(p) is not None
+        try:
+            vertices(p)
+            got = False
+        except UnboundedError:
+            got = True
+        assert got == want
+        outcomes.add((m, got))
+    assert len(outcomes) == 6  # both outcomes seen in every dimension
+
+
+# -- no LP on the chart path ---------------------------------------------------------
+
+
+def test_chart_and_half_ball_maps_run_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an LP ran on the chart path")
+
+    monkeypatch.setattr(lp, "solve_lp", refuse)
+    rng = random.Random(42)
+    chart = chamber.BallChart(2, 4)  # fresh, so its gluing check runs here
+    for _ in range(3):
+        point = random_positive_point(rng, 2, 4)
+        back = chart.inverse(chart.forward(point))
+        assert max(
+            abs(float(point.rho.coefficient(k) - back.rho.coefficient(k)))
+            for k in set(point.rho.support()) | set(back.rho.support())
+        ) < 1e-6
+    spec = degenerate_spec(2)
+    for x in [(0.3, 0.2, 0.1, -0.2), (0.0, -0.5, 0.2, 0.3), (0.6, 0.9, 0.0, 0.0)]:
+        back = from_half_ball(spec, to_half_ball(spec, x))
+        assert max(abs(a - b) for a, b in zip(x, back)) < 1e-6
