@@ -59,14 +59,12 @@ from .convexoid import (
     DomainError,
     GluingError,
     HPolytope,
-    StarConvexityViolation,
     UnboundedError,
     barycenter,
     center_fibers,
     exit_time,
     from_half_ball,
     glue,
-    join_fiber,
     radial_project_base,
     to_half_ball,
     vertices,

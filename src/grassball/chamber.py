@@ -4,9 +4,13 @@ A chamber point is a normalized nonnegative decomposable grade-k element of
 the k-th exterior power of R^n; it splits exactly (all rationals) as
 rho = t * e_1 ^ eta + (1 - t) * omega with eta, omega supported away from
 index 1 and eta contained in omega.  The two fibrations this induces (over
-omega for t <= 1/2, over eta for t >= 1/2) have convex polytope fibers;
-feeding them to the convexoid machinery and gluing the halves yields a chart
-onto the closed ball of dimension k(n-k), evaluated numerically.
+omega for t <= 1/2, over eta for t >= 1/2) have convex polytope fibers.
+Both are one construction read in two directions: a ``FiberFrame`` over a
+base element, whose generators and image map are picked by ``EFiberFrame``
+(contractions of omega) or ``FFiberFrame`` (wedges of eta), and one
+``_Side`` per half that turns its frames into a convexoid.  Gluing the two
+halves along t = 1/2 yields a chart onto the closed ball of dimension
+k(n-k), evaluated numerically.
 """
 
 from __future__ import annotations
@@ -33,13 +37,12 @@ from .exterior import (
     SignClass,
     classify_sign,
     contract,
-    normalize,
     wedge,
 )
 from .plucker import (
-    DecomposabilityError,
     contains,
     is_decomposable,
+    require_chamber_vector,
     spanning_vectors,
 )
 
@@ -51,6 +54,7 @@ __all__ = [
     "ChartPoint",
     "split",
     "assemble",
+    "FiberFrame",
     "EFiberFrame",
     "FFiberFrame",
     "e_fiber",
@@ -184,11 +188,11 @@ def assemble(triple: SplitTriple) -> ChamberPoint:
 # fiber frames
 
 
-def _sum_functional_frame(generators, values):
+def _sum_functional_frame(values):
     """Origin and kernel directions for the affine slice sum == 1.
 
-    generators are vectors in R^n; values their images under the coefficient
-    sum functional.  Returns (origin coords, kernel coordinate rows) in the
+    values are the images of the generators under the coefficient sum
+    functional.  Returns (origin coords, kernel coordinate rows) in the
     generator basis.
     """
     total_sq = sum((v * v for v in values), Fraction(0))
@@ -199,37 +203,41 @@ def _sum_functional_frame(generators, values):
     return origin, kernel
 
 
-def _combine(generators, coords):
-    out = [Fraction(0)] * len(generators[0])
-    for c, g in zip(coords, generators):
+def _add_images(out: MultiVector, coords, images) -> MultiVector:
+    """out + sum of c * image over the nonzero coords c."""
+    for c, img in zip(coords, images):
         if c:
-            for i, x in enumerate(g):
-                out[i] += c * x
-    return tuple(out)
+            out = out + img * c
+    return out
 
 
-class EFiberFrame:
-    """Fiber over omega on the low-t side: contained grade-(k-1) elements.
+class FiberFrame:
+    """Normalized fiber over a base element, as a polytope in slice coords.
 
-    Contained codimension-one elements are contractions of omega by vectors
-    of its plane; the frame solves the normalization slice exactly and the
-    polytope collects one nonnegativity inequality per coefficient.
+    The fiber elements are the images ``image(base, g)`` of the linear span
+    of ``generators`` (vectors of R^n) that have coefficient sum 1 and are
+    nonnegative.  The frame solves the normalization slice exactly, takes
+    coordinates along its kernel, and collects one nonnegativity inequality
+    per coefficient of the grade-``grade`` images into the polytope.
+    Subclasses pick the generators and the image map, and name the
+    SplitTriple fields of their base and fiber elements.
     """
 
-    def __init__(self, omega: MultiVector):
-        _check_away_from_first(omega, "omega")
-        self.omega = omega
-        rows = spanning_vectors(omega).rows
-        self.generators = [tuple(r) for r in rows]
-        gen_mvs = [MultiVector.from_vector(r) for r in rows]
-        self.images = [contract(omega, g) for g in gen_mvs]
+    base_part = fiber_part = None
+
+    def __init__(self, base: MultiVector, generators, image, grade: int):
+        self.base = base
+        self.images = [
+            image(base, MultiVector.from_vector(r)) for r in generators
+        ]
         values = [img.coefficient_sum() for img in self.images]
-        origin_coords, kernel = _sum_functional_frame(self.generators, values)
+        origin_coords, kernel = _sum_functional_frame(values)
         self.origin_coords = origin_coords
         self.kernel_coords = kernel
         self.dim = len(kernel)
-        origin_image = self._image_at(origin_coords)
-        basis_images = [self._image_at(kc) for kc in kernel]
+        zero = MultiVector.zero(base.n, grade)
+        origin_image = _add_images(zero, origin_coords, self.images)
+        basis_images = [_add_images(zero, kc, self.images) for kc in kernel]
         support = sorted(
             set(origin_image.support()).union(
                 *[img.support() for img in basis_images]
@@ -254,60 +262,72 @@ class EFiberFrame:
             [-c for c in self.center]
         )
 
-    def _image_at(self, coords) -> MultiVector:
-        out = MultiVector.zero(self.omega.n, self.omega.k - 1)
-        for c, img in zip(coords, self.images):
-            if c:
-                out = out + img * c
-        return out
+    def element_of_point(self, y: Sequence) -> MultiVector:
+        return _add_images(self._origin_image, y, self._basis_images)
 
-    def eta_of_point(self, y: Sequence) -> MultiVector:
-        out = self._origin_image
-        for c, img in zip(y, self._basis_images):
-            if c:
-                out = out + img * c
-        return out
-
-    def eta_of_centered(self, yc: Sequence) -> MultiVector:
-        return self.eta_of_point(
+    def element_of_centered(self, yc: Sequence) -> MultiVector:
+        return self.element_of_point(
             tuple(v + c for v, c in zip(yc, self.center))
         )
 
-    def centered_point_of_eta(self, eta: MultiVector) -> tuple[Fraction, ...]:
+    def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
         return tuple(
-            v - c for v, c in zip(self.point_of_eta(eta), self.center)
+            v - c for v, c in zip(self.point_of_element(element), self.center)
         )
 
-    def point_of_eta(self, eta: MultiVector) -> tuple[Fraction, ...]:
+    def point_of_element(self, element: MultiVector) -> tuple[Fraction, ...]:
         keys = sorted(
-            set().union(*[img.support() for img in self.images], eta.support())
+            set().union(
+                *[img.support() for img in self.images], element.support()
+            )
         )
         columns = [[img.coefficient(key) for img in self.images] for key in keys]
-        target = [eta.coefficient(key) for key in keys]
+        target = [element.coefficient(key) for key in keys]
         coords = linalg.solve(columns, target)
         if coords is None:
-            raise ValidationError("eta is not contained in the fiber family")
+            raise ValidationError(
+                f"{self.fiber_part} is not contained in the fiber family"
+            )
         rel = [c - o for c, o in zip(coords, self.origin_coords)]
         kernel_cols = [
             [kc[i] for kc in self.kernel_coords]
-            for i in range(len(self.generators))
+            for i in range(len(self.images))
         ]
         y = linalg.solve(kernel_cols, rel)
         if y is None:
-            raise ValidationError("eta does not lie on the normalized slice")
+            raise ValidationError(
+                f"{self.fiber_part} does not lie on the normalized slice"
+            )
         return tuple(y)
 
 
-class FFiberFrame:
-    """Fiber over eta on the high-t side: containing grade-k elements.
+class EFiberFrame(FiberFrame):
+    """Fiber over omega on the low-t side: contained grade-(k-1) elements.
+
+    Contained codimension-one elements are contractions of omega by vectors
+    of its plane.
+    """
+
+    base_part, fiber_part = "omega", "eta"
+
+    def __init__(self, omega: MultiVector):
+        _check_away_from_first(omega, "omega")
+        super().__init__(
+            omega, spanning_vectors(omega).rows, contract, omega.k - 1
+        )
+
+
+class FFiberFrame(FiberFrame):
+    """Fiber over eta on the high-t side: containing grade-(k+1) elements.
 
     Containing elements are wedges of eta with vectors orthogonal to its
     plane inside the span of e_2..e_n.
     """
 
+    base_part, fiber_part = "eta", "omega"
+
     def __init__(self, eta: MultiVector):
         _check_away_from_first(eta, "eta")
-        self.eta = eta
         n = eta.n
         plane = spanning_vectors(eta).rows if eta.k else []
         first_axis = [Fraction(0)] * n
@@ -315,91 +335,15 @@ class FFiberFrame:
         complement = linalg.kernel_basis(
             list(plane) + [tuple(first_axis)], n
         )
-        self.generators = [tuple(r) for r in complement]
-        gen_mvs = [MultiVector.from_vector(r) for r in complement]
-        self.images = [wedge(eta, g) for g in gen_mvs]
-        values = [img.coefficient_sum() for img in self.images]
-        origin_coords, kernel = _sum_functional_frame(self.generators, values)
-        self.origin_coords = origin_coords
-        self.kernel_coords = kernel
-        self.dim = len(kernel)
-        origin_image = self._image_at(origin_coords)
-        basis_images = [self._image_at(kc) for kc in kernel]
-        support = sorted(
-            set(origin_image.support()).union(
-                *[img.support() for img in basis_images]
-            )
-        )
-        constraints = []
-        for key in support:
-            normal = tuple(-img.coefficient(key) for img in basis_images)
-            offset = origin_image.coefficient(key)
-            if any(normal):
-                constraints.append((normal, offset))
-        self.polytope = HPolytope(self.dim, constraints)
-        self._origin_image = origin_image
-        self._basis_images = basis_images
-        self.center = _centroid_any(self.polytope) if self.dim else ()
-        self.centered_polytope = self.polytope.translated(
-            [-c for c in self.center]
-        )
-
-    def _image_at(self, coords) -> MultiVector:
-        out = MultiVector.zero(self.eta.n, self.eta.k + 1)
-        for c, img in zip(coords, self.images):
-            if c:
-                out = out + img * c
-        return out
-
-    def omega_of_point(self, y: Sequence) -> MultiVector:
-        out = self._origin_image
-        for c, img in zip(y, self._basis_images):
-            if c:
-                out = out + img * c
-        return out
-
-    def omega_of_centered(self, yc: Sequence) -> MultiVector:
-        return self.omega_of_point(
-            tuple(v + c for v, c in zip(yc, self.center))
-        )
-
-    def centered_point_of_omega(self, omega: MultiVector) -> tuple[Fraction, ...]:
-        return tuple(
-            v - c for v, c in zip(self.point_of_omega(omega), self.center)
-        )
-
-    def point_of_omega(self, omega: MultiVector) -> tuple[Fraction, ...]:
-        keys = sorted(
-            set().union(
-                *[img.support() for img in self.images], omega.support()
-            )
-        )
-        columns = [[img.coefficient(key) for img in self.images] for key in keys]
-        target = [omega.coefficient(key) for key in keys]
-        coords = linalg.solve(columns, target)
-        if coords is None:
-            raise ValidationError("omega does not contain eta compatibly")
-        rel = [c - o for c, o in zip(coords, self.origin_coords)]
-        kernel_cols = [
-            [kc[i] for kc in self.kernel_coords]
-            for i in range(len(self.generators))
-        ]
-        y = linalg.solve(kernel_cols, rel)
-        if y is None:
-            raise ValidationError("omega does not lie on the normalized slice")
-        return tuple(y)
+        super().__init__(eta, complement, wedge, eta.k + 1)
 
 
 def e_fiber(omega: MultiVector) -> EFiberFrame:
-    from .plucker import require_chamber_vector
-
     require_chamber_vector(omega)
     return EFiberFrame(omega)
 
 
 def f_fiber(eta: MultiVector) -> FFiberFrame:
-    from .plucker import require_chamber_vector
-
     require_chamber_vector(eta)
     return FFiberFrame(eta)
 
@@ -543,13 +487,112 @@ class _SimplexChart:
         return ChamberPoint(MultiVector(self.n, self.k, coeffs))
 
 
+class _Side:
+    """One fibered half of the chamber as a convexoid over a base chart.
+
+    The E side (t <= 1/2) fibers over omega with eta in the fiber, the F
+    side (t >= 1/2) over eta with omega in the fiber; ``frame_cls`` builds
+    the fibers and names the base and fiber fields of a SplitTriple.  The
+    convexoid coordinates are (tau, z, (1 - tau) y): tau = sign * (2t - 1)
+    runs from the shared bottom t = 1/2 to the top, z is the base element's
+    point in the cube of ``base`` (the recursive chart of the base factor)
+    and y the fiber element's centered point in the base element's frame.
+    """
+
+    def __init__(self, name, n, base, frame_cls, fiber_dim, sign):
+        self.name, self.n, self.base = name, n, base
+        self.frame_cls = frame_cls
+        self.frames: dict[MultiVector, FiberFrame] = {}
+        self.fiber_dim = fiber_dim
+        self.sign = sign
+
+    def frame(self, base_el: MultiVector) -> FiberFrame:
+        frame = self.frames.get(base_el)
+        if frame is None:
+            frame = self.frame_cls(base_el)
+            self.frames[base_el] = frame
+        return frame
+
+    def element_of_cube(self, z) -> MultiVector:
+        ball = ball_of_cube(np.array([float(v) for v in z]))
+        return self.base.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
+
+    def cube_of_element(self, base_el: MultiVector) -> np.ndarray:
+        return cube_of_ball(
+            np.array(self.base.forward(ChamberPoint(base_el.shift(-1))).coords)
+        )
+
+    def oracle(self, p) -> HPolytope:
+        tau, z = p[0], p[1:]
+        frame = self.frame(self.element_of_cube(z))
+        return frame.centered_polytope.scaled(max(Fraction(0), 1 - tau))
+
+    def spec(self) -> ConvexoidSpec:
+        return ConvexoidSpec(1 + self.base.dim, self.fiber_dim, self.oracle)
+
+    def coords(self, triple: SplitTriple):
+        tau = self.sign * (2 * triple.t - 1)
+        base_el = getattr(triple, self.frame_cls.base_part)
+        fiber_el = getattr(triple, self.frame_cls.fiber_part)
+        z = self.cube_of_element(base_el)
+        if fiber_el is None:
+            y = (Fraction(0),) * self.fiber_dim
+        else:
+            y = self.frame(base_el).centered_point_of(fiber_el)
+        scaled = tuple((1 - tau) * v for v in y)
+        return (tau,) + tuple(rationalize(float(v)) for v in z) + scaled
+
+    def _unpack(self, x):
+        """(tau, z, fiber part) of convexoid coordinates, as rationals."""
+        x = rationalize_point(x)
+        return x[0], x[1 : 1 + self.base.dim], x[1 + self.base.dim :]
+
+    def point_of_coords(self, x) -> ChamberPoint:
+        tau, z, scaled = self._unpack(x)
+        tau = min(max(tau, Fraction(0)), Fraction(1))
+        base_el = self.element_of_cube(z)
+        if 1 - tau < DEGENERATE_EPS:
+            return self._assemble(Fraction(1 + self.sign, 2), base_el, None)
+        frame = self.frame(base_el)
+        y = nudge_into(
+            frame.centered_polytope, [v / (1 - tau) for v in scaled]
+        )
+        fiber_el = frame.element_of_centered(y)
+        return self._assemble((1 + self.sign * tau) / 2, base_el, fiber_el)
+
+    def _assemble(self, t, base_el, fiber_el) -> ChamberPoint:
+        parts = {
+            self.frame_cls.base_part: base_el,
+            self.frame_cls.fiber_part: fiber_el,
+        }
+        return assemble(SplitTriple(t, **parts))
+
+    def bottom_to(self, other: "_Side", x):
+        """This side's bottom coordinates -> the other side's.
+
+        At t = 1/2 both elements are present; the base element here is the
+        fiber element there and the other way round.
+        """
+        _, z, y = self._unpack(x)
+        base_el = self.element_of_cube(z)
+        frame = self.frame(base_el)
+        fiber_el = frame.element_of_centered(
+            nudge_into(frame.centered_polytope, y)
+        )
+        z_other = other.cube_of_element(fiber_el)
+        y_other = other.frame(fiber_el).centered_point_of(base_el)
+        return (0.0,) + tuple(float(v) for v in z_other) + tuple(
+            float(v) for v in y_other
+        )
+
+
 class BallChart:
     """Numerical chart of the nonnegative (k, n) chamber onto the ball.
 
     Grade 1 and corank 1 are simplex leaves; otherwise the chamber splits
-    into the two fibered halves, each half becomes a convexoid whose base
-    cube coordinates come from the recursive chart of the base factor, and
-    the glued convexoid maps provide the ball coordinates.
+    into the two fibered halves (``_Side``), each half becomes a convexoid
+    whose base cube coordinates come from the recursive chart of the base
+    factor, and the glued convexoid maps provide the ball coordinates.
     """
 
     def __init__(self, k: int, n: int):
@@ -559,76 +602,34 @@ class BallChart:
         self.dim = k * (n - k)
         self._simplex = None
         self._glued = None
-        self._e_frames: dict[MultiVector, EFiberFrame] = {}
-        self._f_frames: dict[MultiVector, FFiberFrame] = {}
         if k == 1 or k == n - 1:
             self._simplex = _SimplexChart(n, k)
         elif k != n:
-            self.base_e = get_chart(k, n - 1)
-            self.base_f = get_chart(k - 1, n - 1)
-
-    # -- shared frame caches -------------------------------------------------
-
-    def _e_frame(self, omega: MultiVector) -> EFiberFrame:
-        frame = self._e_frames.get(omega)
-        if frame is None:
-            frame = EFiberFrame(omega)
-            self._e_frames[omega] = frame
-        return frame
-
-    def _f_frame(self, eta: MultiVector) -> FFiberFrame:
-        frame = self._f_frames.get(eta)
-        if frame is None:
-            frame = FFiberFrame(eta)
-            self._f_frames[eta] = frame
-        return frame
-
-    # -- convexoid construction ----------------------------------------------
-
-    def _omega_of_cube(self, z) -> MultiVector:
-        ball = ball_of_cube(np.array([float(v) for v in z]))
-        return self.base_e.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
-
-    def _eta_of_cube(self, z) -> MultiVector:
-        ball = ball_of_cube(np.array([float(v) for v in z]))
-        return self.base_f.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
+            self._e = _Side("E", n, get_chart(k, n - 1), EFiberFrame, k - 1,
+                            -1)
+            self._f = _Side("F", n, get_chart(k - 1, n - 1), FFiberFrame,
+                            n - k - 1, +1)
 
     def _glued_map(self) -> GluedBallMap:
-        if self._glued is not None:
-            return self._glued
-
-        def oracle_e(p):
-            tau, z = p[0], p[1:]
-            frame = self._e_frame(self._omega_of_cube(z))
-            return frame.centered_polytope.scaled(max(Fraction(0), 1 - tau))
-
-        def oracle_f(p):
-            tau, z = p[0], p[1:]
-            frame = self._f_frame(self._eta_of_cube(z))
-            return frame.centered_polytope.scaled(max(Fraction(0), 1 - tau))
-
-        spec_e = ConvexoidSpec(1 + self.base_e.dim, self.k - 1, oracle_e)
-        spec_f = ConvexoidSpec(
-            1 + self.base_f.dim, self.n - self.k - 1, oracle_f
-        )
-        samples = self._bottom_samples(8)
-        self._glued = GluedBallMap(
-            spec_e,
-            spec_f,
-            self._phi,
-            self._phi_inverse,
-            bottom_samples=samples,
-            tol=1e-6,
-        )
+        if self._glued is None:
+            e, f = self._e, self._f
+            self._glued = GluedBallMap(
+                e.spec(),
+                f.spec(),
+                lambda x: e.bottom_to(f, x),
+                lambda x: f.bottom_to(e, x),
+                bottom_samples=self._bottom_samples(8),
+                tol=1e-6,
+            )
         return self._glued
 
     def _bottom_samples(self, count: int):
         rng = np.random.default_rng(20240517)
         samples = []
+        e = self._e
         for _ in range(count):
-            z = rng.uniform(-0.8, 0.8, self.base_e.dim)
-            omega = self._omega_of_cube(rationalize_point(z))
-            frame = self._e_frame(omega)
+            z = rng.uniform(-0.8, 0.8, e.base.dim)
+            frame = e.frame(e.element_of_cube(rationalize_point(z)))
             verts = vertices(frame.centered_polytope)
             weights = rng.dirichlet(np.ones(len(verts)))
             y = [
@@ -644,43 +645,6 @@ class BallChart:
             )
         return samples
 
-    # -- bottom identification -----------------------------------------------
-
-    def _phi(self, x_e):
-        """E-side bottom coordinates -> F-side bottom coordinates."""
-        x_e = rationalize_point(x_e)
-        z = x_e[1 : 1 + self.base_e.dim]
-        y = x_e[1 + self.base_e.dim :]
-        omega = self._omega_of_cube(z)
-        frame = self._e_frame(omega)
-        eta = frame.eta_of_centered(nudge_into(frame.centered_polytope, y))
-        z_f = cube_of_ball(
-            np.array(self.base_f.forward(ChamberPoint(eta.shift(-1))).coords)
-        )
-        f_frame = self._f_frame(eta)
-        y_f = f_frame.centered_point_of_omega(omega)
-        return (0.0,) + tuple(float(v) for v in z_f) + tuple(
-            float(v) for v in y_f
-        )
-
-    def _phi_inverse(self, x_f):
-        x_f = rationalize_point(x_f)
-        z = x_f[1 : 1 + self.base_f.dim]
-        y = x_f[1 + self.base_f.dim :]
-        eta = self._eta_of_cube(z)
-        frame = self._f_frame(eta)
-        omega = frame.omega_of_centered(nudge_into(frame.centered_polytope, y))
-        z_e = cube_of_ball(
-            np.array(self.base_e.forward(ChamberPoint(omega.shift(-1))).coords)
-        )
-        e_frame = self._e_frame(omega)
-        y_e = e_frame.centered_point_of_eta(eta)
-        return (0.0,) + tuple(float(v) for v in z_e) + tuple(
-            float(v) for v in y_e
-        )
-
-    # -- chart ----------------------------------------------------------------
-
     def forward(self, point: ChamberPoint) -> ChartPoint:
         if point.n != self.n or point.k != self.k:
             raise ValidationError("point belongs to a different chamber")
@@ -689,11 +653,10 @@ class BallChart:
         if self._simplex is not None:
             return self._simplex.forward(point)
         triple = split(point)
-        if 2 * triple.t <= 1:
-            side, x = "E", self._e_coords(triple)
-        else:
-            side, x = "F", self._f_coords(triple)
-        return ChartPoint(self._glued_map().forward(side, x))
+        side = self._e if 2 * triple.t <= 1 else self._f
+        return ChartPoint(
+            self._glued_map().forward(side.name, side.coords(triple))
+        )
 
     def inverse(self, chart: ChartPoint | Sequence) -> ChamberPoint:
         coords = chart.coords if isinstance(chart, ChartPoint) else tuple(chart)
@@ -712,74 +675,9 @@ class BallChart:
             )
         if self._simplex is not None:
             return self._simplex.inverse(coords)
-        side, x = self._glued_map().inverse(np.array(coords))
-        if side == "E":
-            return self._from_e_coords(x)
-        return self._from_f_coords(x)
-
-    # -- side coordinates ------------------------------------------------------
-
-    def _e_coords(self, triple: SplitTriple):
-        tau = 1 - 2 * triple.t
-        omega = triple.omega
-        z = cube_of_ball(
-            np.array(
-                self.base_e.forward(ChamberPoint(omega.shift(-1))).coords
-            )
-        )
-        if triple.t == 0:
-            y = (Fraction(0),) * (self.k - 1)
-        else:
-            frame = self._e_frame(omega)
-            y = frame.centered_point_of_eta(triple.eta)
-        scaled = tuple((1 - tau) * v for v in y)
-        return (tau,) + tuple(rationalize(float(v)) for v in z) + scaled
-
-    def _f_coords(self, triple: SplitTriple):
-        tau = 2 * triple.t - 1
-        eta = triple.eta
-        z = cube_of_ball(
-            np.array(self.base_f.forward(ChamberPoint(eta.shift(-1))).coords)
-        )
-        if triple.t == 1:
-            y = (Fraction(0),) * (self.n - self.k - 1)
-        else:
-            frame = self._f_frame(eta)
-            y = frame.centered_point_of_omega(triple.omega)
-        scaled = tuple((1 - tau) * v for v in y)
-        return (tau,) + tuple(rationalize(float(v)) for v in z) + scaled
-
-    def _from_e_coords(self, x) -> ChamberPoint:
-        x = rationalize_point(x)
-        tau = min(max(x[0], Fraction(0)), Fraction(1))
-        z = x[1 : 1 + self.base_e.dim]
-        scaled = x[1 + self.base_e.dim :]
-        omega = self._omega_of_cube(z)
-        t = (1 - tau) / 2
-        if 1 - tau < DEGENERATE_EPS:
-            return assemble(SplitTriple(Fraction(0), None, omega))
-        frame = self._e_frame(omega)
-        y = nudge_into(
-            frame.centered_polytope, [v / (1 - tau) for v in scaled]
-        )
-        eta = frame.eta_of_centered(y)
-        return assemble(SplitTriple(t, eta, omega))
-
-    def _from_f_coords(self, x) -> ChamberPoint:
-        x = rationalize_point(x)
-        tau = min(max(x[0], Fraction(0)), Fraction(1))
-        z = x[1 : 1 + self.base_f.dim]
-        scaled = x[1 + self.base_f.dim :]
-        eta = self._eta_of_cube(z)
-        t = (1 + tau) / 2
-        if 1 - tau < DEGENERATE_EPS:
-            return assemble(SplitTriple(Fraction(1), eta, None))
-        frame = self._f_frame(eta)
-        y = nudge_into(
-            frame.centered_polytope, [v / (1 - tau) for v in scaled]
-        )
-        omega = frame.omega_of_centered(y)
-        return assemble(SplitTriple(t, eta, omega))
+        name, x = self._glued_map().inverse(np.array(coords))
+        side = self._e if name == "E" else self._f
+        return side.point_of_coords(x)
 
 
 _CHARTS: dict[tuple[int, int], BallChart] = {}

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -197,13 +196,7 @@ def _cmd_roundtrip(args) -> int:
         sampling.random_positive_point(rng, args.k, args.n)
         for _ in range(args.samples)
     ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(
-                pool.map(lambda p: _roundtrip_sample(chart_map, p), points)
-            )
-    else:
-        results = [_roundtrip_sample(chart_map, p) for p in points]
+    results = [_roundtrip_sample(chart_map, p) for p in points]
     errors = [err for _, err in results]
     report = RunReport(
         "roundtrip",
@@ -411,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--csv", help="emit per-sample CSV to this path")
     common(p)
     p.set_defaults(func=_cmd_roundtrip)

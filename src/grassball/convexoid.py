@@ -8,8 +8,10 @@ of them glued along their bottoms give a closed ball.
 
 Polytope data is exact rational; the half-ball and ball maps emit floats
 with explicit tolerances.  No linear program runs: boundedness is an exact
-extreme-ray check on the constraint normals, and the joined body's exit times
-and radial functions are closed forms in the support functions of the two
+extreme-ray check on the constraint normals, and the joined body (the union
+of segments from the bottom center's fiber to the fibers over the
+distinguished boundary) is never built as a polytope.  Its exit times and
+radial functions are closed forms in the support functions of the two
 fibers it joins.  The exit time is still rounded to a dyadic within
 ``EXIT_TOL`` (see ``_Ray.exit_scale``).
 """
@@ -32,15 +34,12 @@ __all__ = [
     "UnboundedError",
     "DegenerateError",
     "DomainError",
-    "StarConvexityViolation",
     "GluingError",
     "vertices",
     "barycenter",
     "center_fibers",
     "radial_project_base",
-    "join_fiber",
     "exit_time",
-    "scan_ray",
     "to_half_ball",
     "from_half_ball",
     "HalfBallMap",
@@ -63,10 +62,6 @@ class DegenerateError(ValueError):
 
 class DomainError(ValueError):
     """Raised when a point lies outside the domain of a map."""
-
-
-class StarConvexityViolation(RuntimeError):
-    """Membership along a ray re-entered the body; hypothesis violation."""
 
 
 class GluingError(ValueError):
@@ -131,6 +126,8 @@ class HPolytope:
 
     def translated(self, shift) -> "HPolytope":
         shift = tuple(Fraction(v) for v in shift)
+        if not any(shift):
+            return self
         return HPolytope(
             self.dim,
             [(n, o + linalg.dot(n, shift)) for n, o in self.constraints],
@@ -420,6 +417,13 @@ class ConvexoidSpec:
         return all(-1 - slack <= v <= 1 + slack for v in p[1:])
 
 
+def _clamp_to_cube(p) -> tuple[Fraction, ...]:
+    """Nearest point of the base cube [0, 1] x [-1, 1]^(nb-1)."""
+    return (min(max(p[0], Fraction(0)), Fraction(1)),) + tuple(
+        min(max(v, Fraction(-1)), Fraction(1)) for v in p[1:]
+    )
+
+
 def base_gauge(p) -> Fraction:
     """Minkowski gauge of the base cube as seen from the bottom center."""
     return max([p[0]] + [abs(v) for v in p[1:]])
@@ -448,107 +452,6 @@ def center_fibers(spec: ConvexoidSpec) -> ConvexoidSpec:
         return raw.translated([-c for c in _centroid_any(raw)])
 
     return ConvexoidSpec(spec.base_dim, spec.fiber_dim, oracle)
-
-
-def _mink_vertices(poly_a: HPolytope, poly_b: HPolytope, s: Fraction):
-    """Vertices of (1-s) * A  (+)  s * B (Minkowski combination)."""
-    va = vertices(poly_a)
-    vb = vertices(poly_b)
-    out = set()
-    for a in va:
-        for b in vb:
-            out.add(tuple((1 - s) * x + s * y for x, y in zip(a, b)))
-    return sorted(out)
-
-
-def _hull_h_rep(points, dim) -> HPolytope:
-    """H-representation of a vertex hull, exact, for dim <= 3."""
-    if dim == 1:
-        lo = min(p[0] for p in points)
-        hi = max(p[0] for p in points)
-        return HPolytope(1, [((Fraction(1),), hi), ((Fraction(-1),), -lo)])
-    if dim == 2:
-        ordered = _hull_order_2d(points)
-        cons = []
-        if len(ordered) == 1:
-            p = ordered[0]
-            return HPolytope(2, [
-                ((Fraction(1), Fraction(0)), p[0]),
-                ((Fraction(-1), Fraction(0)), -p[0]),
-                ((Fraction(0), Fraction(1)), p[1]),
-                ((Fraction(0), Fraction(-1)), -p[1]),
-            ])
-        if len(ordered) == 2:
-            (x0, y0), (x1, y1) = ordered
-            d = (x1 - x0, y1 - y0)
-            n = (d[1], -d[0])
-            cons.append((n, n[0] * x0 + n[1] * y0))
-            cons.append(((-n[0], -n[1]), -(n[0] * x0 + n[1] * y0)))
-            cons.append((d, d[0] * x1 + d[1] * y1))
-            cons.append(((-d[0], -d[1]), -(d[0] * x0 + d[1] * y0)))
-            return HPolytope(2, cons)
-        for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-            d = (b[0] - a[0], b[1] - a[1])
-            n = (d[1], -d[0])  # outward for counterclockwise order
-            cons.append((n, n[0] * a[0] + n[1] * a[1]))
-        return HPolytope(2, cons)
-    if dim == 3:
-        cons = {}
-        pts = sorted(set(points))
-        for trio in itertools.combinations(pts, 3):
-            a, b, c = trio
-            normal = _cross(
-                [b[i] - a[i] for i in range(3)],
-                [c[i] - a[i] for i in range(3)],
-            )
-            if not any(normal):
-                continue
-            offset = linalg.dot(normal, a)
-            values = [linalg.dot(normal, p) - offset for p in pts]
-            if all(val <= 0 for val in values):
-                pass
-            elif all(val >= 0 for val in values):
-                normal = tuple(-x for x in normal)
-                offset = -offset
-            else:
-                continue
-            lead = next(x for x in normal if x)
-            scale = Fraction(1) / abs(lead)
-            key = tuple(x * scale for x in normal)
-            cons[key] = (normal, offset)
-        if not cons:
-            # all points affinely dependent; box the degenerate hull
-            cons_list = []
-            for i in range(3):
-                lo = min(p[i] for p in pts)
-                hi = max(p[i] for p in pts)
-                e = [Fraction(0)] * 3
-                e[i] = Fraction(1)
-                cons_list.append((tuple(e), hi))
-                cons_list.append((tuple(-x for x in e), -lo))
-            return HPolytope(3, cons_list)
-        return HPolytope(3, list(cons.values()))
-    raise ValueError("hull H-representation implemented for dim <= 3")
-
-
-def join_fiber(spec: ConvexoidSpec, p) -> HPolytope:
-    """Fiber of the joined body: (1-s) E(0) (+) s E(P(p)).
-
-    ``spec`` must already be centered.  The joined body is the union of all
-    segments from the bottom-center fiber to the fibers over the
-    distinguished boundary, and its slice over p is this Minkowski
-    combination.
-    """
-    p = rationalize_point(p)
-    origin_fiber = spec.fiber(spec.origin())
-    if all(v == 0 for v in p):
-        return origin_fiber
-    q, s = radial_project_base(p)
-    outer = spec.fiber(q)
-    if s == 1:
-        return outer
-    points = _mink_vertices(origin_fiber, outer, s)
-    return _hull_h_rep(points, spec.fiber_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -647,20 +550,6 @@ class _Ray:
             self.E1 = None
         self.normals = _join_normals(self.E0, self.E1)
 
-    def _bound(self, u, s: Fraction) -> Fraction:
-        h0 = _support(self.E0, u)
-        return h0 if s == 0 else (1 - s) * h0 + s * _support(self.E1, u)
-
-    def member(self, t: Fraction) -> bool:
-        if t < 0:
-            return False
-        p = tuple(t * x for x in self.vb)
-        if p[0] < 0 or p[0] > 1 or any(abs(x) > 1 for x in p[1:]):
-            return False
-        y = tuple(t * x for x in self.vf)
-        s = t * self.g
-        return all(linalg.dot(u, y) <= self._bound(u, s) for u in self.normals)
-
     def exit_bound(self) -> Fraction | None:
         """max{t : t * direction in the joined body}, exact; None if unbounded.
 
@@ -715,20 +604,6 @@ def exit_time(spec: ConvexoidSpec, direction) -> ExitTime:
     """Exit time of a ray from the joined body of a centered spec."""
     ray = _Ray(spec.fiber, spec.base_dim, direction)
     return ExitTime(tuple(direction), ray.exit_scale())
-
-
-def scan_ray(spec: ConvexoidSpec, direction, ts) -> list[bool]:
-    """Membership pattern along a ray; must be a prefix of True values."""
-    ray = _Ray(spec.fiber, spec.base_dim, direction)
-    flags = [ray.member(rationalize(t)) for t in ts]
-    if any(
-        later and not earlier
-        for earlier, later in zip(flags, flags[1:])
-    ):
-        raise StarConvexityViolation(
-            f"ray {direction} re-entered the body: {flags}"
-        )
-    return flags
 
 
 class HalfBallMap:
@@ -826,14 +701,7 @@ class HalfBallMap:
         p, y = x[:nb], x[nb:]
         if not self.spec.in_base(p, self.slack):
             raise DomainError("base point outside the cube")
-        p = tuple(
-            min(max(v, lo), hi)
-            for v, (lo, hi) in zip(
-                p,
-                [(Fraction(0), Fraction(1))]
-                + [(Fraction(-1), Fraction(1))] * (nb - 1),
-            )
-        )
+        p = _clamp_to_cube(p)
         if not self.spec.fiber(p).contains_point(y, self.slack):
             raise DomainError("fiber point outside its polytope")
         yc = tuple(a - b for a, b in zip(y, self.centroid(p)))
@@ -872,15 +740,7 @@ class HalfBallMap:
         ray = _Ray(self.centered_fiber, nb, direction)
         t_star = ray.exit_scale()
         point = tuple(v * t_star * rationalize(norm) for v in direction)
-        p = point[:nb]
-        p = tuple(
-            min(max(v, lo), hi)
-            for v, (lo, hi) in zip(
-                p,
-                [(Fraction(0), Fraction(1))]
-                + [(Fraction(-1), Fraction(1))] * (nb - 1),
-            )
-        )
+        p = _clamp_to_cube(point[:nb])
         yj = point[nb:]
         if any(yj):
             lam_e = self._lambda_fiber(self.centered_fiber(p), yj)

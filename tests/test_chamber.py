@@ -163,7 +163,7 @@ def test_f_fiber_corank_one_is_a_point():
     frame = f_fiber(eta)
     assert frame.dim == 0
     assert vertices(frame.polytope) == [()]
-    omega = frame.omega_of_point(())
+    omega = frame.element_of_point(())
     assert omega.k == 3 and contains(eta, omega)
 
 
@@ -173,7 +173,7 @@ def test_f_fiber_segment_example():
     assert frame.dim == 1
     ends = vertices(frame.polytope)
     assert len(ends) == 2
-    omegas = [frame.omega_of_point(v) for v in ends]
+    omegas = [frame.element_of_point(v) for v in ends]
     keys = {tuple(mv.support()) for mv in omegas}
     assert keys == {((2, 3),), ((2, 4),)}
 
@@ -182,7 +182,7 @@ def test_e_fiber_segment_example():
     frame = e_fiber(MultiVector.basis(4, (2, 3)))
     assert frame.dim == 1
     ends = vertices(frame.polytope)
-    etas = [frame.eta_of_point(v) for v in ends]
+    etas = [frame.element_of_point(v) for v in ends]
     keys = {tuple(mv.support()) for mv in etas}
     assert keys == {((2,),), ((3,),)}
 
@@ -210,11 +210,11 @@ def test_fiber_frames_round_trip_points():
         point = random_positive_point(rng, 2, 5)
         s = split(point)
         eframe = e_fiber(s.omega)
-        y = eframe.point_of_eta(s.eta)
-        assert eframe.eta_of_point(y) == s.eta
+        y = eframe.point_of_element(s.eta)
+        assert eframe.element_of_point(y) == s.eta
         fframe = f_fiber(s.eta)
-        z = fframe.point_of_omega(s.omega)
-        assert fframe.omega_of_point(z) == s.omega
+        z = fframe.point_of_element(s.omega)
+        assert fframe.element_of_point(z) == s.omega
         # the fiber coordinates lie in their polytopes exactly
         assert eframe.polytope.contains_point(y)
         assert fframe.polytope.contains_point(z)

@@ -163,6 +163,17 @@ def test_chart_injectivity_on_samples():
             assert float(np.linalg.norm(images[i] - images[j])) > 0
 
 
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5)])
+def test_bottom_maps_are_inverse(k, n):
+    """The F-to-E bottom map undoes the E-to-F one on the gluing samples."""
+    chart = get_chart(k, n)
+    e, f = chart._e, chart._f
+    for x in chart._bottom_samples(8):
+        back = f.bottom_to(e, e.bottom_to(f, x))
+        err = max(abs(float(a) - float(b)) for a, b in zip(back, x))
+        assert err <= 1e-9
+
+
 def test_t_degenerate_points_round_trip():
     chart = get_chart(2, 4)
     rng = random.Random(38)

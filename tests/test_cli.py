@@ -137,23 +137,6 @@ def test_reports_byte_identical_for_same_seed(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_jobs_flag_gives_same_checks(tmp_path):
-    seq = tmp_path / "seq.json"
-    par = tmp_path / "par.json"
-    for out, jobs in ((seq, "1"), (par, "3")):
-        assert main(
-            [
-                "roundtrip",
-                "--k", "1", "--n", "3",
-                "--samples", "6",
-                "--seed", "5",
-                "--jobs", jobs,
-                "--out", str(out),
-            ]
-        ) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 def test_convexoid_map_grid_spec(tmp_path, capsys):
     spec = {
         "base_dim": 1,

@@ -25,10 +25,9 @@ from grassball.convexoid import (
     exit_time,
     from_half_ball,
     glue,
-    join_fiber,
     radial_project_base,
+    rationalize,
     rationalize_point,
-    scan_ray,
     to_half_ball,
     vertices,
 )
@@ -201,40 +200,42 @@ def test_radial_project_examples():
         radial_project_base((F(2), F(0)))
 
 
-# -- join fiber ----------------------------------------------------------------------
+# -- joined fiber --------------------------------------------------------------------
+
+
+def joined_radius(spec, p, y):
+    """sup{l : l * y in the joined fiber over p}, exact."""
+    return HalfBallMap(spec)._lambda_joined(p, tuple(map(F, y)))
 
 
 def test_join_fiber_constant_and_extremes():
     spec = center_fibers(square_spec())
-    for p in [(F(1, 4),), (F(3, 4),), (F(1),)]:
-        fiber = join_fiber(spec, p)
-        assert sorted(vertices(fiber)) == [(F(-1),), (F(1),)]
-    assert sorted(vertices(join_fiber(spec, (F(0),)))) == [(F(-1),), (F(1),)]
+    for p in [(F(0),), (F(1, 4),), (F(3, 4),), (F(1),)]:
+        assert joined_radius(spec, p, (1,)) == 1
+        assert joined_radius(spec, p, (-1,)) == 1
 
 
 def test_join_fiber_interval_combination():
-    def oracle(p):
-        return interval(-1, 1) if base_is_origin(p) else interval(-2, 2)
-
-    def base_is_origin(p):
-        return all(v == 0 for v in p)
-
-    spec = ConvexoidSpec(1, 1, lambda p: interval(-1, 1) if p[0] == 0 else interval(-2, 2))
-    fiber = join_fiber(spec, (F(1, 2),))
-    assert sorted(vertices(fiber)) == [(F(-3, 2),), (F(3, 2),)]
+    spec = ConvexoidSpec(
+        1, 1, lambda p: interval(-1, 1) if p[0] == 0 else interval(-2, 2)
+    )
+    # (1/2) [-1, 1] + (1/2) [-2, 2] = [-3/2, 3/2]
+    assert joined_radius(spec, (F(1, 2),), (1,)) == F(3, 2)
+    assert joined_radius(spec, (F(1, 2),), (-1,)) == F(3, 2)
 
 
 def test_join_fiber_2d_minkowski():
     spec = ConvexoidSpec(
         1, 2, lambda p: box2(-1, 1, -1, 1) if p[0] == 0 else box2(-2, 2, -1, 1)
     )
-    fiber = join_fiber(spec, (F(1, 2),))
-    assert sorted(vertices(fiber)) == [
-        (F(-3, 2), F(-1)),
-        (F(-3, 2), F(1)),
-        (F(3, 2), F(-1)),
-        (F(3, 2), F(1)),
-    ]
+    # the joined fiber over 1/2 is the box [-3/2, 3/2] x [-1, 1]
+    p = (F(1, 2),)
+    for y in [(1, 0), (-1, 0)]:
+        assert joined_radius(spec, p, y) == F(3, 2)
+    for y in [(0, 1), (0, -1)]:
+        assert joined_radius(spec, p, y) == 1
+    for corner in [(-F(3, 2), -1), (-F(3, 2), 1), (F(3, 2), -1), (F(3, 2), 1)]:
+        assert joined_radius(spec, p, corner) == 1
 
 
 # -- exit time -------------------------------------------------------------------------
@@ -323,8 +324,14 @@ def test_star_convexity_scan_never_reenters():
         direction = (rng.uniform(0, 1), rng.uniform(-1, 1))
         if direction[0] < 1e-6 and abs(direction[1]) < 1e-6:
             continue
-        ts = sorted(rng.uniform(0, 3) for _ in range(8))
-        scan_ray(spec, direction, ts)  # raises on re-entry
+        # the joined body of the constant fiber [-1, 1] is the square, so
+        # the ray is inside exactly up to its exit time and never re-enters
+        ray = _Ray(spec.fiber, 1, direction)
+        t_star = ray.exit_bound()
+        for t in sorted(rationalize(rng.uniform(0, 3)) for _ in range(8)):
+            tb, tf = t * ray.vb[0], t * ray.vf[0]
+            inside = 0 <= tb <= 1 and -1 <= tf <= 1
+            assert inside == (t <= t_star)
 
 
 # -- half-ball map ---------------------------------------------------------------------
@@ -719,8 +726,9 @@ def test_exit_time_closed_form_equals_lp_exactly(m):
         ray = _Ray(spec.fiber, spec.base_dim, direction)
         t_star = ray.exit_bound()
         assert t_star == exit_time_lp_oracle(spec, direction)
-        for t in (t_star, t_star * F(999, 1000), t_star * F(1001, 1000)):
-            assert ray.member(t) == member_lp_oracle(spec, direction, t)
+        assert member_lp_oracle(spec, direction, t_star)
+        assert member_lp_oracle(spec, direction, t_star * F(999, 1000))
+        assert not member_lp_oracle(spec, direction, t_star * F(1001, 1000))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
