@@ -61,10 +61,10 @@ from .convexoid import (
     HPolytope,
     UnboundedError,
     barycenter,
-    center_fibers,
+    centered,
+    centroid,
     exit_time,
     from_half_ball,
-    glue,
     radial_project_base,
     to_half_ball,
     vertices,

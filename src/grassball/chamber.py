@@ -27,7 +27,8 @@ from .convexoid import (
     DomainError,
     GluedBallMap,
     HPolytope,
-    _centroid_any,
+    centered,
+    centroid,
     rationalize,
     rationalize_point,
     vertices,
@@ -256,11 +257,10 @@ class FiberFrame:
         # frame jump across support strata, but not all of it.  When a
         # Plucker coordinate hits exactly 0, spanning_vectors picks other
         # pivots, so the generators change by a linear map and the fiber
-        # frame can be rescaled as well as moved.
-        self.center = _centroid_any(self.polytope) if self.dim else ()
-        self.centered_polytope = self.polytope.translated(
-            [-c for c in self.center]
-        )
+        # frame can be rescaled as well as moved.  Chart fibers are centered
+        # only here; ``_Side.oracle`` scales them with their centroid cached.
+        self.center = centroid(self.polytope)
+        self.centered_polytope = centered(self.polytope)
 
     def element_of_point(self, y: Sequence) -> MultiVector:
         return _add_images(self._origin_image, y, self._basis_images)
@@ -619,7 +619,6 @@ class BallChart:
                 lambda x: e.bottom_to(f, x),
                 lambda x: f.bottom_to(e, x),
                 bottom_samples=self._bottom_samples(8),
-                tol=1e-6,
             )
         return self._glued
 

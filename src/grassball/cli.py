@@ -188,7 +188,13 @@ def _roundtrip_sample(chart_map, point):
     return forward, err
 
 
+def _require_samples(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _cmd_roundtrip(args) -> int:
+    _require_samples(args)
     started = time.monotonic()
     rng = sampling.random.Random(args.seed)
     chart_map = chamber.get_chart(args.k, args.n)
@@ -270,6 +276,8 @@ def _cmd_convexoid_map(args) -> int:
     data = _read_json(args.spec)
     spec = _interp_oracle(data)
     points = _read_json(args.points)
+    if not points:
+        raise ValueError(f"points file {args.points} holds no points")
     mapped = []
     max_norm = 0.0
     errors = []
@@ -294,6 +302,7 @@ def _cmd_convexoid_map(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    _require_samples(args)
     started = time.monotonic()
     rng = sampling.random.Random(args.seed)
     report = RunReport(

@@ -14,6 +14,9 @@ distinguished boundary) is never built as a polytope.  Its exit times and
 radial functions are closed forms in the support functions of the two
 fibers it joins.  The exit time is still rounded to a dyadic within
 ``EXIT_TOL`` (see ``_Ray.exit_scale``).
+The maps center fibers with ``centroid`` and ``centered``, which cache on
+the polytope; ``translated`` and ``scaled`` carry the vertex and centroid
+caches over, so a fiber centered once is never centered again.
 """
 
 from __future__ import annotations
@@ -37,19 +40,20 @@ __all__ = [
     "GluingError",
     "vertices",
     "barycenter",
-    "center_fibers",
+    "centroid",
+    "centered",
     "radial_project_base",
     "exit_time",
     "to_half_ball",
     "from_half_ball",
     "HalfBallMap",
-    "glue",
     "GluedBallMap",
 ]
 
 EXIT_TOL = Fraction(1, 10**10)
 SLACK = Fraction(1, 10**9)
 RATIONALIZE_DEN = 10**12
+GLUE_TOL = 1e-6
 
 
 class UnboundedError(ValueError):
@@ -116,21 +120,32 @@ class HPolytope:
             for normal, offset in self.constraints
         )
 
+    def _moved(self, constraints, move) -> "HPolytope":
+        """Image under ``move``, with the same normals in the same order, so
+        cached vertices (in their order) and centroid carry over, moved."""
+        out = HPolytope(self.dim, constraints)
+        if "vertices" in self._cache:
+            out._cache["vertices"] = [move(v) for v in self._cache["vertices"]]
+        if "centroid" in self._cache:
+            out._cache["centroid"] = move(self._cache["centroid"])
+        return out
+
     def scaled(self, factor) -> "HPolytope":
         factor = Fraction(factor)
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
-        return HPolytope(
-            self.dim, [(n, o * factor) for n, o in self.constraints]
-        )
+        constraints = [(n, o * factor) for n, o in self.constraints]
+        if factor == 0:
+            return HPolytope(self.dim, constraints)
+        return self._moved(constraints, lambda v: tuple(x * factor for x in v))
 
     def translated(self, shift) -> "HPolytope":
         shift = tuple(Fraction(v) for v in shift)
         if not any(shift):
             return self
-        return HPolytope(
-            self.dim,
+        return self._moved(
             [(n, o + linalg.dot(n, shift)) for n, o in self.constraints],
+            lambda v: tuple(x + d for x, d in zip(v, shift)),
         )
 
 
@@ -325,12 +340,25 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
     raise ValueError("barycenter implemented for fiber dimension <= 3")
 
 
-def _centroid_any(poly: HPolytope) -> tuple[Fraction, ...]:
-    """Centroid with respect to the polytope's own affine hull.
+def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
+    """Centroid with respect to the polytope's own affine hull, cached.
 
     Needed for the centering step on degenerate boundary fibers; exact for
     hull dimension <= 2, which is all the boundary strata used here.
     """
+    if "centroid" not in poly._cache:
+        poly._cache["centroid"] = _hull_centroid(poly)
+    return poly._cache["centroid"]
+
+
+def centered(poly: HPolytope) -> HPolytope:
+    """The polytope translated to centroid zero, cached; idempotent."""
+    if "centered" not in poly._cache:
+        poly._cache["centered"] = poly.translated([-c for c in centroid(poly)])
+    return poly._cache["centered"]
+
+
+def _hull_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
     verts = vertices(poly)
     if not verts:
         raise DegenerateError("empty polytope")
@@ -442,16 +470,6 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
     if g == 0:
         raise ValueError("the bottom center has no radial projection")
     return tuple(v / g for v in p), g
-
-
-def center_fibers(spec: ConvexoidSpec) -> ConvexoidSpec:
-    """New spec whose fibers are translated to have centroid zero."""
-
-    def oracle(p):
-        raw = spec.fiber(p)
-        return raw.translated([-c for c in _centroid_any(raw)])
-
-    return ConvexoidSpec(spec.base_dim, spec.fiber_dim, oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -573,31 +591,24 @@ class _Ray:
     def exit_scale(self) -> Fraction:
         """The exit time, rounded to the midpoint of a dyadic bracket.
 
-        Doubling from 1 and then bisecting until the bracket is narrower
-        than ``EXIT_TOL`` lands within ``EXIT_TOL`` of the exact exit time;
-        each step is one comparison with it.  The rounding is kept on
-        purpose: dividing by the exact exit time puts the images of boundary
-        points exactly on the support strata where the fiber frames change,
-        and chart round trips then get worse (G(2,5) samples by up to 8.6e-2).
+        Bisecting [hi / 2, hi), hi the least power of 2 above t* (or [0, 1))
+        until narrower than ``EXIT_TOL`` ends in the grid cell of width
+        ``step`` that holds t*.  The rounding is kept on purpose: dividing by
+        the exact exit time puts the images of boundary points exactly on the
+        support strata where the fiber frames change, and chart round trips
+        then get worse (G(2,5) samples by up to 8.6e-2).
         """
         t_star = self.exit_bound()
-        hi = Fraction(1)
-        steps = 0
-        while t_star is None or hi <= t_star:
-            hi *= 2
-            steps += 1
-            if steps > 80:
-                raise UnboundedError("ray never leaves the joined body")
-        lo = Fraction(0)
-        if hi > 1:
-            lo = hi / 2
-        while hi - lo > EXIT_TOL:
-            mid = (lo + hi) / 2
-            if mid <= t_star:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
+        if t_star is None or t_star >= 2**80:
+            raise UnboundedError("ray never leaves the joined body")
+        # t* < 0 (a ray from outside an uncentered fiber) lands in [0, step)
+        t_star = max(t_star, Fraction(0))
+        hi = 1 << int(t_star).bit_length()
+        lo = hi // 2
+        step = Fraction(hi - lo)
+        while step > EXIT_TOL:
+            step /= 2
+        return lo + (t_star - lo) // step * step + step / 2
 
 
 def exit_time(spec: ConvexoidSpec, direction) -> ExitTime:
@@ -609,8 +620,9 @@ def exit_time(spec: ConvexoidSpec, direction) -> ExitTime:
 class HalfBallMap:
     """Homeomorphism from a convexoid body onto the closed unit half-ball.
 
-    Pipeline: center fibers, radially rescale each fiber onto the joined
-    body's fiber, then divide by the exit time of the ray through the point.
+    Pipeline: center fibers (``centered``; free for centered ones), radially
+    rescale each fiber onto the joined body's fiber, then divide by the exit
+    time of the ray through the point.
     Both the rescale and the exit time are exact closed forms in the support
     functions of the two fibers the joined body combines; the exit time is
     then rounded to a dyadic within ``EXIT_TOL`` (``_Ray.exit_scale`` says
@@ -618,32 +630,17 @@ class HalfBallMap:
     bottom.
     """
 
-    def __init__(self, spec: ConvexoidSpec, slack: Fraction = SLACK):
+    def __init__(self, spec: ConvexoidSpec):
         self.spec = spec
-        self.slack = slack
         self.degenerate_rescales = 0
-        self._centroids: dict = {}
-        self._centered_memo: dict = {}
 
     # -- centered fibers ----------------------------------------------------
 
     def centroid(self, p) -> tuple[Fraction, ...]:
-        key = rationalize_point(p)
-        c = self._centroids.get(key)
-        if c is None:
-            c = _centroid_any(self.spec.fiber(key))
-            self._centroids[key] = c
-        return c
+        return centroid(self.spec.fiber(p))
 
     def centered_fiber(self, p) -> HPolytope:
-        key = rationalize_point(p)
-        poly = self._centered_memo.get(key)
-        if poly is None:
-            poly = self.spec.fiber(key).translated(
-                [-c for c in self.centroid(key)]
-            )
-            self._centered_memo[key] = poly
-        return poly
+        return centered(self.spec.fiber(p))
 
     # -- radial rescale between the fiber and the joined fiber --------------
 
@@ -688,9 +685,9 @@ class HalfBallMap:
         if lam_from <= 0 or lam_to <= 0:
             self.degenerate_rescales += 1
         if lam_from <= 0:
-            lam_from = self.slack
+            lam_from = SLACK
         if lam_to <= 0:
-            lam_to = self.slack
+            lam_to = SLACK
         return lam_from, lam_to
 
     # -- forward / inverse ---------------------------------------------------
@@ -699,10 +696,10 @@ class HalfBallMap:
         nb = self.spec.base_dim
         x = rationalize_point(x)
         p, y = x[:nb], x[nb:]
-        if not self.spec.in_base(p, self.slack):
+        if not self.spec.in_base(p, SLACK):
             raise DomainError("base point outside the cube")
         p = _clamp_to_cube(p)
-        if not self.spec.fiber(p).contains_point(y, self.slack):
+        if not self.spec.fiber(p).contains_point(y, SLACK):
             raise DomainError("fiber point outside its polytope")
         yc = tuple(a - b for a, b in zip(y, self.centroid(p)))
         if any(yc):
@@ -726,9 +723,9 @@ class HalfBallMap:
         nb = self.spec.base_dim
         h = np.array(h, dtype=float)
         norm = float(np.linalg.norm(h))
-        if norm > 1 + float(self.slack):
+        if norm > 1 + float(SLACK):
             raise DomainError(f"half-ball point has norm {norm} > 1")
-        if h[0] < -float(self.slack):
+        if h[0] < -float(SLACK):
             raise DomainError("half-ball point has negative height")
         h[0] = max(h[0], 0.0)
         if norm < 1e-15:
@@ -754,19 +751,11 @@ class HalfBallMap:
 
 
 def to_half_ball(spec: ConvexoidSpec, x):
-    return _half_ball_map(spec).forward(x)
+    return HalfBallMap(spec).forward(x)
 
 
 def from_half_ball(spec: ConvexoidSpec, h):
-    return _half_ball_map(spec).inverse(h)
-
-
-def _half_ball_map(spec: ConvexoidSpec) -> HalfBallMap:
-    cached = getattr(spec, "_half_ball_map", None)
-    if cached is None:
-        cached = HalfBallMap(spec)
-        spec._half_ball_map = cached
-    return cached
+    return HalfBallMap(spec).inverse(h)
 
 
 # ---------------------------------------------------------------------------
@@ -818,11 +807,11 @@ class GluedBallMap:
     at the shared slice; the E cylinder occupies axis [0,1], the F cylinder
     [1,2], with the F disk factor re-coordinated through the bottom
     identification so identified points agree; finally the long cylinder is
-    radially rescaled onto the ball.
+    radially rescaled onto the ball.  ``phi`` and ``phi_inverse`` identify the
+    bottoms; on ``bottom_samples`` the sides must agree within ``GLUE_TOL``.
     """
 
-    def __init__(self, e_spec, f_spec, phi, phi_inverse=None,
-                 bottom_samples=(), tol=1e-6):
+    def __init__(self, e_spec, f_spec, phi, phi_inverse, bottom_samples=()):
         if e_spec.dim != f_spec.dim:
             raise ValueError("the two convexoids have different dimensions")
         self.dim = e_spec.dim
@@ -830,20 +819,17 @@ class GluedBallMap:
         self.f_map = HalfBallMap(f_spec)
         self.phi = phi
         self.phi_inverse = phi_inverse
-        self.tol = tol
         for x in bottom_samples:
             a = self.forward("E", x)
             b = self.forward("F", phi(x))
             err = float(np.linalg.norm(a - b))
-            if err > tol:
+            if err > GLUE_TOL:
                 raise GluingError(
                     f"bottom identification disagrees by {err:.3g} at {x}"
                 )
 
     def _psi(self, w):
         """F-side disk coordinate -> shared (E-side) disk coordinate."""
-        if self.phi_inverse is None:
-            raise GluingError("gluing needs phi_inverse for F-side evaluation")
         x_f = self.f_map.inverse(np.concatenate(([0.0], w)))
         x_e = self.phi_inverse(x_f)
         h = self.e_map.forward(x_e)
@@ -874,9 +860,3 @@ class GluedBallMap:
             return "E", self.e_map.inverse(h)
         h = _cylinder_to_half_ball(a - 1.0, self._psi_inverse(w))
         return "F", self.f_map.inverse(h)
-
-
-def glue(e_spec, f_spec, phi, phi_inverse=None, bottom_samples=(),
-         tol=1e-6) -> GluedBallMap:
-    """Build the ball evaluator for two convexoids with identified bottoms."""
-    return GluedBallMap(e_spec, f_spec, phi, phi_inverse, bottom_samples, tol)

@@ -7,9 +7,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from grassball import convexoid
 from grassball.chamber import (
+    BallChart,
     ChamberPoint,
     ChartPoint,
+    FiberFrame,
     SplitTriple,
     ValidationError,
     assemble,
@@ -183,6 +186,33 @@ def test_t_degenerate_points_round_trip():
     omega = random_positive_point(rng, 2, 3).rho.shift(+1, n=4)
     bottom = assemble(SplitTriple(Fraction(0), None, omega))
     assert roundtrip_error(chart, bottom) < 1e-6
+
+
+def test_chart_fibers_are_centered_only_by_their_frames(monkeypatch):
+    """The half-ball maps find every chart fiber already centered."""
+    chart = BallChart(2, 4)  # fresh, so that its frames are built here
+    rng = random.Random(45)
+    chart.inverse(chart.forward(random_positive_point(rng, 2, 4)))  # warm-up
+    counts = {"centroids": 0, "frames": 0}
+
+    def counting(fn, key):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(
+        convexoid, "_hull_centroid",
+        counting(convexoid._hull_centroid, "centroids"),
+    )
+    monkeypatch.setattr(
+        FiberFrame, "__init__", counting(FiberFrame.__init__, "frames")
+    )
+    for _ in range(10):
+        point = random_positive_point(rng, 2, 4)
+        assert roundtrip_error(chart, point) < 1e-6
+    assert counts["frames"] > 0
+    assert counts["centroids"] <= counts["frames"]
 
 
 # -- G(2,5) and G(3,5) -------------------------------------------------------------

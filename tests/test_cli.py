@@ -176,3 +176,19 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         "n": 4, "k": 2, "coeffs": {"1,2": "3/2", "3,4": "-1/2"},
     })
     assert main(["split", invalid]) == 2
+
+
+def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):
+    for argv in (["roundtrip", "--k", "2", "--n", "4", "--samples", "0"],
+                 ["selftest", "--samples", "0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--samples must be at least 1" in err
+    spec = write(tmp_path, "spec.json", {
+        "base_dim": 1, "fiber_dim": 1, "normals": [["1"], ["-1"]],
+        "grid_shape": [2], "offsets": [["1", "1"], ["1", "1"]],
+    })
+    points = write(tmp_path, "pts.json", [])
+    assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
+    err = capsys.readouterr().err
+    assert points in err and "no points" in err

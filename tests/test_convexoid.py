@@ -21,10 +21,10 @@ from grassball.convexoid import (
     _Ray,
     barycenter,
     base_gauge,
-    center_fibers,
+    centered,
+    centroid,
     exit_time,
     from_half_ball,
-    glue,
     radial_project_base,
     rationalize,
     rationalize_point,
@@ -53,6 +53,13 @@ def box2(lo1, hi1, lo2, hi2):
 
 def square_spec():
     return ConvexoidSpec(1, 1, lambda p: interval(-1, 1))
+
+
+def centered_spec(spec):
+    """The same convexoid with every fiber translated to centroid zero."""
+    return ConvexoidSpec(
+        spec.base_dim, spec.fiber_dim, lambda p: centered(spec.fiber(p))
+    )
 
 
 # -- vertices ------------------------------------------------------------------
@@ -140,8 +147,9 @@ def test_barycenter_symmetric_cases():
     assert barycenter(triangle) == (F(1, 3), F(1, 3))
 
 
-def test_barycenter_degenerate_raises():
-    flat = HPolytope(
+def flat_segment():
+    """The segment {1} x [-1, 1] in the plane: not full-dimensional."""
+    return HPolytope(
         2,
         [
             ((F(1), F(0)), F(1)),
@@ -150,8 +158,11 @@ def test_barycenter_degenerate_raises():
             ((F(0), F(-1)), F(1)),
         ],
     )
+
+
+def test_barycenter_degenerate_raises():
     with pytest.raises(DegenerateError):
-        barycenter(flat)
+        barycenter(flat_segment())
 
 
 def test_barycenter_matches_monte_carlo():
@@ -171,17 +182,65 @@ def test_barycenter_matches_monte_carlo():
             assert abs(float(c) - e) <= 4 * s + 1e-9
 
 
-# -- center_fibers ----------------------------------------------------------------
+# -- centering --------------------------------------------------------------------
 
 
-def test_center_fibers_shifts_and_is_idempotent():
-    spec = ConvexoidSpec(1, 1, lambda p: interval(0, 2))
-    centered = center_fibers(spec)
-    fiber = centered.fiber((F(1, 2),))
-    assert sorted(vertices(fiber)) == [(F(-1),), (F(1),)]
-    twice = center_fibers(centered)
-    assert sorted(vertices(twice.fiber((F(1, 2),)))) == [(F(-1),), (F(1),)]
-    assert barycenter(centered.fiber((F(1, 3),))) == (F(0),)
+def test_centered_shifts_and_is_idempotent():
+    poly = interval(0, 2)
+    once = centered(poly)
+    assert sorted(vertices(once)) == [(F(-1),), (F(1),)]
+    twice = centered(once)
+    assert sorted(vertices(twice)) == [(F(-1),), (F(1),)]
+    assert barycenter(once) == (F(0),)
+    assert twice is once and centered(poly) is once
+
+
+def moved_copies(poly, rng):
+    """Translated and scaled images of poly, by rational shifts and factors."""
+    shift = tuple(
+        F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(poly.dim)
+    )
+    return [
+        poly.translated(shift),
+        poly.scaled(F(3, 2)),
+        poly.scaled(F(1, 3)),
+        poly.scaled(1),
+        poly.scaled(F(2, 5)).translated(shift),
+    ]
+
+
+def test_moved_polytope_caches_equal_a_fresh_computation():
+    rng = random.Random(43)
+    polys = [interval(-1, 3), interval(F(1, 2), F(7, 3)), box2(-1, 2, 0, 1),
+             flat_segment()]
+    polys += [random_bounded_3d(rng) for _ in range(4)]
+    for poly in polys:
+        vertices(poly)
+        centroid(poly)
+        for moved in moved_copies(poly, rng):
+            # the copies come from the source, not from a new computation
+            assert "vertices" in moved._cache and "centroid" in moved._cache
+            fresh = HPolytope(moved.dim, moved.constraints)
+            assert vertices(moved) == vertices(fresh)  # same order, too
+            assert centroid(moved) == centroid(fresh)
+
+
+def test_moved_polytope_without_source_caches_copies_nothing():
+    rng = random.Random(44)
+    cube = random_bounded_3d(rng)
+    vertices(cube)
+    centroid(cube)
+    point = cube.scaled(0)
+    assert "vertices" not in point._cache and "centroid" not in point._cache
+    assert vertices(point) == [(F(0),) * 3]
+    assert centroid(point) == (F(0),) * 3
+    half_plane = HPolytope(2, [((F(1), F(0)), F(1))])
+    with pytest.raises(UnboundedError):
+        vertices(half_plane)
+    for moved in moved_copies(half_plane, rng):
+        assert not moved._cache
+        with pytest.raises(UnboundedError):
+            vertices(moved)
 
 
 # -- radial projection --------------------------------------------------------------
@@ -209,7 +268,7 @@ def joined_radius(spec, p, y):
 
 
 def test_join_fiber_constant_and_extremes():
-    spec = center_fibers(square_spec())
+    spec = centered_spec(square_spec())
     for p in [(F(0),), (F(1, 4),), (F(3, 4),), (F(1),)]:
         assert joined_radius(spec, p, (1,)) == 1
         assert joined_radius(spec, p, (-1,)) == 1
@@ -242,7 +301,7 @@ def test_join_fiber_2d_minkowski():
 
 
 def test_exit_time_square_cases():
-    spec = center_fibers(square_spec())
+    spec = centered_spec(square_spec())
     assert abs(float(exit_time(spec, (1.0, 0.0)).t) - 1) < 1e-9
     assert abs(float(exit_time(spec, (0.0, 1.0)).t) - 1) < 1e-9
     diag = 1 / math.sqrt(2)
@@ -297,12 +356,7 @@ def exit_time_lp_oracle(spec, direction):
 def random_centered_spec(rng):
     lo0, hi0 = -F(rng.randint(1, 3)), F(rng.randint(1, 3))
     lo1, hi1 = -F(rng.randint(1, 3)), F(rng.randint(1, 3))
-
-    def oracle(p):
-        stretch = 1 + p[0] / 2
-        return interval(lo0 * stretch, hi0 * stretch) if True else None
-
-    return center_fibers(ConvexoidSpec(2, 1, lambda p: interval(
+    return centered_spec(ConvexoidSpec(2, 1, lambda p: interval(
         (lo0 + (lo1 - lo0) * p[0]), (hi0 + (hi1 - hi0) * p[0])
     )))
 
@@ -319,7 +373,7 @@ def test_exit_time_matches_lp_oracle():
 
 def test_star_convexity_scan_never_reenters():
     rng = random.Random(20)
-    spec = center_fibers(square_spec())
+    spec = centered_spec(square_spec())
     for _ in range(300):
         direction = (rng.uniform(0, 1), rng.uniform(-1, 1))
         if direction[0] < 1e-6 and abs(direction[1]) < 1e-6:
@@ -332,6 +386,17 @@ def test_star_convexity_scan_never_reenters():
             tb, tf = t * ray.vb[0], t * ray.vf[0]
             inside = 0 <= tb <= 1 and -1 <= tf <= 1
             assert inside == (t <= t_star)
+
+
+def test_exit_scale_caps_the_exit_time_below_2_to_the_80():
+    spec = centered_spec(square_spec())
+    # straight up the fiber [-1, 1] from the bottom center: t* = 1 / vf
+    top = F(2**80 - 1)
+    assert _Ray(spec.fiber, 1, (F(0), 1 / top)).exit_bound() == top
+    assert abs(exit_time(spec, (F(0), 1 / top)).t - top) <= EXIT_TOL
+    for vf in (F(1, 2**80), F(1, 2**85)):
+        with pytest.raises(UnboundedError):
+            exit_time(spec, (F(0), vf))
 
 
 # -- half-ball map ---------------------------------------------------------------------
@@ -484,7 +549,7 @@ def identity_phi(x):
 def test_glue_two_half_disks():
     e_spec, f_spec = square_spec(), square_spec()
     samples = [(0.0, y) for y in (-0.9, -0.4, 0.0, 0.3, 0.8)]
-    ball = glue(
+    ball = GluedBallMap(
         e_spec, f_spec, identity_phi, identity_phi, bottom_samples=samples
     )
     for x in samples:
@@ -498,7 +563,7 @@ def test_glue_two_half_disks():
 
 def test_glue_norms_and_boundary():
     rng = random.Random(25)
-    ball = glue(
+    ball = GluedBallMap(
         square_spec(), square_spec(), identity_phi, identity_phi
     )
     for _ in range(60):
@@ -514,7 +579,8 @@ def test_glue_norms_and_boundary():
 
 def test_glue_round_trip_through_sides():
     rng = random.Random(26)
-    ball = glue(square_spec(), square_spec(), identity_phi, identity_phi)
+    ball = GluedBallMap(square_spec(), square_spec(), identity_phi,
+                        identity_phi)
     for _ in range(25):
         side = rng.choice(["E", "F"])
         x = (rng.uniform(0.05, 0.95), rng.uniform(-0.9, 0.9))
@@ -535,7 +601,7 @@ def test_glue_rejects_wrong_identification():
     from grassball.convexoid import GluingError
 
     with pytest.raises(GluingError):
-        glue(
+        GluedBallMap(
             square_spec(),
             square_spec(),
             bad_phi,
