@@ -80,6 +80,16 @@ class ContainmentError(ValueError):
     """A split triple lacks the required containment of eta in omega."""
 
 
+def _check_chamber_vector(mv: MultiVector, what: str) -> None:
+    """Nonnegative and nonzero, normalized, and decomposable."""
+    if classify_sign(mv) not in (SignClass.POSITIVE, SignClass.NONNEGATIVE):
+        raise ValidationError(f"{what} must be nonnegative and nonzero")
+    if mv.coefficient_sum() != 1:
+        raise ValidationError(f"{what} must be normalized")
+    if not is_decomposable(mv):
+        raise ValidationError(f"{what} must be decomposable")
+
+
 @dataclass(frozen=True)
 class ChamberPoint:
     """Normalized nonnegative decomposable representative of a plane."""
@@ -87,13 +97,7 @@ class ChamberPoint:
     rho: MultiVector
 
     def __post_init__(self):
-        mv = self.rho
-        if classify_sign(mv) not in (SignClass.POSITIVE, SignClass.NONNEGATIVE):
-            raise ValidationError("chamber point must be nonnegative and nonzero")
-        if mv.coefficient_sum() != 1:
-            raise ValidationError("chamber point must be normalized")
-        if not is_decomposable(mv):
-            raise ValidationError("chamber point must be decomposable")
+        _check_chamber_vector(self.rho, "chamber point")
 
     @property
     def n(self) -> int:
@@ -134,15 +138,7 @@ class SplitTriple:
             if part is None:
                 continue
             _check_away_from_first(part, what)
-            if classify_sign(part) not in (
-                SignClass.POSITIVE,
-                SignClass.NONNEGATIVE,
-            ):
-                raise ValidationError(f"{what} must be nonnegative and nonzero")
-            if part.coefficient_sum() != 1:
-                raise ValidationError(f"{what} must be normalized")
-            if not is_decomposable(part):
-                raise ValidationError(f"{what} must be decomposable")
+            _check_chamber_vector(part, what)
         if self.eta is not None and self.omega is not None:
             if self.eta.k + 1 != self.omega.k:
                 raise ValidationError("eta must have grade one below omega")

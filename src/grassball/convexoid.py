@@ -122,10 +122,16 @@ class HPolytope:
 
     def _moved(self, constraints, move) -> "HPolytope":
         """Image under ``move``, with the same normals in the same order, so
-        cached vertices (in their order) and centroid carry over, moved."""
+        cached vertices (in their order) and centroid carry over, moved.
+
+        Moved vertices are de-duplicated: a shift or a positive scale keeps
+        them distinct, and scaling by 0 sends them all to the origin, which
+        is the one vertex of the point polytope."""
         out = HPolytope(self.dim, constraints)
         if "vertices" in self._cache:
-            out._cache["vertices"] = [move(v) for v in self._cache["vertices"]]
+            out._cache["vertices"] = list(
+                dict.fromkeys(move(v) for v in self._cache["vertices"])
+            )
         if "centroid" in self._cache:
             out._cache["centroid"] = move(self._cache["centroid"])
         return out
@@ -135,8 +141,6 @@ class HPolytope:
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
         constraints = [(n, o * factor) for n, o in self.constraints]
-        if factor == 0:
-            return HPolytope(self.dim, constraints)
         return self._moved(constraints, lambda v: tuple(x * factor for x in v))
 
     def translated(self, shift) -> "HPolytope":

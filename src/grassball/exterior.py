@@ -22,7 +22,6 @@ __all__ = [
     "GradeError",
     "wedge",
     "contract",
-    "contract_basis",
     "normalize",
     "classify_sign",
     "complement",
@@ -283,15 +282,6 @@ def contract(mv: MultiVector, v: MultiVector) -> MultiVector:
             else:
                 out.pop(reduced, None)
     return MultiVector(mv.n, mv.k - 1, out)
-
-
-def contract_basis(mv: MultiVector, indices: Iterable[int]) -> MultiVector:
-    """Iterated contraction by basis vectors, last index first."""
-    indices = tuple(indices)
-    out = mv
-    for idx in reversed(indices):
-        out = contract(out, MultiVector.basis(mv.n, (idx,)))
-    return out
 
 
 def normalize(mv: MultiVector) -> MultiVector:

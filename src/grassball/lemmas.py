@@ -46,14 +46,11 @@ class EpsilonSearch:
     """Halving schedule for the 'sufficiently small epsilon' searches."""
 
     initial: Fraction = Fraction(1, 2)
-    shrink_factor: Fraction = Fraction(1, 2)
     max_iterations: int = 64
 
     def __post_init__(self):
         if not 0 < self.initial <= 1:
             raise ValueError("initial epsilon must lie in (0, 1]")
-        if not 0 < self.shrink_factor < 1:
-            raise ValueError("shrink factor must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
 
@@ -61,7 +58,7 @@ class EpsilonSearch:
         eps = Fraction(self.initial)
         for _ in range(self.max_iterations):
             yield eps
-            eps *= self.shrink_factor
+            eps /= 2
 
 
 def _search(cfg: EpsilonSearch, candidate) -> MultiVector:

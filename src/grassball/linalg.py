@@ -104,7 +104,8 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    """Exact dot product; the entries must already be Fraction or int."""
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def orthogonalize(rows: Sequence[Sequence]) -> Matrix:

@@ -4,6 +4,11 @@ Converts between k-planes in R^n (full-rank k x n rational matrices) and the
 decomposable grade-k elements whose coefficients are the k x k minors, tests
 decomposability and plane containment exactly, and computes the orthogonal
 complement with respect to the alternating-sign form Q.
+
+Decomposability and planes both come from the annihilator of a nonzero
+k-vector mv, the solution space of v ^ mv = 0: it has dimension at most k,
+with equality iff mv is decomposable, and then it is the plane of mv
+(Harris, Algebraic Geometry: A First Course, Lecture 6).
 """
 
 from __future__ import annotations
@@ -14,14 +19,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from . import linalg
-from .exterior import (
-    GradeError,
-    MultiVector,
-    classify_sign,
-    contract_basis,
-    normalize,
-    wedge,
-)
+from .exterior import GradeError, MultiVector, SignClass, classify_sign
 
 __all__ = [
     "PlaneMatrix",
@@ -101,32 +99,15 @@ def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
     return MultiVector(matrix.n, matrix.k, coeffs)
 
 
-def is_decomposable(mv: MultiVector) -> bool:
-    """Exact decomposability test.
+def _annihilator_rows(mv: MultiVector) -> list[tuple]:
+    """Rows of the linear system v ^ mv = 0, one per (k+1)-subset it touches.
 
-    Uses the contraction criterion: mv factors into a single wedge of vectors
-    iff contract(mv, e_B) ^ mv vanishes for every (k-1)-subset B.  Grades 0,
-    1, n-1 and n are always decomposable.
+    The e_T coefficient of v ^ mv is the sum over positions p of i = T[p] of
+    (-1)^p * v_i * mv[T without i].
     """
     if mv.is_zero():
         raise ValueError("the zero multivector has no well-defined plane")
-    if mv.k <= 1 or mv.k >= mv.n - 1:
-        return True
-    for sub in combinations(range(1, mv.n + 1), mv.k - 1):
-        if not wedge(contract_basis(mv, sub), mv).is_zero():
-            return False
-    return True
-
-
-def _plane_rows(mv: MultiVector) -> list[tuple]:
-    """RREF basis of {v : v ^ mv = 0}, the plane of a decomposable element."""
-    if mv.k == mv.n:
-        rows = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(mv.n))
-            for i in range(mv.n)
-        ]
-        return rows
-    constraint_rows = []
+    rows = []
     for target in combinations(range(1, mv.n + 1), mv.k + 1):
         row = [Fraction(0)] * mv.n
         hit = False
@@ -136,26 +117,34 @@ def _plane_rows(mv: MultiVector) -> list[tuple]:
                 row[i - 1] = (-1) ** pos * c
                 hit = True
         if hit:
-            constraint_rows.append(tuple(row))
-    kernel = linalg.kernel_basis(constraint_rows, mv.n)
-    reduced, _ = linalg.rref(kernel)
-    return reduced
+            rows.append(tuple(row))
+    return rows
+
+
+def is_decomposable(mv: MultiVector) -> bool:
+    """Exact decomposability test by the annihilator criterion.
+
+    For a nonzero k-vector mv, {v : v ^ mv = 0} has dimension at most k, with
+    equality iff mv is a single wedge of vectors (Harris, Algebraic Geometry:
+    A First Course, Lecture 6); so mv is decomposable iff the rows of that
+    system have rank n - k.
+    """
+    return linalg.rank(_annihilator_rows(mv)) == mv.n - mv.k
 
 
 def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     """Canonical reduced-row-echelon spanning matrix of a decomposable element.
 
-    The pivot columns are the lexicographically first independent set, so the
-    first pivot is the least index appearing in the support.
+    The plane of mv is {v : v ^ mv = 0}, and mv is decomposable iff that
+    space has dimension k (see ``is_decomposable``).  The pivot columns are
+    the lexicographically first independent set, so the first pivot is the
+    least index appearing in the support.
     """
-    if not is_decomposable(mv):
+    kernel = linalg.kernel_basis(_annihilator_rows(mv), mv.n)
+    if len(kernel) != mv.k:
         raise DecomposabilityError("input does not factor as a single wedge")
-    rows = _plane_rows(mv)
-    if len(rows) != mv.k:
-        raise DecomposabilityError(
-            f"plane dimension {len(rows)} does not match grade {mv.k}"
-        )
-    return PlaneMatrix(rows)
+    reduced, _ = linalg.rref(kernel)
+    return PlaneMatrix(reduced)
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:
@@ -207,8 +196,6 @@ def q_orthocomplement(mv: MultiVector) -> MultiVector:
 
 def require_chamber_vector(mv: MultiVector, *, positive: bool = False) -> None:
     """Validate the normalized / sign / decomposability preconditions."""
-    from .exterior import SignClass  # local to avoid import noise at module top
-
     sign = classify_sign(mv)
     allowed = (SignClass.POSITIVE,) if positive else (
         SignClass.POSITIVE,

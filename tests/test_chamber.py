@@ -87,6 +87,9 @@ def test_split_triple_validation():
         SplitTriple(
             Fraction(1, 2), MultiVector.basis(4, (1,)), omega
         )  # touches index 1
+    crossed = MultiVector(5, 2, {(2, 3): Fraction(1, 2), (4, 5): Fraction(1, 2)})
+    with pytest.raises(ValidationError, match="omega must be decomposable"):
+        SplitTriple(Fraction(1, 2), MultiVector.basis(5, (2,)), crossed)
 
 
 # -- split / assemble -------------------------------------------------------------

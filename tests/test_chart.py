@@ -188,11 +188,15 @@ def test_t_degenerate_points_round_trip():
     assert roundtrip_error(chart, bottom) < 1e-6
 
 
-def test_chart_fibers_are_centered_only_by_their_frames(monkeypatch):
-    """The half-ball maps find every chart fiber already centered."""
+@pytest.mark.parametrize(
+    "sample", [random_positive_point, random_nonneg_point]
+)
+def test_chart_fibers_are_centered_only_by_their_frames(monkeypatch, sample):
+    """The half-ball maps find every chart fiber already centered, the
+    point fibers at tau = 1 included."""
     chart = BallChart(2, 4)  # fresh, so that its frames are built here
     rng = random.Random(45)
-    chart.inverse(chart.forward(random_positive_point(rng, 2, 4)))  # warm-up
+    chart.inverse(chart.forward(sample(rng, 2, 4)))  # warm-up
     counts = {"centroids": 0, "frames": 0}
 
     def counting(fn, key):
@@ -209,7 +213,7 @@ def test_chart_fibers_are_centered_only_by_their_frames(monkeypatch):
         FiberFrame, "__init__", counting(FiberFrame.__init__, "frames")
     )
     for _ in range(10):
-        point = random_positive_point(rng, 2, 4)
+        point = sample(rng, 2, 4)
         assert roundtrip_error(chart, point) < 1e-6
     assert counts["frames"] > 0
     assert counts["centroids"] <= counts["frames"]

@@ -225,15 +225,15 @@ def test_moved_polytope_caches_equal_a_fresh_computation():
             assert centroid(moved) == centroid(fresh)
 
 
-def test_moved_polytope_without_source_caches_copies_nothing():
+def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
     rng = random.Random(44)
     cube = random_bounded_3d(rng)
     vertices(cube)
     centroid(cube)
     point = cube.scaled(0)
-    assert "vertices" not in point._cache and "centroid" not in point._cache
-    assert vertices(point) == [(F(0),) * 3]
-    assert centroid(point) == (F(0),) * 3
+    fresh = HPolytope(point.dim, point.constraints)
+    assert point._cache["vertices"] == vertices(fresh) == [(F(0),) * 3]
+    assert point._cache["centroid"] == centroid(fresh) == (F(0),) * 3
     half_plane = HPolytope(2, [((F(1), F(0)), F(1))])
     with pytest.raises(UnboundedError):
         vertices(half_plane)

@@ -16,7 +16,6 @@ from grassball.exterior import (
     classify_sign,
     complement,
     contract,
-    contract_basis,
     inner,
     normalize,
     q_form,
@@ -151,15 +150,6 @@ def test_contract_adjunction(data):
     for xi in all_subsets(n, k - 1):
         xi_mv = MultiVector.basis(n, xi)
         assert inner(got, xi_mv) == inner(mv, wedge(v, xi_mv))
-
-
-def test_contract_basis_iterated():
-    mv = basis(5, 1, 3, 4)
-    out = contract_basis(mv, (3, 4))
-    assert out.k == 1
-    assert not wedge(out, mv).is_zero() or out.is_zero() or True  # smoke
-    # full contraction of e_A by A gives +-1
-    assert contract_basis(basis(4, 2, 4), (2, 4)).coefficient(()) in (1, -1)
 
 
 # -- normalize ---------------------------------------------------------------

@@ -160,8 +160,6 @@ def test_epsilon_search_validation():
     with pytest.raises(ValueError):
         EpsilonSearch(initial=Fraction(3, 2))
     with pytest.raises(ValueError):
-        EpsilonSearch(shrink_factor=Fraction(1))
-    with pytest.raises(ValueError):
         EpsilonSearch(max_iterations=0)
 
 

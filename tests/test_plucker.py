@@ -11,6 +11,7 @@ from grassball.exterior import (
     MultiVector,
     SignClass,
     classify_sign,
+    contract,
     normalize,
     wedge,
 )
@@ -25,7 +26,11 @@ from grassball.plucker import (
     q_orthocomplement,
     spanning_vectors,
 )
-from grassball.sampling import random_positive_matrix, random_rational
+from grassball.sampling import (
+    random_multivector,
+    random_positive_matrix,
+    random_rational,
+)
 
 
 def vandermonde_point():
@@ -150,6 +155,57 @@ def test_self_wedge_nonzero_never_decomposable():
         count += 1
 
 
+def decomposable_oracle(mv):
+    """Plucker relations: mv factors iff contracting it by e_B, for every
+    (k-1)-subset B, and wedging the result with mv gives zero.  Grades 0, 1,
+    n-1 and n are always decomposable."""
+    if mv.k <= 1 or mv.k >= mv.n - 1:
+        return True
+    for sub in combinations(range(1, mv.n + 1), mv.k - 1):
+        out = mv
+        for i in reversed(sub):
+            out = contract(out, MultiVector.basis(mv.n, (i,)))
+        if not wedge(out, mv).is_zero():
+            return False
+    return True
+
+
+def random_decomposable(rng, k, n):
+    if k == 0:
+        return MultiVector.scalar(n, rng.randint(1, 5))
+    return plucker_of_matrix(random_matrix(rng, k, n))
+
+
+def test_decomposable_agrees_with_plucker_relations():
+    rng = random.Random(46)
+    checked = crossed = 0
+    while checked < 2000:
+        if checked % 2:
+            # middle grades, where the Plucker relations are not trivial:
+            # a decomposable plus a second one or plus one basis term
+            n = rng.randint(4, 7)
+            k = rng.randint(2, n - 2)
+            mv = random_decomposable(rng, k, n)
+            if rng.random() < 0.5:
+                mv = mv + random_decomposable(rng, k, n)
+            else:
+                key = rng.choice(list(combinations(range(1, n + 1), k)))
+                mv = mv + MultiVector(n, k, {key: random_rational(rng)})
+        else:
+            n = rng.randint(0, 7)
+            k = rng.randint(0, n)
+            mv = random_decomposable(rng, k, n)
+            if rng.random() < 0.5:
+                mv = mv + random_multivector(rng, n, k, rng.random())
+        if mv.is_zero():
+            continue
+        expected = decomposable_oracle(mv)
+        assert is_decomposable(mv) == expected, mv
+        checked += 1
+        crossed += not expected and 2 <= k <= n - 2
+    assert crossed >= 500
+
+
 # -- spanning_vectors -----------------------------------------------------------
 
 
@@ -197,6 +253,17 @@ def test_spanning_round_trip_random():
 def test_spanning_rejects_non_decomposable():
     with pytest.raises(DecomposabilityError):
         spanning_vectors(MultiVector(4, 2, {(1, 2): 1, (3, 4): 1}))
+    with pytest.raises(DecomposabilityError, match="single wedge"):
+        spanning_vectors(MultiVector(6, 3, {(1, 2, 3): 1, (4, 5, 6): 1}))
+
+
+def test_spanning_full_grade_and_zero():
+    rows = spanning_vectors(MultiVector.basis(4, (1, 2, 3, 4)) * 3).rows
+    assert rows == tuple(
+        tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)
+    )
+    with pytest.raises(ValueError, match="zero multivector"):
+        spanning_vectors(MultiVector.zero(4, 2))
 
 
 # -- contains -------------------------------------------------------------------
