@@ -208,14 +208,13 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
         raise UnboundedError("polytope is unbounded")
     found = []
     seen = set()
+    square = list(range(poly.dim))
     for subset in itertools.combinations(poly.constraints, poly.dim):
-        mat = [list(n) for n, _ in subset]
-        if linalg.det(mat) == 0:
+        # the normals are independent iff every one of their columns pivots
+        reduced, pivots = linalg.rref([(*n, o) for n, o in subset])
+        if pivots != square:
             continue
-        point = linalg.solve(mat, [o for _, o in subset])
-        if point is None:
-            continue
-        point = tuple(point)
+        point = tuple(row[-1] for row in reduced)
         if point not in seen and poly.contains_point(point):
             seen.add(point)
             found.append(point)

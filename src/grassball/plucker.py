@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -99,25 +100,32 @@ def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
     return MultiVector(matrix.n, matrix.k, coeffs)
 
 
-def _annihilator_rows(mv: MultiVector) -> list[tuple]:
-    """Rows of the linear system v ^ mv = 0, one per (k+1)-subset it touches.
+def _annihilator_rows(mv: MultiVector) -> list[list[int]]:
+    """Integer rows of the linear system v ^ mv = 0, one per (k+1)-subset it
+    touches.
 
     The e_T coefficient of v ^ mv is the sum over positions p of i = T[p] of
-    (-1)^p * v_i * mv[T without i].
+    (-1)^p * v_i * mv[T without i].  The coefficients are first scaled by the
+    lcm of their denominators: v ^ (c mv) = c (v ^ mv), so a nonzero scale
+    leaves the solution space unchanged, and the rows come out as integers.
     """
     if mv.is_zero():
         raise ValueError("the zero multivector has no well-defined plane")
+    den = lcm(*[c.denominator for c in mv.coeffs.values()])
+    coeffs = {
+        key: c.numerator * (den // c.denominator) for key, c in mv.coeffs.items()
+    }
     rows = []
     for target in combinations(range(1, mv.n + 1), mv.k + 1):
-        row = [Fraction(0)] * mv.n
+        row = [0] * mv.n
         hit = False
         for pos, i in enumerate(target):
-            c = mv.coeffs.get(target[:pos] + target[pos + 1 :])
+            c = coeffs.get(target[:pos] + target[pos + 1 :])
             if c is not None:
-                row[i - 1] = (-1) ** pos * c
+                row[i - 1] = -c if pos & 1 else c
                 hit = True
         if hit:
-            rows.append(tuple(row))
+            rows.append(row)
     return rows
 
 
@@ -138,11 +146,16 @@ def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     The plane of mv is {v : v ^ mv = 0}, and mv is decomposable iff that
     space has dimension k (see ``is_decomposable``).  The pivot columns are
     the lexicographically first independent set, so the first pivot is the
-    least index appearing in the support.
+    least index appearing in the support.  A nonzero scalar spans the zero
+    plane, which has no spanning matrix, so grade 0 raises ``GradeError``.
     """
     kernel = linalg.kernel_basis(_annihilator_rows(mv), mv.n)
     if len(kernel) != mv.k:
         raise DecomposabilityError("input does not factor as a single wedge")
+    if mv.k == 0:
+        raise GradeError(
+            "a nonzero scalar spans the zero plane, which has no spanning vectors"
+        )
     reduced, _ = linalg.rref(kernel)
     return PlaneMatrix(reduced)
 
@@ -181,10 +194,15 @@ def q_orthocomplement(mv: MultiVector) -> MultiVector:
     """Decomposable (n-k)-vector of the Q-orthogonal complement plane.
 
     Q on R^n is the diagonal form with entries (+1, -1, +1, ...); the induced
-    map on planes reverses inclusions.
+    map on planes reverses inclusions.  The complement of the zero plane (a
+    nonzero scalar) is all of R^n.
     """
     if mv.k >= mv.n:
         raise GradeError("the Q-complement of a full plane is the zero plane")
+    if mv.k == 0:
+        if mv.is_zero():
+            raise ValueError("the zero multivector has no well-defined plane")
+        return MultiVector.basis(mv.n, range(1, mv.n + 1))
     plane = spanning_vectors(mv)
     signed = [
         tuple((-1) ** i * x for i, x in enumerate(row)) for row in plane.rows

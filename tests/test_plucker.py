@@ -8,6 +8,7 @@ import pytest
 
 from grassball import linalg
 from grassball.exterior import (
+    GradeError,
     MultiVector,
     SignClass,
     classify_sign,
@@ -266,6 +267,15 @@ def test_spanning_full_grade_and_zero():
         spanning_vectors(MultiVector.zero(4, 2))
 
 
+def test_spanning_grade_zero_names_the_zero_plane():
+    scalar = MultiVector.scalar(3, Fraction(-2, 5))
+    assert is_decomposable(scalar)
+    with pytest.raises(GradeError, match="zero plane"):
+        spanning_vectors(scalar)
+    with pytest.raises(ValueError, match="zero multivector"):
+        spanning_vectors(MultiVector.zero(3, 0))
+
+
 # -- contains -------------------------------------------------------------------
 
 
@@ -386,6 +396,18 @@ def test_q_ortho_positivity_empirical_report():
 def test_q_ortho_grade_errors():
     with pytest.raises(Exception):
         q_orthocomplement(MultiVector.basis(3, (1, 2, 3)))
+    with pytest.raises(ValueError, match="zero multivector"):
+        q_orthocomplement(MultiVector.zero(3, 0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_q_ortho_of_scalar_is_full_space(n):
+    full = MultiVector.basis(n, range(1, n + 1))
+    for value in (1, Fraction(-7, 3)):
+        assert q_orthocomplement(MultiVector.scalar(n, value)) == full
+    # and back: the complement of the full space is the zero plane
+    with pytest.raises(GradeError, match="zero plane"):
+        q_orthocomplement(full)
 
 
 def test_plane_matrix_json_round_trip():
