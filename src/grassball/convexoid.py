@@ -6,14 +6,16 @@ points and over the interior of the bottom face {0} x [-1,1]^(nb-1).  Such a
 body is homeomorphic to a closed half-ball with bottom going to bottom; two
 of them glued along their bottoms give a closed ball.
 
-Polytope data is exact rational; the half-ball and ball maps emit floats
-with explicit tolerances.  No linear program runs: boundedness is an exact
-extreme-ray check on the constraint normals, and the joined body (the union
-of segments from the bottom center's fiber to the fibers over the
-distinguished boundary) is never built as a polytope.  Its exit times and
-radial functions are closed forms in the support functions of the two
-fibers it joins.  The exit time is still rounded to a dyadic within
-``EXIT_TOL`` (see ``_Ray.exit_scale``).
+Polytope data is exact rational.  Vertex enumeration, the boundedness check
+and the planar centroid compute over integer rows (each constraint or point
+scaled by a positive integer) and emit ``Fraction`` results; the half-ball
+and ball maps emit floats with explicit tolerances.  No linear program
+runs: boundedness is an exact extreme-ray check on the integer constraint
+normals, and the joined body (the union of segments from the bottom
+center's fiber to the fibers over the distinguished boundary) is never
+built as a polytope.  Its exit times and radial functions are closed forms
+in the support functions of the two fibers it joins.  The exit time is
+still rounded to a dyadic within ``EXIT_TOL`` (see ``_Ray.exit_scale``).
 The maps center fibers with ``centroid`` and ``centered``, which cache on
 the polytope; ``translated`` and ``scaled`` carry the vertex and centroid
 caches over, so a fiber centered once is never centered again.
@@ -22,8 +24,10 @@ caches over, so a fiber centered once is never centered again.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -164,7 +168,7 @@ def _cross(a, b) -> tuple:
 def _kernel_line(rows, dim: int):
     """Spanning vector of {d : rows d = 0} if that is a line, else None."""
     if dim == 1:
-        return (Fraction(1),)
+        return (1,)
     if dim == 2:
         (a, b), = rows
         return (-b, a)
@@ -175,49 +179,66 @@ def _kernel_line(rows, dim: int):
     return basis[0] if len(basis) == 1 else None
 
 
-def _is_unbounded(poly: HPolytope) -> bool:
-    """Whether some d != 0 has normal . d <= 0 for every constraint.
+def _is_unbounded(normals, dim: int) -> bool:
+    """Whether some d != 0 has normal . d <= 0 for every normal.
 
     When the normals have full rank the recession cone {d : A d <= 0} is
     pointed, so it is nonzero iff it has an extreme ray, and an extreme ray
     spans the kernel of dim - 1 independent normals.  When they have rank
     dim - 1 that kernel is the kernel of all of them, and when their rank is
-    lower no dim - 1 of them are independent; either way d exists.
+    lower no dim - 1 of them are independent; either way d exists.  Scaling
+    a normal by a positive number keeps every sign, so integer normals do.
     """
-    normals = [n for n, _ in poly.constraints]
     independent = False
-    for rows in itertools.combinations(normals, poly.dim - 1):
-        r = _kernel_line(rows, poly.dim)
+    for rows in itertools.combinations(normals, dim - 1):
+        r = _kernel_line(rows, dim)
         if r is None:
             continue
         independent = True
-        dots = [linalg.dot(n, r) for n in normals]
+        dots = [sum(map(operator.mul, n, r)) for n in normals]
         if all(d <= 0 for d in dots) or all(d >= 0 for d in dots):
             return True
     return not independent
 
 
 def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
-    """Exact vertex set by exhaustive dim-subset constraint intersection."""
+    """Exact vertex set by exhaustive dim-subset constraint intersection.
+
+    The work is over integers: each constraint is scaled by a positive
+    integer to a primitive integer row (a, b), every dim-subset of rows is
+    reduced by ``linalg.eliminate``, and a candidate X / D with D > 0 is
+    kept iff a . X <= b D for every row.  ``Fraction`` vertices are built
+    only for the candidates kept, in subset order, the first subset giving
+    a vertex winning.
+    """
     if "vertices" in poly._cache:
         return poly._cache["vertices"]
-    if poly.dim == 0:
+    dim = poly.dim
+    if dim == 0:
         poly._cache["vertices"] = [()]
         return [()]
-    if _is_unbounded(poly):
+    rows = [linalg.integer_row((*n, o))[0] for n, o in poly.constraints]
+    if _is_unbounded([row[:dim] for row in rows], dim):
         raise UnboundedError("polytope is unbounded")
     found = []
     seen = set()
-    square = list(range(poly.dim))
-    for subset in itertools.combinations(poly.constraints, poly.dim):
-        # the normals are independent iff every one of their columns pivots
-        reduced, pivots = linalg.rref([(*n, o) for n, o in subset])
-        if pivots != square:
+    square = list(range(dim))
+    for subset in itertools.combinations(rows, dim):
+        # the normals are independent iff every one of their columns pivots;
+        # then row r reads p * y_r = q with gcd(p, q) = 1 (eliminate divides
+        # out contents), so X / D over the lcm D of the p is in lowest terms
+        # and (X, -D) is a canonical key
+        reduced = list(subset)
+        if linalg.eliminate(reduced, reduced=True) != square:
             continue
-        point = tuple(row[-1] for row in reduced)
-        if point not in seen and poly.contains_point(point):
+        den = lcm(*[row[r] for r, row in enumerate(reduced)])
+        point = (*[row[dim] * (den // row[r]) for r, row in enumerate(reduced)],
+                 -den)
+        if point not in seen and all(
+            sum(map(operator.mul, row, point)) <= 0 for row in rows
+        ):
             seen.add(point)
-            found.append(point)
+            found.append(tuple(Fraction(x, den) for x in point[:dim]))
     poly._cache["vertices"] = found
     return found
 
@@ -243,19 +264,35 @@ def _hull_order_2d(points):
     return lower[:-1] + upper[:-1]
 
 
-def _polygon_centroid(ordered):
-    """Area and centroid of a CCW polygon, exact."""
-    area2 = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
+def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """(integer points, D): the rational points scaled by the lcm D of their
+    denominators, which keeps their order and affine dependencies."""
+    den = lcm(*[x.denominator for p in points for x in p])
+    return [
+        tuple(x.numerator * (den // x.denominator) for x in p) for p in points
+    ], den
+
+
+def _polygon_centroid(points):
+    """Exact centroid of the convex hull of rational points in the plane, or
+    None if the hull has zero area.
+
+    Over the points scaled to integers by D (``_integer_points``) the
+    shoelace sums are 2 area D^2 and 6 area D^3 times the centroid, so the
+    centroid is cx / (3 area2 D).
+    """
+    ints, den = _integer_points(points)
+    ordered = _hull_order_2d(ints)
+    area2 = cx = cy = 0
     for (x0, y0), (x1, y1) in zip(ordered, ordered[1:] + ordered[:1]):
         cr = x0 * y1 - x1 * y0
         area2 += cr
         cx += (x0 + x1) * cr
         cy += (y0 + y1) * cr
     if area2 == 0:
-        return Fraction(0), None
-    return area2 / 2, (cx / (3 * area2), cy / (3 * area2))
+        return None
+    scale = 3 * area2 * den
+    return Fraction(cx, scale), Fraction(cy, scale)
 
 
 def _facet_loop(verts3, normal):
@@ -301,8 +338,12 @@ def _tet_volume(a, b, c, d):
 def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
     """Exact volume-weighted centroid of a full-dimensional polytope.
 
-    Fan decomposition from the lexicographically least vertex; implemented
-    for fiber dimensions up to 3, which covers desk scale.
+    In the plane, the shoelace formula over the vertices scaled to integers
+    (``_polygon_centroid``), with a ``Fraction`` result; in dimension 3, a
+    fan decomposition from the lexicographically least vertex.  Implemented
+    for fiber dimensions up to 3, which covers desk scale.  A polytope that
+    is not full-dimensional has zero length, area or volume there, and
+    raises ``DegenerateError``.
     """
     verts = vertices(poly)
     if not verts:
@@ -310,18 +351,13 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
     m = poly.dim
     if m == 0:
         return ()
-    diffs = [tuple(v[i] - verts[0][i] for i in range(m)) for v in verts[1:]]
-    if linalg.rank(diffs) < m:
-        raise DegenerateError("polytope is not full-dimensional")
     if m == 1:
         lo = min(v[0] for v in verts)
         hi = max(v[0] for v in verts)
-        return ((lo + hi) / 2,)
-    if m == 2:
-        ordered = _hull_order_2d(verts)
-        _, centroid = _polygon_centroid(ordered)
-        return centroid
-    if m == 3:
+        center = ((lo + hi) / 2,) if lo < hi else None
+    elif m == 2:
+        center = _polygon_centroid(verts)
+    elif m == 3:
         apex = min(verts)
         total = Fraction(0)
         acc = [Fraction(0)] * 3
@@ -337,10 +373,15 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
                 total += vol
                 for i in range(3):
                     acc[i] += vol * (apex[i] + loop[0][i] + b[i] + c[i]) / 4
-        if total == 0:
-            raise DegenerateError("polytope has zero volume")
-        return tuple(a / total for a in acc)
-    raise ValueError("barycenter implemented for fiber dimension <= 3")
+        center = tuple(a / total for a in acc) if total else None
+    else:
+        diffs = [tuple(v[i] - verts[0][i] for i in range(m)) for v in verts[1:]]
+        if linalg.rank(diffs) == m:
+            raise ValueError("barycenter implemented for fiber dimension <= 3")
+        center = None
+    if center is None:
+        raise DegenerateError("polytope is not full-dimensional")
+    return center
 
 
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
@@ -367,34 +408,23 @@ def _hull_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
         raise DegenerateError("empty polytope")
     if poly.dim == 0 or len(verts) == 1:
         return verts[0]
+    ints, _ = _integer_points(verts)
+    scaled_diffs = [tuple(a - b for a, b in zip(p, ints[0])) for p in ints[1:]]
+    if linalg.rank(scaled_diffs) == poly.dim:
+        return barycenter(poly)
+    # a lower-dimensional hull: centroid in coordinates along an orthogonal
+    # frame of its affine span, where it is full-dimensional
     base = verts[0]
     diffs = [tuple(v[i] - base[i] for i in range(poly.dim)) for v in verts[1:]]
     frame = linalg.orthogonalize(diffs)
-    d = len(frame)
-    if d == poly.dim:
-        return barycenter(poly)
-    if d == 0:
-        return base
-    coords = []
-    for v in verts:
-        delta = tuple(v[i] - base[i] for i in range(poly.dim))
-        coords.append(
-            tuple(
-                linalg.dot(delta, f) / linalg.dot(f, f) for f in frame
-            )
-        )
-    if d == 1:
-        lo = min(c[0] for c in coords)
-        hi = max(c[0] for c in coords)
-        mid = ((lo + hi) / 2,)
-    elif d == 2:
-        ordered = _hull_order_2d(coords)
-        area, centroid = _polygon_centroid(ordered)
-        if centroid is None:
-            xs = sorted(set(coords))
-            lo, hi = xs[0], xs[-1]
-            centroid = tuple((a + b) / 2 for a, b in zip(lo, hi))
-        mid = centroid
+    coords = [
+        tuple(linalg.dot(delta, f) / linalg.dot(f, f) for f in frame)
+        for delta in [(Fraction(0),) * poly.dim] + diffs
+    ]
+    if len(frame) == 1:
+        mid = ((min(coords)[0] + max(coords)[0]) / 2,)
+    elif len(frame) == 2:
+        mid = _polygon_centroid(coords)
     else:
         raise ValueError("degenerate centroid implemented for hull dim <= 2")
     out = list(base)

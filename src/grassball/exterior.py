@@ -84,7 +84,8 @@ class MultiVector:
         for key, value in (coeffs or {}).items():
             key = tuple(key)
             _check_index_set(key, n, k)
-            value = Fraction(value)
+            if type(value) is not Fraction:
+                value = Fraction(value)
             if value:
                 clean[key] = value
         object.__setattr__(self, "n", n)

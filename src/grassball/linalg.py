@@ -5,7 +5,9 @@ and results are ``Fraction``.  Inside, each row is scaled by the lcm of its
 denominators, which leaves its span unchanged, and eliminated over Python
 integers: rows are kept small by dividing out their content (the gcd of
 their entries), and ``det`` uses Bareiss's fraction-free elimination.
-``Fraction`` objects are built only for the results.
+``Fraction`` objects are built only for the results.  ``integer_row`` and
+``eliminate`` are public so that the polytope layer in ``convexoid`` can
+reduce its own integer rows.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [tuple(Fraction(x) for x in row) for row in rows]
 
 
-def _integer_row(row: Sequence) -> tuple[list[int], int, int]:
+def integer_row(row: Sequence) -> tuple[list[int], int, int]:
     """(integer row, lcm of denominators, content): row == ints * content / lcm.
 
     The integer row is primitive: its content is 1, or 0 for a zero row.
@@ -38,7 +40,7 @@ def _integer_row(row: Sequence) -> tuple[list[int], int, int]:
     return ints, den, content
 
 
-def _eliminate(m: list[list[int]], reduced: bool) -> list[int]:
+def eliminate(m: list[list[int]], reduced: bool) -> list[int]:
     """Row-reduce integer rows in place and return the pivot columns.
 
     Pivot columns are the lexicographically first independent set, and the
@@ -82,15 +84,15 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
     Returns (rref rows without zero rows, pivot column indices).
     """
-    m = [_integer_row(row)[0] for row in rows]
-    pivots = _eliminate(m, reduced=True)
+    m = [integer_row(row)[0] for row in rows]
+    pivots = eliminate(m, reduced=True)
     return [
         tuple(Fraction(x, row[c]) for x in row) for row, c in zip(m, pivots)
     ], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(_eliminate([_integer_row(row)[0] for row in rows], reduced=False))
+    return len(eliminate([integer_row(row)[0] for row in rows], reduced=False))
 
 
 def kernel_basis(rows: Sequence[Sequence], n_cols: int) -> Matrix:
@@ -112,8 +114,8 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     if not rows:
         return None if any(Fraction(b) for b in rhs) else []
     n_cols = len(rows[0])
-    m = [_integer_row((*row, b))[0] for row, b in zip(rows, rhs)]
-    pivots = _eliminate(m, reduced=True)
+    m = [integer_row((*row, b))[0] for row, b in zip(rows, rhs)]
+    pivots = eliminate(m, reduced=True)
     if n_cols in pivots:
         return None
     x = [Fraction(0)] * n_cols
@@ -131,7 +133,7 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     """
     m, num, den = [], 1, 1
     for row in rows:
-        ints, row_den, content = _integer_row(row)
+        ints, row_den, content = integer_row(row)
         m.append(ints)
         num *= content
         den *= row_den

@@ -55,11 +55,23 @@ class PlaneMatrix:
         widths = {len(row) for row in rows}
         if len(widths) != 1:
             raise ValueError("ragged spanning matrix")
+        self._fill(rows)
+        if linalg.rank(rows) != self.k:
+            raise RankError(f"spanning matrix has rank below {self.k}")
+
+    def _fill(self, rows: tuple) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "k", len(rows))
         object.__setattr__(self, "n", len(rows[0]))
-        if linalg.rank(rows) != self.k:
-            raise RankError(f"spanning matrix has rank below {self.k}")
+
+    @classmethod
+    def _of_rref(cls, rows: Sequence[tuple]) -> "PlaneMatrix":
+        """The plane of the nonzero rows of an RREF, as ``linalg.rref``
+        returns them: their entries are ``Fraction`` already and their
+        pivots make them independent, so nothing is converted or checked."""
+        plane = cls.__new__(cls)
+        plane._fill(tuple(rows))
+        return plane
 
     def __setattr__(self, name, value):
         raise AttributeError("PlaneMatrix is immutable")
@@ -157,7 +169,7 @@ def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
             "a nonzero scalar spans the zero plane, which has no spanning vectors"
         )
     reduced, _ = linalg.rref(kernel)
-    return PlaneMatrix(reduced)
+    return PlaneMatrix._of_rref(reduced)
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:
@@ -209,7 +221,7 @@ def q_orthocomplement(mv: MultiVector) -> MultiVector:
     ]
     kernel = linalg.kernel_basis(signed, mv.n)
     reduced, _ = linalg.rref(kernel)
-    return canonical_scale(plucker_of_matrix(PlaneMatrix(reduced)))
+    return canonical_scale(plucker_of_matrix(PlaneMatrix._of_rref(reduced)))
 
 
 def require_chamber_vector(mv: MultiVector, *, positive: bool = False) -> None:

@@ -1,5 +1,7 @@
 """Polytope primitives and the half-ball / gluing maps."""
 
+import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grassball import chamber, lp
+from grassball import chamber, convexoid, linalg, lp
 from grassball.sampling import random_positive_point
 from grassball.convexoid import (
     EXIT_TOL,
@@ -901,3 +903,316 @@ def test_chart_and_half_ball_maps_run_no_lp(monkeypatch):
     for x in [(0.3, 0.2, 0.1, -0.2), (0.0, -0.5, 0.2, 0.3), (0.6, 0.9, 0.0, 0.0)]:
         back = from_half_ball(spec, to_half_ball(spec, x))
         assert max(abs(a - b) for a, b in zip(x, back)) < 1e-6
+
+
+# -- the integer polytope layer against its Fraction form ----------------------------
+# ``vertices``, the boundedness check, the planar barycenter and the hull
+# centroid compute over integer rows.  The oracles below are their Fraction
+# forms, kept as the reference: every comparison is on ``repr``, so values,
+# order and the ``Fraction`` type all have to agree.
+
+
+def reference_solve_square(rows, rhs):
+    """The solution of a square system, or None if it is singular."""
+    m = [list(row) + [b] for row, b in zip(rows, rhs)]
+    size = len(m)
+    for c in range(size):
+        pivot = next((i for i in range(c, size) if m[i][c] != 0), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(size):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(row[-1] for row in m)
+
+
+def reference_kernel_line(rows, dim):
+    if dim == 1:
+        return (F(1),)
+    if dim == 2:
+        (a, b), = rows
+        return (-b, a)
+    if dim == 3:
+        (a, b) = rows
+        r = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+        return r if any(r) else None
+    basis = linalg.kernel_basis(rows, dim)
+    return basis[0] if len(basis) == 1 else None
+
+
+def reference_is_unbounded(poly):
+    normals = [n for n, _ in poly.constraints]
+    independent = False
+    for rows in itertools.combinations(normals, poly.dim - 1):
+        r = reference_kernel_line(rows, poly.dim)
+        if r is None:
+            continue
+        independent = True
+        dots = [dot(n, r) for n in normals]
+        if all(d <= 0 for d in dots) or all(d >= 0 for d in dots):
+            return True
+    return not independent
+
+
+def reference_vertices(poly):
+    if poly.dim == 0:
+        return [()]
+    if reference_is_unbounded(poly):
+        raise UnboundedError("polytope is unbounded")
+    found = []
+    for subset in itertools.combinations(poly.constraints, poly.dim):
+        point = reference_solve_square([n for n, _ in subset],
+                                       [o for _, o in subset])
+        if point is not None and point not in found \
+                and poly.contains_point(point):
+            found.append(point)
+    return found
+
+
+def reference_polygon_centroid(points):
+    pts = sorted(set(points))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    ordered = lower[:-1] + upper[:-1] if len(pts) > 2 else pts
+    area2 = cx = cy = F(0)
+    for (x0, y0), (x1, y1) in zip(ordered, ordered[1:] + ordered[:1]):
+        cr = x0 * y1 - x1 * y0
+        area2 += cr
+        cx += (x0 + x1) * cr
+        cy += (y0 + y1) * cr
+    if area2 == 0:
+        return None
+    return cx / (3 * area2), cy / (3 * area2)
+
+
+def reference_barycenter(poly, verts):
+    if not verts:
+        raise DegenerateError("empty polytope")
+    m = poly.dim
+    if m == 0:
+        return ()
+    diffs = [tuple(v[i] - verts[0][i] for i in range(m)) for v in verts[1:]]
+    if linalg.rank(diffs) < m:
+        raise DegenerateError("polytope is not full-dimensional")
+    if m == 1:
+        return ((min(verts)[0] + max(verts)[0]) / 2,)
+    if m == 2:
+        return reference_polygon_centroid(verts)
+    if m == 3:
+        apex = min(verts)
+        total = F(0)
+        acc = [F(0)] * 3
+        for normal, offset in poly.constraints:
+            on_facet = [v for v in verts if dot(normal, v) == offset]
+            if len(on_facet) < 3 or apex in on_facet:
+                continue
+            loop = convexoid._facet_loop(on_facet, normal)
+            for b, c in zip(loop[1:], loop[2:]):
+                vol = convexoid._tet_volume(apex, loop[0], b, c)
+                total += vol
+                for i in range(3):
+                    acc[i] += vol * (apex[i] + loop[0][i] + b[i] + c[i]) / 4
+        if total == 0:
+            raise DegenerateError("polytope has zero volume")
+        return tuple(a / total for a in acc)
+    raise ValueError("barycenter implemented for fiber dimension <= 3")
+
+
+def reference_hull_centroid(poly, verts):
+    if not verts:
+        raise DegenerateError("empty polytope")
+    if poly.dim == 0 or len(verts) == 1:
+        return verts[0]
+    base = verts[0]
+    diffs = [tuple(v[i] - base[i] for i in range(poly.dim)) for v in verts[1:]]
+    frame = linalg.orthogonalize(diffs)
+    d = len(frame)
+    if d == poly.dim:
+        return reference_barycenter(poly, verts)
+    coords = [
+        tuple(dot(tuple(v[i] - base[i] for i in range(poly.dim)), f)
+              / dot(f, f) for f in frame)
+        for v in verts
+    ]
+    if d == 1:
+        mid = ((min(coords)[0] + max(coords)[0]) / 2,)
+    elif d == 2:
+        mid = reference_polygon_centroid(coords)
+    else:
+        raise ValueError("degenerate centroid implemented for hull dim <= 2")
+    out = list(base)
+    for c, f in zip(mid, frame):
+        for i in range(poly.dim):
+            out[i] += c * f[i]
+    return tuple(out)
+
+
+def random_offset(rng):
+    """0, a small rational, or a float rationalized to a 12-digit denominator."""
+    pick = rng.random()
+    if pick < 0.15:
+        return F(0)
+    if pick < 0.6:
+        return F(rng.randint(1, 12), rng.randint(1, 6))
+    return rationalize(rng.uniform(0.05, 3.0))
+
+
+def random_normal(rng, dim):
+    while True:
+        n = tuple(F(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
+                  for _ in range(dim))
+        if any(n):
+            return n
+
+
+def random_polytope(rng, dim):
+    """Constraints of a random kind, with redundant, duplicate, proportional
+    and antiparallel rows mixed in, in a random order.
+
+    Most start from a box or a simplex around the origin, with extra cuts
+    through one of its corners (so more than dim constraints are tight
+    there) or at random offsets; the rest are a few random rows, mostly
+    unbounded.  An antiparallel copy with the same offset makes the body
+    flat, one with a smaller offset makes it empty.
+    """
+    cons = []
+    base = rng.random()
+    if base < 0.45:
+        lo = [-random_offset(rng) for _ in range(dim)]
+        hi = [random_offset(rng) + F(1, 4) for _ in range(dim)]
+        for i in range(dim):
+            e = tuple(F(int(i == j)) for j in range(dim))
+            cons.append((e, hi[i]))
+            cons.append((tuple(-x for x in e), -lo[i]))
+        corner = tuple(rng.choice((lo[i], hi[i])) for i in range(dim))
+    elif base < 0.85:
+        for i in range(dim):
+            e = tuple(F(-int(i == j)) for j in range(dim))
+            cons.append((e, random_offset(rng)))
+        top = random_offset(rng) + 1
+        cons.append(((F(1),) * dim, top))
+        corner = tuple(-o for _, o in cons[:dim])
+    else:
+        corner = None
+        for _ in range(rng.randint(1, dim + 1)):
+            cons.append((random_normal(rng, dim), random_offset(rng)))
+    for _ in range(rng.randint(0, 2)):
+        n = random_normal(rng, dim)
+        if corner is not None and rng.random() < 0.5:
+            cons.append((n, dot(n, corner)))  # through a corner
+        elif rng.random() < 0.3:
+            cons.append((n, F(10**6)))  # redundant
+        else:
+            cons.append((n, random_offset(rng)))
+    for _ in range(rng.randint(0, 2)):
+        n, o = rng.choice(cons)
+        pick = rng.random()
+        if pick < 0.3:
+            cons.append((n, o))  # duplicate
+        elif pick < 0.6:
+            c = F(rng.randint(1, 7), rng.randint(1, 5))
+            cons.append((tuple(c * x for x in n), c * o))  # proportional
+        elif pick < 0.85:
+            cons.append((tuple(-x for x in n), -o))  # antiparallel: flat
+        else:
+            cons.append((tuple(-x for x in n), -o - F(1, 7)))  # empty
+    rng.shuffle(cons)
+    return HPolytope(dim, cons)
+
+
+def polytope_outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:  # UnboundedError, DegenerateError, dim > 3
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("dim, count", [(1, 300), (2, 900), (3, 300), (4, 12)])
+def test_polytope_layer_matches_fraction_oracle(dim, count):
+    rng = random.Random(70 + dim)
+    seen = collections.Counter()
+    for _ in range(count):
+        poly = random_polytope(rng, dim)
+        got = polytope_outcome(vertices, poly)
+        assert got == polytope_outcome(reference_vertices, poly)
+        if got == "UnboundedError":
+            seen["unbounded"] += 1
+            for fn in (barycenter, convexoid._hull_centroid):
+                assert polytope_outcome(fn, poly) == "UnboundedError"
+            continue
+        verts = vertices(poly)
+        want = reference_vertices(poly)
+        assert all(type(x) is F for v in verts for x in v)
+        assert len(set(verts)) == len(verts)
+        if any(sum(dot(n, v) == o for n, o in poly.constraints) > dim
+               for v in verts):
+            seen["overdetermined"] += 1
+        assert polytope_outcome(barycenter, poly) == polytope_outcome(
+            reference_barycenter, poly, want)
+        assert polytope_outcome(convexoid._hull_centroid, poly) == \
+            polytope_outcome(reference_hull_centroid, poly, want)
+        if not verts:
+            seen["empty"] += 1
+        elif linalg.rank(
+            [tuple(a - b for a, b in zip(v, verts[0])) for v in verts]
+        ) < dim:
+            seen["flat"] += 1
+        else:
+            seen["full"] += 1
+    # every kind of input turns up (in 1-D a flat body is a point); the few
+    # 4-D ones take the kernel_basis branch of the boundedness check
+    kinds = {"unbounded", "full"}
+    if dim < 4:
+        kinds |= {"empty", "flat"}
+    if 1 < dim < 4:
+        kinds.add("overdetermined")
+    assert kinds <= set(seen), seen
+
+
+def test_integer_vertices_keep_order_and_exact_values():
+    """Vertices with denominators, met by more constraints than dim, or by
+    proportional rows: the order is that of the first subset meeting each
+    vertex, each vertex appears once, and every value is exact."""
+    third = F(1, 3)
+    pyramid = HPolytope(3, [
+        ((F(0), F(0), F(-1)), F(0)),
+        ((F(2), F(0), F(1)), 2 * third),
+        ((F(-1), F(0), F(1, 2)), third),
+        ((F(0), F(3), F(3, 2)), third * 3),
+        ((F(0), F(-1), F(1, 2)), third),
+        ((F(1), F(1), F(1)), F(10**6)),
+    ])
+    assert vertices(pyramid) == reference_vertices(pyramid)
+    assert (F(0), F(0), 2 * third) in vertices(pyramid)
+    assert len(vertices(pyramid)) == 5
+    assert barycenter(pyramid) == reference_barycenter(
+        pyramid, reference_vertices(pyramid))
+    triangle = HPolytope(2, [
+        ((F(-3), F(0)), F(1)),
+        ((F(0), F(-5)), F(2)),
+        ((F(7), F(7)), F(3)),
+    ])
+    assert vertices(triangle) == [
+        (F(-1, 3), F(-2, 5)), (F(-1, 3), F(16, 21)), (F(29, 35), F(-2, 5)),
+    ]
+    assert barycenter(triangle) == (F(17, 315), F(-4, 315))
+    proportional = HPolytope(1, [
+        ((F(2),), F(2)), ((F(-1, 3),), F(0)), ((F(1),), F(1)), ((F(-4),), F(0)),
+    ])
+    assert vertices(proportional) == [(F(1),), (F(0),)]

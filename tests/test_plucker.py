@@ -245,7 +245,12 @@ def test_spanning_round_trip_random():
     for _ in range(40):
         k = rng.choice([2, 3])
         mv = plucker_of_matrix(random_matrix(rng, k, 5))
-        again = plucker_of_matrix(spanning_vectors(mv))
+        plane = spanning_vectors(mv)
+        # the same plane as the checked public constructor builds
+        assert plane == PlaneMatrix(plane.rows) and (plane.k, plane.n) == (k, 5)
+        assert type(plane.rows) is tuple
+        assert all(type(x) is Fraction for row in plane.rows for x in row)
+        again = plucker_of_matrix(plane)
         key = mv.support()[0]
         ratio = again.coefficient(key) / mv.coefficient(key)
         assert ratio != 0 and again == mv * ratio
