@@ -63,8 +63,10 @@ class RunReport:
 
 
 def _read_json(path: str):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
+    if path == "-":
+        return json.loads(sys.stdin.read())
+    with open(path) as fh:
+        return json.loads(fh.read())
 
 
 def _load_multivector(path: str) -> MultiVector:

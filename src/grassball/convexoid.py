@@ -27,7 +27,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -626,10 +626,12 @@ class _Ray:
 
         Bisecting [hi / 2, hi), hi the least power of 2 above t* (or [0, 1))
         until narrower than ``EXIT_TOL`` ends in the grid cell of width
-        ``step`` that holds t*.  The rounding is kept on purpose: dividing by
-        the exact exit time puts the images of boundary points exactly on the
-        support strata where the fiber frames change, and chart round trips
-        then get worse (G(2,5) samples by up to 8.6e-2).
+        ``step`` that holds t*: step = (hi - lo) / 2^m with m the least
+        integer such that 2^m >= (hi - lo) / EXIT_TOL.  The rounding is kept
+        on purpose: dividing by the exact exit time puts the images of
+        boundary points exactly on the support strata where the fiber frames
+        change, and chart round trips then get worse (G(2,5) samples by up
+        to 8.6e-2).
         """
         t_star = self.exit_bound()
         if t_star is None or t_star >= 2**80:
@@ -638,9 +640,8 @@ class _Ray:
         t_star = max(t_star, Fraction(0))
         hi = 1 << int(t_star).bit_length()
         lo = hi // 2
-        step = Fraction(hi - lo)
-        while step > EXIT_TOL:
-            step /= 2
+        halvings = (ceil((hi - lo) / EXIT_TOL) - 1).bit_length()
+        step = Fraction(hi - lo, 1 << halvings)
         return lo + (t_star - lo) // step * step + step / 2
 
 

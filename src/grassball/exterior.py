@@ -1,18 +1,25 @@
 """Exact multilinear algebra on the exterior powers of R^n.
 
-Everything here is computed over exact rationals (``fractions.Fraction``);
-there is no floating point in this module.  A grade-k element is stored as a
-sparse map from k-subsets of {1..n} (ascending tuples) to nonzero rational
-coefficients, in the fixed basis e_1, ..., e_n, orthonormal for the standard
-inner product.
+Everything here is exact; there is no floating point in this module.  A
+grade-k element is stored as a sparse map from k-subsets of {1..n} (ascending
+tuples) to nonzero rational coefficients (``fractions.Fraction``), in the
+fixed basis e_1, ..., e_n, orthonormal for the standard inner product.
+
+Products take ``Fraction`` coefficients in and give them out, but run over
+Python integers: ``wedge`` and ``wedge_all`` scale each operand once by the
+lcm of its denominators, multiply and sum integers over the merged index
+keys, and divide by the product of those lcms only for the nonzero
+coefficients of the result.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -94,6 +101,20 @@ class MultiVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
+
+    @classmethod
+    def _of_ints(cls, n: int, k: int, ints: Mapping[IndexSet, int], den: int
+                 ) -> "MultiVector":
+        """The element with coefficients ints[key] / den.  The keys are
+        ascending k-subsets of 1..n and the ints nonzero, as the integer
+        products below make them, so nothing is checked."""
+        mv = cls.__new__(cls)
+        object.__setattr__(mv, "n", n)
+        object.__setattr__(mv, "k", k)
+        object.__setattr__(
+            mv, "coeffs", {key: Fraction(c, den) for key, c in ints.items()}
+        )
+        return mv
 
     # -- constructors ------------------------------------------------------
 
@@ -226,36 +247,76 @@ class MultiVector:
 # -- operations ------------------------------------------------------------
 
 
+def integer_coeffs(mv: MultiVector) -> tuple[dict[IndexSet, int], int]:
+    """(ints, den) with mv's e_A coefficient ints[A] / den, den the lcm of the
+    coefficient denominators (1 for the zero element)."""
+    den = lcm(*[c.denominator for c in mv.coeffs.values()])
+    return {
+        key: c.numerator * (den // c.denominator) for key, c in mv.coeffs.items()
+    }, den
+
+
+def wedge_ints(a: Mapping[IndexSet, int], b: Mapping[IndexSet, int]
+               ) -> dict[IndexSet, int]:
+    """Exterior product of two integer coefficient maps, zeros dropped.
+
+    e_A ^ e_B is 0 when A and B meet, and otherwise e_(A u B) times the sign
+    of the shuffle merging A then B: (-1)^(pairs x in A, y in B with x > y).
+    A single index, the common case, is placed by bisection.
+    """
+    out: dict[IndexSet, int] = {}
+    for key_a, ca in a.items():
+        size_a = len(key_a)
+        for key_b, cb in b.items():
+            if len(key_b) == 1:  # the x in A above y
+                y = key_b[0]
+                pos = bisect_left(key_a, y)
+                if pos < size_a and key_a[pos] == y:
+                    continue
+                merged = key_a[:pos] + key_b + key_a[pos:]
+                inversions = size_a - pos
+            elif size_a == 1:  # the y in B below x
+                x = key_a[0]
+                pos = bisect_left(key_b, x)
+                if pos < len(key_b) and key_b[pos] == x:
+                    continue
+                merged = key_b[:pos] + key_a + key_b[pos:]
+                inversions = pos
+            elif set(key_a).isdisjoint(key_b):
+                merged = tuple(sorted(key_a + key_b))
+                inversions = sum(x > y for x in key_a for y in key_b)
+            else:
+                continue
+            term = ca * cb
+            out[merged] = out.get(merged, 0) + (-term if inversions & 1 else term)
+    return {key: c for key, c in out.items() if c}
+
+
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     """Exterior product; grade adds, antisymmetric, associative."""
-    if a.n != b.n:
-        raise GradeError(f"ambient mismatch: {a.n} vs {b.n}")
-    if a.k + b.k > a.n:
-        raise GradeError(f"grade overflow: {a.k}+{b.k} > {a.n}")
-    out: dict[IndexSet, Fraction] = {}
-    for key_a, ca in a.coeffs.items():
-        set_a = set(key_a)
-        for key_b, cb in b.coeffs.items():
-            if set_a.intersection(key_b):
-                continue
-            merged = tuple(sorted(key_a + key_b))
-            term = _shuffle_sign(key_a, key_b) * ca * cb
-            new = out.get(merged, Fraction(0)) + term
-            if new:
-                out[merged] = new
-            else:
-                out.pop(merged, None)
-    return MultiVector(a.n, a.k + b.k, out)
+    return wedge_all((a, b))
 
 
 def wedge_all(factors: Iterable[MultiVector]) -> MultiVector:
+    """factors[0] ^ factors[1] ^ ..., accumulated over integers."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty wedge")
-    acc = factors[0]
+    first = factors[0]
+    if len(factors) == 1:
+        return first
+    n, k = first.n, first.k
+    ints, den = integer_coeffs(first)
     for f in factors[1:]:
-        acc = wedge(acc, f)
-    return acc
+        if f.n != n:
+            raise GradeError(f"ambient mismatch: {n} vs {f.n}")
+        if k + f.k > n:
+            raise GradeError(f"grade overflow: {k}+{f.k} > {n}")
+        k += f.k
+        f_ints, f_den = integer_coeffs(f)
+        ints = wedge_ints(ints, f_ints)
+        den *= f_den
+    return MultiVector._of_ints(n, k, ints, den)
 
 
 def contract(mv: MultiVector, v: MultiVector) -> MultiVector:

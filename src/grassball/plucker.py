@@ -5,22 +5,37 @@ decomposable grade-k elements whose coefficients are the k x k minors, tests
 decomposability and plane containment exactly, and computes the orthogonal
 complement with respect to the alternating-sign form Q.
 
-Decomposability and planes both come from the annihilator of a nonzero
-k-vector mv, the solution space of v ^ mv = 0: it has dimension at most k,
-with equality iff mv is decomposable, and then it is the plane of mv
-(Harris, Algebraic Geometry: A First Course, Lecture 6).
+Planes are read straight off the coordinates, with no elimination.  With I
+the lexicographically first key of the support of a nonzero k-vector mv, the
+plane of mv (if it has one) lies in the affine chart {p_I != 0} of the
+Grassmannian (Harris, Algebraic Geometry: A First Course, Lecture 6), and
+there its RREF has pivots I and entries that are ratios of coordinates: row
+r is 1 at i_r and (-1)^s * mv[J] / mv[I] at each non-pivot column j, where
+J = sorted(I without i_r, plus j) and s is the number of elements of I
+without i_r strictly between i_r and j.  Those rows wedge back to
+mv / mv[I] exactly when mv is decomposable, and that integer wedge is the
+decomposability test.  Minors are wedges too: ``plucker_of_matrix`` is the
+wedge of the rows.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from functools import reduce
 from typing import Mapping, Sequence
 
 from . import linalg
-from .exterior import GradeError, MultiVector, SignClass, classify_sign
+from .exterior import (
+    GradeError,
+    MultiVector,
+    SignClass,
+    classify_sign,
+    integer_coeffs,
+    wedge_all,
+    wedge_ints,
+)
 
 __all__ = [
     "PlaneMatrix",
@@ -66,9 +81,10 @@ class PlaneMatrix:
 
     @classmethod
     def _of_rref(cls, rows: Sequence[tuple]) -> "PlaneMatrix":
-        """The plane of the nonzero rows of an RREF, as ``linalg.rref``
-        returns them: their entries are ``Fraction`` already and their
-        pivots make them independent, so nothing is converted or checked."""
+        """The plane of the nonzero rows of an RREF, as ``linalg.rref`` and
+        ``spanning_vectors`` build them: their entries are ``Fraction``
+        already and their pivots make them independent, so nothing is
+        converted or checked."""
         plane = cls.__new__(cls)
         plane._fill(tuple(rows))
         return plane
@@ -103,73 +119,99 @@ class PlaneMatrix:
 
 
 def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
-    """Decomposable k-vector whose e_A coefficient is the minor on columns A."""
-    coeffs = {}
-    for cols in combinations(range(1, matrix.n + 1), matrix.k):
-        minor = linalg.det([[row[c - 1] for c in cols] for row in matrix.rows])
-        if minor:
-            coeffs[cols] = minor
-    return MultiVector(matrix.n, matrix.k, coeffs)
+    """Decomposable k-vector whose e_A coefficient is the minor on columns A.
+
+    That is the wedge of the rows: expanding row_1 ^ ... ^ row_k over the
+    basis gives, at e_A, the alternating sum over bijections of rows onto A,
+    which is the Leibniz expansion of the minor.
+    """
+    return wedge_all(matrix.row_vectors())
 
 
-def _annihilator_rows(mv: MultiVector) -> list[list[int]]:
-    """Integer rows of the linear system v ^ mv = 0, one per (k+1)-subset it
-    touches.
+def _plane_rows(mv: MultiVector) -> tuple[list[list[int]], int] | None:
+    """(rows, p) with rows / p the RREF of the plane of mv, or None when mv is
+    not decomposable.
 
-    The e_T coefficient of v ^ mv is the sum over positions p of i = T[p] of
-    (-1)^p * v_i * mv[T without i].  The coefficients are first scaled by the
-    lcm of their denominators: v ^ (c mv) = c (v ^ mv), so a nonzero scale
-    leaves the solution space unchanged, and the rows come out as integers.
+    The coefficients are first scaled to integers c.  The pivot set I is the
+    lexicographically first key of the support: the minors of a matrix are
+    nonzero exactly on the bases of its column matroid, and the RREF's
+    pivots are the greedy basis, which is the lexicographically least one.
+    On the chart {p_I != 0} (Harris, Algebraic Geometry: A First Course,
+    Lecture 6) the RREF entries are ratios of coordinates: with p = c[I],
+    row r is p at its pivot i_r and, at each non-pivot column j,
+    (-1)^s * c[J], where J = sorted(I without i_r, plus j) and s counts the
+    elements of I without i_r strictly between i_r and j (the moves that
+    sort column j into place in the minor J).  The minors of those rows are
+    p^(k-1) times c when mv is decomposable, and when they are, mv is their
+    wedge divided by p^(k-1); so comparing the wedge with p^(k-1) * c
+    decides decomposability in both directions.
     """
     if mv.is_zero():
         raise ValueError("the zero multivector has no well-defined plane")
-    den = lcm(*[c.denominator for c in mv.coeffs.values()])
-    coeffs = {
-        key: c.numerator * (den // c.denominator) for key, c in mv.coeffs.items()
-    }
+    c, _ = integer_coeffs(mv)
+    pivots = min(c)
+    p = c[pivots]
     rows = []
-    for target in combinations(range(1, mv.n + 1), mv.k + 1):
+    for r, i in enumerate(pivots):
+        rest = pivots[:r] + pivots[r + 1 :]
         row = [0] * mv.n
-        hit = False
-        for pos, i in enumerate(target):
-            c = coeffs.get(target[:pos] + target[pos + 1 :])
-            if c is not None:
-                row[i - 1] = -c if pos & 1 else c
-                hit = True
-        if hit:
-            rows.append(row)
-    return rows
+        row[i - 1] = p
+        # left of i_r, J would precede I, so c[J] is 0
+        for j in range(i + 1, mv.n + 1):
+            if j in pivots:
+                continue
+            pos = bisect_left(rest, j)
+            x = c.get(rest[:pos] + (j,) + rest[pos:])
+            if x:
+                row[j - 1] = -x if (pos - r) & 1 else x
+        rows.append(row)
+    if mv.k > 1:
+        product = reduce(
+            wedge_ints,
+            [{(j + 1,): x for j, x in enumerate(row) if x} for row in rows],
+        )
+        scale = p ** (mv.k - 1)
+        if product != {key: scale * x for key, x in c.items()}:
+            return None
+    return rows, p
 
 
 def is_decomposable(mv: MultiVector) -> bool:
-    """Exact decomposability test by the annihilator criterion.
+    """Exact decomposability test, with no elimination.
 
-    For a nonzero k-vector mv, {v : v ^ mv = 0} has dimension at most k, with
-    equality iff mv is a single wedge of vectors (Harris, Algebraic Geometry:
-    A First Course, Lecture 6); so mv is decomposable iff the rows of that
-    system have rank n - k.
+    With I the lexicographically first support key and p = mv[I], row r is
+    read off the coordinates: p at i_r and (-1)^s * mv[J] at each non-pivot
+    column j, J = sorted(I without i_r, plus j) and s the number of elements
+    of I without i_r strictly between i_r and j.  mv is a single wedge of
+    vectors iff the wedge of those k rows is p^(k-1) * mv, coefficient for
+    coefficient (``_plane_rows`` says why).  Grades 0, 1, n - 1 and n always
+    pass; the zero multivector raises ``ValueError``.
     """
-    return linalg.rank(_annihilator_rows(mv)) == mv.n - mv.k
+    return _plane_rows(mv) is not None
 
 
 def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     """Canonical reduced-row-echelon spanning matrix of a decomposable element.
 
-    The plane of mv is {v : v ^ mv = 0}, and mv is decomposable iff that
-    space has dimension k (see ``is_decomposable``).  The pivot columns are
-    the lexicographically first independent set, so the first pivot is the
-    least index appearing in the support.  A nonzero scalar spans the zero
-    plane, which has no spanning matrix, so grade 0 raises ``GradeError``.
+    The rows are read straight off the coordinates (``_plane_rows``): with I
+    the lexicographically first support key, row r has 1 at i_r and
+    (-1)^s * mv[J] / mv[I] at each non-pivot j, J and s as there.  So the
+    pivot columns are the lexicographically first independent set, and the
+    first pivot is the least index appearing in the support.  A nonzero
+    scalar spans the zero plane, which has no spanning matrix, so grade 0
+    raises ``GradeError``.
     """
-    kernel = linalg.kernel_basis(_annihilator_rows(mv), mv.n)
-    if len(kernel) != mv.k:
+    found = _plane_rows(mv)
+    if found is None:
         raise DecomposabilityError("input does not factor as a single wedge")
     if mv.k == 0:
         raise GradeError(
             "a nonzero scalar spans the zero plane, which has no spanning vectors"
         )
-    reduced, _ = linalg.rref(kernel)
-    return PlaneMatrix._of_rref(reduced)
+    rows, p = found
+    return PlaneMatrix._of_rref(
+        [tuple(Fraction(x, p) for x in row) for row in rows]
+    )
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:

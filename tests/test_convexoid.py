@@ -808,6 +808,45 @@ def test_exit_scale_equals_lp_bisection(m):
         )
 
 
+def dyadic_halving_oracle(t_star):
+    """The exit scale's rounding as a loop: halve the bracket width until it
+    is at most EXIT_TOL, then take the midpoint of the cell holding t*."""
+    t_star = max(t_star, F(0))
+    hi = 1 << int(t_star).bit_length()
+    lo = hi // 2
+    step = F(hi - lo)
+    while step > EXIT_TOL:
+        step /= 2
+    return lo + (t_star - lo) // step * step + step / 2
+
+
+class FixedExitRay(_Ray):
+    """A ray whose exact exit time is given, to test the rounding alone."""
+
+    def __init__(self, t_star):
+        self.t_star = t_star
+
+    def exit_bound(self):
+        return self.t_star
+
+
+def test_exit_scale_dyadic_step_matches_halving_loop():
+    rng = random.Random(55)
+    values = [F(0), F(-1), F(-3, 7), F(1), F(2**79), F(2**80 - 1),
+              F(2**80 - 1, 2), EXIT_TOL, EXIT_TOL / 3, 1 - EXIT_TOL]
+    for _ in range(1500):
+        scale = 2 ** rng.randint(-40, 79)
+        values.append(F(rng.randint(-10**6, 10**6), 10**6) * scale)
+        values.append(F(rng.randint(0, 2**40), 2 ** rng.randint(0, 45)))
+        values.append(F(rng.randint(1, 10**15), rng.randint(1, 10**15)))
+    for t_star in values:
+        assert FixedExitRay(t_star).exit_scale() == dyadic_halving_oracle(
+            t_star
+        ), t_star
+    with pytest.raises(UnboundedError):
+        FixedExitRay(F(2**80)).exit_scale()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lambda_joined_equals_lp(m):
     rng = random.Random(60 + m)

@@ -20,6 +20,7 @@ from grassball.exterior import (
     normalize,
     q_form,
     wedge,
+    wedge_all,
 )
 
 
@@ -72,10 +73,19 @@ def test_wedge_sign_matches_permutation_sign():
 
 
 def test_wedge_errors():
-    with pytest.raises(GradeError):
+    with pytest.raises(GradeError, match=r"grade overflow: 2\+2 > 3"):
         wedge(basis(3, 1, 2), basis(3, 2, 3))
-    with pytest.raises(GradeError):
+    with pytest.raises(GradeError, match=r"ambient mismatch: 3 vs 4"):
         wedge(basis(3, 1), basis(4, 1))
+    # wedge_all reports the first factor that does not fit
+    with pytest.raises(GradeError, match=r"grade overflow: 3\+2 > 4"):
+        wedge_all([basis(4, 1), basis(4, 2, 3), basis(4, 1, 4), basis(5, 1)])
+    with pytest.raises(GradeError, match=r"ambient mismatch: 4 vs 5"):
+        wedge_all([basis(4, 1), basis(4, 2), basis(5, 1), basis(4, 1, 2, 3)])
+    with pytest.raises(ValueError, match="empty wedge"):
+        wedge_all([])
+    single = basis(4, 2, 3) * Fraction(-5, 7)
+    assert wedge_all([single]) is single
 
 
 def test_grade_zero_wedge_is_scalar_multiplication():
@@ -106,6 +116,84 @@ def test_wedge_associative_and_bilinear(data):
     c = data.draw(multivectors(n=n, k=1))
     assert wedge(wedge(a, b), c) == wedge(a, wedge(b, c))
     assert wedge(a + b, c) == wedge(a, c) + wedge(b, c)
+
+
+def wedge_oracle(a, b):
+    """The product as a loop over Fraction coefficients: e_A ^ e_B is 0 when
+    A and B meet, else the sign of the permutation A + B times e_(A u B)."""
+    out = {}
+    for key_a, ca in a.coeffs.items():
+        for key_b, cb in b.coeffs.items():
+            if set(key_a) & set(key_b):
+                continue
+            merged = tuple(sorted(key_a + key_b))
+            term = perm_sign(key_a + key_b) * ca * cb
+            out[merged] = out.get(merged, Fraction(0)) + term
+    return {key: c for key, c in out.items() if c}
+
+
+def random_rational_mv(rng, n, k, density):
+    """Negative coefficients and denominators up to 12 digits."""
+    coeffs = {}
+    for key in combinations(range(1, n + 1), k):
+        if rng.random() < density:
+            den = rng.choice([1, 2, 3, 7, rng.randint(1, 10**12)])
+            coeffs[key] = Fraction(rng.randint(-10**6, 10**6), den)
+    return MultiVector(n, k, coeffs)
+
+
+def same_as_oracle(product, n, k, expected):
+    assert (product.n, product.k) == (n, k)
+    assert product.coeffs == expected
+    assert all(type(c) is Fraction and c for c in product.coeffs.values())
+
+
+def test_wedge_matches_fraction_loop_on_pairs_and_triples():
+    rng = random.Random(70)
+    zeros = 0
+    for trial in range(600):
+        n = rng.randint(1, 7)
+        first = random_rational_mv(rng, n, rng.randint(0, n), rng.random())
+        if trial % 5 == 0 and first.k % 2 and 2 * first.k <= n:
+            factors = [first, first]  # odd grade: squares to zero
+        else:
+            k = rng.randint(0, n - first.k)
+            factors = [first, random_rational_mv(rng, n, k, rng.random())]
+        if trial % 2:
+            k = rng.randint(0, n - first.k - factors[1].k)
+            factors.append(random_rational_mv(rng, n, k, rng.random()))
+        expected = wedge_oracle(factors[0], factors[1])
+        k = first.k + factors[1].k
+        same_as_oracle(wedge(factors[0], factors[1]), n, k, expected)
+        for f in factors[2:]:
+            expected = wedge_oracle(MultiVector(n, k, expected), f)
+            k += f.k
+        same_as_oracle(wedge_all(factors), n, k, expected)
+        zeros += not expected
+    assert zeros >= 50
+
+
+def test_wedge_products_that_cancel_to_zero():
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        rows = [random_rational_mv(rng, n, 1, 0.9) for _ in range(3)]
+        plane = wedge_all(rows)
+        mix = rows[0] * Fraction(2, 3) - rows[2] * Fraction(5, 10**11 + 3)
+        assert wedge(mix, plane).is_zero()
+        assert wedge_all([rows[0], rows[1], rows[0]]).is_zero()
+        odd = random_rational_mv(rng, n, 1, 1.0)
+        assert wedge(odd, odd) == MultiVector.zero(n, 2)
+    # (e1 + e2) ^ (e1 - e2) = -2 e12: the e11, e22 terms never appear and
+    # the two cross terms add up
+    assert wedge(basis(3, 1) + basis(3, 2), basis(3, 1) - basis(3, 2)) == (
+        basis(3, 1, 2) * -2
+    )
+    # e12 + e34 squared is 2 e1234, while e12 + e13 squared cancels
+    omega = basis(4, 1, 2) + basis(4, 3, 4)
+    assert wedge(omega, omega) == basis(4, 1, 2, 3, 4) * 2
+    flat = basis(4, 1, 2) + basis(4, 1, 3)
+    assert wedge(flat, flat).is_zero()
 
 
 # -- contract ----------------------------------------------------------------

@@ -65,6 +65,10 @@ def random_matrix(rng, k, n):
             return PlaneMatrix(rows)
 
 
+def long_denominator(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(10**11, 10**12))
+
+
 # -- plucker_of_matrix --------------------------------------------------------
 
 
@@ -115,6 +119,25 @@ def test_plucker_against_oracle_random():
         k = rng.choice([2, 3])
         n = rng.choice([4, 5])
         m = random_matrix(rng, k, n)
+        assert plucker_of_matrix(m) == MultiVector(
+            n, k, minors_oracle(m.rows, k, n)
+        )
+    # every grade up to 4 in R^1..R^8; every third matrix has a zero column
+    # (so some minors vanish) and 12-digit denominators
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        k = rng.randint(1, min(n, 4))
+        rows = [[random_rational(rng) for _ in range(n)] for _ in range(k)]
+        if trial % 3 == 0:
+            zero_col = rng.randrange(n)
+            rows = [
+                [Fraction(0) if j == zero_col else x * long_denominator(rng)
+                 for j, x in enumerate(row)]
+                for row in rows
+            ]
+        if linalg.rank(rows) < k:
+            continue
+        m = PlaneMatrix(rows)
         assert plucker_of_matrix(m) == MultiVector(
             n, k, minors_oracle(m.rows, k, n)
         )
@@ -279,6 +302,119 @@ def test_spanning_grade_zero_names_the_zero_plane():
         spanning_vectors(scalar)
     with pytest.raises(ValueError, match="zero multivector"):
         spanning_vectors(MultiVector.zero(3, 0))
+
+
+# -- the annihilator oracles -------------------------------------------------------
+
+
+def annihilator_rows(mv):
+    """Rows of the linear system v ^ mv = 0: the e_T coefficient of v ^ mv is
+    the sum over positions p of i = T[p] of (-1)^p * v_i * mv[T without i]."""
+    if mv.is_zero():
+        raise ValueError("the zero multivector has no well-defined plane")
+    rows = []
+    for target in combinations(range(1, mv.n + 1), mv.k + 1):
+        row = [Fraction(0)] * mv.n
+        for pos, i in enumerate(target):
+            rest = target[:pos] + target[pos + 1 :]
+            row[i - 1] = (-1) ** pos * mv.coefficient(rest)
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def annihilator_decomposable_oracle(mv):
+    """The annihilator {v : v ^ mv = 0} of a nonzero k-vector has dimension
+    at most k, with equality iff mv is decomposable (Harris, Lecture 6)."""
+    return linalg.rank(annihilator_rows(mv)) == mv.n - mv.k
+
+
+def annihilator_plane_oracle(mv):
+    """The plane of mv as the RREF of its annihilator's kernel."""
+    kernel = linalg.kernel_basis(annihilator_rows(mv), mv.n)
+    if len(kernel) != mv.k:
+        raise DecomposabilityError("input does not factor as a single wedge")
+    if mv.k == 0:
+        raise GradeError(
+            "a nonzero scalar spans the zero plane, which has no spanning vectors"
+        )
+    reduced, _ = linalg.rref(kernel)
+    return PlaneMatrix._of_rref(reduced)
+
+
+def outcome(fn, mv):
+    """What fn(mv) gives: the repr of a plane's rows (so the Fraction type
+    shows), a bool, or the type and message of the error it raises."""
+    try:
+        value = fn(mv)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, PlaneMatrix):
+        return type(value.rows), repr(value.rows)
+    return value
+
+
+def oracle_case(rng, i):
+    """A seeded multivector with n <= 7, in five kinds by i mod 5."""
+    kind = i % 5
+    n = rng.randint(1, 7) if kind in (1, 2) else rng.randint(4, 7)
+    if kind == 0:
+        # decomposable at any grade, scaled by a 12-digit denominator
+        k = rng.randint(0, n)
+        return random_decomposable(rng, k, n) * long_denominator(rng)
+    if kind == 1:
+        # the grades where everything nonzero is decomposable
+        k = rng.choice(sorted({0, 1, n - 1, n}))
+        return random_multivector(rng, n, k, rng.random())
+    if kind == 2:
+        # support missing index 1: decomposable or not, moved up by one
+        k = rng.randint(0, n - 1)
+        mv = random_decomposable(rng, k, n - 1)
+        if 2 <= k and rng.random() < 0.5:
+            mv = mv + random_multivector(rng, n - 1, k, 0.5)
+        return mv.shift(+1, n=n)
+    # middle grades: a decomposable plus a second one or plus one basis
+    # term, mostly not decomposable
+    k = rng.randint(2, n - 2)
+    mv = random_decomposable(rng, k, n)
+    if kind == 3:
+        return mv + random_decomposable(rng, k, n)
+    key = rng.choice(list(combinations(range(1, n + 1), k)))
+    return mv + MultiVector(n, k, {key: long_denominator(rng)})
+
+
+def test_plane_read_off_matches_annihilator_oracles():
+    rng = random.Random(47)
+    checked = crossed = skipped_one = 0
+    edges = set()
+    i = 0
+    while checked < 2200:
+        mv = oracle_case(rng, i)
+        i += 1
+        if mv.is_zero():
+            continue
+        expected = annihilator_decomposable_oracle(mv)
+        assert is_decomposable(mv) == expected, mv
+        assert outcome(spanning_vectors, mv) == outcome(
+            annihilator_plane_oracle, mv
+        ), mv
+        checked += 1
+        crossed += not expected and 2 <= mv.k <= mv.n - 2
+        skipped_one += all(1 not in key for key in mv.coeffs)
+        edges.update(
+            name for name, k in (("0", 0), ("1", 1), ("n-1", mv.n - 1),
+                                 ("n", mv.n)) if mv.k == k
+        )
+    assert crossed >= 500 and skipped_one >= 300
+    assert edges == {"0", "1", "n-1", "n"}
+    # the zero multivector has no plane, in both
+    zero = MultiVector.zero(5, 2)
+    assert outcome(spanning_vectors, zero) == outcome(
+        annihilator_plane_oracle, zero
+    )
+    assert outcome(is_decomposable, zero) == outcome(
+        annihilator_decomposable_oracle, zero
+    )
 
 
 # -- contains -------------------------------------------------------------------
