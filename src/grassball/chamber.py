@@ -11,12 +11,22 @@ base element, whose generators and image map are picked by ``EFiberFrame``
 ``_Side`` per half that turns its frames into a convexoid.  Gluing the two
 halves along t = 1/2 yields a chart onto the closed ball of dimension
 k(n-k), evaluated numerically.
+
+A frame solves its normalization slice over integers: the generator images
+are scaled once to integer coefficient maps over a common denominator, and
+``Fraction`` objects are built only for the frame's coordinates, images and
+constraints.  The public constructors ``ChamberPoint`` and ``SplitTriple``
+check every invariant of their input.  The points and triples the chart
+builds itself (in ``split``, ``assemble``, the simplex leaves and the two
+sides) satisfy those invariants by construction, so they are built with
+private unchecked constructors, and each such site says why.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +48,7 @@ from .exterior import (
     SignClass,
     classify_sign,
     contract,
+    integer_coeffs,
     wedge,
 )
 from .plucker import (
@@ -99,6 +110,14 @@ class ChamberPoint:
     def __post_init__(self):
         _check_chamber_vector(self.rho, "chamber point")
 
+    @classmethod
+    def _unchecked(cls, rho: MultiVector) -> "ChamberPoint":
+        """The point of a rho that is a chamber vector by construction, built
+        without the checks of the public constructor; each caller says why."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "rho", rho)
+        return point
+
     @property
     def n(self) -> int:
         return self.rho.n
@@ -145,9 +164,27 @@ class SplitTriple:
             if not contains(self.eta, self.omega):
                 raise ContainmentError("eta is not contained in omega")
 
+    @classmethod
+    def _unchecked(cls, t: Fraction, eta: MultiVector | None,
+                   omega: MultiVector | None) -> "SplitTriple":
+        """A triple that is valid by construction, t a ``Fraction``, built
+        without the checks of the public constructor; each caller says why."""
+        triple = object.__new__(cls)
+        object.__setattr__(triple, "t", t)
+        object.__setattr__(triple, "eta", eta)
+        object.__setattr__(triple, "omega", omega)
+        return triple
+
 
 def split(point: ChamberPoint) -> SplitTriple:
-    """Exact decomposition rho = t * e_1 ^ eta + (1 - t) * omega."""
+    """Exact decomposition rho = t * e_1 ^ eta + (1 - t) * omega.
+
+    The triple is built unchecked: for a nonnegative decomposable rho, its
+    part with index 1 is e_1 ^ eta0, eta0 the contraction of rho by e_1,
+    and the rest is the projection of rho along e_1; both are nonnegative
+    and decomposable, supported away from index 1, eta0 is contained in the
+    rest, and dividing each by its coefficient sum normalizes it.
+    """
     rho = point.rho
     with_first = {
         key[1:]: c for key, c in rho.coeffs.items() if key and key[0] == 1
@@ -158,16 +195,21 @@ def split(point: ChamberPoint) -> SplitTriple:
     eta0 = MultiVector(rho.n, rho.k - 1, with_first) if rho.k else None
     t = eta0.coefficient_sum() if eta0 is not None else Fraction(0)
     if t == 0:
-        return SplitTriple(Fraction(0), None, rho)
+        return SplitTriple._unchecked(Fraction(0), None, rho)
     eta = eta0 / t
     if t == 1:
-        return SplitTriple(Fraction(1), eta, None)
+        return SplitTriple._unchecked(Fraction(1), eta, None)
     omega = MultiVector(rho.n, rho.k, without_first) / (1 - t)
-    return SplitTriple(t, eta, omega)
+    return SplitTriple._unchecked(t, eta, omega)
 
 
 def assemble(triple: SplitTriple) -> ChamberPoint:
-    """Exact inverse of split: rho = t * e_1 ^ eta + (1 - t) * omega."""
+    """Exact inverse of split: rho = t * e_1 ^ eta + (1 - t) * omega.
+
+    The point is built unchecked, because the triple is valid: with
+    omega = eta ^ w, rho = eta ^ (+-t e_1 + (1 - t) w) is decomposable, and
+    it is nonnegative with coefficient sum t + (1 - t) = 1.
+    """
     t = triple.t
     if t == 0:
         rho = triple.omega
@@ -175,29 +217,21 @@ def assemble(triple: SplitTriple) -> ChamberPoint:
         n = triple.eta.n
         lifted = wedge(MultiVector.basis(n, (1,)), triple.eta)
         rho = lifted * t if t == 1 else lifted * t + triple.omega * (1 - t)
-    try:
-        return ChamberPoint(rho)
-    except ValidationError as exc:  # unreachable when the triple is valid
-        raise AssertionError(f"assembled point violates invariants: {exc}")
+    return ChamberPoint._unchecked(rho)
 
 
 # ---------------------------------------------------------------------------
 # fiber frames
 
 
-def _sum_functional_frame(values):
-    """Origin and kernel directions for the affine slice sum == 1.
-
-    values are the images of the generators under the coefficient sum
-    functional.  Returns (origin coords, kernel coordinate rows) in the
-    generator basis.
-    """
-    total_sq = sum((v * v for v in values), Fraction(0))
-    if total_sq == 0:
-        raise ValidationError("the normalization functional vanishes")
-    origin = [v / total_sq for v in values]
-    kernel = linalg.kernel_basis([values], len(values))
-    return origin, kernel
+def _combine(coeffs, maps) -> dict:
+    """sum of c * map over the nonzero integers c, zeros dropped."""
+    out: dict = {}
+    for c, ints in zip(coeffs, maps):
+        if c:
+            for key, x in ints.items():
+                out[key] = out.get(key, 0) + c * x
+    return {key: x for key, x in out.items() if x}
 
 
 def _add_images(out: MultiVector, coords, images) -> MultiVector:
@@ -218,6 +252,14 @@ class FiberFrame:
     per coefficient of the grade-``grade`` images into the polytope.
     Subclasses pick the generators and the image map, and name the
     SplitTriple fields of their base and fiber elements.
+
+    The slice is solved over integers.  With the images scaled once to
+    integer maps I_j over a common denominator D, the coefficient sums are
+    v_j / D with v_j the integer sums of I_j.  The origin of the slice is
+    v_j D / |v|^2 in generator coordinates and its image sum_j v_j I_j /
+    |v|^2; the kernel rows are ``kernel_basis([v])`` (the RREF of one row is
+    unique), and the image of a row K / L with K integer is
+    sum_j K_j I_j / (L D).
     """
 
     base_part = fiber_part = None
@@ -227,26 +269,37 @@ class FiberFrame:
         self.images = [
             image(base, MultiVector.from_vector(r)) for r in generators
         ]
-        values = [img.coefficient_sum() for img in self.images]
-        origin_coords, kernel = _sum_functional_frame(values)
-        self.origin_coords = origin_coords
-        self.kernel_coords = kernel
-        self.dim = len(kernel)
-        zero = MultiVector.zero(base.n, grade)
-        origin_image = _add_images(zero, origin_coords, self.images)
-        basis_images = [_add_images(zero, kc, self.images) for kc in kernel]
-        support = sorted(
-            set(origin_image.support()).union(
-                *[img.support() for img in basis_images]
-            )
+        scaled = [integer_coeffs(img) for img in self.images]
+        den = lcm(*[d for _, d in scaled])
+        ints = [{key: c * (den // d) for key, c in m.items()} for m, d in scaled]
+        values = [sum(m.values()) for m in ints]
+        total_sq = sum(v * v for v in values)
+        if total_sq == 0:
+            raise ValidationError("the normalization functional vanishes")
+        self.origin_coords = [Fraction(v * den, total_sq) for v in values]
+        self.kernel_coords = linalg.kernel_basis([values], len(values))
+        self.dim = len(self.kernel_coords)
+        n = base.n
+        origin_image = MultiVector._of_ints(
+            n, grade, _combine(values, ints), total_sq
         )
+        basis_images = []
+        for kc in self.kernel_coords:
+            row_den = lcm(*[c.denominator for c in kc])
+            row = [c.numerator * (row_den // c.denominator) for c in kc]
+            basis_images.append(MultiVector._of_ints(
+                n, grade, _combine(row, ints), row_den * den
+            ))
+        support = sorted(
+            set(origin_image.coeffs).union(*[img.coeffs for img in basis_images])
+        )
+        zero = Fraction(0)
         constraints = []
         for key in support:
-            normal = tuple(-img.coefficient(key) for img in basis_images)
-            offset = origin_image.coefficient(key)
+            normal = tuple(-img.coeffs.get(key, zero) for img in basis_images)
             if any(normal):
-                constraints.append((normal, offset))
-        self.polytope = HPolytope(self.dim, constraints)
+                constraints.append((normal, origin_image.coeffs.get(key, zero)))
+        self.polytope = HPolytope._of_clean(self.dim, constraints)
         self._origin_image = origin_image
         self._basis_images = basis_images
         # centered coordinates: centering cancels the translation part of a
@@ -476,11 +529,15 @@ class _SimplexChart:
         return self._point_from_values(values)
 
     def _point_from_values(self, values) -> ChamberPoint:
+        # unchecked: the values are nonnegative and not all 0 (in inverse,
+        # the offsets d sum to 0, so some d > -1 / count), dividing by their
+        # total normalizes them, and every nonnegative element of grade 1 or
+        # n - 1 is decomposable
         total = sum(values, Fraction(0))
         coeffs = {
             key: v / total for key, v in zip(self.subsets, values) if v
         }
-        return ChamberPoint(MultiVector(self.n, self.k, coeffs))
+        return ChamberPoint._unchecked(MultiVector(self.n, self.k, coeffs))
 
 
 class _Side:
@@ -514,9 +571,10 @@ class _Side:
         return self.base.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
 
     def cube_of_element(self, base_el: MultiVector) -> np.ndarray:
-        return cube_of_ball(
-            np.array(self.base.forward(ChamberPoint(base_el.shift(-1))).coords)
-        )
+        # unchecked: base_el is a part of a valid split triple or a fiber
+        # element (see ``_assemble``), a chamber vector away from index 1
+        point = ChamberPoint._unchecked(base_el.shift(-1))
+        return cube_of_ball(np.array(self.base.forward(point).coords))
 
     def oracle(self, p) -> HPolytope:
         tau, z = p[0], p[1:]
@@ -557,11 +615,17 @@ class _Side:
         return self._assemble((1 + self.sign * tau) / 2, base_el, fiber_el)
 
     def _assemble(self, t, base_el, fiber_el) -> ChamberPoint:
+        # unchecked: t is in [0, 1], with the fiber element absent exactly
+        # at t = (1 + sign) / 2; base_el is a base chart point moved off
+        # index 1; the fiber element was nudged exactly into the slice
+        # polytope, so it is nonnegative with coefficient sum 1, and it is
+        # the contraction or wedge of the base by one vector of the frame's
+        # span, hence decomposable and contained in or containing the base
         parts = {
             self.frame_cls.base_part: base_el,
             self.frame_cls.fiber_part: fiber_el,
         }
-        return assemble(SplitTriple(t, **parts))
+        return assemble(SplitTriple._unchecked(t, **parts))
 
     def bottom_to(self, other: "_Side", x):
         """This side's bottom coordinates -> the other side's.

@@ -6,19 +6,25 @@ points and over the interior of the bottom face {0} x [-1,1]^(nb-1).  Such a
 body is homeomorphic to a closed half-ball with bottom going to bottom; two
 of them glued along their bottoms give a closed ball.
 
-Polytope data is exact rational.  Vertex enumeration, the boundedness check
-and the planar centroid compute over integer rows (each constraint or point
-scaled by a positive integer) and emit ``Fraction`` results; the half-ball
-and ball maps emit floats with explicit tolerances.  No linear program
-runs: boundedness is an exact extreme-ray check on the integer constraint
-normals, and the joined body (the union of segments from the bottom
-center's fiber to the fibers over the distinguished boundary) is never
-built as a polytope.  Its exit times and radial functions are closed forms
-in the support functions of the two fibers it joins.  The exit time is
-still rounded to a dyadic within ``EXIT_TOL`` (see ``_Ray.exit_scale``).
-The maps center fibers with ``centroid`` and ``centered``, which cache on
-the polytope; ``translated`` and ``scaled`` carry the vertex and centroid
-caches over, so a fiber centered once is never centered again.
+Polytope data is exact rational.  Vertex enumeration, the boundedness check,
+the planar centroid and the support function compute over integer rows
+(each constraint or point scaled by a positive integer) and emit
+``Fraction`` results, and ``rationalize`` runs its continued fraction for a
+float over integers; the half-ball and ball maps emit floats with explicit
+tolerances.  The centroid of an interval is the midpoint of its two bounds,
+read off the constraints, and its vertices stay unenumerated until asked
+for.  No linear program runs: boundedness is an exact extreme-ray check on
+the integer constraint normals, and the joined body (the union of segments
+from the bottom center's fiber to the fibers over the distinguished
+boundary) is never built as a polytope.  Its exit times and radial
+functions are closed forms in the support functions of the two fibers it
+joins.  The exit time is still rounded to a dyadic within ``EXIT_TOL`` (see
+``_Ray.exit_scale``).  The maps center fibers with ``centroid`` and
+``centered``, which cache on the polytope; ``translated`` and ``scaled``
+carry the vertex and centroid caches over, so a fiber centered once is never
+centered again.  Those copies keep the normals, already checked, so they
+are built unchecked; the public ``HPolytope`` constructor checks and
+converts every constraint.
 """
 
 from __future__ import annotations
@@ -82,7 +88,37 @@ def rationalize(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        return _limit_float(value)
     return Fraction(value).limit_denominator(RATIONALIZE_DEN)
+
+
+def _limit_float(value: float) -> Fraction:
+    """``Fraction(value).limit_denominator(RATIONALIZE_DEN)`` over integers.
+
+    The same continued fraction of ``value.as_integer_ratio()`` as the
+    standard library's, whose last convergent p1 / q1 and semiconvergent
+    p / q bracket the value; the closer one is picked by cross-multiplying
+    instead of subtracting ``Fraction``s, with the convergent on a tie.
+    """
+    num, den = value.as_integer_ratio()
+    if den <= RATIONALIZE_DEN:
+        return Fraction(num, den)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > RATIONALIZE_DEN:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (RATIONALIZE_DEN - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    # |p1 / q1 - x| <= |p / q - x| with x = num / den, times q1 q den > 0
+    if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p, q)
 
 
 def rationalize_point(point) -> tuple[Fraction, ...]:
@@ -124,14 +160,27 @@ class HPolytope:
             for normal, offset in self.constraints
         )
 
+    @classmethod
+    def _of_clean(cls, dim: int, constraints: Sequence) -> "HPolytope":
+        """The polytope of constraints that are already clean: nonzero
+        normals of length ``dim`` and offsets, all ``Fraction``.  Nothing is
+        checked or converted; the public constructor does both."""
+        poly = cls.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "constraints", tuple(constraints))
+        object.__setattr__(poly, "_cache", {})
+        return poly
+
     def _moved(self, constraints, move) -> "HPolytope":
         """Image under ``move``, with the same normals in the same order, so
         cached vertices (in their order) and centroid carry over, moved.
 
-        Moved vertices are de-duplicated: a shift or a positive scale keeps
-        them distinct, and scaling by 0 sends them all to the origin, which
-        is the one vertex of the point polytope."""
-        out = HPolytope(self.dim, constraints)
+        The normals are this polytope's, already clean, and the offsets
+        ``Fraction``s, so the copy is built unchecked.  Moved vertices are
+        de-duplicated: a shift or a positive scale keeps them distinct, and
+        scaling by 0 sends them all to the origin, which is the one vertex of
+        the point polytope."""
+        out = HPolytope._of_clean(self.dim, constraints)
         if "vertices" in self._cache:
             out._cache["vertices"] = list(
                 dict.fromkeys(move(v) for v in self._cache["vertices"])
@@ -402,7 +451,33 @@ def centered(poly: HPolytope) -> HPolytope:
     return poly._cache["centered"]
 
 
+def _interval_midpoint(poly: HPolytope) -> tuple[Fraction] | None:
+    """((lo + hi) / 2,) for the interval {y : a y <= b for every row}, or
+    None if it is unbounded or empty.
+
+    lo is the largest b / a over the rows with a < 0 and hi the smallest
+    over those with a > 0; the vertices are never enumerated.
+    """
+    lo = hi = None
+    for (a,), b in poly.constraints:
+        x = b / a
+        if a < 0:
+            if lo is None or x > lo:
+                lo = x
+        elif hi is None or x < hi:
+            hi = x
+    if lo is None or hi is None or lo > hi:
+        return None
+    return ((lo + hi) / 2,)
+
+
 def _hull_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
+    if poly.dim == 1:
+        # closed form; unbounded and empty intervals go on below, so that
+        # ``vertices`` raises the same errors as in every other dimension
+        mid = _interval_midpoint(poly)
+        if mid is not None:
+            return mid
     verts = vertices(poly)
     if not verts:
         raise DegenerateError("empty polytope")
@@ -510,14 +585,26 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
 
 
 def _support(poly: HPolytope, u) -> Fraction:
-    """Support function h(u) = max of u . v over the vertices, cached per u."""
+    """Support function h(u) = max of u . v over the vertices, cached per u.
+
+    Over integers: with the vertices scaled to integer points X / D once
+    (``_integer_points``, cached; ``_moved`` does not carry it) and
+    u = U content / den_u with U a primitive integer row, h(u) is
+    max U . X times content / (den_u D).
+    """
     table = poly._cache.setdefault("support", {})
     h = table.get(u)
     if h is None:
-        verts = vertices(poly)
-        if not verts:
-            raise DegenerateError("empty polytope")
-        h = table[u] = max(linalg.dot(u, v) for v in verts)
+        points = poly._cache.get("integer vertices")
+        if points is None:
+            verts = vertices(poly)
+            if not verts:
+                raise DegenerateError("empty polytope")
+            points = poly._cache["integer vertices"] = _integer_points(verts)
+        ints, den = points
+        row, row_den, content = linalg.integer_row(u)
+        best = max(sum(map(operator.mul, row, x)) for x in ints)
+        h = table[u] = Fraction(best * content, row_den * den)
     return h
 
 

@@ -2,15 +2,19 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from grassball import lp
+from grassball import convexoid, linalg, lp
 from grassball.chamber import (
+    BallChart,
     ChamberPoint,
     ContainmentError,
     EFiberFrame,
     FFiberFrame,
+    FiberFrame,
     SplitTriple,
     ValidationError,
     assemble,
@@ -21,9 +25,20 @@ from grassball.chamber import (
     nudge_into,
     split,
 )
-from grassball.convexoid import vertices
-from grassball.exterior import MultiVector, classify_sign, normalize, wedge
-from grassball.plucker import PlaneMatrix, contains, plucker_of_matrix
+from grassball.convexoid import HPolytope, vertices
+from grassball.exterior import (
+    MultiVector,
+    classify_sign,
+    contract,
+    normalize,
+    wedge,
+)
+from grassball.plucker import (
+    PlaneMatrix,
+    contains,
+    plucker_of_matrix,
+    spanning_vectors,
+)
 from grassball.sampling import (
     random_nonneg_point,
     random_positive_point,
@@ -259,7 +274,199 @@ def test_nudge_into_pulls_points_inside():
 
 
 def test_fiber_validation_errors():
-    with pytest.raises(Exception):
+    with pytest.raises(
+        ValidationError, match=r"^omega must be supported on indices 2\.\.n$"
+    ) as info:
         e_fiber(MultiVector.basis(4, (1, 2)))  # touches index 1
-    with pytest.raises(Exception):
+    assert type(info.value) is ValidationError
+    with pytest.raises(ValueError, match="^multivector is not normalized$") \
+            as info:
         f_fiber(MultiVector(4, 1, {(2,): 2}))  # not normalized
+    assert type(info.value) is ValueError
+    with pytest.raises(
+        ValidationError, match="^the normalization functional vanishes$"
+    ) as info:
+        FiberFrame(MultiVector.basis(4, (2, 3)), [], contract, 1)
+    assert type(info.value) is ValidationError
+
+
+# -- integer frames against their Fraction form --------------------------------------
+# ``FiberFrame.__init__`` solves the normalization slice over integers.  The
+# oracle below is its Fraction form, kept as the reference: the origin and
+# kernel of the slice sum == 1, the images built by Fraction multivector
+# arithmetic, a checked ``HPolytope``, and the centroid through vertex
+# enumeration and the barycenter, with the centered copy carrying the
+# translated vertices.  Every comparison is on ``repr``.
+
+
+def reference_frame(frame_cls, base):
+    """repr of every attribute of the frame over base, or the error raised."""
+    try:
+        return _reference_frame(frame_cls, base)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_frame(frame_cls, base):
+    if frame_cls is EFiberFrame:
+        generators, image, grade = (
+            spanning_vectors(base).rows, contract, base.k - 1
+        )
+    else:
+        n = base.n
+        plane = spanning_vectors(base).rows if base.k else []
+        first = tuple(Fraction(int(i == 0)) for i in range(n))
+        generators = linalg.kernel_basis(list(plane) + [first], n)
+        image, grade = wedge, base.k + 1
+    images = [image(base, MultiVector.from_vector(r)) for r in generators]
+    values = [img.coefficient_sum() for img in images]
+    total_sq = sum((v * v for v in values), Fraction(0))
+    if total_sq == 0:
+        raise ValidationError("the normalization functional vanishes")
+    origin = [v / total_sq for v in values]
+    kernel = linalg.kernel_basis([values], len(values))
+    zero = MultiVector.zero(base.n, grade)
+
+    def combine(coords):
+        out = zero
+        for c, img in zip(coords, images):
+            if c:
+                out = out + img * c
+        return out
+
+    origin_image = combine(origin)
+    basis_images = [combine(kc) for kc in kernel]
+    support = sorted(set(origin_image.support()).union(
+        *[img.support() for img in basis_images]))
+    constraints = []
+    for key in support:
+        normal = tuple(-img.coefficient(key) for img in basis_images)
+        if any(normal):
+            constraints.append((normal, origin_image.coefficient(key)))
+    dim = len(kernel)
+    poly = HPolytope(dim, constraints)
+    verts = vertices(poly)
+    center = reference_centroid(poly, verts)
+    shifted = [
+        (n, o - sum((a * c for a, c in zip(n, center)), Fraction(0)))
+        for n, o in constraints
+    ]
+    moved = [tuple(x - c for x, c in zip(v, center)) for v in verts]
+    return {
+        "images": repr(images),
+        "origin_coords": repr(origin),
+        "kernel_coords": repr(kernel),
+        "dim": repr(dim),
+        "polytope": repr((poly.dim, poly.constraints)),
+        "center": repr(center),
+        "centered_polytope": repr((dim, HPolytope(dim, shifted).constraints)),
+        "centered_vertices": repr(moved),
+        "_origin_image": repr(origin_image),
+        "_basis_images": repr(basis_images),
+    }
+
+
+def reference_centroid(poly, verts):
+    """The hull centroid through the vertices: a point, the midpoint of an
+    interval, the barycenter of a full body, or the centroid of a flat one
+    in an orthogonal frame of its span."""
+    if not verts:
+        raise convexoid.DegenerateError("empty polytope")
+    if poly.dim == 0 or len(verts) == 1:
+        return verts[0]
+    base = verts[0]
+    diffs = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
+    frame = linalg.orthogonalize(diffs)
+    if len(frame) == poly.dim:
+        return convexoid.barycenter(poly)
+    coords = [
+        tuple(linalg.dot(d, f) / linalg.dot(f, f) for f in frame)
+        for d in [(Fraction(0),) * poly.dim] + diffs
+    ]
+    if len(frame) == 1:
+        mid = ((min(coords)[0] + max(coords)[0]) / 2,)
+    else:
+        mid = convexoid._polygon_centroid(coords)
+    return tuple(
+        b + sum((c * f[i] for c, f in zip(mid, frame)), Fraction(0))
+        for i, b in enumerate(base)
+    )
+
+
+def frame_state(frame_cls, base):
+    try:
+        frame = frame_cls(base)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return {
+        "images": repr(frame.images),
+        "origin_coords": repr(frame.origin_coords),
+        "kernel_coords": repr(frame.kernel_coords),
+        "dim": repr(frame.dim),
+        "polytope": repr((frame.polytope.dim, frame.polytope.constraints)),
+        "center": repr(frame.center),
+        "centered_polytope": repr(
+            (frame.centered_polytope.dim, frame.centered_polytope.constraints)
+        ),
+        "centered_vertices": repr(vertices(frame.centered_polytope)),
+        "_origin_image": repr(frame._origin_image),
+        "_basis_images": repr(frame._basis_images),
+    }
+
+
+def frame_bases(triples):
+    """(frame class, base) for each part of the triples, de-duplicated."""
+    bases = {}
+    for s in triples:
+        if s.omega is not None:
+            bases[(EFiberFrame, s.omega)] = None
+        if s.eta is not None:
+            bases[(FFiberFrame, s.eta)] = None
+    return list(bases)
+
+
+def chart_frame_bases(k, n, samples, ball_points, seed):
+    """Bases of every frame a fresh (k, n) chart builds on chamber samples
+    (forward and inverse) and on random ball points (inverse)."""
+    chart = BallChart(k, n)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        chart.inverse(chart.forward(random_nonneg_point(rng, k, n)))
+    nrng = np.random.default_rng(seed)
+    for _ in range(ball_points):
+        g = nrng.normal(size=chart.dim)
+        chart.inverse(g / np.linalg.norm(g) * nrng.uniform(0, 0.95))
+    return [(EFiberFrame, b) for b in chart._e.frames] + [
+        (FFiberFrame, b) for b in chart._f.frames
+    ]
+
+
+def coordinate_bases(k, n):
+    return frame_bases(
+        split(ChamberPoint(MultiVector.basis(n, key)))
+        for key in combinations(range(1, n + 1), k)
+    )
+
+
+def test_integer_frames_match_fraction_oracle_on_the_g24_chart():
+    bases = chart_frame_bases(2, 4, 40, 40, 61) + coordinate_bases(2, 4)
+    assert len(bases) >= 100
+    dims = set()
+    for frame_cls, base in bases:
+        got = frame_state(frame_cls, base)
+        assert got == reference_frame(frame_cls, base), (frame_cls, base)
+        dims.add(got["dim"] if isinstance(got, dict) else got)
+    assert dims == {"1"}, dims
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 5)])
+def test_integer_frames_match_fraction_oracle_with_2d_fibers(k, n):
+    rng = random.Random(62 + n + k)
+    triples = [split(random_positive_point(rng, k, n)) for _ in range(6)]
+    triples += [split(random_nonneg_point(rng, k, n)) for _ in range(10)]
+    dims = set()
+    for frame_cls, base in frame_bases(triples) + coordinate_bases(k, n):
+        got = frame_state(frame_cls, base)
+        assert got == reference_frame(frame_cls, base), (frame_cls, base)
+        dims.add(got["dim"] if isinstance(got, dict) else got)
+    assert "2" in dims, dims

@@ -1,5 +1,6 @@
 """Ball charts: simplex leaves, the recursive glued chart, and round trips."""
 
+import collections
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -291,3 +292,66 @@ def test_chart_rejects_wrong_chamber():
     chart = get_chart(2, 4)
     with pytest.raises(ValidationError):
         chart.forward(ChamberPoint(MultiVector.basis(5, (1, 2))))
+
+
+# -- points the chart builds unchecked -----------------------------------------------
+# split, assemble, the simplex leaves and the sides build their chamber points
+# and split triples without the checks of the public constructors, because
+# the construction guarantees them.  Here the public constructors re-check
+# every one.
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5)])
+def test_split_and_assemble_outputs_pass_the_public_checks(k, n):
+    rng = random.Random(41 + n + k)
+    for _ in range(30):
+        point = random_nonneg_point(rng, k, n)
+        s = split(point)
+        assert SplitTriple(s.t, s.eta, s.omega) == s
+        assert type(s.t) is Fraction
+        back = assemble(s)
+        assert ChamberPoint(back.rho) == back == point
+
+
+def ball_samples(rng, dim, count):
+    out = []
+    for _ in range(count):
+        g = rng.normal(size=dim)
+        out.append(g / np.linalg.norm(g) * rng.uniform(0, 0.98))
+    return out
+
+
+@pytest.mark.parametrize("k, n, samples, ball_points",
+                         [(1, 4, 0, 20), (3, 4, 0, 20), (2, 4, 20, 20),
+                          (2, 5, 3, 6)])
+def test_chart_inverse_outputs_pass_the_public_checks(monkeypatch, k, n,
+                                                      samples, ball_points):
+    """Every point and triple built unchecked on the way, in the simplex
+    leaves and on both sides of the recursion, goes through the checking
+    constructor instead, and the chart's results are unchanged."""
+    built = collections.Counter()
+
+    def checked_point(cls, rho):
+        built["point"] += 1
+        return ChamberPoint(rho)
+
+    def checked_triple(cls, t, eta, omega):
+        built["triple"] += 1
+        return SplitTriple(t, eta, omega)
+
+    chart = get_chart(k, n)
+    rng = random.Random(42 + n + k)
+    points = [random_nonneg_point(rng, k, n) for _ in range(samples)]
+    balls = ball_samples(np.random.default_rng(42 + n + k), chart.dim,
+                         ball_points)
+    plain = [chart.inverse(chart.forward(p)) for p in points]
+    plain += [chart.inverse(b) for b in balls]
+    monkeypatch.setattr(ChamberPoint, "_unchecked", classmethod(checked_point))
+    monkeypatch.setattr(SplitTriple, "_unchecked", classmethod(checked_triple))
+    checked = [chart.inverse(chart.forward(p)) for p in points]
+    checked += [chart.inverse(b) for b in balls]
+    assert checked == plain
+    assert all(ChamberPoint(p.rho) == p for p in checked)
+    assert built["point"] >= samples + ball_points
+    if k not in (1, n - 1):
+        assert built["triple"] >= samples + ball_points

@@ -1,6 +1,7 @@
 """Polytope primitives and the half-ball / gluing maps."""
 
 import collections
+import decimal
 import itertools
 import math
 import random
@@ -1255,3 +1256,147 @@ def test_integer_vertices_keep_order_and_exact_values():
         ((F(2),), F(2)), ((F(-1, 3),), F(0)), ((F(1),), F(1)), ((F(-4),), F(0)),
     ])
     assert vertices(proportional) == [(F(1),), (F(0),)]
+
+
+# -- integer rationalize, support and interval centroid against Fraction forms -------
+
+
+def float_samples(rng):
+    """Floats of many magnitudes and both signs, dyadics, subnormals, +-0.0,
+    floats with small denominators, and numpy float64s."""
+    out = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-12,
+           0.5 + 1e-13, 1 / 3, -2 / 7, 1e12 + 0.5, 2.0 ** 52 + 1, 1.7976931348623157e308]
+    for _ in range(6000):
+        out.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-15, 15))
+    for _ in range(3000):
+        out.append(rng.uniform(-2, 2))
+    for _ in range(3000):
+        out.append(rng.randint(-2**20, 2**20) / 2.0 ** rng.randint(0, 60))
+    for _ in range(2000):
+        out.append(rng.randint(1, 2**30) * 5e-324 * rng.choice((1, -1)))
+    for _ in range(3000):
+        out.append(rng.randint(-10**6, 10**6) / rng.randint(1, 10**7))
+    for _ in range(3000):
+        out.append(np.float64(rng.gauss(0, 1)))
+    return out
+
+
+def rationalize_outcome(fn, value):
+    try:
+        return repr(fn(value))
+    except (ValueError, OverflowError, TypeError) as exc:
+        return type(exc).__name__
+
+
+def stdlib_rationalize(value):
+    return Fraction(value).limit_denominator(convexoid.RATIONALIZE_DEN)
+
+
+def test_rationalize_floats_match_limit_denominator():
+    values = float_samples(random.Random(91))
+    assert len(values) >= 20000
+    assert any(type(v) is np.float64 for v in values)
+    for v in values:
+        got = rationalize(v)
+        assert type(got) is F
+        assert got == stdlib_rationalize(v), v
+    for v in (float("nan"), float("inf"), float("-inf"), np.float64("nan"),
+              np.float64("-inf")):
+        assert rationalize_outcome(rationalize, v) == \
+            rationalize_outcome(stdlib_rationalize, v)
+    assert rationalize_outcome(rationalize, float("nan")) == "ValueError"
+    assert rationalize_outcome(rationalize, float("inf")) == "OverflowError"
+    # inputs that are not floats keep the Fraction path
+    for v in (decimal.Decimal("0.1234567890123456789"),
+              "0.3333333333333333333", np.float32(0.1)):
+        assert rationalize_outcome(rationalize, v) == \
+            rationalize_outcome(stdlib_rationalize, v)
+    assert rationalize(F(7, 3)) == F(7, 3) and rationalize(5) == F(5)
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 10, 1000])
+def test_rationalize_tie_rule_matches_the_stdlib(monkeypatch, den):
+    """With a small denominator bound, midpoints between the two candidate
+    bounds are floats, and the stdlib keeps the convergent on a tie."""
+    monkeypatch.setattr(convexoid, "RATIONALIZE_DEN", den)
+    rng = random.Random(92 + den)
+    values = [k / 2 ** m for m in range(1, 12) for k in range(-40, 41)]
+    values += [rng.uniform(-5, 5) for _ in range(2000)]
+    for v in values:
+        assert rationalize(v) == Fraction(v).limit_denominator(den), v
+    if den == 1:
+        assert rationalize(0.5) == F(0) and rationalize(-1.5) == F(-2)
+
+
+def test_support_matches_fraction_max_dot():
+    rng = random.Random(93)
+    checked = collections.Counter()
+    for dim in (1, 2, 3):
+        for _ in range(150):
+            poly = random_polytope(rng, dim)
+            try:
+                verts = reference_vertices(poly)
+            except UnboundedError:
+                continue
+            us = [random_normal(rng, dim) for _ in range(4)]
+            us += [n for n, _ in poly.constraints[:2]]
+            us.append(tuple(rng.randint(-3, 3) for _ in range(dim)))
+            for u in us:
+                if not verts:
+                    with pytest.raises(DegenerateError, match="empty polytope"):
+                        convexoid._support(poly, u)
+                    checked["empty"] += 1
+                    continue
+                want = max(dot(u, v) for v in verts)
+                got = convexoid._support(poly, u)
+                assert type(got) is F and got == want
+                checked["bounded"] += 1
+            if verts:
+                shift = (F(rng.randint(1, 5), rng.randint(1, 4)),) + tuple(
+                    F(rng.randint(-5, 5), rng.randint(1, 4))
+                    for _ in range(dim - 1))
+                moved = poly.translated(shift)
+                assert "integer vertices" in poly._cache
+                assert "integer vertices" not in moved._cache
+                for u in us:
+                    assert convexoid._support(moved, u) == max(
+                        dot(u, tuple(a + b for a, b in zip(v, shift)))
+                        for v in verts)
+    assert checked["bounded"] > 500 and checked["empty"] > 0, checked
+
+
+def test_interval_centroid_in_closed_form():
+    """The midpoint of an interval without its vertices, equal to the
+    vertex path on points, with empty and unbounded intervals raising the
+    same errors."""
+    cases = {
+        "interval": [((F(2),), F(3)), ((F(-1, 3),), F(1, 5)),
+                     ((F(1),), F(7))],
+        "point": [((F(1),), F(2, 3)), ((F(-3),), F(-2))],
+        "proportional": [((F(2),), F(2)), ((F(-1, 3),), F(0)),
+                         ((F(1),), F(1)), ((F(-4),), F(0))],
+        "empty": [((F(1),), F(0)), ((F(-1),), F(-1, 2))],
+        "above only": [((F(1),), F(1)), ((F(2),), F(5))],
+        "below only": [((F(-1),), F(1))],
+        "no rows": [],
+    }
+    expected = {
+        "interval": F(9, 20),  # [-3/5, 3/2]
+        "point": F(2, 3),
+        "proportional": F(1, 2),
+    }
+    unbounded = ("above only", "below only", "no rows")
+    for name, cons in cases.items():
+        poly = HPolytope(1, cons)
+        want = "UnboundedError" if name in unbounded else polytope_outcome(
+            reference_hull_centroid, poly, reference_vertices(poly))
+        assert polytope_outcome(centroid, poly) == want, name
+        if name in expected:
+            assert centroid(poly) == (expected[name],)
+            assert "vertices" not in poly._cache  # the vertices stay lazy
+            # a fresh enumeration on the centered copy gives the carried order
+            moved = [tuple(x - c for x, c in zip(v, centroid(poly)))
+                     for v in reference_vertices(poly)]
+            assert vertices(centered(poly)) == moved
+    assert polytope_outcome(centroid, HPolytope(1, cases["empty"])) == \
+        "DegenerateError"
