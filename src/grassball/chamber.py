@@ -12,14 +12,18 @@ base element, whose generators and image map are picked by ``EFiberFrame``
 halves along t = 1/2 yields a chart onto the closed ball of dimension
 k(n-k), evaluated numerically.
 
-A frame solves its normalization slice over integers: the generator images
-are scaled once to integer coefficient maps over a common denominator, and
-``Fraction`` objects are built only for the frame's coordinates, images and
-constraints.  The public constructors ``ChamberPoint`` and ``SplitTriple``
-check every invariant of their input.  The points and triples the chart
-builds itself (in ``split``, ``assemble``, the simplex leaves and the two
-sides) satisfy those invariants by construction, so they are built with
-private unchecked constructors, and each such site says why.
+A frame is one integer affine map from centered slice coordinates to fiber
+elements: the generator images are scaled once to integer coefficient maps
+over a common denominator, an element is one integer combination of them,
+and its centered point is one exact solve against them.  A side takes the
+base chart's ball coordinates to its cube and back by
+``convexoid.regauge``.
+
+The public constructors ``ChamberPoint`` and ``SplitTriple`` check every
+invariant of their input.  The points and triples the chart builds itself
+(in ``split``, ``assemble``, the simplex leaves and the two sides) satisfy
+those invariants by construction, so they are built with private unchecked
+constructors, and each such site says why.
 """
 
 from __future__ import annotations
@@ -37,10 +41,14 @@ from .convexoid import (
     DomainError,
     GluedBallMap,
     HPolytope,
+    NORM_SLACK,
     centered,
     centroid,
+    norm_gauge,
     rationalize,
     rationalize_point,
+    regauge,
+    sup_gauge,
     vertices,
 )
 from .exterior import (
@@ -80,7 +88,6 @@ __all__ = [
 ]
 
 DEGENERATE_EPS = Fraction(1, 10**9)
-NORM_SLACK = 1e-9
 
 
 class ValidationError(ValueError):
@@ -224,72 +231,53 @@ def assemble(triple: SplitTriple) -> ChamberPoint:
 # fiber frames
 
 
-def _combine(coeffs, maps) -> dict:
-    """sum of c * map over the nonzero integers c, zeros dropped."""
-    out: dict = {}
-    for c, ints in zip(coeffs, maps):
-        if c:
-            for key, x in ints.items():
-                out[key] = out.get(key, 0) + c * x
-    return {key: x for key, x in out.items() if x}
-
-
-def _add_images(out: MultiVector, coords, images) -> MultiVector:
-    """out + sum of c * image over the nonzero coords c."""
-    for c, img in zip(coords, images):
-        if c:
-            out = out + img * c
-    return out
-
-
 class FiberFrame:
-    """Normalized fiber over a base element, as a polytope in slice coords.
+    """Normalized fiber over a base element, as a polytope in centered coords.
 
     The fiber elements are the images ``image(base, g)`` of the linear span
     of ``generators`` (vectors of R^n) that have coefficient sum 1 and are
-    nonnegative.  The frame solves the normalization slice exactly, takes
-    coordinates along its kernel, and collects one nonnegativity inequality
-    per coefficient of the grade-``grade`` images into the polytope.
+    nonnegative.  The frame is one integer affine map from centered slice
+    coordinates to those elements, and ``polytope`` collects one
+    nonnegativity inequality per coefficient of the grade-``grade`` images.
     Subclasses pick the generators and the image map, and name the
     SplitTriple fields of their base and fiber elements.
 
-    The slice is solved over integers.  With the images scaled once to
-    integer maps I_j over a common denominator D, the coefficient sums are
-    v_j / D with v_j the integer sums of I_j.  The origin of the slice is
-    v_j D / |v|^2 in generator coordinates and its image sum_j v_j I_j /
-    |v|^2; the kernel rows are ``kernel_basis([v])`` (the RREF of one row is
-    unique), and the image of a row K / L with K integer is
-    sum_j K_j I_j / (L D).
+    The generator images are scaled once to integer maps I_j over one
+    denominator D, so the element of generator coordinates x is
+    sum_j x_j I_j / D, with coefficient sum v . x / D for the integer sums
+    v_j of the I_j.  The slice v . x = D has its origin at v D / |v|^2 and
+    its coordinates along ``kernel_basis([v])``, whose row for each free
+    column f (every column but the first with v_j != 0) is 1 at f.  The
+    slice origin x0 is kept in generator coordinates with the fiber's
+    centroid folded in, so a centered point yc is x = x0 + sum_i yc_i K_i,
+    and the centered point of x is read off its free columns.
     """
 
     base_part = fiber_part = None
 
     def __init__(self, base: MultiVector, generators, image, grade: int):
         self.base = base
-        self.images = [
-            image(base, MultiVector.from_vector(r)) for r in generators
+        scaled = [
+            integer_coeffs(image(base, MultiVector.from_vector(r)))
+            for r in generators
         ]
-        scaled = [integer_coeffs(img) for img in self.images]
-        den = lcm(*[d for _, d in scaled])
-        ints = [{key: c * (den // d) for key, c in m.items()} for m, d in scaled]
-        values = [sum(m.values()) for m in ints]
+        self._den = lcm(*[d for _, d in scaled])
+        self._ints = [
+            {key: c * (self._den // d) for key, c in m.items()}
+            for m, d in scaled
+        ]
+        self._grade = grade
+        values = [sum(m.values()) for m in self._ints]
         total_sq = sum(v * v for v in values)
         if total_sq == 0:
             raise ValidationError("the normalization functional vanishes")
-        self.origin_coords = [Fraction(v * den, total_sq) for v in values]
-        self.kernel_coords = linalg.kernel_basis([values], len(values))
-        self.dim = len(self.kernel_coords)
-        n = base.n
-        origin_image = MultiVector._of_ints(
-            n, grade, _combine(values, ints), total_sq
-        )
-        basis_images = []
-        for kc in self.kernel_coords:
-            row_den = lcm(*[c.denominator for c in kc])
-            row = [c.numerator * (row_den // c.denominator) for c in kc]
-            basis_images.append(MultiVector._of_ints(
-                n, grade, _combine(row, ints), row_den * den
-            ))
+        origin = [Fraction(v * self._den, total_sq) for v in values]
+        self._kernel = linalg.kernel_basis([values], len(values))
+        pivot = next(j for j, v in enumerate(values) if v)
+        self._free = [j for j in range(len(values)) if j != pivot]
+        self.dim = len(self._kernel)
+        origin_image = self._element(origin)
+        basis_images = [self._element(kc) for kc in self._kernel]
         support = sorted(
             set(origin_image.coeffs).union(*[img.coeffs for img in basis_images])
         )
@@ -300,8 +288,6 @@ class FiberFrame:
             if any(normal):
                 constraints.append((normal, origin_image.coeffs.get(key, zero)))
         self.polytope = HPolytope._of_clean(self.dim, constraints)
-        self._origin_image = origin_image
-        self._basis_images = basis_images
         # centered coordinates: centering cancels the translation part of a
         # frame jump across support strata, but not all of it.  When a
         # Plucker coordinate hits exactly 0, spanning_vectors picks other
@@ -310,44 +296,50 @@ class FiberFrame:
         # only here; ``_Side.oracle`` scales them with their centroid cached.
         self.center = centroid(self.polytope)
         self.centered_polytope = centered(self.polytope)
+        self._x0 = self._generator_coords(origin, self.center)
 
-    def element_of_point(self, y: Sequence) -> MultiVector:
-        return _add_images(self._origin_image, y, self._basis_images)
+    def _generator_coords(self, x, y) -> list[Fraction]:
+        """x + sum_i y_i K_i: the slice point y from x, in generator coords."""
+        return [
+            o + sum((c * kc[j] for c, kc in zip(y, self._kernel)), Fraction(0))
+            for j, o in enumerate(x)
+        ]
+
+    def _element(self, x) -> MultiVector:
+        """sum_j x_j I_j / D, as one integer combination over L D, with L
+        the lcm of the denominators of x."""
+        scale = lcm(*[c.denominator for c in x])
+        out: dict = {}
+        for c, ints in zip(x, self._ints):
+            c = c.numerator * (scale // c.denominator)
+            if c:
+                for key, a in ints.items():
+                    out[key] = out.get(key, 0) + c * a
+        return MultiVector._of_ints(
+            self.base.n, self._grade, {key: a for key, a in out.items() if a},
+            scale * self._den,
+        )
 
     def element_of_centered(self, yc: Sequence) -> MultiVector:
-        return self.element_of_point(
-            tuple(v + c for v, c in zip(yc, self.center))
-        )
+        return self._element(self._generator_coords(self._x0, yc))
 
     def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
-        return tuple(
-            v - c for v, c in zip(self.point_of_element(element), self.center)
+        # the solution is unique: contraction by a vector of omega's plane
+        # and wedging eta with a vector of the complement are injective
+        keys = sorted(set(element.coeffs).union(*self._ints))
+        x = linalg.solve(
+            [[ints.get(key, 0) for ints in self._ints] for key in keys],
+            [self._den * element.coefficient(key) for key in keys],
         )
-
-    def point_of_element(self, element: MultiVector) -> tuple[Fraction, ...]:
-        keys = sorted(
-            set().union(
-                *[img.support() for img in self.images], element.support()
-            )
-        )
-        columns = [[img.coefficient(key) for img in self.images] for key in keys]
-        target = [element.coefficient(key) for key in keys]
-        coords = linalg.solve(columns, target)
-        if coords is None:
+        if x is None:
             raise ValidationError(
                 f"{self.fiber_part} is not contained in the fiber family"
             )
-        rel = [c - o for c, o in zip(coords, self.origin_coords)]
-        kernel_cols = [
-            [kc[i] for kc in self.kernel_coords]
-            for i in range(len(self.images))
-        ]
-        y = linalg.solve(kernel_cols, rel)
-        if y is None:
+        if element.coefficient_sum() != 1:
             raise ValidationError(
                 f"{self.fiber_part} does not lie on the normalized slice"
             )
-        return tuple(y)
+        return tuple(x[f] - self._x0[f] for f in self._free)
 
 
 class EFiberFrame(FiberFrame):
@@ -451,29 +443,8 @@ class ChartPoint:
     def __setattr__(self, name, value):
         raise AttributeError("ChartPoint is immutable")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
     def __repr__(self):
         return f"ChartPoint({list(self.coords)})"
-
-
-def cube_of_ball(x: np.ndarray) -> np.ndarray:
-    """Radial rescale of the unit ball onto the unit sup-norm cube."""
-    x = np.asarray(x, dtype=float)
-    sup = float(np.max(np.abs(x))) if x.size else 0.0
-    if sup < 1e-300:
-        return np.zeros_like(x)
-    return x * (float(np.linalg.norm(x)) / sup)
-
-
-def ball_of_cube(z: np.ndarray) -> np.ndarray:
-    """Inverse radial rescale of the cube onto the ball."""
-    z = np.asarray(z, dtype=float)
-    norm = float(np.linalg.norm(z))
-    if norm < 1e-300:
-        return np.zeros_like(z)
-    return z * (float(np.max(np.abs(z))) / norm)
 
 
 class _SimplexChart:
@@ -567,14 +538,15 @@ class _Side:
         return frame
 
     def element_of_cube(self, z) -> MultiVector:
-        ball = ball_of_cube(np.array([float(v) for v in z]))
+        ball = regauge(np.array([float(v) for v in z]), sup_gauge, norm_gauge)
         return self.base.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
 
     def cube_of_element(self, base_el: MultiVector) -> np.ndarray:
         # unchecked: base_el is a part of a valid split triple or a fiber
         # element (see ``_assemble``), a chamber vector away from index 1
         point = ChamberPoint._unchecked(base_el.shift(-1))
-        return cube_of_ball(np.array(self.base.forward(point).coords))
+        coords = np.array(self.base.forward(point).coords)
+        return regauge(coords, norm_gauge, sup_gauge)
 
     def oracle(self, p) -> HPolytope:
         tau, z = p[0], p[1:]

@@ -25,6 +25,27 @@ carry the vertex and centroid caches over, so a fiber centered once is never
 centered again.  Those copies keep the normals, already checked, so they
 are built unchecked; the public ``HPolytope`` constructor checks and
 converts every constraint.
+
+The numeric layer's radial rescales (ball and cube, half-ball and
+half-cylinder, long cylinder and ball) are one map, ``regauge``, between
+the unit bodies of two gauges.  The tolerances that remain:
+
+- ``EXIT_TOL`` (1e-10, exact): exit times are rounded to a dyadic within it.
+- ``SLACK`` (1e-9, exact): how far outside the base cube or its fiber a
+  point given to ``HalfBallMap.forward`` may lie, how far beyond norm 1 or
+  below height 0 a half-ball point may lie, and the stand-in for a radial
+  function that is 0.
+- ``NORM_SLACK`` (1e-9, float): how far beyond norm 1 a ball or chart point
+  may lie; ``chamber`` and the CLI checks use it too.
+- ``GLUE_TOL`` (1e-6): the two sides must agree within it on the bottom
+  samples.
+- ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact.
+- 1e-15: a half-ball point of smaller norm is the center of the bottom.
+
+``regauge`` guards an exact 0 only.  Outside this module,
+``chamber.DEGENERATE_EPS`` (1e-9) puts tau that close to the top on the
+top, and the simplex leaves treat a norm below 1e-300 (forward) or 1e-14
+(inverse) as the center.
 """
 
 from __future__ import annotations
@@ -64,6 +85,7 @@ EXIT_TOL = Fraction(1, 10**10)
 SLACK = Fraction(1, 10**9)
 RATIONALIZE_DEN = 10**12
 GLUE_TOL = 1e-6
+NORM_SLACK = 1e-9
 
 
 class UnboundedError(ValueError):
@@ -799,17 +821,21 @@ class HalfBallMap:
             raise UnboundedError("joined fiber radial function undefined")
         return best
 
-    def _rescale_report(self, lam_from, lam_to):
-        # 0 on the boundary of either body means the radial map degenerates;
-        # perturb by the slack and carry on, as the hypotheses put such
-        # points over the distinguished boundary only.
-        if lam_from <= 0 or lam_to <= 0:
+    def _joined_scale(self, p, y) -> Fraction:
+        """Radial function of the joined fiber over p along y, over that of
+        the fiber; forward multiplies by it and inverse divides, and y = 0
+        stays.  0 on the boundary of either body means the radial map
+        degenerates; it is counted, perturbed by the slack, and the map
+        carries on, as the hypotheses put such points over the distinguished
+        boundary only."""
+        if not any(y):
+            return Fraction(1)
+        lam_e = self._lambda_fiber(self.centered_fiber(p), y)
+        lam_j = self._lambda_joined(p, y)
+        if lam_e <= 0 or lam_j <= 0:
             self.degenerate_rescales += 1
-        if lam_from <= 0:
-            lam_from = SLACK
-        if lam_to <= 0:
-            lam_to = SLACK
-        return lam_from, lam_to
+        return ((lam_j if lam_j > 0 else SLACK)
+                / (lam_e if lam_e > 0 else SLACK))
 
     # -- forward / inverse ---------------------------------------------------
 
@@ -823,16 +849,10 @@ class HalfBallMap:
         if not self.spec.fiber(p).contains_point(y, SLACK):
             raise DomainError("fiber point outside its polytope")
         yc = tuple(a - b for a, b in zip(y, self.centroid(p)))
-        if any(yc):
-            # gauge fraction in the fiber becomes gauge fraction in the
-            # joined fiber: y' = y * (radial of joined / radial of fiber)
-            lam_e = self._lambda_fiber(self.centered_fiber(p), yc)
-            lam_j = self._lambda_joined(p, yc)
-            lam_e, lam_j = self._rescale_report(lam_e, lam_j)
-            yj = tuple(v * lam_j / lam_e for v in yc)
-        else:
-            yj = yc
-        point = p + yj
+        # gauge fraction in the fiber becomes gauge fraction in the joined
+        # fiber
+        scale = self._joined_scale(p, yc)
+        point = p + tuple(v * scale for v in yc)
         if not any(point):
             return np.zeros(self.spec.dim)
         ray = _Ray(self.centered_fiber, nb, point)
@@ -860,14 +880,8 @@ class HalfBallMap:
         point = tuple(v * t_star * rationalize(norm) for v in direction)
         p = _clamp_to_cube(point[:nb])
         yj = point[nb:]
-        if any(yj):
-            lam_e = self._lambda_fiber(self.centered_fiber(p), yj)
-            lam_j = self._lambda_joined(p, yj)
-            lam_e, lam_j = self._rescale_report(lam_e, lam_j)
-            yc = tuple(v * lam_e / lam_j for v in yj)
-        else:
-            yc = yj
-        y = tuple(a + b for a, b in zip(yc, self.centroid(p)))
+        scale = self._joined_scale(p, yj)
+        y = tuple(v / scale + c for v, c in zip(yj, self.centroid(p)))
         return tuple(float(v) for v in p) + tuple(float(v) for v in y)
 
 
@@ -883,53 +897,51 @@ def from_half_ball(spec: ConvexoidSpec, h):
 # gluing two convexoids into a ball
 
 
-def _half_ball_to_cylinder(h):
-    h = np.asarray(h, dtype=float)
-    norm = float(np.linalg.norm(h))
-    if norm < 1e-15:
-        return 0.0, np.zeros(len(h) - 1)
-    gauge = max(max(h[0], 0.0), float(np.linalg.norm(h[1:])))
-    c = h * (norm / gauge)
-    return float(c[0]), c[1:]
+def norm_gauge(x) -> float:
+    """Euclidean norm: the gauge of the unit ball."""
+    return float(np.linalg.norm(x))
 
 
-def _cylinder_to_half_ball(u, w):
-    c = np.concatenate(([u], np.asarray(w, dtype=float)))
-    norm = float(np.linalg.norm(c))
-    if norm < 1e-15:
-        return c
-    gauge = max(max(c[0], 0.0), float(np.linalg.norm(c[1:])))
-    return c * (gauge / norm)
+def sup_gauge(x) -> float:
+    """Largest |coordinate|: the gauge of the cube [-1, 1]^d."""
+    return float(np.abs(x).max(initial=0.0))
 
 
-def _cylinder_to_ball(a, w):
-    c = np.concatenate(([a - 1.0], np.asarray(w, dtype=float)))
-    norm = float(np.linalg.norm(c))
-    if norm < 1e-15:
-        return c
-    gauge = max(abs(c[0]), float(np.linalg.norm(c[1:])))
-    return c * (gauge / norm)
+def _cylinder_gauge(c) -> float:
+    """Gauge of the cylinder [-1, 1] x (unit disk).  The half-cylinder
+    [0, 1] x (unit disk) is its top, as the half-ball is the ball's, so on
+    c[0] >= 0 it is the half-cylinder's gauge too."""
+    return max(abs(c[0]), norm_gauge(c[1:]))
 
 
-def _ball_to_cylinder(b):
-    b = np.asarray(b, dtype=float)
-    norm = float(np.linalg.norm(b))
-    if norm < 1e-15:
-        return 1.0, b[1:]
-    gauge = max(abs(b[0]), float(np.linalg.norm(b[1:])))
-    c = b * (norm / gauge)
-    return float(c[0]) + 1.0, c[1:]
+def regauge(x, gauge_from: Callable, gauge_to: Callable) -> np.ndarray:
+    """Radial map x * gauge_from(x) / gauge_to(x) from the unit body of
+    gauge_from onto that of gauge_to; x itself where gauge_to(x) = 0."""
+    x = np.asarray(x, dtype=float)
+    to = gauge_to(x)
+    if to == 0:
+        return x
+    return x * (gauge_from(x) / to)
+
+
+def _across(source: HalfBallMap, identify, target: HalfBallMap, w):
+    """The disk coordinate w of a bottom point of ``source``'s half-ball ->
+    that point's disk coordinate in ``target``'s half-ball."""
+    x = identify(source.inverse(np.concatenate(([0.0], w))))
+    return target.forward(x)[1:]
 
 
 class GluedBallMap:
     """Two convexoids glued along their bottoms, mapped onto a closed ball.
 
-    Each side goes to a half-ball, then to a unit cylinder with the bottom
-    at the shared slice; the E cylinder occupies axis [0,1], the F cylinder
-    [1,2], with the F disk factor re-coordinated through the bottom
-    identification so identified points agree; finally the long cylinder is
-    radially rescaled onto the ball.  ``phi`` and ``phi_inverse`` identify the
-    bottoms; on ``bottom_samples`` the sides must agree within ``GLUE_TOL``.
+    Each side goes to a half-ball, which ``regauge`` takes onto the unit
+    half-cylinder with the bottom at the shared slice.  On a long cylinder
+    of axis a in [0, 2] the E half-cylinder sits at a = 1 - u and the F one
+    at a = 1 + u, with the F disk coordinate moved across the bottom
+    identification (``_across``) so that identified points agree, and
+    ``regauge`` takes the long cylinder, shifted by a - 1, onto the ball.
+    ``phi`` and ``phi_inverse`` identify the bottoms; on ``bottom_samples``
+    the sides must agree within ``GLUE_TOL``.
     """
 
     def __init__(self, e_spec, f_spec, phi, phi_inverse, bottom_samples=()):
@@ -949,35 +961,29 @@ class GluedBallMap:
                     f"bottom identification disagrees by {err:.3g} at {x}"
                 )
 
-    def _psi(self, w):
-        """F-side disk coordinate -> shared (E-side) disk coordinate."""
-        x_f = self.f_map.inverse(np.concatenate(([0.0], w)))
-        x_e = self.phi_inverse(x_f)
-        h = self.e_map.forward(x_e)
-        return h[1:]
-
-    def _psi_inverse(self, w):
-        x_e = self.e_map.inverse(np.concatenate(([0.0], w)))
-        x_f = self.phi(x_e)
-        h = self.f_map.forward(x_f)
-        return h[1:]
-
     def forward(self, side: str, x) -> np.ndarray:
         if side == "E":
-            u, w = _half_ball_to_cylinder(self.e_map.forward(x))
-            return _cylinder_to_ball(1.0 - u, w)
-        if side == "F":
-            u, w = _half_ball_to_cylinder(self.f_map.forward(x))
-            return _cylinder_to_ball(1.0 + u, self._psi(w))
-        raise ValueError(f"unknown side {side!r}")
+            c = regauge(self.e_map.forward(x), norm_gauge, _cylinder_gauge)
+            a, w = 1.0 - c[0], c[1:]
+        elif side == "F":
+            c = regauge(self.f_map.forward(x), norm_gauge, _cylinder_gauge)
+            a = 1.0 + c[0]
+            w = _across(self.f_map, self.phi_inverse, self.e_map, c[1:])
+        else:
+            raise ValueError(f"unknown side {side!r}")
+        return regauge(np.concatenate(([a - 1.0], w)), _cylinder_gauge,
+                       norm_gauge)
 
     def inverse(self, ball_point):
         b = np.asarray(ball_point, dtype=float)
-        if float(np.linalg.norm(b)) > 1 + 1e-9:
+        if norm_gauge(b) > 1 + NORM_SLACK:
             raise DomainError("point outside the closed ball")
-        a, w = _ball_to_cylinder(b)
+        c = regauge(b, norm_gauge, _cylinder_gauge)
+        a, w = c[0] + 1.0, c[1:]
         if a <= 1.0:
-            h = _cylinder_to_half_ball(1.0 - a, w)
-            return "E", self.e_map.inverse(h)
-        h = _cylinder_to_half_ball(a - 1.0, self._psi_inverse(w))
-        return "F", self.f_map.inverse(h)
+            side, half, u = "E", self.e_map, 1.0 - a
+        else:
+            side, half, u = "F", self.f_map, a - 1.0
+            w = _across(self.e_map, self.phi, self.f_map, w)
+        h = regauge(np.concatenate(([u], w)), _cylinder_gauge, norm_gauge)
+        return side, half.inverse(h)

@@ -151,12 +151,6 @@ class MultiVector:
     def coefficient_sum(self) -> Fraction:
         return sum(self.coeffs.values(), Fraction(0))
 
-    def to_vector(self) -> list[Fraction]:
-        """Dense coordinates; only sensible for grade 1."""
-        if self.k != 1:
-            raise GradeError("to_vector requires grade 1")
-        return [self.coefficient((i,)) for i in range(1, self.n + 1)]
-
     def shift(self, offset: int, n: int | None = None) -> "MultiVector":
         """Relabel every index by ``offset`` into ambient dimension ``n``.
 

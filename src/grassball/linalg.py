@@ -22,10 +22,6 @@ Matrix = list
 _EXACT = (int, Fraction)
 
 
-def as_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [tuple(Fraction(x) for x in row) for row in rows]
-
-
 def integer_row(row: Sequence) -> tuple[list[int], int, int]:
     """(integer row, lcm of denominators, content): row == ints * content / lcm.
 
@@ -169,8 +165,8 @@ def orthogonalize(rows: Sequence[Sequence]) -> Matrix:
     Zero vectors produced by dependent inputs are dropped.
     """
     out: Matrix = []
-    for row in as_matrix(rows):
-        vec = list(row)
+    for row in rows:
+        vec = [Fraction(x) for x in row]
         for prev in out:
             coeff = dot(vec, prev) / dot(prev, prev)
             vec = [x - coeff * y for x, y in zip(vec, prev)]

@@ -180,8 +180,8 @@ def test_f_fiber_corank_one_is_a_point():
     )
     frame = f_fiber(eta)
     assert frame.dim == 0
-    assert vertices(frame.polytope) == [()]
-    omega = frame.element_of_point(())
+    assert vertices(frame.centered_polytope) == [()]
+    omega = frame.element_of_centered(())
     assert omega.k == 3 and contains(eta, omega)
 
 
@@ -189,9 +189,9 @@ def test_f_fiber_segment_example():
     # eta = e_2 with omega ranging over e_2 ^ (b e_3 + c e_4): a segment
     frame = f_fiber(MultiVector.basis(4, (2,)))
     assert frame.dim == 1
-    ends = vertices(frame.polytope)
+    ends = vertices(frame.centered_polytope)
     assert len(ends) == 2
-    omegas = [frame.element_of_point(v) for v in ends]
+    omegas = [frame.element_of_centered(v) for v in ends]
     keys = {tuple(mv.support()) for mv in omegas}
     assert keys == {((2, 3),), ((2, 4),)}
 
@@ -199,8 +199,8 @@ def test_f_fiber_segment_example():
 def test_e_fiber_segment_example():
     frame = e_fiber(MultiVector.basis(4, (2, 3)))
     assert frame.dim == 1
-    ends = vertices(frame.polytope)
-    etas = [frame.element_of_point(v) for v in ends]
+    ends = vertices(frame.centered_polytope)
+    etas = [frame.element_of_centered(v) for v in ends]
     keys = {tuple(mv.support()) for mv in etas}
     assert keys == {((2,),), ((3,),)}
 
@@ -228,14 +228,14 @@ def test_fiber_frames_round_trip_points():
         point = random_positive_point(rng, 2, 5)
         s = split(point)
         eframe = e_fiber(s.omega)
-        y = eframe.point_of_element(s.eta)
-        assert eframe.element_of_point(y) == s.eta
+        y = eframe.centered_point_of(s.eta)
+        assert eframe.element_of_centered(y) == s.eta
         fframe = f_fiber(s.eta)
-        z = fframe.point_of_element(s.omega)
-        assert fframe.element_of_point(z) == s.omega
+        z = fframe.centered_point_of(s.omega)
+        assert fframe.element_of_centered(z) == s.omega
         # the fiber coordinates lie in their polytopes exactly
-        assert eframe.polytope.contains_point(y)
-        assert fframe.polytope.contains_point(z)
+        assert eframe.centered_polytope.contains_point(y)
+        assert fframe.centered_polytope.contains_point(z)
 
 
 def test_fiber_polytopes_vary_continuously():
@@ -290,24 +290,70 @@ def test_fiber_validation_errors():
     assert type(info.value) is ValidationError
 
 
+def test_centered_point_of_rejects_elements_off_the_fiber():
+    frame = e_fiber(MultiVector.basis(4, (2, 3)))
+    with pytest.raises(
+        ValidationError, match="^eta is not contained in the fiber family$"
+    ) as info:
+        frame.centered_point_of(MultiVector.basis(4, (4,)))
+    assert type(info.value) is ValidationError
+    with pytest.raises(
+        ValidationError, match="^eta does not lie on the normalized slice$"
+    ) as info:
+        frame.centered_point_of(MultiVector(4, 1, {(2,): 1, (3,): 1}))
+    assert type(info.value) is ValidationError
+    # both: the containment check comes first
+    with pytest.raises(ValidationError, match="not contained"):
+        frame.centered_point_of(MultiVector(4, 1, {(2,): 1, (4,): 1}))
+    frame = f_fiber(MultiVector.basis(4, (2,)))
+    with pytest.raises(
+        ValidationError, match="^omega is not contained in the fiber family$"
+    ):
+        frame.centered_point_of(MultiVector.basis(4, (3, 4)))
+    with pytest.raises(
+        ValidationError, match="^omega does not lie on the normalized slice$"
+    ):
+        frame.centered_point_of(MultiVector(4, 2, {(2, 3): 2}))
+
+
 # -- integer frames against their Fraction form --------------------------------------
-# ``FiberFrame.__init__`` solves the normalization slice over integers.  The
+# A ``FiberFrame`` is one integer affine map in centered coordinates.  The
 # oracle below is its Fraction form, kept as the reference: the origin and
 # kernel of the slice sum == 1, the images built by Fraction multivector
-# arithmetic, a checked ``HPolytope``, and the centroid through vertex
+# arithmetic, a checked ``HPolytope``, the centroid through vertex
 # enumeration and the barycenter, with the centered copy carrying the
-# translated vertices.  Every comparison is on ``repr``.
+# translated vertices, and the element of a centered point as the origin's
+# image plus the basis images at the uncentered point.  The elements are
+# compared at 0, at every centered vertex and at seeded interior rationals.
+# Every comparison is on ``repr``.
 
 
-def reference_frame(frame_cls, base):
-    """repr of every attribute of the frame over base, or the error raised."""
+def probe_points(verts, rng):
+    """0, the vertices, and three seeded rational convex combinations of the
+    vertices of a centered polytope."""
+    dim = len(verts[0])
+    points = [(Fraction(0),) * dim] + list(verts)
+    for _ in range(3):
+        weights = [Fraction(rng.randint(1, 9)) for _ in verts]
+        total = sum(weights)
+        points.append(tuple(
+            sum((w * v[i] for w, v in zip(weights, verts)), Fraction(0))
+            / total
+            for i in range(dim)
+        ))
+    return points
+
+
+def reference_frame(frame_cls, base, rng):
+    """repr of the frame's polytopes, centroid and elements at the probe
+    points over base, or the error raised."""
     try:
-        return _reference_frame(frame_cls, base)
+        return _reference_frame(frame_cls, base, rng)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _reference_frame(frame_cls, base):
+def _reference_frame(frame_cls, base, rng):
     if frame_cls is EFiberFrame:
         generators, image, grade = (
             spanning_vectors(base).rows, contract, base.k - 1
@@ -352,17 +398,22 @@ def _reference_frame(frame_cls, base):
         for n, o in constraints
     ]
     moved = [tuple(x - c for x, c in zip(v, center)) for v in verts]
+    probes = probe_points(moved, rng)
+
+    def element(yc):
+        out = origin_image
+        for y, c, img in zip(yc, center, basis_images):
+            out = out + img * (y + c)
+        return out
+
     return {
-        "images": repr(images),
-        "origin_coords": repr(origin),
-        "kernel_coords": repr(kernel),
         "dim": repr(dim),
         "polytope": repr((poly.dim, poly.constraints)),
         "center": repr(center),
         "centered_polytope": repr((dim, HPolytope(dim, shifted).constraints)),
         "centered_vertices": repr(moved),
-        "_origin_image": repr(origin_image),
-        "_basis_images": repr(basis_images),
+        "probes": probes,
+        "elements": repr([element(p) for p in probes]),
     }
 
 
@@ -393,15 +444,16 @@ def reference_centroid(poly, verts):
     )
 
 
-def frame_state(frame_cls, base):
+def frame_state(frame_cls, base, probes):
+    """The reference's entries for the frame over base, its elements at the
+    probe points, and that ``centered_point_of`` gives the probes back."""
     try:
         frame = frame_cls(base)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+    elements = [frame.element_of_centered(p) for p in probes]
+    assert [frame.centered_point_of(e) for e in elements] == probes
     return {
-        "images": repr(frame.images),
-        "origin_coords": repr(frame.origin_coords),
-        "kernel_coords": repr(frame.kernel_coords),
         "dim": repr(frame.dim),
         "polytope": repr((frame.polytope.dim, frame.polytope.constraints)),
         "center": repr(frame.center),
@@ -409,9 +461,18 @@ def frame_state(frame_cls, base):
             (frame.centered_polytope.dim, frame.centered_polytope.constraints)
         ),
         "centered_vertices": repr(vertices(frame.centered_polytope)),
-        "_origin_image": repr(frame._origin_image),
-        "_basis_images": repr(frame._basis_images),
+        "probes": probes,
+        "elements": repr(elements),
     }
+
+
+def check_frame(frame_cls, base, rng):
+    """frame_state against reference_frame; the frame's dim or error."""
+    want = reference_frame(frame_cls, base, rng)
+    probes = want["probes"] if isinstance(want, dict) else []
+    got = frame_state(frame_cls, base, probes)
+    assert got == want, (frame_cls, base)
+    return got["dim"] if isinstance(got, dict) else got
 
 
 def frame_bases(triples):
@@ -451,11 +512,8 @@ def coordinate_bases(k, n):
 def test_integer_frames_match_fraction_oracle_on_the_g24_chart():
     bases = chart_frame_bases(2, 4, 40, 40, 61) + coordinate_bases(2, 4)
     assert len(bases) >= 100
-    dims = set()
-    for frame_cls, base in bases:
-        got = frame_state(frame_cls, base)
-        assert got == reference_frame(frame_cls, base), (frame_cls, base)
-        dims.add(got["dim"] if isinstance(got, dict) else got)
+    rng = random.Random(63)
+    dims = {check_frame(frame_cls, base, rng) for frame_cls, base in bases}
     assert dims == {"1"}, dims
 
 
@@ -464,9 +522,8 @@ def test_integer_frames_match_fraction_oracle_with_2d_fibers(k, n):
     rng = random.Random(62 + n + k)
     triples = [split(random_positive_point(rng, k, n)) for _ in range(6)]
     triples += [split(random_nonneg_point(rng, k, n)) for _ in range(10)]
-    dims = set()
-    for frame_cls, base in frame_bases(triples) + coordinate_bases(k, n):
-        got = frame_state(frame_cls, base)
-        assert got == reference_frame(frame_cls, base), (frame_cls, base)
-        dims.add(got["dim"] if isinstance(got, dict) else got)
+    dims = {
+        check_frame(frame_cls, base, rng)
+        for frame_cls, base in frame_bases(triples) + coordinate_bases(k, n)
+    }
     assert "2" in dims, dims
