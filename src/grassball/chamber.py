@@ -41,6 +41,7 @@ from .convexoid import (
     DomainError,
     GluedBallMap,
     HPolytope,
+    MAX_FIBER_DIM,
     NORM_SLACK,
     centered,
     centroid,
@@ -135,7 +136,7 @@ class ChamberPoint:
 
 
 def _check_away_from_first(mv: MultiVector, what: str) -> None:
-    if any(1 in key for key in mv.coeffs):
+    if any(1 in key for key in mv._ints):
         raise ValidationError(f"{what} must be supported on indices 2..n")
 
 
@@ -193,21 +194,23 @@ def split(point: ChamberPoint) -> SplitTriple:
     rest, and dividing each by its coefficient sum normalizes it.
     """
     rho = point.rho
+    ints, den = integer_coeffs(rho)
     with_first = {
-        key[1:]: c for key, c in rho.coeffs.items() if key and key[0] == 1
+        key[1:]: c for key, c in ints.items() if key and key[0] == 1
     }
-    without_first = {
-        key: c for key, c in rho.coeffs.items() if not key or key[0] != 1
-    }
-    eta0 = MultiVector(rho.n, rho.k - 1, with_first) if rho.k else None
-    t = eta0.coefficient_sum() if eta0 is not None else Fraction(0)
-    if t == 0:
+    # t = first / den; eta = eta0 / t and omega = rest / (1 - t) divide the
+    # ints by their sums, which den cancels out of
+    first = sum(with_first.values())
+    if first == 0:
         return SplitTriple._unchecked(Fraction(0), None, rho)
-    eta = eta0 / t
-    if t == 1:
+    eta = MultiVector._of_ints(rho.n, rho.k - 1, with_first, first)
+    if first == den:
         return SplitTriple._unchecked(Fraction(1), eta, None)
-    omega = MultiVector(rho.n, rho.k, without_first) / (1 - t)
-    return SplitTriple._unchecked(t, eta, omega)
+    without_first = {
+        key: c for key, c in ints.items() if not key or key[0] != 1
+    }
+    omega = MultiVector._of_ints(rho.n, rho.k, without_first, den - first)
+    return SplitTriple._unchecked(Fraction(first, den), eta, omega)
 
 
 def assemble(triple: SplitTriple) -> ChamberPoint:
@@ -279,14 +282,15 @@ class FiberFrame:
         origin_image = self._element(origin)
         basis_images = [self._element(kc) for kc in self._kernel]
         support = sorted(
-            set(origin_image.coeffs).union(*[img.coeffs for img in basis_images])
+            set(origin_image._ints).union(*[img._ints for img in basis_images])
         )
-        zero = Fraction(0)
         constraints = []
         for key in support:
-            normal = tuple(-img.coeffs.get(key, zero) for img in basis_images)
+            normal = tuple(
+                Fraction(-img._ints.get(key, 0), img._den) for img in basis_images
+            )
             if any(normal):
-                constraints.append((normal, origin_image.coeffs.get(key, zero)))
+                constraints.append((normal, origin_image.coefficient(key)))
         self.polytope = HPolytope._of_clean(self.dim, constraints)
         # centered coordinates: centering cancels the translation part of a
         # frame jump across support strata, but not all of it.  When a
@@ -326,7 +330,7 @@ class FiberFrame:
     def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
         # the solution is unique: contraction by a vector of omega's plane
         # and wedging eta with a vector of the complement are injective
-        keys = sorted(set(element.coeffs).union(*self._ints))
+        keys = sorted(set(element._ints).union(*self._ints))
         x = linalg.solve(
             [[ints.get(key, 0) for ints in self._ints] for key in keys],
             [self._den * element.coefficient(key) for key in keys],
@@ -504,11 +508,14 @@ class _SimplexChart:
         # the offsets d sum to 0, so some d > -1 / count), dividing by their
         # total normalizes them, and every nonnegative element of grade 1 or
         # n - 1 is decomposable
-        total = sum(values, Fraction(0))
-        coeffs = {
-            key: v / total for key, v in zip(self.subsets, values) if v
+        den = lcm(*[v.denominator for v in values])
+        ints = {
+            key: v.numerator * (den // v.denominator)
+            for key, v in zip(self.subsets, values) if v
         }
-        return ChamberPoint._unchecked(MultiVector(self.n, self.k, coeffs))
+        return ChamberPoint._unchecked(
+            MultiVector._of_ints(self.n, self.k, ints, sum(ints.values()))
+        )
 
 
 class _Side:
@@ -621,7 +628,9 @@ class _Side:
 class BallChart:
     """Numerical chart of the nonnegative (k, n) chamber onto the ball.
 
-    Grade 1 and corank 1 are simplex leaves; otherwise the chamber splits
+    Grade 1 and corank 1 are simplex leaves; a chart whose fibers, of
+    dimension k - 1 and n - k - 1, exceed ``convexoid.MAX_FIBER_DIM`` is
+    refused here, before any recursion.  Otherwise the chamber splits
     into the two fibered halves (``_Side``), each half becomes a convexoid
     whose base cube coordinates come from the recursive chart of the base
     factor, and the glued convexoid maps provide the ball coordinates.
@@ -637,6 +646,12 @@ class BallChart:
         if k == 1 or k == n - 1:
             self._simplex = _SimplexChart(n, k)
         elif k != n:
+            if max(k - 1, n - k - 1) > MAX_FIBER_DIM:
+                raise ValidationError(
+                    f"no chart for grade {k} in dimension {n}: its fibers "
+                    f"have dimension {k - 1} and {n - k - 1}, and fibers of "
+                    f"dimension above {MAX_FIBER_DIM} are not supported"
+                )
             self._e = _Side("E", n, get_chart(k, n - 1), EFiberFrame, k - 1,
                             -1)
             self._f = _Side("F", n, get_chart(k - 1, n - 1), FFiberFrame,

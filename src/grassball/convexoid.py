@@ -39,8 +39,8 @@ the unit bodies of two gauges.  The tolerances that remain:
   may lie; ``chamber`` and the CLI checks use it too.
 - ``GLUE_TOL`` (1e-6): the two sides must agree within it on the bottom
   samples.
-- ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact.
-- 1e-15: a half-ball point of smaller norm is the center of the bottom.
+- ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact;
+  a half-ball point that it rounds to 0 is the center of the bottom.
 
 ``regauge`` guards an exact 0 only.  Outside this module,
 ``chamber.DEGENERATE_EPS`` (1e-9) puts tau that close to the top on the
@@ -86,6 +86,8 @@ SLACK = Fraction(1, 10**9)
 RATIONALIZE_DEN = 10**12
 GLUE_TOL = 1e-6
 NORM_SLACK = 1e-9
+# the largest fiber dimension the centroid and the exit times handle
+MAX_FIBER_DIM = 3
 
 
 class UnboundedError(ValueError):
@@ -412,7 +414,7 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
     In the plane, the shoelace formula over the vertices scaled to integers
     (``_polygon_centroid``), with a ``Fraction`` result; in dimension 3, a
     fan decomposition from the lexicographically least vertex.  Implemented
-    for fiber dimensions up to 3, which covers desk scale.  A polytope that
+    for fiber dimensions up to ``MAX_FIBER_DIM``.  A polytope that
     is not full-dimensional has zero length, area or volume there, and
     raises ``DegenerateError``.
     """
@@ -448,7 +450,9 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
     else:
         diffs = [tuple(v[i] - verts[0][i] for i in range(m)) for v in verts[1:]]
         if linalg.rank(diffs) == m:
-            raise ValueError("barycenter implemented for fiber dimension <= 3")
+            raise ValueError(
+                f"barycenter implemented for fiber dimension <= {MAX_FIBER_DIM}"
+            )
         center = None
     if center is None:
         raise DegenerateError("polytope is not full-dimensional")
@@ -669,8 +673,10 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
     key = ("join normals", e0)
     normals = owner._cache.get(key)
     if normals is None:
-        if e0.dim > 3:
-            raise ValueError("exit times implemented for fiber dimension <= 3")
+        if e0.dim > MAX_FIBER_DIM:
+            raise ValueError(
+                f"exit times implemented for fiber dimension <= {MAX_FIBER_DIM}"
+            )
         polys = (e0,) if e1 is None else (e0, e1)
         found = dict.fromkeys(n for poly in polys for n, _ in poly.constraints)
         if e0.dim == 3 and e1 is not None:
@@ -869,12 +875,12 @@ class HalfBallMap:
         if h[0] < -float(SLACK):
             raise DomainError("half-ball point has negative height")
         h[0] = max(h[0], 0.0)
-        if norm < 1e-15:
+        direction = rationalize_point(h)
+        if not any(direction):
             p = self.spec.origin()
             return tuple(float(v) for v in p) + tuple(
                 float(v) for v in self.centroid(p)
             )
-        direction = rationalize_point(h)
         ray = _Ray(self.centered_fiber, nb, direction)
         t_star = ray.exit_scale()
         point = tuple(v * t_star * rationalize(norm) for v in direction)

@@ -1,15 +1,20 @@
 """Exact multilinear algebra on the exterior powers of R^n.
 
 Everything here is exact; there is no floating point in this module.  A
-grade-k element is stored as a sparse map from k-subsets of {1..n} (ascending
-tuples) to nonzero rational coefficients (``fractions.Fraction``), in the
-fixed basis e_1, ..., e_n, orthonormal for the standard inner product.
+grade-k element is a sparse map from k-subsets of {1..n} (ascending tuples)
+to nonzero rational coefficients, in the fixed basis e_1, ..., e_n,
+orthonormal for the standard inner product.
 
-Products take ``Fraction`` coefficients in and give them out, but run over
-Python integers: ``wedge`` and ``wedge_all`` scale each operand once by the
-lcm of its denominators, multiply and sum integers over the merged index
-keys, and divide by the product of those lcms only for the nonzero
-coefficients of the result.
+An element stores its coefficients as Python integers ``_ints`` over one
+positive denominator ``_den``, in lowest terms: gcd(den, every int) = 1 and
+no int is zero.  That form is canonical, so equality and hashing compare
+(n, k, den, ints) and never touch ``Fraction``.  Sums, scalings, contraction,
+normalization and products run over integers and reduce once, through
+``MultiVector._of_ints``: one gcd over the denominator and every value, and a
+sign flip when the denominator came out negative.  ``wedge`` and
+``wedge_all`` multiply the stored integer maps and the denominators as they
+are.  ``coeffs`` is a read-only ``Fraction`` view for callers outside the
+library, built on each access and never stored.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -75,14 +80,28 @@ def _shuffle_sign(a: IndexSet, b: IndexSet) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator) of anything ``Fraction`` accepts."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+_set = object.__setattr__
+
+
 class MultiVector:
     """Immutable element of the k-th exterior power of R^n.
 
-    ``coeffs`` maps ascending index tuples to exact rationals; keys with zero
-    coefficient are never stored, so ``support()`` is the true support.
+    The e_A coefficient is ``_ints[A] / _den``, in lowest terms with
+    ``_den`` > 0; keys with zero coefficient are never stored, so
+    ``support()`` is the true support.  ``_plane`` is empty until
+    ``plucker`` stores the element's plane there on its first read.
     """
 
-    __slots__ = ("n", "k", "coeffs")
+    __slots__ = ("n", "k", "_ints", "_den", "_plane")
 
     def __init__(self, n: int, k: int, coeffs: Mapping[IndexSet, object] | None = None):
         if not 0 <= k <= n:
@@ -95,25 +114,39 @@ class MultiVector:
                 value = Fraction(value)
             if value:
                 clean[key] = value
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "coeffs", clean)
+        # over the lcm of reduced denominators the ints share no factor
+        # with it, so this is lowest terms already
+        den = lcm(*[c.denominator for c in clean.values()])
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "_ints", {
+            key: c.numerator * (den // c.denominator) for key, c in clean.items()
+        })
+        _set(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiVector is immutable")
 
     @classmethod
-    def _of_ints(cls, n: int, k: int, ints: Mapping[IndexSet, int], den: int
+    def _of_ints(cls, n: int, k: int, ints: dict[IndexSet, int], den: int
                  ) -> "MultiVector":
-        """The element with coefficients ints[key] / den.  The keys are
-        ascending k-subsets of 1..n and the ints nonzero, as the integer
-        products below make them, so nothing is checked."""
+        """The element with coefficients ints[key] / den, reduced once.
+
+        The keys are ascending k-subsets of 1..n, the ints nonzero and den
+        nonzero, as the integer kernels make them, so nothing is checked;
+        the element takes ``ints`` over and may store it as it is.
+        """
+        g = gcd(den, *ints.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = {key: c // g for key, c in ints.items()}
+            den //= g
         mv = cls.__new__(cls)
-        object.__setattr__(mv, "n", n)
-        object.__setattr__(mv, "k", k)
-        object.__setattr__(
-            mv, "coeffs", {key: Fraction(c, den) for key, c in ints.items()}
-        )
+        _set(mv, "n", n)
+        _set(mv, "k", k)
+        _set(mv, "_ints", ints)
+        _set(mv, "_den", den)
         return mv
 
     # -- constructors ------------------------------------------------------
@@ -139,17 +172,23 @@ class MultiVector:
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[IndexSet, Fraction]:
+        """The coefficients as ``Fraction``s: a new dict on every access."""
+        den = self._den
+        return {key: Fraction(c, den) for key, c in self._ints.items()}
+
     def coefficient(self, indices: Iterable[int]) -> Fraction:
-        return self.coeffs.get(tuple(indices), Fraction(0))
+        return Fraction(self._ints.get(tuple(indices), 0), self._den)
 
     def support(self) -> list[IndexSet]:
-        return sorted(self.coeffs)
+        return sorted(self._ints)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints
 
     def coefficient_sum(self) -> Fraction:
-        return sum(self.coeffs.values(), Fraction(0))
+        return Fraction(sum(self._ints.values()), self._den)
 
     def shift(self, offset: int, n: int | None = None) -> "MultiVector":
         """Relabel every index by ``offset`` into ambient dimension ``n``.
@@ -158,8 +197,16 @@ class MultiVector:
         elements viewed inside R^(n-1).
         """
         new_n = self.n + offset if n is None else n
-        moved = {tuple(i + offset for i in key): c for key, c in self.coeffs.items()}
-        return MultiVector(new_n, self.k, moved)
+        if not 0 <= self.k <= new_n:
+            raise GradeError(
+                f"grade {self.k} out of range for ambient dimension {new_n}"
+            )
+        moved = {tuple(i + offset for i in key): c for key, c in self._ints.items()}
+        # relabelling keeps keys ascending; only the range can break
+        for key in moved:
+            if key and (key[0] < 1 or key[-1] > new_n):
+                raise ValueError(f"index set {key} is not ascending in 1..{new_n}")
+        return MultiVector._of_ints(new_n, self.k, moved, self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -169,44 +216,64 @@ class MultiVector:
                 f"shape mismatch: ({self.n},{self.k}) vs ({other.n},{other.k})"
             )
 
-    def __add__(self, other: "MultiVector") -> "MultiVector":
+    def _combine(self, other: "MultiVector", sign: int) -> "MultiVector":
+        """self + sign * other over the lcm of the two denominators."""
         self._require_same_shape(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiVector(self.n, self.k, out)
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, sign * (den // other._den)
+        out = {key: a * c for key, c in self._ints.items()}
+        for key, c in other._ints.items():
+            out[key] = out.get(key, 0) + b * c
+        return MultiVector._of_ints(
+            self.n, self.k, {key: c for key, c in out.items() if c}, den
+        )
+
+    def __add__(self, other: "MultiVector") -> "MultiVector":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiVector") -> "MultiVector":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiVector":
-        return MultiVector(self.n, self.k, {key: -c for key, c in self.coeffs.items()})
+        return MultiVector._of_ints(
+            self.n, self.k, {key: -c for key, c in self._ints.items()}, self._den
+        )
 
     def __mul__(self, scale) -> "MultiVector":
-        scale = Fraction(scale)
-        return MultiVector(
-            self.n, self.k, {key: c * scale for key, c in self.coeffs.items()}
+        num, den = _ratio(scale)
+        if not num:
+            return MultiVector._of_ints(self.n, self.k, {}, 1)
+        return MultiVector._of_ints(
+            self.n, self.k, {key: c * num for key, c in self._ints.items()},
+            self._den * den,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scale) -> "MultiVector":
-        return self * (Fraction(1) / Fraction(scale))
+        num, den = _ratio(scale)
+        if not num:
+            raise ZeroDivisionError(f"MultiVector division by {scale!r}")
+        return MultiVector._of_ints(
+            self.n, self.k, {key: c * den for key, c in self._ints.items()},
+            self._den * num,
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiVector):
             return NotImplemented
-        return self.n == other.n and self.k == other.k and self.coeffs == other.coeffs
+        return (self.n == other.n and self.k == other.k
+                and self._den == other._den and self._ints == other._ints)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, frozenset(self.coeffs.items())))
+        return hash((self.n, self.k, self._den, frozenset(self._ints.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"MultiVector({self.n}, {self.k}, 0)"
         parts = []
         for key in self.support():
-            c = self.coeffs[key]
+            c = Fraction(self._ints[key], self._den)
             label = "e{" + ",".join(map(str, key)) + "}" if key else "1"
             parts.append(f"{c}*{label}")
         return " + ".join(parts)
@@ -218,7 +285,8 @@ class MultiVector:
             "n": self.n,
             "k": self.k,
             "coeffs": {
-                ",".join(map(str, key)): str(self.coeffs[key]) for key in self.support()
+                ",".join(map(str, key)): str(self.coefficient(key))
+                for key in self.support()
             },
         }
 
@@ -242,12 +310,10 @@ class MultiVector:
 
 
 def integer_coeffs(mv: MultiVector) -> tuple[dict[IndexSet, int], int]:
-    """(ints, den) with mv's e_A coefficient ints[A] / den, den the lcm of the
-    coefficient denominators (1 for the zero element)."""
-    den = lcm(*[c.denominator for c in mv.coeffs.values()])
-    return {
-        key: c.numerator * (den // c.denominator) for key, c in mv.coeffs.items()
-    }, den
+    """(ints, den) with mv's e_A coefficient ints[A] / den: the stored pair,
+    in lowest terms with den > 0 (1 for the zero element).  The dict is the
+    element's own, so callers read it and never change it."""
+    return mv._ints, mv._den
 
 
 def wedge_ints(a: Mapping[IndexSet, int], b: Mapping[IndexSet, int]
@@ -300,16 +366,15 @@ def wedge_all(factors: Iterable[MultiVector]) -> MultiVector:
     if len(factors) == 1:
         return first
     n, k = first.n, first.k
-    ints, den = integer_coeffs(first)
+    ints, den = first._ints, first._den
     for f in factors[1:]:
         if f.n != n:
             raise GradeError(f"ambient mismatch: {n} vs {f.n}")
         if k + f.k > n:
             raise GradeError(f"grade overflow: {k}+{f.k} > {n}")
         k += f.k
-        f_ints, f_den = integer_coeffs(f)
-        ints = wedge_ints(ints, f_ints)
-        den *= f_den
+        ints = wedge_ints(ints, f._ints)
+        den *= f._den
     return MultiVector._of_ints(n, k, ints, den)
 
 
@@ -324,46 +389,48 @@ def contract(mv: MultiVector, v: MultiVector) -> MultiVector:
         raise GradeError("contraction direction must have grade 1")
     if mv.n != v.n:
         raise GradeError(f"ambient mismatch: {mv.n} vs {v.n}")
-    out: dict[IndexSet, Fraction] = {}
-    for key, c in mv.coeffs.items():
+    direction = v._ints
+    out: dict[IndexSet, int] = {}
+    for key, c in mv._ints.items():
         for pos, idx in enumerate(key):
-            cv = v.coeffs.get((idx,))
+            cv = direction.get((idx,))
             if cv is None:
                 continue
             reduced = key[:pos] + key[pos + 1 :]
-            term = (-1) ** pos * c * cv
-            new = out.get(reduced, Fraction(0)) + term
-            if new:
-                out[reduced] = new
-            else:
-                out.pop(reduced, None)
-    return MultiVector(mv.n, mv.k - 1, out)
+            term = c * cv
+            out[reduced] = out.get(reduced, 0) + (-term if pos & 1 else term)
+    return MultiVector._of_ints(
+        mv.n, mv.k - 1, {key: c for key, c in out.items() if c},
+        mv._den * v._den,
+    )
 
 
 def normalize(mv: MultiVector) -> MultiVector:
-    """Scale so the coefficient sum is exactly 1."""
-    total = mv.coefficient_sum()
+    """Scale so the coefficient sum is exactly 1: divide the ints by their
+    sum, which the denominator cancels out of."""
+    total = sum(mv._ints.values())
     if total == 0:
         raise NormalizationError("coefficient sum is zero")
-    if total == 1:
+    if total == mv._den:
         return mv
-    return mv / total
+    return MultiVector._of_ints(mv.n, mv.k, dict(mv._ints), total)
 
 
 def classify_sign(mv: MultiVector) -> SignClass:
     """Exact sign classification of the full coefficient vector.
 
     Absent coefficients count as zero, so POSITIVE needs all C(n,k) of them
-    present and positive.
+    present and positive.  The denominator is positive, so the signs are
+    those of the ints.
     """
-    if not mv.coeffs:
+    if not mv._ints:
         return SignClass.ZERO
-    if any(c < 0 for c in mv.coeffs.values()):
+    if any(c < 0 for c in mv._ints.values()):
         return SignClass.MIXED
     full = 1
     for i in range(mv.k):
         full = full * (mv.n - i) // (i + 1)
-    return SignClass.POSITIVE if len(mv.coeffs) == full else SignClass.NONNEGATIVE
+    return SignClass.POSITIVE if len(mv._ints) == full else SignClass.NONNEGATIVE
 
 
 def complement(mv: MultiVector) -> MultiVector:
@@ -371,9 +438,9 @@ def complement(mv: MultiVector) -> MultiVector:
     everything = range(1, mv.n + 1)
     out = {
         tuple(i for i in everything if i not in set(key)): c
-        for key, c in mv.coeffs.items()
+        for key, c in mv._ints.items()
     }
-    return MultiVector(mv.n, mv.n - mv.k, out)
+    return MultiVector._of_ints(mv.n, mv.n - mv.k, out, mv._den)
 
 
 def _complement_sign(key: IndexSet, n: int) -> int:
@@ -390,22 +457,21 @@ def q_form(a: MultiVector, b: MultiVector) -> Fraction:
     """
     if a.n != b.n or a.k != b.k:
         raise GradeError("q_form requires equal ambient dimension and grade")
-    total = Fraction(0)
-    for key, ca in a.coeffs.items():
-        cb = b.coeffs.get(key)
+    total = 0
+    for key, ca in a._ints.items():
+        cb = b._ints.get(key)
         if cb is not None:
             total += _complement_sign(key, a.n) * ca * cb
-    return total
+    return Fraction(total, a._den * b._den)
 
 
 def inner(a: MultiVector, b: MultiVector) -> Fraction:
     """Induced inner product: the e_A form an orthonormal basis."""
     if a.n != b.n or a.k != b.k:
         raise GradeError("inner product requires equal shapes")
-    return sum(
-        (c * b.coeffs[key] for key, c in a.coeffs.items() if key in b.coeffs),
-        Fraction(0),
-    )
+    other = b._ints
+    total = sum(c * other[key] for key, c in a._ints.items() if key in other)
+    return Fraction(total, a._den * b._den)
 
 
 def all_subsets(n: int, k: int) -> list[IndexSet]:

@@ -174,7 +174,7 @@ def shrink_positive(
 def _least_omitted_index(mv: MultiVector) -> int:
     """Smallest index missing from at least one support set."""
     for j in range(1, mv.n + 1):
-        if any(j not in key for key in mv.coeffs):
+        if any(j not in key for key in mv._ints):
             return j
     raise ValueError("every index lies in every support set; is the grade n?")
 
@@ -212,8 +212,8 @@ def extend_positive(
     if n == k + 1:
         return MultiVector.basis(n, range(1, n + 1))
 
-    away = MultiVector(
-        n, k, {key: c for key, c in mv.coeffs.items() if 1 not in key}
+    away = MultiVector._of_ints(
+        n, k, {key: c for key, c in mv._ints.items() if 1 not in key}, mv._den
     )
     away_small = normalize(away.shift(-1))
     bigger = extend_positive(away_small, cfg, validate=False).shift(+1, n=n)

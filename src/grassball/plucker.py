@@ -14,8 +14,10 @@ r is 1 at i_r and (-1)^s * mv[J] / mv[I] at each non-pivot column j, where
 J = sorted(I without i_r, plus j) and s is the number of elements of I
 without i_r strictly between i_r and j.  Those rows wedge back to
 mv / mv[I] exactly when mv is decomposable, and that integer wedge is the
-decomposability test.  Minors are wedges too: ``plucker_of_matrix`` is the
-wedge of the rows.
+decomposability test.  An element's rows, or the finding that it has no
+plane, are stored on it at the first read, and ``contains`` ranks the
+integer rows of the two planes as they are.  Minors are wedges too:
+``plucker_of_matrix`` is the wedge of the rows.
 """
 
 from __future__ import annotations
@@ -128,24 +130,30 @@ def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
     return wedge_all(matrix.row_vectors())
 
 
-def _plane_rows(mv: MultiVector) -> tuple[list[list[int]], int] | None:
-    """(rows, p) with rows / p the RREF of the plane of mv, or None when mv is
-    not decomposable.
+_UNREAD = object()
 
-    The coefficients are first scaled to integers c.  The pivot set I is the
-    lexicographically first key of the support: the minors of a matrix are
-    nonzero exactly on the bases of its column matroid, and the RREF's
-    pivots are the greedy basis, which is the lexicographically least one.
-    On the chart {p_I != 0} (Harris, Algebraic Geometry: A First Course,
-    Lecture 6) the RREF entries are ratios of coordinates: with p = c[I],
-    row r is p at its pivot i_r and, at each non-pivot column j,
-    (-1)^s * c[J], where J = sorted(I without i_r, plus j) and s counts the
-    elements of I without i_r strictly between i_r and j (the moves that
-    sort column j into place in the minor J).  The minors of those rows are
-    p^(k-1) times c when mv is decomposable, and when they are, mv is their
-    wedge divided by p^(k-1); so comparing the wedge with p^(k-1) * c
-    decides decomposability in both directions.
+
+def _plane_rows(mv: MultiVector) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """(rows, p) with rows / p the RREF of the plane of mv, or None when mv is
+    not decomposable; stored on mv, so each element is read once.
+
+    The pivot set I is the lexicographically first key of the support of
+    mv's integer coefficients c: the minors of a matrix are nonzero exactly
+    on the bases of its column matroid, and the RREF's pivots are the greedy
+    basis, which is the lexicographically least one.  On the chart
+    {p_I != 0} (Harris, Algebraic Geometry: A First Course, Lecture 6) the
+    RREF entries are ratios of coordinates: with p = c[I], row r is p at its
+    pivot i_r and, at each non-pivot column j, (-1)^s * c[J], where
+    J = sorted(I without i_r, plus j) and s counts the elements of I
+    without i_r strictly between i_r and j (the moves that sort column j
+    into place in the minor J).  The minors of those rows are p^(k-1) times
+    c when mv is decomposable, and when they are, mv is their wedge divided
+    by p^(k-1); so comparing the wedge with p^(k-1) * c decides
+    decomposability in both directions.
     """
+    found = getattr(mv, "_plane", _UNREAD)
+    if found is not _UNREAD:
+        return found
     if mv.is_zero():
         raise ValueError("the zero multivector has no well-defined plane")
     c, _ = integer_coeffs(mv)
@@ -164,7 +172,8 @@ def _plane_rows(mv: MultiVector) -> tuple[list[list[int]], int] | None:
             x = c.get(rest[:pos] + (j,) + rest[pos:])
             if x:
                 row[j - 1] = -x if (pos - r) & 1 else x
-        rows.append(row)
+        rows.append(tuple(row))
+    found = tuple(rows), p
     if mv.k > 1:
         product = reduce(
             wedge_ints,
@@ -172,8 +181,9 @@ def _plane_rows(mv: MultiVector) -> tuple[list[list[int]], int] | None:
         )
         scale = p ** (mv.k - 1)
         if product != {key: scale * x for key, x in c.items()}:
-            return None
-    return rows, p
+            found = None
+    object.__setattr__(mv, "_plane", found)
+    return found
 
 
 def is_decomposable(mv: MultiVector) -> bool:
@@ -222,12 +232,16 @@ def contains(lower: MultiVector, upper: MultiVector) -> bool:
         if lower.is_zero():
             raise ValueError("the zero multivector has no well-defined plane")
         return True
-    low = spanning_vectors(lower)
-    high = spanning_vectors(upper)
-    if low.n != high.n:
-        raise GradeError(f"ambient mismatch: {low.n} vs {high.n}")
-    stacked = list(high.rows) + list(low.rows)
-    return linalg.rank(stacked) == upper.k
+    planes = []
+    for mv in (lower, upper):
+        found = _plane_rows(mv)
+        if found is None:
+            raise DecomposabilityError("input does not factor as a single wedge")
+        planes.append(found[0])
+    if lower.n != upper.n:
+        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
+    # each row set is its plane's RREF times a nonzero integer, same span
+    return linalg.rank(planes[1] + planes[0]) == upper.k
 
 
 def canonical_scale(mv: MultiVector) -> MultiVector:
@@ -241,7 +255,7 @@ def canonical_scale(mv: MultiVector) -> MultiVector:
     total = mv.coefficient_sum()
     if total != 0:
         return mv / total
-    return mv / mv.coeffs[mv.support()[0]]
+    return mv / mv.coefficient(mv.support()[0])
 
 
 def q_orthocomplement(mv: MultiVector) -> MultiVector:

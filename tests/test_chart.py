@@ -281,6 +281,33 @@ def test_chart_point_validation_and_inverse_domain():
         get_chart(2, 4).inverse((0.0, 0.0))  # wrong dimension
 
 
+def test_chart_points_near_the_center_go_to_the_center():
+    # the half-ball maps take a point whose rational direction rounds to 0
+    # for the center; nothing in this range may raise
+    chart = get_chart(2, 4)
+    center = chart.inverse((0.0,) * chart.dim).rho
+    rng = np.random.default_rng(15)
+    for radius in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11):
+        for _ in range(10):
+            direction = rng.normal(size=chart.dim)
+            direction /= np.linalg.norm(direction)
+            back = chart.inverse(tuple(radius * direction)).rho
+            keys = set(center.support()) | set(back.support())
+            assert max(
+                abs(float(center.coefficient(k) - back.coefficient(k)))
+                for k in keys
+            ) < 1e-9
+
+
+def test_unsupported_charts_are_refused_up_front():
+    cap = convexoid.MAX_FIBER_DIM
+    for k, n in ((2, 7), (5, 7)):
+        with pytest.raises(ValidationError, match=f"above {cap} are not"):
+            get_chart(k, n)
+    for k in (2, 3, 4):  # fibers of dimension at most 3: built lazily
+        assert get_chart(k, 6).dim == k * (6 - k)
+
+
 def test_chart_accepts_raw_coordinate_sequences():
     point = ball_chart_inverse((0.0, 0.0, 0.0), 1, 4)
     assert point.rho == normalize(

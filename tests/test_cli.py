@@ -192,3 +192,8 @@ def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):
     assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
     err = capsys.readouterr().err
     assert points in err and "no points" in err
+
+
+def test_roundtrip_refuses_an_unsupported_chart(capsys):
+    assert main(["roundtrip", "--k", "2", "--n", "7", "--samples", "1"]) == 2
+    assert "fibers of dimension above 3" in capsys.readouterr().err

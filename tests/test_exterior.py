@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from grassball.exterior import (
     complement,
     contract,
     inner,
+    integer_coeffs,
     normalize,
     q_form,
     wedge,
@@ -378,3 +380,252 @@ def test_immutability():
     mv = basis(3, 1)
     with pytest.raises(AttributeError):
         mv.n = 5
+
+
+# -- integer storage against the Fraction-dict reference ----------------------
+
+
+class FractionMultiVector:
+    """Reference: the element as a dict of nonzero ``Fraction`` coefficients,
+    with the arithmetic written over ``Fraction``s."""
+
+    def __init__(self, n, k, coeffs):
+        self.n, self.k = n, k
+        self.coeffs = {
+            key: Fraction(c) for key, c in coeffs.items() if Fraction(c)
+        }
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            out[key] = out.get(key, Fraction(0)) + c
+        return FractionMultiVector(self.n, self.k, out)
+
+    def __neg__(self):
+        return FractionMultiVector(
+            self.n, self.k, {key: -c for key, c in self.coeffs.items()}
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scale):
+        scale = Fraction(scale)
+        return FractionMultiVector(
+            self.n, self.k, {key: c * scale for key, c in self.coeffs.items()}
+        )
+
+    def __truediv__(self, scale):
+        return self * (Fraction(1) / Fraction(scale))
+
+    def __eq__(self, other):
+        return (self.n, self.k, self.coeffs) == (other.n, other.k, other.coeffs)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return f"MultiVector({self.n}, {self.k}, 0)"
+        return " + ".join(
+            f"{self.coeffs[key]}*" + ("e{" + ",".join(map(str, key)) + "}"
+                                       if key else "1")
+            for key in sorted(self.coeffs)
+        )
+
+    def coefficient_sum(self):
+        return sum(self.coeffs.values(), Fraction(0))
+
+    def shift(self, offset, n):
+        return FractionMultiVector(n, self.k, {
+            tuple(i + offset for i in key): c for key, c in self.coeffs.items()
+        })
+
+
+def reference_normalize(mv):
+    total = mv.coefficient_sum()
+    if total == 0:
+        raise NormalizationError("coefficient sum is zero")
+    return mv / total
+
+
+def reference_contract(mv, v):
+    out = {}
+    for key, c in mv.coeffs.items():
+        for pos, idx in enumerate(key):
+            cv = v.coeffs.get((idx,))
+            if cv is not None:
+                reduced = key[:pos] + key[pos + 1 :]
+                out[reduced] = out.get(reduced, Fraction(0)) + (-1) ** pos * c * cv
+    return FractionMultiVector(mv.n, mv.k - 1, out)
+
+
+def reference_wedge_all(factors):
+    acc = factors[0]
+    for f in factors[1:]:
+        acc = FractionMultiVector(acc.n, acc.k + f.k, wedge_oracle(acc, f))
+    return acc
+
+
+def reference_sign(mv):
+    if not mv.coeffs:
+        return SignClass.ZERO
+    if any(c < 0 for c in mv.coeffs.values()):
+        return SignClass.MIXED
+    full = len(all_subsets(mv.n, mv.k))
+    return (SignClass.POSITIVE if len(mv.coeffs) == full
+            else SignClass.NONNEGATIVE)
+
+
+def both(n, k, coeffs):
+    return MultiVector(n, k, coeffs), FractionMultiVector(n, k, coeffs)
+
+
+def same_element(got, ref):
+    """got is ref: same printout, same Fraction view, stored in lowest terms
+    with a positive denominator, and equal, with equal hash, to the element
+    the public constructor builds from the reference's coefficients."""
+    assert (got.n, got.k) == (ref.n, ref.k)
+    assert repr(got) == repr(ref)
+    assert got.coeffs == ref.coeffs
+    ints, den = integer_coeffs(got)
+    assert den > 0 and gcd(den, *ints.values()) == 1 and all(ints.values())
+    twin = MultiVector(ref.n, ref.k, ref.coeffs)
+    assert got == twin and hash(got) == hash(twin)
+
+
+def oracle_coeffs(rng, n, k, nonneg=False):
+    """Random coefficients with denominators up to 12 digits, often on a
+    shared denominator so that sums cancel."""
+    keys = all_subsets(n, k)
+    shared = rng.randint(1, 10**12)
+    density = rng.choice([0.3, 0.8, 1.0])
+    coeffs = {}
+    for key in keys:
+        if rng.random() < density:
+            den = rng.choice([1, 6, shared, shared, rng.randint(1, 10**12)])
+            num = rng.randint(0 if nonneg else -10**6, 10**6)
+            coeffs[key] = Fraction(num, den)
+    return coeffs
+
+
+def oracle_partner(rng, n, k, coeffs):
+    """A second element of the same shape: independent, the negative of
+    the first with some coefficients changed (the rest cancel), or the
+    first scaled (cancelling entirely under subtraction)."""
+    mode = rng.randrange(3)
+    if mode == 0:
+        return oracle_coeffs(rng, n, k)
+    if mode == 1:
+        out = {key: -c for key, c in coeffs.items()}
+        keys = all_subsets(n, k)
+        for key in rng.sample(keys, rng.randint(0, min(2, len(keys)))):
+            out[key] = Fraction(rng.randint(-9, 9), rng.randint(1, 10**12))
+        return out
+    return {key: c * rng.choice([1, -1, Fraction(3, 7)])
+            for key, c in coeffs.items()}
+
+
+def oracle_scalar(rng):
+    return rng.choice([
+        0, 1, -1, rng.randint(-10**6, 10**6),
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**12)),
+        str(Fraction(rng.randint(1, 99), rng.randint(1, 99))),
+    ])
+
+
+def test_integer_storage_matches_fraction_reference():
+    rng = random.Random(110)
+    cancelled = normalize_failures = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        coeffs = oracle_coeffs(rng, n, k, nonneg=rng.random() < 0.25)
+        a, ref_a = both(n, k, coeffs)
+        same_element(a, ref_a)
+        b, ref_b = both(n, k, oracle_partner(rng, n, k, coeffs))
+        same_element(a + b, ref_a + ref_b)
+        same_element(a - b, ref_a - ref_b)
+        same_element(-a, -ref_a)
+        cancelled += (a + b).is_zero() or (a - b).is_zero()
+        assert (a == b) == (ref_a == ref_b)
+        scale = oracle_scalar(rng)
+        same_element(a * scale, ref_a * scale)
+        same_element(scale * a, ref_a * scale)
+        if Fraction(scale):
+            same_element(a / scale, ref_a / scale)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / scale
+        assert a.coefficient_sum() == ref_a.coefficient_sum()
+        assert type(a.coefficient_sum()) is Fraction
+        try:
+            ref_norm = reference_normalize(ref_a)
+        except NormalizationError:
+            normalize_failures += 1
+            with pytest.raises(NormalizationError):
+                normalize(a)
+        else:
+            same_element(normalize(a), ref_norm)
+        if n < 7:
+            same_element(a.shift(+1, n=n + 1), ref_a.shift(+1, n + 1))
+        if k:
+            v, ref_v = both(n, 1, oracle_coeffs(rng, n, 1))
+            same_element(contract(a, v), reference_contract(ref_a, ref_v))
+        grades = [k]
+        while sum(grades) < n and len(grades) < 3 and rng.random() < 0.8:
+            grades.append(rng.randint(0, min(2, n - sum(grades))))
+        factors = [(a, ref_a)] + [
+            both(n, g, oracle_coeffs(rng, n, g)) for g in grades[1:]
+        ]
+        if len(factors) == 2 and k % 2 and 2 * k <= n and rng.random() < 0.3:
+            factors[1] = (a, ref_a)  # odd grade: squares to zero
+        same_element(
+            wedge_all([f for f, _ in factors]),
+            reference_wedge_all([r for _, r in factors]),
+        )
+        assert classify_sign(a) is reference_sign(ref_a)
+    assert cancelled >= 300 and normalize_failures >= 100
+
+
+def test_every_construction_of_an_element_is_equal_with_equal_hash():
+    rng = random.Random(111)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        coeffs = oracle_coeffs(rng, n, k)
+        a = MultiVector(n, k, coeffs)
+        den = 1
+        for c in coeffs.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+        ints = {key: c.numerator * (den // c.denominator)
+                for key, c in coeffs.items() if c}
+        m = rng.choice([-1, 2, -3, rng.randint(2, 10**12)])
+        b, _ = both(n, k, oracle_partner(rng, n, k, coeffs))
+        scale = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**12))
+        twins = [
+            MultiVector(n, k, {key: str(c) for key, c in coeffs.items()}),
+            MultiVector._of_ints(n, k, {key: c * m for key, c in ints.items()},
+                                 den * m),
+            MultiVector._of_ints(n, k, {key: -c for key, c in ints.items()},
+                                 -den),
+            (a + b) - b,
+            (a - b) + b,
+            (a * scale) / scale,
+            -(-a),
+            MultiVector.from_json(a.to_json()),
+        ]
+        if n < 7:
+            twins.append(a.shift(+1, n=n + 1).shift(-1, n=n))
+        for twin in twins:
+            assert twin == a and hash(twin) == hash(a)
+            assert integer_coeffs(twin) == integer_coeffs(a)
+        frames = {a: "frame"}
+        assert all(frames[twin] == "frame" for twin in twins)
+
+
+def test_shift_keeps_the_constructor_checks():
+    mv = MultiVector(4, 2, {(1, 2): 1, (2, 4): 2})
+    with pytest.raises(ValueError, match="not ascending in 1..3"):
+        mv.shift(-1)
+    with pytest.raises(ValueError, match="not ascending in 1..4"):
+        mv.shift(+1, n=4)
+    with pytest.raises(GradeError):
+        MultiVector.basis(3, (1, 2, 3)).shift(0, n=2)
