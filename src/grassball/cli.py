@@ -231,15 +231,35 @@ def _interp_oracle(data):
     """Multilinear interpolation of constraint offsets over a base grid."""
     base_dim = data["base_dim"]
     fiber_dim = data["fiber_dim"]
-    normals = [tuple(Fraction(str(v)) for v in row) for row in data["normals"]]
+    rows = data["normals"]
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == fiber_dim for row in rows
+    ):
+        raise ValueError(f"normals must be rows of fiber_dim = {fiber_dim}")
+    normals = [tuple(Fraction(str(v)) for v in row) for row in rows]
     shape = data["grid_shape"]
     offsets = data["offsets"]
+    if not isinstance(shape, list) or len(shape) != base_dim or not all(
+        type(count) is int and count >= 2 for count in shape
+    ):
+        raise ValueError(
+            f"grid_shape {shape} must hold base_dim = {base_dim} counts >= 2"
+        )
 
-    def node(axis, index):
-        count = shape[axis]
-        if axis == 0:
-            return Fraction(index, count - 1)
-        return Fraction(2 * index, count - 1) - 1
+    def check_table(table, axis):
+        if axis == base_dim:
+            return
+        if not isinstance(table, list) or len(table) != shape[axis]:
+            raise ValueError(
+                f"an offsets table does not match grid_shape {shape}"
+            )
+        for sub in table:
+            check_table(sub, axis + 1)
+
+    if not isinstance(offsets, list) or len(offsets) != len(normals):
+        raise ValueError("offsets must hold one table per normal")
+    for table in offsets:
+        check_table(table, 0)
 
     def lookup(table, idx):
         for i in idx:

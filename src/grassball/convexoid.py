@@ -7,16 +7,18 @@ body is homeomorphic to a closed half-ball with bottom going to bottom; two
 of them glued along their bottoms give a closed ball.
 
 Polytope data is exact rational.  Vertex enumeration, the boundedness check,
-the planar centroid and the support function compute over integer rows
-(each constraint or point scaled by a positive integer) and emit
-``Fraction`` results, and ``rationalize`` runs its continued fraction for a
-float over integers; the half-ball and ball maps emit floats with explicit
-tolerances.  The centroid of an interval is the midpoint of its two bounds,
-read off the constraints, and its vertices stay unenumerated until asked
-for.  No linear program runs: boundedness is an exact extreme-ray check on
-the integer constraint normals, and the joined body (the union of segments
-from the bottom center's fiber to the fibers over the distinguished
-boundary) is never built as a polytope.  Its exit times and radial
+the centroid and the support function compute over integer rows (each
+constraint or point scaled by a positive integer) and emit ``Fraction``
+results, and ``rationalize`` runs its continued fraction for a float over
+integers; the half-ball and ball maps emit floats with explicit tolerances.
+Every centroid, of a full polytope or of a flat one in its own affine span,
+is one exact simplex fan over the integer vertices (``_fan_centroid``),
+except that of an interval: the midpoint of its two bounds, read off the
+constraints, so that its vertices stay unenumerated until asked for.  No
+linear program runs: boundedness is an exact extreme-ray check on the
+integer constraint normals, and the joined body (the union of segments from
+the bottom center's fiber to the fibers over the distinguished boundary) is
+never built as a polytope.  Its exit times and radial
 functions are closed forms in the support functions of the two fibers it
 joins.  The exit time is still rounded to a dyadic within ``EXIT_TOL`` (see
 ``_Ray.exit_scale``).  The maps center fibers with ``centroid`` and
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, lcm
 from typing import Callable, Sequence
@@ -64,7 +65,6 @@ from . import linalg
 __all__ = [
     "HPolytope",
     "ConvexoidSpec",
-    "ExitTime",
     "UnboundedError",
     "DegenerateError",
     "DomainError",
@@ -346,124 +346,106 @@ def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
     ], den
 
 
-def _polygon_centroid(points):
-    """Exact centroid of the convex hull of rational points in the plane, or
-    None if the hull has zero area.
+def _affine_pivots(points) -> list[int]:
+    """Pivot columns of the differences of integer points from the first.
 
-    Over the points scaled to integers by D (``_integer_points``) the
-    shoelace sums are 2 area D^2 and 6 area D^3 times the centroid, so the
-    centroid is cx / (3 area2 D).
+    Their count is the points' affine rank, and the projection onto them is
+    injective on the points' affine hull: every other column of the
+    differences is a combination of the pivot columns.
     """
-    ints, den = _integer_points(points)
-    ordered = _hull_order_2d(ints)
-    area2 = cx = cy = 0
-    for (x0, y0), (x1, y1) in zip(ordered, ordered[1:] + ordered[:1]):
-        cr = x0 * y1 - x1 * y0
-        area2 += cr
-        cx += (x0 + x1) * cr
-        cy += (y0 + y1) * cr
-    if area2 == 0:
-        return None
-    scale = 3 * area2 * den
-    return Fraction(cx, scale), Fraction(cy, scale)
+    first = points[0]
+    return linalg.eliminate(
+        [[a - b for a, b in zip(p, first)] for p in points[1:]], reduced=False
+    )
 
 
-def _facet_loop(verts3, normal):
-    """Vertices of a planar facet in angular order around their mean."""
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != drop]
-    flat = [(v[keep[0]], v[keep[1]]) for v in verts3]
-    cx = sum(p[0] for p in flat) / len(flat)
-    cy = sum(p[1] for p in flat) / len(flat)
-
-    import functools
-
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def compare(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    order = sorted(range(len(flat)), key=functools.cmp_to_key(
-        lambda i, j: compare(flat[i], flat[j])
-    ))
-    return [verts3[i] for i in order]
+def _polygon_loop(points, pivots) -> list[tuple[int, ...]]:
+    """The hull vertices of integer points of affine rank 2, in any ambient
+    dimension, in hull order: that of their images in the two pivot
+    columns, where the projection keeps the hull and its fan."""
+    c0, c1 = pivots
+    by_image = {(p[c0], p[c1]): p for p in points}
+    return [by_image[q] for q in _hull_order_2d(by_image)]
 
 
-def _tet_volume(a, b, c, d):
-    mat = [
-        [b[i] - a[i] for i in range(3)],
-        [c[i] - a[i] for i in range(3)],
-        [d[i] - a[i] for i in range(3)],
-    ]
-    return abs(linalg.det(mat)) / 6
+def _fan_centroid(poly: HPolytope, full: bool) -> tuple[Fraction, ...]:
+    """Exact centroid of the hull of the vertices, in its own affine span.
 
-
-def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
-    """Exact volume-weighted centroid of a full-dimensional polytope.
-
-    In the plane, the shoelace formula over the vertices scaled to integers
-    (``_polygon_centroid``), with a ``Fraction`` result; in dimension 3, a
-    fan decomposition from the lexicographically least vertex.  Implemented
-    for fiber dimensions up to ``MAX_FIBER_DIM``.  A polytope that
-    is not full-dimensional has zero length, area or volume there, and
-    raises ``DegenerateError``.
+    The vertices are scaled to integer points X / D once
+    (``_integer_points``) and cut into simplices by their affine rank r: the
+    one vertex (r = 0), the segment from the least to the greatest (r = 1),
+    the fan of triangles from the first vertex of the polygon (r = 2, in any
+    ambient dimension), or, in dimension 3, the cones from the least vertex
+    over that fan of each facet it is not on (r = 3), each facet counted
+    once, keyed by its vertex set, however many rows cut it out.  The
+    centroid is the mean of the simplex centroids weighted by |det| of their
+    edges in the pivot columns (``_affine_pivots``), which is the same
+    multiple of the volume for every simplex.  With ``full`` a hull of rank
+    below the dimension raises ``DegenerateError``; a hull of any other rank
+    ``ValueError``.
     """
     verts = vertices(poly)
     if not verts:
         raise DegenerateError("empty polytope")
-    m = poly.dim
-    if m == 0:
-        return ()
-    if m == 1:
-        lo = min(v[0] for v in verts)
-        hi = max(v[0] for v in verts)
-        center = ((lo + hi) / 2,) if lo < hi else None
-    elif m == 2:
-        center = _polygon_centroid(verts)
-    elif m == 3:
-        apex = min(verts)
-        total = Fraction(0)
-        acc = [Fraction(0)] * 3
-        for normal, offset in poly.constraints:
-            on_facet = [v for v in verts if linalg.dot(normal, v) == offset]
-            if len(on_facet) < 3 or apex in on_facet:
-                continue
-            loop = _facet_loop(on_facet, normal)
-            for b, c in zip(loop[1:], loop[2:]):
-                vol = _tet_volume(apex, loop[0], b, c)
-                if vol == 0:
-                    continue
-                total += vol
-                for i in range(3):
-                    acc[i] += vol * (apex[i] + loop[0][i] + b[i] + c[i]) / 4
-        center = tuple(a / total for a in acc) if total else None
-    else:
-        diffs = [tuple(v[i] - verts[0][i] for i in range(m)) for v in verts[1:]]
-        if linalg.rank(diffs) == m:
-            raise ValueError(
-                f"barycenter implemented for fiber dimension <= {MAX_FIBER_DIM}"
-            )
-        center = None
-    if center is None:
+    ints, den = _integer_points(verts)
+    pivots = _affine_pivots(ints)
+    rank = len(pivots)
+    if full and rank < poly.dim:
         raise DegenerateError("polytope is not full-dimensional")
-    return center
+    if rank <= 1:
+        cells = [((min(ints), max(ints)), 1)]
+    elif rank == 2:
+        c0, c1 = pivots
+        o, *rest = _polygon_loop(ints, pivots)
+        cells = [
+            ((o, b, c), abs((b[c0] - o[c0]) * (c[c1] - o[c1])
+                            - (b[c1] - o[c1]) * (c[c0] - o[c0])))
+            for b, c in zip(rest, rest[1:])
+        ]
+    elif rank == poly.dim == 3:
+        apex = min(ints)
+        cells, facets = [], set()
+        for normal, offset in poly.constraints:
+            *a, b = linalg.integer_row((*normal, offset))[0]
+            facet = [p for p in ints if sum(map(operator.mul, a, p)) == b * den]
+            key = frozenset(facet)
+            if len(facet) < 3 or apex in key or key in facets:
+                continue
+            facets.add(key)
+            o, *rest = _polygon_loop(facet, _affine_pivots(facet))
+            u = [x - y for x, y in zip(o, apex)]
+            for b, c in zip(rest, rest[1:]):
+                v = [x - y for x, y in zip(b, apex)]
+                w = [x - y for x, y in zip(c, apex)]
+                weight = abs(sum(map(operator.mul, u, _cross(v, w))))
+                cells.append(((apex, o, b, c), weight))
+    else:
+        raise ValueError(
+            "centroid implemented for hulls of dimension <= 2 and for "
+            f"full-dimensional polytopes of dimension <= {MAX_FIBER_DIM}"
+        )
+    scale = len(cells[0][0]) * sum(w for _, w in cells) * den
+    return tuple(
+        Fraction(sum(w * sum(p[i] for p in cell) for cell, w in cells), scale)
+        for i in range(poly.dim)
+    )
+
+
+def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
+    """Exact volume-weighted centroid of a full-dimensional polytope
+    (``_fan_centroid``), implemented for dimensions up to
+    ``MAX_FIBER_DIM``.  An empty polytope, or one that is not
+    full-dimensional, raises ``DegenerateError``.
+    """
+    return _fan_centroid(poly, full=True)
 
 
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
     """Centroid with respect to the polytope's own affine hull, cached.
 
     Needed for the centering step on degenerate boundary fibers; exact for
-    hull dimension <= 2, which is all the boundary strata used here.
+    hulls of dimension <= 2 in any dimension and for full-dimensional
+    polytopes of dimension <= ``MAX_FIBER_DIM`` (``_fan_centroid``).
     """
     if "centroid" not in poly._cache:
         poly._cache["centroid"] = _hull_centroid(poly)
@@ -504,45 +486,11 @@ def _hull_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
         mid = _interval_midpoint(poly)
         if mid is not None:
             return mid
-    verts = vertices(poly)
-    if not verts:
-        raise DegenerateError("empty polytope")
-    if poly.dim == 0 or len(verts) == 1:
-        return verts[0]
-    ints, _ = _integer_points(verts)
-    scaled_diffs = [tuple(a - b for a, b in zip(p, ints[0])) for p in ints[1:]]
-    if linalg.rank(scaled_diffs) == poly.dim:
-        return barycenter(poly)
-    # a lower-dimensional hull: centroid in coordinates along an orthogonal
-    # frame of its affine span, where it is full-dimensional
-    base = verts[0]
-    diffs = [tuple(v[i] - base[i] for i in range(poly.dim)) for v in verts[1:]]
-    frame = linalg.orthogonalize(diffs)
-    coords = [
-        tuple(linalg.dot(delta, f) / linalg.dot(f, f) for f in frame)
-        for delta in [(Fraction(0),) * poly.dim] + diffs
-    ]
-    if len(frame) == 1:
-        mid = ((min(coords)[0] + max(coords)[0]) / 2,)
-    elif len(frame) == 2:
-        mid = _polygon_centroid(coords)
-    else:
-        raise ValueError("degenerate centroid implemented for hull dim <= 2")
-    out = list(base)
-    for c, f in zip(mid, frame):
-        for i in range(poly.dim):
-            out[i] += c * f[i]
-    return tuple(out)
+    return _fan_centroid(poly, full=False)
 
 
 # ---------------------------------------------------------------------------
 # convexoid specs
-
-
-@dataclass(frozen=True)
-class ExitTime:
-    direction: tuple
-    t: Fraction
 
 
 class ConvexoidSpec:
@@ -760,10 +708,10 @@ class _Ray:
         return lo + (t_star - lo) // step * step + step / 2
 
 
-def exit_time(spec: ConvexoidSpec, direction) -> ExitTime:
-    """Exit time of a ray from the joined body of a centered spec."""
-    ray = _Ray(spec.fiber, spec.base_dim, direction)
-    return ExitTime(tuple(direction), ray.exit_scale())
+def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
+    """Exit time of a ray from the joined body of a centered spec: the exit
+    scale of ``_Ray.exit_scale``."""
+    return _Ray(spec.fiber, spec.base_dim, direction).exit_scale()
 
 
 class HalfBallMap:

@@ -157,19 +157,3 @@ def det(rows: Sequence[Sequence]) -> Fraction:
 def dot(a: Sequence, b: Sequence) -> Fraction:
     """Exact dot product; the entries must already be Fraction or int."""
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def orthogonalize(rows: Sequence[Sequence]) -> Matrix:
-    """Gram-Schmidt without normalization, keeping everything rational.
-
-    Zero vectors produced by dependent inputs are dropped.
-    """
-    out: Matrix = []
-    for row in rows:
-        vec = [Fraction(x) for x in row]
-        for prev in out:
-            coeff = dot(vec, prev) / dot(prev, prev)
-            vec = [x - coeff * y for x, y in zip(vec, prev)]
-        if any(vec):
-            out.append(tuple(vec))
-    return out

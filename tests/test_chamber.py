@@ -418,26 +418,31 @@ def _reference_frame(frame_cls, base, rng):
 
 
 def reference_centroid(poly, verts):
-    """The hull centroid through the vertices: a point, the midpoint of an
-    interval, the barycenter of a full body, or the centroid of a flat one
-    in an orthogonal frame of its span."""
+    """The hull centroid through the vertices: a point, the barycenter of a
+    full body, or that of a flat one in an orthogonal frame of its span (by
+    Gram-Schmidt), as the polytope of its constraints in that frame."""
     if not verts:
         raise convexoid.DegenerateError("empty polytope")
     if poly.dim == 0 or len(verts) == 1:
         return verts[0]
     base = verts[0]
-    diffs = [tuple(a - b for a, b in zip(v, base)) for v in verts[1:]]
-    frame = linalg.orthogonalize(diffs)
+    frame = []
+    for v in verts[1:]:
+        vec = [a - b for a, b in zip(v, base)]
+        for f in frame:
+            coeff = linalg.dot(vec, f) / linalg.dot(f, f)
+            vec = [x - coeff * y for x, y in zip(vec, f)]
+        if any(vec):
+            frame.append(tuple(vec))
     if len(frame) == poly.dim:
         return convexoid.barycenter(poly)
-    coords = [
-        tuple(linalg.dot(d, f) / linalg.dot(f, f) for f in frame)
-        for d in [(Fraction(0),) * poly.dim] + diffs
+    rows = [
+        (tuple(linalg.dot(n, f) for f in frame), o - linalg.dot(n, base))
+        for n, o in poly.constraints
     ]
-    if len(frame) == 1:
-        mid = ((min(coords)[0] + max(coords)[0]) / 2,)
-    else:
-        mid = convexoid._polygon_centroid(coords)
+    mid = convexoid.barycenter(
+        HPolytope(len(frame), [(n, o) for n, o in rows if any(n)])
+    )
     return tuple(
         b + sum((c * f[i] for c, f in zip(mid, frame)), Fraction(0))
         for i, b in enumerate(base)

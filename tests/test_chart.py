@@ -233,6 +233,19 @@ def test_larger_chart_round_trips(k, n):
         assert roundtrip_error(chart, point) < 1e-6
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("k, n", [(2, 6), (4, 6)])
+def test_charts_with_3d_fibers_round_trip(k, n):
+    """G(2,6) and G(4,6), the charts whose fibers are 3-D: each takes about
+    40 s and 2 minutes on a 2-core host."""
+    chart = get_chart(k, n)
+    rng = random.Random(39)
+    for _ in range(3):
+        point = random_positive_point(rng, k, n)
+        assert float(np.linalg.norm(chart.forward(point).coords)) <= 1
+        assert roundtrip_error(chart, point) <= 1e-9
+
+
 # Known defects are strict xfails, so that a fix shows up as an XPASS.
 DEFECTS = {
     (2, 5, (1, 2)): (AssertionError, "round-trip error 0.715"),

@@ -192,6 +192,21 @@ def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):
     assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
     err = capsys.readouterr().err
     assert points in err and "no points" in err
+    # offsets tables that do not match grid_shape, a grid_shape that does not
+    # match base_dim and normals that are not rows are malformed input too
+    points = write(tmp_path, "pts.json", [[1.0, 0.5], [0.5, 0.0]])
+    for name, bad in {
+        "ragged": {"grid_shape": [3], "offsets": [["1", "1"], ["1", "1"]]},
+        "short": {"grid_shape": [3], "offsets": [["1", "1", "1"]]},
+        "base_dim": {"base_dim": 2, "offsets": [["1", "1"], ["1", "1"]]},
+        "normals": {"normals": [1, -1], "offsets": [["1", "1"], ["1", "1"]]},
+    }.items():
+        spec = write(tmp_path, f"{name}.json", {
+            "base_dim": 1, "fiber_dim": 1, "normals": [["1"], ["-1"]],
+            "grid_shape": [2], **bad,
+        })
+        assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
+        assert "invalid input" in capsys.readouterr().err, name
 
 
 def test_roundtrip_refuses_an_unsupported_chart(capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import decimal
+import functools
 import itertools
 import math
 import random
@@ -148,6 +149,15 @@ def test_barycenter_symmetric_cases():
         ],
     )
     assert barycenter(triangle) == (F(1, 3), F(1, 3))
+    # the unit cube with its top facet cut out twice, by a duplicate and by a
+    # proportional row: a facet counts once, whichever rows cut it out
+    cube = [(tuple(F(s * (i == j)) for j in range(3)), F(int(s > 0)))
+            for i in range(3) for s in (1, -1)]
+    top = ((F(0), F(0), F(1)), F(1))
+    for extra in (top, ((F(0), F(0), F(2)), F(2))):
+        poly = HPolytope(3, cube + [extra])
+        assert barycenter(poly) == (F(1, 2),) * 3
+        assert centroid(poly) == (F(1, 2),) * 3
 
 
 def flat_segment():
@@ -305,10 +315,11 @@ def test_join_fiber_2d_minkowski():
 
 def test_exit_time_square_cases():
     spec = centered_spec(square_spec())
-    assert abs(float(exit_time(spec, (1.0, 0.0)).t) - 1) < 1e-9
-    assert abs(float(exit_time(spec, (0.0, 1.0)).t) - 1) < 1e-9
+    assert type(exit_time(spec, (1.0, 0.0))) is F
+    assert abs(float(exit_time(spec, (1.0, 0.0))) - 1) < 1e-9
+    assert abs(float(exit_time(spec, (0.0, 1.0))) - 1) < 1e-9
     diag = 1 / math.sqrt(2)
-    assert abs(float(exit_time(spec, (diag, diag)).t) - math.sqrt(2)) < 1e-8
+    assert abs(float(exit_time(spec, (diag, diag))) - math.sqrt(2)) < 1e-8
 
 
 def exit_time_lp_oracle(spec, direction):
@@ -369,7 +380,7 @@ def test_exit_time_matches_lp_oracle():
     for _ in range(15):
         spec = random_centered_spec(rng)
         direction = [rng.uniform(0, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)]
-        got = float(exit_time(spec, direction).t)
+        got = float(exit_time(spec, direction))
         want = float(exit_time_lp_oracle(spec, direction))
         assert abs(got - want) < 1e-9
 
@@ -396,7 +407,7 @@ def test_exit_scale_caps_the_exit_time_below_2_to_the_80():
     # straight up the fiber [-1, 1] from the bottom center: t* = 1 / vf
     top = F(2**80 - 1)
     assert _Ray(spec.fiber, 1, (F(0), 1 / top)).exit_bound() == top
-    assert abs(exit_time(spec, (F(0), 1 / top)).t - top) <= EXIT_TOL
+    assert abs(exit_time(spec, (F(0), 1 / top)) - top) <= EXIT_TOL
     for vf in (F(1, 2**80), F(1, 2**85)):
         with pytest.raises(UnboundedError):
             exit_time(spec, (F(0), vf))
@@ -1041,7 +1052,7 @@ def test_exit_time_closed_form_equals_lp_exactly(m):
 def test_exit_scale_equals_lp_bisection(m):
     spec = degenerate_spec(m)
     for direction in oracle_directions(random.Random(50 + m), m, 6):
-        assert exit_time(spec, direction).t == bisection_lp_oracle(
+        assert exit_time(spec, direction) == bisection_lp_oracle(
             spec, direction
         )
 
@@ -1278,7 +1289,53 @@ def reference_polygon_centroid(points):
     return cx / (3 * area2), cy / (3 * area2)
 
 
+def reference_facet_loop(verts3, normal):
+    """Vertices of a planar facet in angular order around their mean."""
+    drop = max(range(3), key=lambda i: abs(normal[i]))
+    keep = [i for i in range(3) if i != drop]
+    flat = [(v[keep[0]], v[keep[1]]) for v in verts3]
+    cx = sum(p[0] for p in flat) / len(flat)
+    cy = sum(p[1] for p in flat) / len(flat)
+
+    def half(p):
+        dx, dy = p[0] - cx, p[1] - cy
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def compare(a, b):
+        ha, hb = half(a), half(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        cr = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    order = sorted(range(len(flat)), key=functools.cmp_to_key(
+        lambda i, j: compare(flat[i], flat[j])
+    ))
+    return [verts3[i] for i in order]
+
+
+def reference_tet_volume(a, b, c, d):
+    return abs(linalg.det([[q[i] - a[i] for i in range(3)]
+                           for q in (b, c, d)])) / 6
+
+
+def reference_orthogonalize(rows):
+    """Gram-Schmidt without normalization; dependent rows are dropped."""
+    out = []
+    for row in rows:
+        vec = list(row)
+        for prev in out:
+            coeff = dot(vec, prev) / dot(prev, prev)
+            vec = [x - coeff * y for x, y in zip(vec, prev)]
+        if any(vec):
+            out.append(tuple(vec))
+    return out
+
+
 def reference_barycenter(poly, verts):
+    """The Fraction centroid: the shoelace in the plane, and in dimension 3
+    a fan of cones from the least vertex over the facets, each facet (a
+    vertex set, whichever constraints cut it out) counted once."""
     if not verts:
         raise DegenerateError("empty polytope")
     m = poly.dim
@@ -1295,13 +1352,16 @@ def reference_barycenter(poly, verts):
         apex = min(verts)
         total = F(0)
         acc = [F(0)] * 3
+        facets = set()
         for normal, offset in poly.constraints:
             on_facet = [v for v in verts if dot(normal, v) == offset]
-            if len(on_facet) < 3 or apex in on_facet:
+            if len(on_facet) < 3 or apex in on_facet \
+                    or frozenset(on_facet) in facets:
                 continue
-            loop = convexoid._facet_loop(on_facet, normal)
+            facets.add(frozenset(on_facet))
+            loop = reference_facet_loop(on_facet, normal)
             for b, c in zip(loop[1:], loop[2:]):
-                vol = convexoid._tet_volume(apex, loop[0], b, c)
+                vol = reference_tet_volume(apex, loop[0], b, c)
                 total += vol
                 for i in range(3):
                     acc[i] += vol * (apex[i] + loop[0][i] + b[i] + c[i]) / 4
@@ -1318,7 +1378,7 @@ def reference_hull_centroid(poly, verts):
         return verts[0]
     base = verts[0]
     diffs = [tuple(v[i] - base[i] for i in range(poly.dim)) for v in verts[1:]]
-    frame = linalg.orthogonalize(diffs)
+    frame = reference_orthogonalize(diffs)
     d = len(frame)
     if d == poly.dim:
         return reference_barycenter(poly, verts)
