@@ -43,9 +43,11 @@ from .convexoid import (
     HPolytope,
     MAX_FIBER_DIM,
     NORM_SLACK,
+    SLACK,
     centered,
     centroid,
     norm_gauge,
+    radial,
     rationalize,
     rationalize_point,
     regauge,
@@ -87,9 +89,6 @@ __all__ = [
     "ball_chart",
     "ball_chart_inverse",
 ]
-
-DEGENERATE_EPS = Fraction(1, 10**9)
-
 
 class ValidationError(ValueError):
     """An input fails the chamber-point or split-triple invariants."""
@@ -404,8 +403,11 @@ def f_fiber_polytope(eta: MultiVector) -> HPolytope:
 def nudge_into(poly: HPolytope, y: Sequence) -> tuple[Fraction, ...]:
     """Exact pullback of a nearly-feasible point into the polytope.
 
-    Moves toward the vertex mean just far enough to satisfy every
-    constraint; a no-op for feasible points.
+    Moves from the vertex mean m toward y by the radial function of the
+    polytope about m along y - m (``convexoid.radial``), which is just far
+    enough to satisfy every constraint; a no-op for feasible points.  The
+    mean lies in the polytope and y outside it, so that factor is in
+    [0, 1).
     """
     y = tuple(Fraction(v) for v in y)
     if poly.contains_point(y):
@@ -418,13 +420,7 @@ def nudge_into(poly: HPolytope, y: Sequence) -> tuple[Fraction, ...]:
         for i in range(poly.dim)
     )
     direction = tuple(a - b for a, b in zip(y, center))
-    lam = Fraction(1)
-    for normal, offset in poly.constraints:
-        num = offset - linalg.dot(normal, center)
-        den = linalg.dot(normal, direction)
-        if den > 0 and num < den * lam:
-            lam = num / den
-    lam = max(lam, Fraction(0))
+    lam = radial(poly.translated([-c for c in center]), direction)
     return tuple(c + lam * d for c, d in zip(center, direction))
 
 
@@ -478,18 +474,19 @@ class _SimplexChart:
     def forward(self, point: ChamberPoint) -> ChartPoint:
         values = [point.rho.coefficient(key) for key in self.subsets]
         offsets = [v - Fraction(1, self.count) for v in values]
-        gauge = self.count * max(-min(offsets), Fraction(0))
+        # the offsets sum to 0, so the least is <= 0
+        gauge = -self.count * min(offsets)
         d = np.array([float(v) for v in offsets])
         x = self.frame @ d
         norm = float(np.linalg.norm(x))
-        if norm < 1e-300 or gauge == 0:
+        if not norm:
             return ChartPoint(np.zeros(self.count - 1))
         return ChartPoint(x * (float(gauge) / norm))
 
     def inverse(self, coords) -> ChamberPoint:
         y = np.asarray(coords, dtype=float)
         norm = float(np.linalg.norm(y))
-        if norm < 1e-14:
+        if not norm:
             values = [Fraction(1, self.count)] * self.count
             return self._point_from_values(values)
         d_dir = self.frame.T @ y
@@ -581,10 +578,11 @@ class _Side:
         return x[0], x[1 : 1 + self.base.dim], x[1 + self.base.dim :]
 
     def point_of_coords(self, x) -> ChamberPoint:
+        # tau is in [0, 1]: x is a half-ball inverse, whose base point is
+        # clamped into the cube, and rationalizing keeps it there
         tau, z, scaled = self._unpack(x)
-        tau = min(max(tau, Fraction(0)), Fraction(1))
         base_el = self.element_of_cube(z)
-        if 1 - tau < DEGENERATE_EPS:
+        if 1 - tau < SLACK:
             return self._assemble(Fraction(1 + self.sign, 2), base_el, None)
         frame = self.frame(base_el)
         y = nudge_into(

@@ -125,30 +125,16 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_shrink(args) -> int:
+def _cmd_witness(args) -> int:
+    """``shrink`` or ``extend``: the lemma's positive or nonnegative witness,
+    the pair of lemma functions set on ``args`` by the subcommand."""
     mv = _load_multivector(args.multivector)
     cfg = lemmas.EpsilonSearch(
         initial=Fraction(args.epsilon_initial),
         max_iterations=args.epsilon_max_iter,
     )
-    if args.positive:
-        result = lemmas.shrink_positive(mv, cfg)
-    else:
-        result = lemmas.shrink_nonneg(mv)
-    _emit(result.to_json_dict(), args.out)
-    return 0
-
-
-def _cmd_extend(args) -> int:
-    mv = _load_multivector(args.multivector)
-    cfg = lemmas.EpsilonSearch(
-        initial=Fraction(args.epsilon_initial),
-        max_iterations=args.epsilon_max_iter,
-    )
-    if args.positive:
-        result = lemmas.extend_positive(mv, cfg)
-    else:
-        result = lemmas.extend_nonneg(mv)
+    positive, nonneg = args.witnesses
+    result = positive(mv, cfg) if args.positive else nonneg(mv)
     _emit(result.to_json_dict(), args.out)
     return 0
 
@@ -381,10 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, timing=False):
         p.add_argument("--out", help="write JSON output to this path")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall time in reports")
+        if timing:
+            p.add_argument("--timing", action="store_true",
+                           help="include wall time in reports")
 
     p = sub.add_parser("wedge", help="exterior product of two multivectors")
     p.add_argument("a")
@@ -402,14 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_check)
 
-    for name, fn in (("shrink", _cmd_shrink), ("extend", _cmd_extend)):
+    for name, witnesses in (
+        ("shrink", (lemmas.shrink_positive, lemmas.shrink_nonneg)),
+        ("extend", (lemmas.extend_positive, lemmas.extend_nonneg)),
+    ):
         p = sub.add_parser(name, help=f"{name} witness one grade")
         p.add_argument("multivector")
         p.add_argument("--positive", action="store_true")
         p.add_argument("--epsilon-initial", default="1/2")
         p.add_argument("--epsilon-max-iter", type=int, default=64)
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_witness, witnesses=witnesses)
 
     p = sub.add_parser("split", help="chamber coordinates (t, eta, omega)")
     p.add_argument("multivector")
@@ -440,14 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--csv", help="emit per-sample CSV to this path")
-    common(p)
+    common(p, timing=True)
     p.set_defaults(func=_cmd_roundtrip)
 
     p = sub.add_parser("convexoid-map", help="map points of a gridded convexoid")
     p.add_argument("--spec", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    common(p)
+    common(p, timing=True)
     p.set_defaults(func=_cmd_convexoid_map)
 
     p = sub.add_parser("selftest", help="cross-module smoke battery")
@@ -456,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
-    common(p)
+    common(p, timing=True)
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -30,24 +30,26 @@ converts every constraint.
 
 The numeric layer's radial rescales (ball and cube, half-ball and
 half-cylinder, long cylinder and ball) are one map, ``regauge``, between
-the unit bodies of two gauges.  The tolerances that remain:
+the unit bodies of two gauges, and the radial function of a fiber is one
+function, ``radial``.  ``regauge`` guards an exact 0 only.  Every tolerance
+of the numeric layer, this module's and ``chamber``'s, is one of these:
 
 - ``EXIT_TOL`` (1e-10, exact): exit times are rounded to a dyadic within it.
 - ``SLACK`` (1e-9, exact): how far outside the base cube or its fiber a
   point given to ``HalfBallMap.forward`` may lie, how far beyond norm 1 or
-  below height 0 a half-ball point may lie, and the stand-in for a radial
-  function that is 0.
-- ``NORM_SLACK`` (1e-9, float): how far beyond norm 1 a ball or chart point
-  may lie; ``chamber`` and the CLI checks use it too.
+  below height 0 a half-ball point may lie, the stand-in for a radial
+  function that is 0, and, in ``chamber``, how close to the top a side's
+  tau may come before it is put on the top.
+- ``NORM_SLACK``: ``SLACK`` as a float, how far beyond norm 1 a ball or
+  chart point may lie; ``chamber`` and the CLI checks use it too.
 - ``GLUE_TOL`` (1e-6): the two sides must agree within it on the bottom
   samples.
 - ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact;
-  a half-ball point that it rounds to 0 is the center of the bottom.
+  a half-ball point that it rounds to 0 is the center of the bottom, and a
+  simplex leaf's offset that it rounds to 0 is the barycenter's.
 
-``regauge`` guards an exact 0 only.  Outside this module,
-``chamber.DEGENERATE_EPS`` (1e-9) puts tau that close to the top on the
-top, and the simplex leaves treat a norm below 1e-300 (forward) or 1e-14
-(inverse) as the center.
+Apart from them, ``_Ray.exit_scale`` takes an exit time of 2^80 or more
+for a ray that never leaves.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ EXIT_TOL = Fraction(1, 10**10)
 SLACK = Fraction(1, 10**9)
 RATIONALIZE_DEN = 10**12
 GLUE_TOL = 1e-6
-NORM_SLACK = 1e-9
+NORM_SLACK = float(SLACK)
 # the largest fiber dimension the centroid and the exit times handle
 MAX_FIBER_DIM = 3
 
@@ -317,24 +319,16 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
 
 
 def _hull_order_2d(points):
-    """Counterclockwise convex hull order (Andrew's monotone chain)."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    """Counterclockwise hull order of points that are all extreme, such as
+    a polygon's vertices: the least point, the points below the chord from
+    it to the greatest in ascending order, the greatest point, then the
+    points above the chord in descending order, the order Andrew's monotone
+    chain gives them."""
+    lo, *rest, hi = sorted(points)
+    dx, dy = hi[0] - lo[0], hi[1] - lo[1]
+    side = [(dx * (p[1] - lo[1]) - dy * (p[0] - lo[0]), p) for p in rest]
+    return ([lo] + [p for s, p in side if s < 0] + [hi]
+            + [p for s, p in reversed(side) if s > 0])
 
 
 def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
@@ -558,6 +552,24 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
 # rays, exit times, half-ball map
 
 
+def radial(poly: HPolytope, y) -> Fraction:
+    """Radial function sup{l >= 0 : l * y in poly} of a polytope that holds
+    the origin, along y != 0: the least offset / (normal . y) over the
+    constraints with normal . y > 0.  Every chart fiber is centered, so it
+    holds the origin; ``chamber.nudge_into`` moves its polytope so that the
+    vertex mean is the origin."""
+    best = None
+    for normal, offset in poly.constraints:
+        d = linalg.dot(normal, y)
+        if d > 0:
+            lam = offset / d
+            if best is None or lam < best:
+                best = lam
+    if best is None:
+        raise UnboundedError("radial function undefined; polytope unbounded")
+    return best
+
+
 def _support(poly: HPolytope, u) -> Fraction:
     """Support function h(u) = max of u . v over the vertices, cached per u.
 
@@ -741,27 +753,14 @@ class HalfBallMap:
 
     # -- radial rescale between the fiber and the joined fiber --------------
 
-    def _lambda_fiber(self, poly: HPolytope, y) -> Fraction:
-        """sup{l >= 0 : l * y in poly} for a centered bounded fiber."""
-        best = None
-        for normal, offset in poly.constraints:
-            d = linalg.dot(normal, y)
-            if d > 0:
-                lam = offset / d
-                if best is None or lam < best:
-                    best = lam
-        if best is None:
-            raise UnboundedError("radial function undefined; fiber unbounded")
-        return best
-
     def _lambda_joined(self, p, y) -> Fraction:
         """sup{l : l * y in joined fiber over p}, by support functions."""
         key = rationalize_point(p)
         if all(v == 0 for v in key):
-            return self._lambda_fiber(self.centered_fiber(key), y)
+            return radial(self.centered_fiber(key), y)
         q, s = radial_project_base(key)
         if s == 1:
-            return self._lambda_fiber(self.centered_fiber(key), y)
+            return radial(self.centered_fiber(key), y)
         e0 = self.centered_fiber(self.spec.origin())
         e1 = self.centered_fiber(q)
         best = None
@@ -784,7 +783,7 @@ class HalfBallMap:
         boundary only."""
         if not any(y):
             return Fraction(1)
-        lam_e = self._lambda_fiber(self.centered_fiber(p), y)
+        lam_e = radial(self.centered_fiber(p), y)
         lam_j = self._lambda_joined(p, y)
         if lam_e <= 0 or lam_j <= 0:
             self.degenerate_rescales += 1

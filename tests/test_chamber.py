@@ -273,6 +273,62 @@ def test_nudge_into_pulls_points_inside():
     assert nudge_into(poly, inside) == inside
 
 
+def reference_nudge_into(poly, y):
+    """The ratio loop ``nudge_into`` ran before it called
+    ``convexoid.radial``: from the vertex mean c toward y, the least
+    (offset - n . c) / (n . (y - c)) over rows with n . (y - c) > 0, started
+    at 1 and floored at 0."""
+    y = tuple(Fraction(v) for v in y)
+    if poly.contains_point(y):
+        return y
+    verts = vertices(poly)
+    center = tuple(
+        sum((v[i] for v in verts), Fraction(0)) / len(verts)
+        for i in range(poly.dim)
+    )
+    direction = tuple(a - b for a, b in zip(y, center))
+    lam = Fraction(1)
+    for normal, offset in poly.constraints:
+        num = offset - linalg.dot(normal, center)
+        den = linalg.dot(normal, direction)
+        if den > 0 and num < den * lam:
+            lam = num / den
+    lam = max(lam, Fraction(0))
+    return tuple(c + lam * d for c, d in zip(center, direction))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nudge_into_equals_its_ratio_loop(dim):
+    """Boxes cut by random rows, with points inside, just outside and far
+    outside, some of them flat, against the ratio loop."""
+    rng = random.Random(40 + dim)
+    moved = 0
+    for _ in range(60):
+        cons = []
+        for i in range(dim):
+            e = [Fraction(0)] * dim
+            e[i] = Fraction(1)
+            cons.append((tuple(e), Fraction(rng.randint(0, 5), 4)))
+            cons.append((tuple(-x for x in e), Fraction(rng.randint(0, 5), 3)))
+        for _ in range(rng.randint(0, 3)):
+            normal = tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
+            if any(normal):
+                cons.append((normal, Fraction(rng.randint(0, 6), 5)))
+        poly = HPolytope(dim, cons)
+        for _ in range(5):
+            y = tuple(Fraction(rng.randint(-40, 40), rng.choice((4, 7, 16)))
+                      for _ in range(dim))
+            got = nudge_into(poly, y)
+            assert got == reference_nudge_into(poly, y)
+            assert poly.contains_point(got)
+            if got != y:  # moved onto the boundary, short of y
+                moved += 1
+                assert not poly.contains_point(y)
+                assert any(linalg.dot(n, got) == o
+                           for n, o in poly.constraints)
+    assert moved > 100
+
+
 def test_fiber_validation_errors():
     with pytest.raises(
         ValidationError, match=r"^omega must be supported on indices 2\.\.n$"

@@ -16,6 +16,7 @@ from grassball.chamber import (
     FiberFrame,
     SplitTriple,
     ValidationError,
+    _SimplexChart,
     assemble,
     ball_chart,
     ball_chart_inverse,
@@ -310,6 +311,26 @@ def test_chart_points_near_the_center_go_to_the_center():
                 abs(float(center.coefficient(k) - back.coefficient(k)))
                 for k in keys
             ) < 1e-9
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (2, 3), (1, 4)])
+def test_simplex_leaves_take_points_near_the_center_to_the_barycenter(k, n):
+    # a norm that is not 0 takes the general path; its offsets are below
+    # what ``rationalize`` keeps, so they all round to 0
+    leaf = _SimplexChart(n, k)
+    dim = leaf.count - 1
+    barycenter = leaf.inverse((0.0,) * dim)
+    assert barycenter.rho == normalize(
+        MultiVector(n, k, {key: 1 for key in leaf.subsets})
+    )
+    rng = np.random.default_rng(16)
+    for radius in (1e-16, 1e-15, 1e-14, 1e-13):
+        for _ in range(10):
+            direction = rng.normal(size=dim)
+            direction /= np.linalg.norm(direction)
+            back = leaf.inverse(tuple(radius * direction))
+            assert back.rho == barycenter.rho
+    assert leaf.forward(barycenter).coords == (0.0,) * dim
 
 
 def test_unsupported_charts_are_refused_up_front():

@@ -1,10 +1,13 @@
 """Command-line front end: formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from grassball import lemmas
 from grassball.cli import main
+from grassball.exterior import MultiVector
 
 
 def write(tmp_path, name, data):
@@ -64,6 +67,18 @@ def test_shrink_and_extend_flags(tmp_path, capsys):
     assert main(["extend", mv, "--positive", "--epsilon-initial", "1/4"]) == 0
     out = read_json(capsys)
     assert out["k"] == 3 and len(out["coeffs"]) == 4
+    # one handler serves both subcommands, each with its own two lemmas
+    rho = MultiVector.from_json_dict(VANDERMONDE)
+    cfg = lemmas.EpsilonSearch(initial=Fraction(1, 2), max_iterations=64)
+    cases = [
+        (["shrink", mv], lemmas.shrink_nonneg(rho)),
+        (["shrink", mv, "--positive"], lemmas.shrink_positive(rho, cfg)),
+        (["extend", mv], lemmas.extend_nonneg(rho)),
+        (["extend", mv, "--positive"], lemmas.extend_positive(rho, cfg)),
+    ]
+    for argv, want in cases:
+        assert main(argv) == 0
+        assert read_json(capsys) == want.to_json_dict(), argv
 
 
 def test_split_assemble_round_trip(tmp_path, capsys):
@@ -119,6 +134,9 @@ def test_roundtrip_report_and_csv(tmp_path, capsys):
     assert "wall_time_s" not in report
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "sample,coords,error" and len(lines) == 6
+    assert main(["roundtrip", "--k", "1", "--n", "4", "--samples", "2",
+                 "--timing"]) == 0
+    assert read_json(capsys)["wall_time_s"] >= 0
 
 
 def test_reports_byte_identical_for_same_seed(tmp_path):
@@ -153,6 +171,15 @@ def test_convexoid_map_grid_spec(tmp_path, capsys):
     assert len(report["mapped"]) == 3
     first = report["mapped"][0]
     assert abs(first[0]) < 1e-9 and abs(first[1] - 0.5) < 1e-9
+
+
+def test_timing_is_refused_where_nothing_reads_it(tmp_path, capsys):
+    a = write(tmp_path, "a.json", E1)
+    b = write(tmp_path, "b.json", E2)
+    with pytest.raises(SystemExit) as info:
+        main(["wedge", a, b, "--timing"])
+    assert info.value.code == 2
+    assert "--timing" in capsys.readouterr().err
 
 
 def test_selftest_small(tmp_path, capsys):

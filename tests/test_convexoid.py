@@ -1522,6 +1522,64 @@ def test_polytope_layer_matches_fraction_oracle(dim, count):
     assert kinds <= set(seen), seen
 
 
+def reference_monotone_chain(points):
+    """Counterclockwise hull vertices by Andrew's monotone chain, points on
+    an edge dropped: the form ``_hull_order_2d`` replaced."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def test_hull_order_matches_the_monotone_chain_on_extreme_points(monkeypatch):
+    """The split along the chord from the least point to the greatest gives
+    the monotone chain's order, on the extreme points of random integer
+    clouds (with collinear and vertical runs) and on every polygon the
+    centroid fans of random 2-D and 3-D polytopes hand it."""
+    rng = random.Random(81)
+    sizes = collections.Counter()
+    for _ in range(400):
+        span = rng.choice((1, 2, 6, 40))
+        cloud = {(rng.randint(-span, span), rng.randint(-span, span))
+                 for _ in range(rng.randint(3, 14))}
+        hull = reference_monotone_chain(cloud)
+        if len(hull) >= 3:
+            sizes[min(len(hull), 6)] += 1
+            assert convexoid._hull_order_2d(rng.sample(hull, len(hull))) \
+                == hull
+    assert set(sizes) == {3, 4, 5, 6}, sizes
+
+    original = convexoid._hull_order_2d
+    fanned = []
+
+    def checked(points):
+        points = list(points)
+        got = original(points)
+        assert got == reference_monotone_chain(points)
+        fanned.append(len(points))
+        return got
+
+    monkeypatch.setattr(convexoid, "_hull_order_2d", checked)
+    for dim in (2, 3):
+        for _ in range(150):
+            polytope_outcome(convexoid._hull_centroid,
+                             random_polytope(rng, dim))
+    assert len(fanned) > 200 and max(fanned) > 4
+
+
 def test_integer_vertices_keep_order_and_exact_values():
     """Vertices with denominators, met by more constraints than dim, or by
     proportional rows: the order is that of the first subset meeting each
