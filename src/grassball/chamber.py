@@ -12,12 +12,17 @@ base element, whose generators and image map are picked by ``EFiberFrame``
 halves along t = 1/2 yields a chart onto the closed ball of dimension
 k(n-k), evaluated numerically.
 
-A frame is one integer affine map from centered slice coordinates to fiber
-elements: the generator images are scaled once to integer coefficient maps
-over a common denominator, an element is one integer combination of them,
-and its centered point is one exact solve against them.  A side takes the
-base chart's ball coordinates to its cube and back by
-``convexoid.regauge``.
+The generators are read off the base's integer plane rows, with no
+``Fraction`` row and no kernel solve: ``plucker.plane_vectors`` of omega on
+the E side, ``plucker.complement_vectors`` of eta on the F side.  A frame is
+one integer affine map from centered slice coordinates to fiber elements:
+the generator images are scaled once to integer coefficient maps over a
+common denominator, the slice is parametrized by the free generator
+coordinates, whose images M_f and the origin's image O are integer
+combinations of those maps, an element is one integer combination of O and
+the M_f, and its centered point is one exact solve against the generator
+images.  A side takes the base chart's ball coordinates to its cube and back
+by ``convexoid.regauge``.
 
 The public constructors ``ChamberPoint`` and ``SplitTriple`` check every
 invariant of their input.  The points and triples the chart builds itself
@@ -63,10 +68,11 @@ from .exterior import (
     wedge,
 )
 from .plucker import (
+    complement_vectors,
     contains,
     is_decomposable,
+    plane_vectors,
     require_chamber_vector,
-    spanning_vectors,
 )
 
 __all__ = [
@@ -237,7 +243,7 @@ class FiberFrame:
     """Normalized fiber over a base element, as a polytope in centered coords.
 
     The fiber elements are the images ``image(base, g)`` of the linear span
-    of ``generators`` (vectors of R^n) that have coefficient sum 1 and are
+    of ``generators`` (grade-1 elements) that have coefficient sum 1 and are
     nonnegative.  The frame is one integer affine map from centered slice
     coordinates to those elements, and ``polytope`` collects one
     nonnegativity inequality per coefficient of the grade-``grade`` images.
@@ -247,22 +253,20 @@ class FiberFrame:
     The generator images are scaled once to integer maps I_j over one
     denominator D, so the element of generator coordinates x is
     sum_j x_j I_j / D, with coefficient sum v . x / D for the integer sums
-    v_j of the I_j.  The slice v . x = D has its origin at v D / |v|^2 and
-    its coordinates along ``kernel_basis([v])``, whose row for each free
-    column f (every column but the first with v_j != 0) is 1 at f.  The
-    slice origin x0 is kept in generator coordinates with the fiber's
-    centroid folded in, so a centered point yc is x = x0 + sum_i yc_i K_i,
-    and the centered point of x is read off its free columns.
+    v_j of the I_j.  The slice v . x = D is parametrized by the free
+    generator coordinates, every f but the first p with v_p != 0, measured
+    from the slice origin v D / |v|^2: that origin maps to
+    O = sum_j v_j I_j over |v|^2, and free coordinate f, which moves x_p by
+    -v_f / v_p, to M_f = v_p I_f - v_f I_p over v_p D.  A centered point yc
+    is the slice point y = center + yc, and the centered point of an element
+    is read off the free columns of its generator coordinates.
     """
 
     base_part = fiber_part = None
 
     def __init__(self, base: MultiVector, generators, image, grade: int):
         self.base = base
-        scaled = [
-            integer_coeffs(image(base, MultiVector.from_vector(r)))
-            for r in generators
-        ]
+        scaled = [integer_coeffs(image(base, g)) for g in generators]
         self._den = lcm(*[d for _, d in scaled])
         self._ints = [
             {key: c * (self._den // d) for key, c in m.items()}
@@ -273,58 +277,52 @@ class FiberFrame:
         total_sq = sum(v * v for v in values)
         if total_sq == 0:
             raise ValidationError("the normalization functional vanishes")
-        origin = [Fraction(v * self._den, total_sq) for v in values]
-        self._kernel = linalg.kernel_basis([values], len(values))
         pivot = next(j for j, v in enumerate(values) if v)
         self._free = [j for j in range(len(values)) if j != pivot]
-        self.dim = len(self._kernel)
-        origin_image = self._element(origin)
-        basis_images = [self._element(kc) for kc in self._kernel]
-        support = sorted(
-            set(origin_image._ints).union(*[img._ints for img in basis_images])
-        )
+        self.dim = len(self._free)
+        # O and the M_f over one denominator E, so slice point y maps to
+        # (O + sum_f y_f M_f) / E
+        vp, ip = values[pivot], self._ints[pivot]
+        self._map_den = lcm(total_sq, vp * self._den)
+        a, b = self._map_den // total_sq, self._map_den // (vp * self._den)
+        self._maps = [_combination([a * v for v in values], self._ints)] + [
+            _combination((b * vp, -b * values[f]), (self._ints[f], ip))
+            for f in self._free
+        ]
+        origin, *moves = self._maps
         constraints = []
-        for key in support:
-            normal = tuple(
-                Fraction(-img._ints.get(key, 0), img._den) for img in basis_images
-            )
+        for key in sorted(set().union(*self._maps)):
+            normal = tuple(Fraction(-m.get(key, 0), self._map_den) for m in moves)
             if any(normal):
-                constraints.append((normal, origin_image.coefficient(key)))
+                constraints.append(
+                    (normal, Fraction(origin.get(key, 0), self._map_den))
+                )
         self.polytope = HPolytope._of_clean(self.dim, constraints)
         # centered coordinates: centering cancels the translation part of a
         # frame jump across support strata, but not all of it.  When a
-        # Plucker coordinate hits exactly 0, spanning_vectors picks other
+        # Plucker coordinate hits exactly 0, the plane's RREF picks other
         # pivots, so the generators change by a linear map and the fiber
         # frame can be rescaled as well as moved.  Chart fibers are centered
         # only here; ``_Side.oracle`` scales them with their centroid cached.
         self.center = centroid(self.polytope)
         self.centered_polytope = centered(self.polytope)
-        self._x0 = self._generator_coords(origin, self.center)
-
-    def _generator_coords(self, x, y) -> list[Fraction]:
-        """x + sum_i y_i K_i: the slice point y from x, in generator coords."""
-        return [
-            o + sum((c * kc[j] for c, kc in zip(y, self._kernel)), Fraction(0))
-            for j, o in enumerate(x)
+        # the free generator coordinates of the centered origin
+        self._x0 = [
+            Fraction(values[f] * self._den, total_sq) + c
+            for f, c in zip(self._free, self.center)
         ]
 
-    def _element(self, x) -> MultiVector:
-        """sum_j x_j I_j / D, as one integer combination over L D, with L
-        the lcm of the denominators of x."""
-        scale = lcm(*[c.denominator for c in x])
-        out: dict = {}
-        for c, ints in zip(x, self._ints):
-            c = c.numerator * (scale // c.denominator)
-            if c:
-                for key, a in ints.items():
-                    out[key] = out.get(key, 0) + c * a
-        return MultiVector._of_ints(
-            self.base.n, self._grade, {key: a for key, a in out.items() if a},
-            scale * self._den,
-        )
-
     def element_of_centered(self, yc: Sequence) -> MultiVector:
-        return self._element(self._generator_coords(self._x0, yc))
+        """(O + sum_f y_f M_f) / E at y = center + yc, as one integer
+        combination over L E, with L the lcm of the denominators of y."""
+        y = [Fraction(1)] + [c + v for c, v in zip(self.center, yc)]
+        scale = lcm(*[c.denominator for c in y])
+        out = _combination(
+            [c.numerator * (scale // c.denominator) for c in y], self._maps
+        )
+        return MultiVector._of_ints(
+            self.base.n, self._grade, out, scale * self._map_den
+        )
 
     def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
         # the solution is unique: contraction by a vector of omega's plane
@@ -342,7 +340,18 @@ class FiberFrame:
             raise ValidationError(
                 f"{self.fiber_part} does not lie on the normalized slice"
             )
-        return tuple(x[f] - self._x0[f] for f in self._free)
+        return tuple(x[f] - x0 for f, x0 in zip(self._free, self._x0))
+
+
+def _combination(coefficients, maps) -> dict:
+    """sum_j coefficients[j] * maps[j] over integer coefficient maps, zeros
+    dropped."""
+    out: dict = {}
+    for c, ints in zip(coefficients, maps):
+        if c:
+            for key, a in ints.items():
+                out[key] = out.get(key, 0) + c * a
+    return {key: a for key, a in out.items() if a}
 
 
 class EFiberFrame(FiberFrame):
@@ -356,30 +365,23 @@ class EFiberFrame(FiberFrame):
 
     def __init__(self, omega: MultiVector):
         _check_away_from_first(omega, "omega")
-        super().__init__(
-            omega, spanning_vectors(omega).rows, contract, omega.k - 1
-        )
+        super().__init__(omega, plane_vectors(omega), contract, omega.k - 1)
 
 
 class FFiberFrame(FiberFrame):
     """Fiber over eta on the high-t side: containing grade-(k+1) elements.
 
     Containing elements are wedges of eta with vectors orthogonal to its
-    plane inside the span of e_2..e_n.
+    plane inside the span of e_2..e_n.  eta avoids index 1, so column 1 is
+    free in its RREF and the first complement vector is e_1; the rest span
+    the complement of the plane and e_1.
     """
 
     base_part, fiber_part = "eta", "omega"
 
     def __init__(self, eta: MultiVector):
         _check_away_from_first(eta, "eta")
-        n = eta.n
-        plane = spanning_vectors(eta).rows if eta.k else []
-        first_axis = [Fraction(0)] * n
-        first_axis[0] = Fraction(1)
-        complement = linalg.kernel_basis(
-            list(plane) + [tuple(first_axis)], n
-        )
-        super().__init__(eta, complement, wedge, eta.k + 1)
+        super().__init__(eta, complement_vectors(eta)[1:], wedge, eta.k + 1)
 
 
 def e_fiber(omega: MultiVector) -> EFiberFrame:
@@ -436,7 +438,7 @@ class ChartPoint:
     def __init__(self, coords):
         coords = tuple(float(v) for v in coords)
         norm = float(np.linalg.norm(coords))
-        if norm > 1 + NORM_SLACK:
+        if not norm <= 1 + NORM_SLACK:  # NaN fails it too
             raise ValidationError(f"chart point has norm {norm} > 1")
         object.__setattr__(self, "coords", coords)
 
@@ -709,7 +711,7 @@ class BallChart:
                 f"chart point has dimension {len(coords)}, expected {self.dim}"
             )
         norm = float(np.linalg.norm(coords))
-        if norm > 1 + NORM_SLACK:
+        if not norm <= 1 + NORM_SLACK:  # NaN fails it too
             raise DomainError(f"chart point has norm {norm} > 1")
         if norm > 1:
             coords = tuple(c / norm for c in coords)

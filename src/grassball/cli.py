@@ -91,6 +91,8 @@ def _triple_to_json(triple: chamber.SplitTriple) -> dict:
 
 
 def _triple_from_json(data) -> chamber.SplitTriple:
+    if not isinstance(data, dict):
+        raise ValueError("a split triple is an object with t, eta and omega")
     return chamber.SplitTriple(
         Fraction(str(data["t"])),
         MultiVector.from_json_dict(data["eta"]) if data.get("eta") else None,
@@ -160,7 +162,11 @@ def _cmd_chart(args) -> int:
 
 def _cmd_chart_inverse(args) -> int:
     data = _read_json(args.chart)
-    point = chamber.ball_chart_inverse(data["coords"], args.k, args.n)
+    coords = data["coords"] if isinstance(data, dict) else None
+    if not isinstance(coords, list) or not all(
+            isinstance(c, (int, float)) for c in coords):
+        raise ValueError("chart input is an object whose coords are numbers")
+    point = chamber.ball_chart_inverse(coords, args.k, args.n)
     _emit(point.rho.to_json_dict(), args.out)
     return 0
 

@@ -817,7 +817,7 @@ class HalfBallMap:
         nb = self.spec.base_dim
         h = np.array(h, dtype=float)
         norm = float(np.linalg.norm(h))
-        if norm > 1 + float(SLACK):
+        if not norm <= 1 + float(SLACK):  # NaN fails it too
             raise DomainError(f"half-ball point has norm {norm} > 1")
         if h[0] < -float(SLACK):
             raise DomainError("half-ball point has negative height")
@@ -929,7 +929,7 @@ class GluedBallMap:
 
     def inverse(self, ball_point):
         b = np.asarray(ball_point, dtype=float)
-        if norm_gauge(b) > 1 + NORM_SLACK:
+        if not norm_gauge(b) <= 1 + NORM_SLACK:  # NaN fails it too
             raise DomainError("point outside the closed ball")
         c = regauge(b, norm_gauge, _cylinder_gauge)
         a, w = c[0] + 1.0, c[1:]

@@ -295,11 +295,15 @@ class MultiVector:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MultiVector":
+        raw = data.get("coeffs", {}) if isinstance(data, Mapping) else None
+        if not isinstance(raw, Mapping):
+            raise ValueError("a multivector and its coeffs must be JSON objects")
         coeffs = {}
-        for key, value in data.get("coeffs", {}).items():
+        for key, value in raw.items():
             indices = tuple(int(part) for part in str(key).split(",")) if key else ()
             coeffs[indices] = Fraction(str(value))
-        return cls(int(data["n"]), int(data["k"]), coeffs)
+        # through str, a null or a list is a ValueError like a bad string
+        return cls(int(str(data["n"])), int(str(data["k"])), coeffs)
 
     @classmethod
     def from_json(cls, text: str) -> "MultiVector":

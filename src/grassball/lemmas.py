@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .exterior import (
     MultiVector,
     SignClass,
@@ -21,7 +20,7 @@ from .exterior import (
     wedge,
     wedge_all,
 )
-from .plucker import require_chamber_vector, spanning_vectors
+from .plucker import plane_vectors, require_chamber_vector
 
 __all__ = [
     "EpsilonSearch",
@@ -85,8 +84,7 @@ def shrink_nonneg(mv: MultiVector, *, validate: bool = True) -> MultiVector:
         raise ValueError("cannot shrink a grade-0 element")
     if mv.k == 1:
         return MultiVector.scalar(mv.n, 1)
-    rows = spanning_vectors(mv).rows
-    return normalize(wedge_all([MultiVector.from_vector(r) for r in rows[1:]]))
+    return normalize(wedge_all(plane_vectors(mv)[1:]))
 
 
 def _all_hyperplane_vector(n: int) -> MultiVector:
@@ -97,13 +95,12 @@ def _all_hyperplane_vector(n: int) -> MultiVector:
     return normalize(MultiVector(n, n - 1, coeffs))
 
 
-def _completion_row(plane_rows, partial_rows):
-    """First plane row extending ``partial_rows`` to an independent family."""
-    base = list(partial_rows)
-    base_rank = linalg.rank(base) if base else 0
-    for row in plane_rows:
-        if linalg.rank(base + [row]) > base_rank:
-            return row
+def _completion_row(candidates, partial: MultiVector) -> MultiVector:
+    """First candidate vector outside the plane of ``partial``: the first v
+    with partial ^ v nonzero."""
+    for v in candidates:
+        if not wedge(partial, v).is_zero():
+            return v
     raise AssertionError("no completion row found; plane dimensions are off")
 
 
@@ -131,9 +128,7 @@ def shrink_positive(
     if k == n:
         return _all_hyperplane_vector(n)
 
-    rows = spanning_vectors(mv).rows
-    first = MultiVector.from_vector(rows[0])  # e_1 + v_1, no earlier columns
-    tail = [MultiVector.from_vector(r) for r in rows[1:]]
+    first, *tail = plane_vectors(mv)  # first is e_1 + v_1, no earlier columns
 
     if k == 2:
         return _search(cfg, lambda eps: first * eps + tail[0])
@@ -144,29 +139,20 @@ def shrink_positive(
         tail_wedge.shift(-1), cfg, validate=False
     ).shift(+1, n=n)
 
-    tail_plane = spanning_vectors(tail_wedge).rows
-    w_rest = [list(r) for r in spanning_vectors(inner).rows]
+    w3, *later = plane_vectors(inner)
     # Fix the sign so the wedge of the chosen rows is positively
     # proportional to the recursive witness.
-    rest_wedge = wedge_all([MultiVector.from_vector(r) for r in w_rest])
+    rest_wedge = wedge_all([w3, *later])
     if _proportionality(rest_wedge, inner) < 0:
-        w_rest[0] = [-x for x in w_rest[0]]
+        w3 = -w3
         rest_wedge = -rest_wedge
 
-    w2 = list(_completion_row(tail_plane, [tuple(r) for r in w_rest]))
-    if _proportionality(
-        wedge(MultiVector.from_vector(w2), rest_wedge), tail_wedge
-    ) < 0:
-        w2 = [-x for x in w2]
-
-    w2_mv = MultiVector.from_vector(w2)
-    w3_mv = MultiVector.from_vector(w_rest[0])
-    later = [MultiVector.from_vector(r) for r in w_rest[1:]]
+    w2 = _completion_row(plane_vectors(tail_wedge), rest_wedge)
+    if _proportionality(wedge(w2, rest_wedge), tail_wedge) < 0:
+        w2 = -w2
 
     def candidate(eps: Fraction) -> MultiVector:
-        factors = [w2_mv * eps + w3_mv, first * (-eps * eps) + w3_mv]
-        factors.extend(later)
-        return wedge_all(factors)
+        return wedge_all([w2 * eps + w3, first * (-eps * eps) + w3, *later])
 
     return _search(cfg, candidate)
 
@@ -218,11 +204,8 @@ def extend_positive(
     away_small = normalize(away.shift(-1))
     bigger = extend_positive(away_small, cfg, validate=False).shift(+1, n=n)
 
-    away_plane = spanning_vectors(away).rows
-    candidate_row = _completion_row(spanning_vectors(bigger).rows, list(away_plane))
-    u = MultiVector.from_vector(candidate_row)
-    scale = _proportionality(wedge(u, away), bigger)
-    v = u / scale  # v ^ away = bigger, positive away from index 1
+    u = _completion_row(plane_vectors(bigger), away)
+    v = u / _proportionality(wedge(u, away), bigger)  # v ^ away = bigger
 
     e1 = MultiVector.basis(n, (1,))
     return _search(cfg, lambda eps: wedge(e1 + v * eps, mv))

@@ -18,6 +18,13 @@ decomposability test.  An element's rows, or the finding that it has no
 plane, are stored on it at the first read, and ``contains`` ranks the
 integer rows of the two planes as they are.  Minors are wedges too:
 ``plucker_of_matrix`` is the wedge of the rows.
+
+Every basis built on a plane comes from those integer rows over p, with no
+``Fraction`` row and no solve: ``plane_vectors`` is the rows as grade-1
+elements, and ``complement_vectors`` reads the kernel of the RREF off them,
+one vector e_f - sum_r rows[r][f] / p * e_(i_r) per non-pivot column f.
+The Q-complement is the wedge of that kernel basis with its even
+coordinates negated.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ __all__ = [
     "plucker_of_matrix",
     "is_decomposable",
     "spanning_vectors",
+    "plane_vectors",
+    "complement_vectors",
     "contains",
     "q_orthocomplement",
     "canonical_scale",
@@ -83,10 +92,9 @@ class PlaneMatrix:
 
     @classmethod
     def _of_rref(cls, rows: Sequence[tuple]) -> "PlaneMatrix":
-        """The plane of the nonzero rows of an RREF, as ``linalg.rref`` and
-        ``spanning_vectors`` build them: their entries are ``Fraction``
-        already and their pivots make them independent, so nothing is
-        converted or checked."""
+        """The plane of the rows of an RREF, as ``spanning_vectors`` builds
+        them: their entries are ``Fraction`` already and their pivots make
+        them independent, so nothing is converted or checked."""
         plane = cls.__new__(cls)
         plane._fill(tuple(rows))
         return plane
@@ -113,7 +121,12 @@ class PlaneMatrix:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PlaneMatrix":
-        return cls([[Fraction(str(x)) for x in row] for row in data["rows"]])
+        rows = data["rows"] if isinstance(data, Mapping) else None
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) for row in rows
+        ):
+            raise ValueError("a plane matrix is an object whose rows are lists")
+        return cls([[Fraction(str(x)) for x in row] for row in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "PlaneMatrix":
@@ -200,6 +213,25 @@ def is_decomposable(mv: MultiVector) -> bool:
     return _plane_rows(mv) is not None
 
 
+def _plane(mv: MultiVector) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``_plane_rows(mv)``, raising ``DecomposabilityError`` when mv has no
+    plane."""
+    found = _plane_rows(mv)
+    if found is None:
+        raise DecomposabilityError("input does not factor as a single wedge")
+    return found
+
+
+def _spanning_rows(mv: MultiVector) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``_plane(mv)`` for an element that spans a nonzero plane."""
+    found = _plane(mv)
+    if mv.k == 0:
+        raise GradeError(
+            "a nonzero scalar spans the zero plane, which has no spanning vectors"
+        )
+    return found
+
+
 def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     """Canonical reduced-row-echelon spanning matrix of a decomposable element.
 
@@ -211,17 +243,42 @@ def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     scalar spans the zero plane, which has no spanning matrix, so grade 0
     raises ``GradeError``.
     """
-    found = _plane_rows(mv)
-    if found is None:
-        raise DecomposabilityError("input does not factor as a single wedge")
-    if mv.k == 0:
-        raise GradeError(
-            "a nonzero scalar spans the zero plane, which has no spanning vectors"
-        )
-    rows, p = found
+    rows, p = _spanning_rows(mv)
     return PlaneMatrix._of_rref(
         [tuple(Fraction(x, p) for x in row) for row in rows]
     )
+
+
+def plane_vectors(mv: MultiVector) -> list[MultiVector]:
+    """The rows of ``spanning_vectors(mv)`` as grade-1 elements, built from
+    the integer rows over p with no ``Fraction``; grade 0 raises
+    ``GradeError`` as there."""
+    rows, p = _spanning_rows(mv)
+    return [
+        MultiVector._of_ints(
+            mv.n, 1, {(j + 1,): x for j, x in enumerate(row) if x}, p
+        )
+        for row in rows
+    ]
+
+
+def complement_vectors(mv: MultiVector) -> list[MultiVector]:
+    """Basis of the orthogonal complement of the plane of mv, read off its RREF.
+
+    For each non-pivot column f, ascending, the vector is
+    e_f - sum_r rows[r][f] / p * e_(i_r): it has 1 in the one free column f
+    and solves every row, which is ``linalg.kernel_basis`` of the spanning
+    rows.  A nonzero scalar spans the zero plane, whose complement is every
+    e_j.
+    """
+    rows, p = _plane(mv)
+    pivots = min(integer_coeffs(mv)[0])
+    return [
+        MultiVector._of_ints(mv.n, 1, {(f,): p} | {
+            (i,): -row[f - 1] for i, row in zip(pivots, rows) if row[f - 1]
+        }, p)
+        for f in range(1, mv.n + 1) if f not in pivots
+    ]
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:
@@ -232,12 +289,7 @@ def contains(lower: MultiVector, upper: MultiVector) -> bool:
         if lower.is_zero():
             raise ValueError("the zero multivector has no well-defined plane")
         return True
-    planes = []
-    for mv in (lower, upper):
-        found = _plane_rows(mv)
-        if found is None:
-            raise DecomposabilityError("input does not factor as a single wedge")
-        planes.append(found[0])
+    planes = [_plane(mv)[0] for mv in (lower, upper)]
     if lower.n != upper.n:
         raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
     # each row set is its plane's RREF times a nonzero integer, same span
@@ -262,22 +314,20 @@ def q_orthocomplement(mv: MultiVector) -> MultiVector:
     """Decomposable (n-k)-vector of the Q-orthogonal complement plane.
 
     Q on R^n is the diagonal form with entries (+1, -1, +1, ...); the induced
-    map on planes reverses inclusions.  The complement of the zero plane (a
-    nonzero scalar) is all of R^n.
+    map on planes reverses inclusions.  x is Q-orthogonal to the plane
+    exactly when x with its even coordinates negated is orthogonal to it, so
+    the complement is spanned by ``complement_vectors`` with their even
+    coordinates negated; ``canonical_scale`` makes the wedge of that basis
+    independent of the basis.  The complement of the zero plane (a nonzero
+    scalar) is all of R^n.
     """
     if mv.k >= mv.n:
         raise GradeError("the Q-complement of a full plane is the zero plane")
-    if mv.k == 0:
-        if mv.is_zero():
-            raise ValueError("the zero multivector has no well-defined plane")
-        return MultiVector.basis(mv.n, range(1, mv.n + 1))
-    plane = spanning_vectors(mv)
-    signed = [
-        tuple((-1) ** i * x for i, x in enumerate(row)) for row in plane.rows
-    ]
-    kernel = linalg.kernel_basis(signed, mv.n)
-    reduced, _ = linalg.rref(kernel)
-    return canonical_scale(plucker_of_matrix(PlaneMatrix._of_rref(reduced)))
+    ints, den = integer_coeffs(wedge_all(complement_vectors(mv)))
+    # negating a factor's even coordinates negates e_A once per even i in A
+    flipped = {key: (-1) ** sum(1 - i % 2 for i in key) * c
+               for key, c in ints.items()}
+    return canonical_scale(MultiVector._of_ints(mv.n, mv.n - mv.k, flipped, den))
 
 
 def require_chamber_vector(mv: MultiVector, *, positive: bool = False) -> None:

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from grassball import convexoid, linalg, lp
+from grassball import convexoid, lemmas, linalg, lp
 from grassball.chamber import (
     BallChart,
     ChamberPoint,
@@ -588,3 +588,35 @@ def test_integer_frames_match_fraction_oracle_with_2d_fibers(k, n):
         for frame_cls, base in frame_bases(triples) + coordinate_bases(k, n)
     }
     assert "2" in dims, dims
+
+
+# -- no Fraction rows or kernel solves on the plane paths ----------------------------
+
+
+def test_chart_and_witnesses_solve_no_kernel(monkeypatch):
+    """Frames, chart round trips and witnesses build every basis from the
+    planes' integer rows: no kernel solve, RREF or dense-vector element."""
+    rng = random.Random(44)
+    samples = {
+        (k, n): [random_positive_point(rng, k, n) for _ in range(3)]
+        for k, n in [(2, 4), (2, 5)]
+    }
+    witness_inputs = [random_positive_point(rng, 3, 7).rho for _ in range(2)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plane was rebuilt the long way")
+
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(linalg, "rref", refuse)
+    monkeypatch.setattr(MultiVector, "from_vector", refuse)
+    for (k, n), points in samples.items():
+        chart = BallChart(k, n)  # fresh, so every frame is built here
+        for point in points:
+            back = chart.inverse(chart.forward(point))
+            assert max(
+                abs(float(point.rho.coefficient(key) - back.rho.coefficient(key)))
+                for key in set(point.rho.support()) | set(back.rho.support())
+            ) < 1e-6
+    for rho in witness_inputs:
+        assert contains(lemmas.shrink_positive(rho), rho)
+        assert contains(rho, lemmas.extend_positive(rho))

@@ -295,6 +295,24 @@ def test_chart_point_validation_and_inverse_domain():
         get_chart(2, 4).inverse((0.0, 0.0))  # wrong dimension
 
 
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 4)])
+def test_nan_chart_points_are_refused(k, n):
+    # NaN fails every norm gate as a norm above 1 does, here on a simplex
+    # leaf and on the glued G(2,4) chart
+    chart = get_chart(k, n)
+    nan = [float("nan")] + [0.0] * (chart.dim - 1)
+    with pytest.raises(ValidationError, match="norm nan"):
+        ChartPoint(nan)
+    with pytest.raises(DomainError, match="norm nan"):
+        chart.inverse(nan)
+    if chart._simplex is None:
+        glued = chart._glued_map()
+        with pytest.raises(DomainError, match="outside the closed ball"):
+            glued.inverse(np.array(nan))
+        with pytest.raises(DomainError, match="norm nan"):
+            glued.e_map.inverse(np.array(nan))
+
+
 def test_chart_points_near_the_center_go_to_the_center():
     # the half-ball maps take a point whose rational direction rounds to 0
     # for the center; nothing in this range may raise

@@ -203,6 +203,16 @@ def test_malformed_input_exits_two(tmp_path, capsys):
         "n": 4, "k": 2, "coeffs": {"1,2": "3/2", "3,4": "-1/2"},
     })
     assert main(["split", invalid]) == 2
+    # JSON of the wrong shape: a top-level array or number, rows that are
+    # not lists, coefficients that are not an object, a grade that is null
+    for name, data in {"array": [1, 2], "number": 5, "rows": {"rows": 5},
+                       "coeffs": {"n": 4, "k": 2, "coeffs": 5},
+                       "grade": {"n": 4, "k": None, "coeffs": {}}}.items():
+        path = write(tmp_path, f"{name}.json", data)
+        for argv in (["check", path], ["split", path], ["wedge", path, path],
+                     ["plucker", path], ["assemble", path],
+                     ["chart-inverse", path, "--k", "2", "--n", "4"]):
+            assert main(argv) == 2, (name, argv)
 
 
 def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from grassball import linalg
 from grassball.exterior import (
     MultiVector,
     SignClass,
     classify_sign,
     normalize,
     wedge,
+    wedge_all,
 )
 from grassball.lemmas import (
     EpsilonExhausted,
@@ -245,3 +247,105 @@ def test_duality_dual_shrink_gives_extension_witness():
         assert witness.k == point.rho.k + 1
         assert is_decomposable(witness)
         assert contains(point.rho, witness)
+
+
+# -- the witnesses against their Fraction-row forms ----------------------------------
+# The witnesses build their vectors with ``plucker.plane_vectors`` and pick a
+# completion row by a wedge.  The oracles below are the forms they replace:
+# ``from_vector`` of the ``Fraction`` rows of ``spanning_vectors`` and a
+# completion row found by ranks.
+
+
+def reference_completion_row(plane_rows, partial_rows):
+    base = list(partial_rows)
+    base_rank = linalg.rank(base) if base else 0
+    for row in plane_rows:
+        if linalg.rank(base + [row]) > base_rank:
+            return row
+    raise AssertionError("no completion row found; plane dimensions are off")
+
+
+def reference_proportionality(a, b):
+    key = b.support()[0]
+    return a.coefficient(key) / b.coefficient(key)
+
+
+def reference_search(cfg, candidate):
+    for eps in cfg.values():
+        result = candidate(eps)
+        if classify_sign(result) is SignClass.POSITIVE:
+            return normalize(result)
+    raise EpsilonExhausted("no positive candidate")
+
+
+def reference_shrink_nonneg(mv):
+    if mv.k == 1:
+        return MultiVector.scalar(mv.n, 1)
+    rows = spanning_vectors(mv).rows
+    return normalize(wedge_all([MultiVector.from_vector(r) for r in rows[1:]]))
+
+
+def reference_shrink_positive(mv, cfg=EpsilonSearch()):
+    n, k = mv.n, mv.k
+    if k == 1:
+        return MultiVector.scalar(n, 1)
+    rows = spanning_vectors(mv).rows  # k < n, here and in the recursion
+    first = MultiVector.from_vector(rows[0])
+    tail = [MultiVector.from_vector(r) for r in rows[1:]]
+    if k == 2:
+        return reference_search(cfg, lambda eps: first * eps + tail[0])
+    tail_wedge = normalize(wedge_all(tail))
+    inner = reference_shrink_positive(tail_wedge.shift(-1), cfg).shift(+1, n=n)
+    tail_plane = spanning_vectors(tail_wedge).rows
+    w_rest = [list(r) for r in spanning_vectors(inner).rows]
+    rest_wedge = wedge_all([MultiVector.from_vector(r) for r in w_rest])
+    if reference_proportionality(rest_wedge, inner) < 0:
+        w_rest[0] = [-x for x in w_rest[0]]
+        rest_wedge = -rest_wedge
+    w2 = list(reference_completion_row(tail_plane, [tuple(r) for r in w_rest]))
+    if reference_proportionality(
+        wedge(MultiVector.from_vector(w2), rest_wedge), tail_wedge
+    ) < 0:
+        w2 = [-x for x in w2]
+    w2_mv = MultiVector.from_vector(w2)
+    w3_mv = MultiVector.from_vector(w_rest[0])
+    later = [MultiVector.from_vector(r) for r in w_rest[1:]]
+
+    def candidate(eps):
+        return wedge_all(
+            [w2_mv * eps + w3_mv, first * (-eps * eps) + w3_mv] + later
+        )
+
+    return reference_search(cfg, candidate)
+
+
+def reference_extend_positive(mv, cfg=EpsilonSearch()):
+    n, k = mv.n, mv.k
+    if n == k + 1:
+        return MultiVector.basis(n, range(1, n + 1))
+    away = MultiVector(n, k, {
+        key: c for key, c in mv.coeffs.items() if 1 not in key
+    })
+    bigger = reference_extend_positive(
+        normalize(away.shift(-1)), cfg
+    ).shift(+1, n=n)
+    away_plane = spanning_vectors(away).rows
+    row = reference_completion_row(
+        spanning_vectors(bigger).rows, list(away_plane)
+    )
+    u = MultiVector.from_vector(row)
+    v = u / reference_proportionality(wedge(u, away), bigger)
+    e1 = MultiVector.basis(n, (1,))
+    return reference_search(cfg, lambda eps: wedge(e1 + v * eps, mv))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
+def test_witnesses_match_fraction_row_oracles(k, n):
+    rng = random.Random(400 + k + 10 * n)
+    for _ in range(4):
+        rho = random_positive_point(rng, k, n).rho
+        assert shrink_positive(rho) == reference_shrink_positive(rho)
+        assert extend_positive(rho) == reference_extend_positive(rho)
+        assert shrink_nonneg(rho) == reference_shrink_nonneg(rho)
+        nonneg = random_nonneg_point(rng, k, n).rho
+        assert shrink_nonneg(nonneg) == reference_shrink_nonneg(nonneg)

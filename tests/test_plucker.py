@@ -21,15 +21,19 @@ from grassball.plucker import (
     PlaneMatrix,
     RankError,
     canonical_scale,
+    complement_vectors,
     contains,
     is_decomposable,
+    plane_vectors,
     plucker_of_matrix,
     q_orthocomplement,
     spanning_vectors,
 )
 from grassball.sampling import (
     random_multivector,
+    random_nonneg_point,
     random_positive_matrix,
+    random_positive_point,
     random_rational,
 )
 
@@ -554,3 +558,119 @@ def test_q_ortho_of_scalar_is_full_space(n):
 def test_plane_matrix_json_round_trip():
     m = PlaneMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
     assert PlaneMatrix.from_json(m.to_json()) == m
+
+
+# -- bases read off the integer rows, against the Fraction-row forms ----------------
+# ``plane_vectors``, ``complement_vectors`` and ``q_orthocomplement`` build
+# their vectors from the integer RREF rows.  The oracles below are the forms
+# they replace: ``from_vector`` of the ``Fraction`` rows, ``kernel_basis`` of
+# those rows, and the Q-complement through a kernel solve and an RREF.
+
+
+def reference_plane_vectors(mv):
+    return [MultiVector.from_vector(row) for row in spanning_vectors(mv).rows]
+
+
+def reference_complement_vectors(mv):
+    rows = spanning_vectors(mv).rows if mv.k else []
+    if mv.is_zero():
+        raise ValueError("the zero multivector has no well-defined plane")
+    return [
+        MultiVector.from_vector(vec)
+        for vec in linalg.kernel_basis(list(rows), mv.n)
+    ]
+
+
+def reference_q_orthocomplement(mv):
+    if mv.k >= mv.n:
+        raise GradeError("the Q-complement of a full plane is the zero plane")
+    if mv.k == 0:
+        if mv.is_zero():
+            raise ValueError("the zero multivector has no well-defined plane")
+        return MultiVector.basis(mv.n, range(1, mv.n + 1))
+    plane = spanning_vectors(mv)
+    signed = [
+        tuple((-1) ** i * x for i, x in enumerate(row)) for row in plane.rows
+    ]
+    kernel = linalg.kernel_basis(signed, mv.n)
+    reduced, _ = linalg.rref(kernel)
+    return canonical_scale(plucker_of_matrix(PlaneMatrix._of_rref(reduced)))
+
+
+def same_outcome(fn, reference, mv):
+    """fn(mv) == reference(mv) exactly, or both raise the same error."""
+    try:
+        want = reference(mv)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            fn(mv)
+        assert str(got.value) == str(exc), mv
+        return type(exc)
+    got = fn(mv)
+    assert got == want, mv
+    return type(got)
+
+
+def basis_cases():
+    """Seeded oracle cases, every coordinate plane up to n = 5, and seeded
+    positive and nonnegative chamber points."""
+    rng = random.Random(53)
+    cases = [oracle_case(rng, i) for i in range(600)]
+    for n in range(1, 6):
+        for k in range(n + 1):
+            cases.extend(
+                MultiVector.basis(n, key)
+                for key in combinations(range(1, n + 1), k)
+            )
+    for k, n in [(1, 4), (2, 5), (3, 5), (3, 7), (4, 8), (5, 6)]:
+        for _ in range(4):
+            cases.append(random_positive_point(rng, k, n).rho)
+            cases.append(random_nonneg_point(rng, k, n).rho)
+    return [mv for mv in cases if not mv.is_zero()] + [MultiVector.zero(4, 2)]
+
+
+def test_plane_vectors_match_fraction_rows():
+    grades = set()
+    outcomes = set()
+    for mv in basis_cases():
+        outcomes.add(same_outcome(plane_vectors, reference_plane_vectors, mv))
+        grades.update(
+            name for name, k in (("0", 0), ("1", 1), ("n-1", mv.n - 1),
+                                 ("n", mv.n)) if mv.k == k
+        )
+    assert grades == {"0", "1", "n-1", "n"}
+    assert outcomes == {list, DecomposabilityError, GradeError, ValueError}
+
+
+def test_complement_vectors_match_kernel_basis():
+    grades = set()
+    outcomes = set()
+    for mv in basis_cases():
+        outcomes.add(
+            same_outcome(complement_vectors, reference_complement_vectors, mv)
+        )
+        grades.update(
+            name for name, k in (("0", 0), ("1", 1), ("n-1", mv.n - 1),
+                                 ("n", mv.n)) if mv.k == k
+        )
+    assert grades == {"0", "1", "n-1", "n"}
+    assert outcomes == {list, DecomposabilityError, ValueError}
+    # grade 0 spans the zero plane, whose complement is every e_j; grade n
+    # spans everything, whose complement has no basis vector
+    assert complement_vectors(MultiVector.scalar(3, 5)) == [
+        MultiVector.basis(3, (j,)) for j in (1, 2, 3)
+    ]
+    assert complement_vectors(MultiVector.basis(3, (1, 2, 3)) * 2) == []
+
+
+def test_q_orthocomplement_matches_kernel_solve():
+    for mv in basis_cases():
+        same_outcome(q_orthocomplement, reference_q_orthocomplement, mv)
+    rng = random.Random(59)
+    for k, n in [(2, 5), (3, 7), (4, 8)]:
+        for _ in range(6):
+            for point in (random_positive_point(rng, k, n),
+                          random_nonneg_point(rng, k, n)):
+                assert q_orthocomplement(point.rho) == (
+                    reference_q_orthocomplement(point.rho)
+                )
