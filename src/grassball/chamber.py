@@ -49,6 +49,7 @@ from .convexoid import (
     MAX_FIBER_DIM,
     NORM_SLACK,
     SLACK,
+    _limit_float,
     centered,
     centroid,
     norm_gauge,
@@ -289,15 +290,15 @@ class FiberFrame:
             _combination((b * vp, -b * values[f]), (self._ints[f], ip))
             for f in self._free
         ]
+        # one nonnegativity row per coefficient key: O + sum_f y_f M_f >= 0
+        # reads (-M) . y <= O, over E; keys where no M_f moves are dropped
         origin, *moves = self._maps
-        constraints = []
+        rows = []
         for key in sorted(set().union(*self._maps)):
-            normal = tuple(Fraction(-m.get(key, 0), self._map_den) for m in moves)
+            normal = [-m.get(key, 0) for m in moves]
             if any(normal):
-                constraints.append(
-                    (normal, Fraction(origin.get(key, 0), self._map_den))
-                )
-        self.polytope = HPolytope._of_clean(self.dim, constraints)
+                rows.append((*normal, origin.get(key, 0)))
+        self.polytope = HPolytope._of_rows(self.dim, rows, self._map_den)
         # centered coordinates: centering cancels the translation part of a
         # frame jump across support strata, but not all of it.  When a
         # Plucker coordinate hits exactly 0, the plane's RREF picks other
@@ -486,32 +487,35 @@ class _SimplexChart:
         return ChartPoint(x * (float(gauge) / norm))
 
     def inverse(self, coords) -> ChamberPoint:
+        """The values 1 / count + d, clamped at 0, for the offsets d of the
+        rescaled direction, normalized.
+
+        Over integers: each offset rationalizes to p / q (``_limit_float``),
+        so its value is (p count + q) / (q count), and over the lcm Q of the
+        q the values are max(p count + q, 0) Q / q, up to the factor
+        1 / (Q count) that normalizing divides out.
+        """
         y = np.asarray(coords, dtype=float)
         norm = float(np.linalg.norm(y))
+        count = self.count
         if not norm:
-            values = [Fraction(1, self.count)] * self.count
-            return self._point_from_values(values)
-        d_dir = self.frame.T @ y
-        gauge_dir = self.count * float(-np.min(d_dir))
-        if gauge_dir <= 0:
-            raise DomainError("direction leaves the simplex hyperplane")
-        d = d_dir * (norm / gauge_dir)
-        values = [
-            max(rationalize(v) + Fraction(1, self.count), Fraction(0))
-            for v in d
-        ]
-        return self._point_from_values(values)
-
-    def _point_from_values(self, values) -> ChamberPoint:
-        # unchecked: the values are nonnegative and not all 0 (in inverse,
-        # the offsets d sum to 0, so some d > -1 / count), dividing by their
-        # total normalizes them, and every nonnegative element of grade 1 or
-        # n - 1 is decomposable
-        den = lcm(*[v.denominator for v in values])
-        ints = {
-            key: v.numerator * (den // v.denominator)
-            for key, v in zip(self.subsets, values) if v
-        }
+            ints = dict.fromkeys(self.subsets, 1)
+        else:
+            d_dir = self.frame.T @ y
+            gauge_dir = count * float(-np.min(d_dir))
+            if gauge_dir <= 0:
+                raise DomainError("direction leaves the simplex hyperplane")
+            offsets = [_limit_float(v) for v in d_dir * (norm / gauge_dir)]
+            den = lcm(*[q for _, q in offsets])
+            ints = {
+                key: (p * count + q) * (den // q)
+                for key, (p, q) in zip(self.subsets, offsets)
+                if p * count + q > 0
+            }
+        # unchecked: the values are nonnegative and not all 0 (the offsets
+        # sum to 0, so some is above -1 / count), dividing by their total
+        # normalizes them, and every nonnegative element of grade 1 or n - 1
+        # is decomposable
         return ChamberPoint._unchecked(
             MultiVector._of_ints(self.n, self.k, ints, sum(ints.values()))
         )

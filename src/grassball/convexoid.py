@@ -6,27 +6,32 @@ points and over the interior of the bottom face {0} x [-1,1]^(nb-1).  Such a
 body is homeomorphic to a closed half-ball with bottom going to bottom; two
 of them glued along their bottoms give a closed ball.
 
-Polytope data is exact rational.  Vertex enumeration, the boundedness check,
-the centroid and the support function compute over integer rows (each
-constraint or point scaled by a positive integer) and emit ``Fraction``
-results, and ``rationalize`` runs its continued fraction for a float over
-integers; the half-ball and ball maps emit floats with explicit tolerances.
-Every centroid, of a full polytope or of a flat one in its own affine span,
-is one exact simplex fan over the integer vertices (``_fan_centroid``),
-except that of an interval: the midpoint of its two bounds, read off the
-constraints, so that its vertices stay unenumerated until asked for.  No
-linear program runs: boundedness is an exact extreme-ray check on the
-integer constraint normals, and the joined body (the union of segments from
-the bottom center's fiber to the fibers over the distinguished boundary) is
-never built as a polytope.  Its exit times and radial
-functions are closed forms in the support functions of the two fibers it
-joins.  The exit time is still rounded to a dyadic within ``EXIT_TOL`` (see
-``_Ray.exit_scale``).  The maps center fibers with ``centroid`` and
-``centered``, which cache on the polytope; ``translated`` and ``scaled``
-carry the vertex and centroid caches over, so a fiber centered once is never
-centered again.  Those copies keep the normals, already checked, so they
-are built unchecked; the public ``HPolytope`` constructor checks and
-converts every constraint.
+Polytope data is exact rational, held over integers: an ``HPolytope`` is
+integer rows over one positive denominator in lowest terms, and its
+vertices are cached as integer points over theirs.  Membership, the radial
+function, translation and scaling, vertex enumeration, the boundedness
+check, the centroid, the support function (cached per primitive integer
+direction), the join normals (primitive integer rows), the exit bound and
+its dyadic rounding, and the joined radial function all compute on those
+integers and build one ``Fraction`` per result; ``constraints`` and
+``vertices`` are ``Fraction`` views built when asked for, and
+``rationalize`` runs its continued fraction for a float over integers.  The
+half-ball and ball maps emit floats with explicit tolerances.  Every
+centroid, of a full polytope or of a flat one in its own affine span, is
+one exact simplex fan over the integer vertices (``_fan_centroid``), except
+that of an interval: the midpoint of its two bounds, read off the rows, so
+that its vertices stay unenumerated until asked for.  No linear program
+runs: boundedness is an exact extreme-ray check on the integer normals, and
+the joined body (the union of segments from the bottom center's fiber to
+the fibers over the distinguished boundary) is never built as a polytope.
+Its exit times and radial functions are closed forms in the support
+functions of the two fibers it joins.  The exit time is still rounded to a
+dyadic within ``EXIT_TOL`` (see ``_Ray.exit_scale``).  The maps center
+fibers with ``centroid`` and ``centered``, which cache on the polytope;
+``translated`` and ``scaled`` carry the integer vertices and the centroid
+over, so a fiber centered once is never centered again.  Those copies keep
+the normals, already checked, so they are built unchecked; the public
+``HPolytope`` constructor checks and converts every constraint.
 
 The numeric layer's radial rescales (ball and cube, half-ball and
 half-cylinder, long cylinder and ball) are one map, ``regauge``, between
@@ -57,7 +62,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import ceil, lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,6 +95,7 @@ GLUE_TOL = 1e-6
 NORM_SLACK = float(SLACK)
 # the largest fiber dimension the centroid and the exit times handle
 MAX_FIBER_DIM = 3
+_EXACT = (int, Fraction)
 
 
 class UnboundedError(ValueError):
@@ -115,21 +121,23 @@ def rationalize(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return _limit_float(value)
+        return Fraction(*_limit_float(value))
     return Fraction(value).limit_denominator(RATIONALIZE_DEN)
 
 
-def _limit_float(value: float) -> Fraction:
-    """``Fraction(value).limit_denominator(RATIONALIZE_DEN)`` over integers.
+def _limit_float(value: float) -> tuple[int, int]:
+    """``Fraction(value).limit_denominator(RATIONALIZE_DEN)`` over integers,
+    as its numerator and denominator.
 
     The same continued fraction of ``value.as_integer_ratio()`` as the
     standard library's, whose last convergent p1 / q1 and semiconvergent
     p / q bracket the value; the closer one is picked by cross-multiplying
     instead of subtracting ``Fraction``s, with the convergent on a tie.
+    Each pair is in lowest terms with a positive denominator.
     """
     num, den = value.as_integer_ratio()
     if den <= RATIONALIZE_DEN:
-        return Fraction(num, den)
+        return num, den
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = num, den
     while True:
@@ -143,8 +151,8 @@ def _limit_float(value: float) -> Fraction:
     p, q = p0 + k * p1, q0 + k * q1
     # |p1 / q1 - x| <= |p / q - x| with x = num / den, times q1 q den > 0
     if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p, q)
+        return p1, q1
+    return p, q
 
 
 def rationalize_point(point) -> tuple[Fraction, ...]:
@@ -156,9 +164,16 @@ def rationalize_point(point) -> tuple[Fraction, ...]:
 
 
 class HPolytope:
-    """Intersection of half-spaces normal . y <= offset in dimension ``dim``."""
+    """Intersection of half-spaces normal . y <= offset in dimension ``dim``.
 
-    __slots__ = ("dim", "constraints", "_cache")
+    Held as integer rows (a_1, ..., a_dim, b) over one positive denominator
+    D in lowest terms, the way ``MultiVector`` holds its coefficients: row
+    (a, b) is the constraint (a / D) . y <= b / D.  ``constraints`` is a
+    read-only ``Fraction`` view of the rows, in their order, built when asked
+    for.
+    """
+
+    __slots__ = ("dim", "_rows", "_den", "_cache")
 
     def __init__(self, dim: int, constraints: Sequence):
         clean = []
@@ -168,68 +183,137 @@ class HPolytope:
                 raise ValueError("constraint normal has the wrong dimension")
             if not any(normal):
                 raise ValueError("constraint normal is zero")
-            clean.append((normal, Fraction(offset)))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "constraints", tuple(clean))
-        object.__setattr__(self, "_cache", {})
+            clean.append((*normal, Fraction(offset)))
+        # over the lcm of the denominators the rows are in lowest terms
+        _fill(self, dim, *_integer_points(clean))
+
+    @classmethod
+    def _of_rows(cls, dim: int, rows, den: int) -> "HPolytope":
+        """The polytope of integer rows over ``den`` > 0, each with a nonzero
+        normal part of length ``dim``, as the callers make them, put in
+        lowest terms.  Nothing is checked or converted; the public
+        constructor does both."""
+        return _fill(cls.__new__(cls), dim, *_in_lowest_terms(rows, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("HPolytope is immutable")
 
     def __repr__(self):
-        return f"HPolytope(dim={self.dim}, n_constraints={len(self.constraints)})"
+        return f"HPolytope(dim={self.dim}, n_constraints={len(self._rows)})"
 
-    def contains_point(self, point, slack: Fraction = Fraction(0)) -> bool:
-        point = tuple(point)
-        return all(
-            linalg.dot(normal, point) <= offset + slack
-            for normal, offset in self.constraints
+    @property
+    def constraints(self) -> tuple:
+        """The (normal, offset) pairs as ``Fraction``s, in row order."""
+        den = self._den
+        return tuple(
+            (tuple(Fraction(a, den) for a in row[:-1]), Fraction(row[-1], den))
+            for row in self._rows
         )
 
-    @classmethod
-    def _of_clean(cls, dim: int, constraints: Sequence) -> "HPolytope":
-        """The polytope of constraints that are already clean: nonzero
-        normals of length ``dim`` and offsets, all ``Fraction``.  Nothing is
-        checked or converted; the public constructor does both."""
-        poly = cls.__new__(cls)
-        object.__setattr__(poly, "dim", dim)
-        object.__setattr__(poly, "constraints", tuple(constraints))
-        object.__setattr__(poly, "_cache", {})
-        return poly
+    def contains_point(self, point, slack: Fraction = Fraction(0)) -> bool:
+        """Whether normal . point <= offset + slack for every constraint.
 
-    def _moved(self, constraints, move) -> "HPolytope":
-        """Image under ``move``, with the same normals in the same order, so
-        cached vertices (in their order) and centroid carry over, moved.
+        Over the rows, with point = P / L and slack = s / t, that is
+        (a . P) t <= b L t + s D L for every row (a, b).
+        """
+        ints, den = _integer_vector(point)
+        s_num, s_den = _ratio(slack)
+        extra = s_num * self._den * den
+        return all(
+            sum(map(operator.mul, row, ints)) * s_den
+            <= row[-1] * den * s_den + extra
+            for row in self._rows
+        )
 
-        The normals are this polytope's, already clean, and the offsets
-        ``Fraction``s, so the copy is built unchecked.  Moved vertices are
-        de-duplicated: a shift or a positive scale keeps them distinct, and
-        scaling by 0 sends them all to the origin, which is the one vertex of
-        the point polytope."""
-        out = HPolytope._of_clean(self.dim, constraints)
-        if "vertices" in self._cache:
-            out._cache["vertices"] = list(
-                dict.fromkeys(move(v) for v in self._cache["vertices"])
+    def _moved(self, num: int, den: int, shift, shift_den: int
+               ) -> "HPolytope":
+        """Image under y -> (num / den) y + S / L, with num >= 0 and den > 0
+        integers and S = ``shift`` an integer point over L = ``shift_den``.
+
+        The normals are the same, in the same order, so the cached integer
+        vertices (in their order) and centroid carry over, moved; the copy is
+        built unchecked.  Over the common denominator D den L of the image,
+        row (a, b) becomes (a den L, b num L + (a . S) den).  Moved vertices
+        are de-duplicated: a shift or a positive scale keeps them distinct,
+        and scaling by 0 sends them all to the shift, the one vertex of the
+        point polytope.
+        """
+        rows = [
+            (*[a * den * shift_den for a in row[:-1]],
+             row[-1] * num * shift_den
+             + sum(map(operator.mul, row, shift)) * den)
+            for row in self._rows
+        ]
+        out = HPolytope._of_rows(self.dim, rows, self._den * den * shift_den)
+        cached = self._cache.get("integer vertices")
+        if cached is not None:
+            points, vden = cached
+            moved = dict.fromkeys(
+                tuple(x * num * shift_den + d * vden * den
+                      for x, d in zip(p, shift))
+                for p in points
             )
+            out._cache["integer vertices"] = _in_lowest_terms(
+                list(moved), vden * den * shift_den)
         if "centroid" in self._cache:
-            out._cache["centroid"] = move(self._cache["centroid"])
+            out._cache["centroid"] = tuple(
+                Fraction(c.numerator * num * shift_den
+                         + d * c.denominator * den,
+                         c.denominator * den * shift_den)
+                for c, d in zip(self._cache["centroid"], shift)
+            )
         return out
 
     def scaled(self, factor) -> "HPolytope":
-        factor = Fraction(factor)
-        if factor < 0:
+        num, den = _ratio(factor)
+        if num < 0:
             raise ValueError("scale factor must be nonnegative")
-        constraints = [(n, o * factor) for n, o in self.constraints]
-        return self._moved(constraints, lambda v: tuple(x * factor for x in v))
+        return self._moved(num, den, (0,) * self.dim, 1)
 
     def translated(self, shift) -> "HPolytope":
-        shift = tuple(Fraction(v) for v in shift)
-        if not any(shift):
+        ints, den = _integer_vector(shift)
+        if not any(ints):
             return self
-        return self._moved(
-            [(n, o + linalg.dot(n, shift)) for n, o in self.constraints],
-            lambda v: tuple(x + d for x, d in zip(v, shift)),
-        )
+        return self._moved(1, 1, ints, den)
+
+
+def _fill(poly: HPolytope, dim: int, rows, den: int) -> HPolytope:
+    object.__setattr__(poly, "dim", dim)
+    object.__setattr__(poly, "_rows", tuple(rows))
+    object.__setattr__(poly, "_den", den)
+    object.__setattr__(poly, "_cache", {})
+    return poly
+
+
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int, a ``Fraction`` or anything
+    ``Fraction`` accepts."""
+    if type(value) not in _EXACT:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
+def _integer_vector(values) -> tuple[list[int], int]:
+    """(X, L) with values == X / L, L the lcm of their denominators: ints
+    and ``Fraction``s as they are, anything else through ``Fraction``."""
+    values = [x if type(x) in _EXACT else Fraction(x) for x in values]
+    den = lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _in_lowest_terms(rows, den: int) -> tuple[list[tuple[int, ...]], int]:
+    """Integer rows over ``den`` > 0, with the gcd of every entry and den
+    divided out."""
+    g = gcd(den, *[x for row in rows for x in row])
+    if g == 1:
+        return rows, den
+    return [tuple(x // g for x in row) for row in rows], den // g
+
+
+def _primitive(row) -> tuple[int, ...]:
+    """A nonzero integer row divided by its content."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _cross(a, b) -> tuple:
@@ -279,24 +363,39 @@ def _is_unbounded(normals, dim: int) -> bool:
 def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
     """Exact vertex set by exhaustive dim-subset constraint intersection.
 
-    The work is over integers: each constraint is scaled by a positive
-    integer to a primitive integer row (a, b), every dim-subset of rows is
-    reduced by ``linalg.eliminate``, and a candidate X / D with D > 0 is
-    kept iff a . X <= b D for every row.  ``Fraction`` vertices are built
-    only for the candidates kept, in subset order, the first subset giving
-    a vertex winning.
+    The work is over integers: each row is divided by its content to a
+    primitive integer row (a, b), every dim-subset of rows is reduced by
+    ``linalg.eliminate``, and a candidate X / D with D > 0 is kept iff
+    a . X <= b D for every row, in subset order, the first subset giving a
+    vertex winning.  The vertices are cached as integer points over their
+    common denominator (``_integer_vertices``); the ``Fraction`` vertices
+    returned are built from them on each call.
     """
-    if "vertices" in poly._cache:
-        return poly._cache["vertices"]
+    cached = poly._cache.get("integer vertices")
+    if cached is None:
+        cached = poly._cache["integer vertices"] = _enumerate_vertices(poly)
+    points, den = cached
+    return [tuple(Fraction(x, den) for x in p) for p in points]
+
+
+def _integer_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
+    """(points X, D): the vertices X / D, in ``vertices`` order, over the lcm
+    D of their denominators, enumerated on first use and cached."""
+    cached = poly._cache.get("integer vertices")
+    if cached is None:
+        vertices(poly)
+        cached = poly._cache["integer vertices"]
+    return cached
+
+
+def _enumerate_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
     dim = poly.dim
     if dim == 0:
-        poly._cache["vertices"] = [()]
-        return [()]
-    rows = [linalg.integer_row((*n, o))[0] for n, o in poly.constraints]
+        return [()], 1
+    rows = [_primitive(row) for row in poly._rows]
     if _is_unbounded([row[:dim] for row in rows], dim):
         raise UnboundedError("polytope is unbounded")
-    found = []
-    seen = set()
+    found = {}
     square = list(range(dim))
     for subset in itertools.combinations(rows, dim):
         # the normals are independent iff every one of their columns pivots;
@@ -309,13 +408,14 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
         den = lcm(*[row[r] for r, row in enumerate(reduced)])
         point = (*[row[dim] * (den // row[r]) for r, row in enumerate(reduced)],
                  -den)
-        if point not in seen and all(
+        if point not in found and all(
             sum(map(operator.mul, row, point)) <= 0 for row in rows
         ):
-            seen.add(point)
-            found.append(tuple(Fraction(x, den) for x in point[:dim]))
-    poly._cache["vertices"] = found
-    return found
+            found[point] = None
+    # each vertex is in lowest terms, so the lcm of their denominators is
+    # that of all their coordinates
+    den = lcm(*[-p[-1] for p in found])
+    return [tuple(x * (den // -p[-1]) for x in p[:-1]) for p in found], den
 
 
 def _hull_order_2d(points):
@@ -333,7 +433,8 @@ def _hull_order_2d(points):
 
 def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
     """(integer points, D): the rational points scaled by the lcm D of their
-    denominators, which keeps their order and affine dependencies."""
+    denominators, which keeps their order and affine dependencies and is the
+    least common denominator, so the points over D are in lowest terms."""
     den = lcm(*[x.denominator for p in points for x in p])
     return [
         tuple(x.numerator * (den // x.denominator) for x in p) for p in points
@@ -365,23 +466,22 @@ def _polygon_loop(points, pivots) -> list[tuple[int, ...]]:
 def _fan_centroid(poly: HPolytope, full: bool) -> tuple[Fraction, ...]:
     """Exact centroid of the hull of the vertices, in its own affine span.
 
-    The vertices are scaled to integer points X / D once
-    (``_integer_points``) and cut into simplices by their affine rank r: the
-    one vertex (r = 0), the segment from the least to the greatest (r = 1),
-    the fan of triangles from the first vertex of the polygon (r = 2, in any
-    ambient dimension), or, in dimension 3, the cones from the least vertex
-    over that fan of each facet it is not on (r = 3), each facet counted
-    once, keyed by its vertex set, however many rows cut it out.  The
+    The integer vertices X / D (``_integer_vertices``) are cut into
+    simplices by their affine rank r: the one vertex (r = 0), the segment
+    from the least to the greatest (r = 1), the fan of triangles from the
+    first vertex of the polygon (r = 2, in any ambient dimension), or, in
+    dimension 3, the cones from the least vertex over that fan of each facet
+    it is not on (r = 3), each facet counted once, keyed by its vertex set,
+    however many rows cut it out.  The
     centroid is the mean of the simplex centroids weighted by |det| of their
     edges in the pivot columns (``_affine_pivots``), which is the same
     multiple of the volume for every simplex.  With ``full`` a hull of rank
     below the dimension raises ``DegenerateError``; a hull of any other rank
     ``ValueError``.
     """
-    verts = vertices(poly)
-    if not verts:
+    ints, den = _integer_vertices(poly)
+    if not ints:
         raise DegenerateError("empty polytope")
-    ints, den = _integer_points(verts)
     pivots = _affine_pivots(ints)
     rank = len(pivots)
     if full and rank < poly.dim:
@@ -399,8 +499,7 @@ def _fan_centroid(poly: HPolytope, full: bool) -> tuple[Fraction, ...]:
     elif rank == poly.dim == 3:
         apex = min(ints)
         cells, facets = [], set()
-        for normal, offset in poly.constraints:
-            *a, b = linalg.integer_row((*normal, offset))[0]
+        for *a, b in poly._rows:
             facet = [p for p in ints if sum(map(operator.mul, a, p)) == b * den]
             key = frozenset(facet)
             if len(facet) < 3 or apex in key or key in facets:
@@ -458,19 +557,19 @@ def _interval_midpoint(poly: HPolytope) -> tuple[Fraction] | None:
     None if it is unbounded or empty.
 
     lo is the largest b / a over the rows with a < 0 and hi the smallest
-    over those with a > 0; the vertices are never enumerated.
+    over those with a > 0, compared as integer pairs (p, q), q > 0, by
+    cross-multiplying; the vertices are never enumerated.
     """
     lo = hi = None
-    for (a,), b in poly.constraints:
-        x = b / a
+    for a, b in poly._rows:
         if a < 0:
-            if lo is None or x > lo:
-                lo = x
-        elif hi is None or x < hi:
-            hi = x
-    if lo is None or hi is None or lo > hi:
+            if lo is None or -b * lo[1] > lo[0] * -a:
+                lo = (-b, -a)
+        elif hi is None or b * hi[1] < hi[0] * a:
+            hi = (b, a)
+    if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return ((lo + hi) / 2,)
+    return (Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]),)
 
 
 def _hull_centroid(poly: HPolytope) -> tuple[Fraction, ...]:
@@ -506,10 +605,14 @@ class ConvexoidSpec:
         return (Fraction(0),) * self.base_dim
 
     def fiber(self, p) -> HPolytope:
-        key = rationalize_point(p)
+        """The oracle's fiber over p, memoized by p's (numerator,
+        denominator) pairs, which hash without the modular inverse a
+        ``Fraction`` hash takes."""
+        p = rationalize_point(p)
+        key = tuple((x.numerator, x.denominator) for x in p)
         poly = self._memo.get(key)
         if poly is None:
-            poly = self._oracle(key)
+            poly = self._oracle(p)
             if poly.dim != self.fiber_dim:
                 raise ValueError("oracle returned a fiber of the wrong dimension")
             self._memo[key] = poly
@@ -538,14 +641,17 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
 
     The distinguished boundary is the cube boundary minus the open bottom
     face; the ray from the bottom center through p meets it exactly once.
+    With p = P / L, the scale is G / L for G the base gauge of P, and the
+    projection P / G.
     """
     p = rationalize_point(p)
     if p[0] < 0 or p[0] > 1 or any(abs(v) > 1 for v in p[1:]):
         raise DomainError("point lies outside the base cube")
-    g = base_gauge(p)
+    ints, den = _integer_vector(p)
+    g = base_gauge(ints)
     if g == 0:
         raise ValueError("the bottom center has no radial projection")
-    return tuple(v / g for v in p), g
+    return tuple(Fraction(x, g) for x in ints), Fraction(g, den)
 
 
 # ---------------------------------------------------------------------------
@@ -555,63 +661,63 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
 def radial(poly: HPolytope, y) -> Fraction:
     """Radial function sup{l >= 0 : l * y in poly} of a polytope that holds
     the origin, along y != 0: the least offset / (normal . y) over the
-    constraints with normal . y > 0.  Every chart fiber is centered, so it
-    holds the origin; ``chamber.nudge_into`` moves its polytope so that the
-    vertex mean is the origin."""
+    constraints with normal . y > 0, which over the rows, with y = Y / L, is
+    b L / (a . Y).  Every chart fiber is centered, so it holds the origin;
+    ``chamber.nudge_into`` moves its polytope so that the vertex mean is the
+    origin."""
+    ints, den = _integer_vector(y)
     best = None
-    for normal, offset in poly.constraints:
-        d = linalg.dot(normal, y)
-        if d > 0:
-            lam = offset / d
-            if best is None or lam < best:
-                best = lam
+    for row in poly._rows:
+        d = sum(map(operator.mul, row, ints))
+        if d > 0 and (best is None or row[-1] * best[1] < best[0] * d):
+            best = (row[-1], d)
     if best is None:
         raise UnboundedError("radial function undefined; polytope unbounded")
-    return best
+    return Fraction(best[0] * den, best[1])
 
 
-def _support(poly: HPolytope, u) -> Fraction:
-    """Support function h(u) = max of u . v over the vertices, cached per u.
+def _support(poly: HPolytope, row: tuple[int, ...]) -> tuple[int, int]:
+    """Support function h(u) = max of u . v over the vertices, for u the
+    integer row ``row``, as (M, D) with h(u) = M / D, cached per row.
 
-    Over integers: with the vertices scaled to integer points X / D once
-    (``_integer_points``, cached; ``_moved`` does not carry it) and
-    u = U content / den_u with U a primitive integer row, h(u) is
-    max U . X times content / (den_u D).
+    With the integer vertices X / D (``_integer_vertices``), M is the max of
+    row . X.  The callers pass primitive rows: a positive multiple of u
+    scales h(u) by the same factor, and their closed forms are invariant
+    under it.
     """
-    table = poly._cache.setdefault("support", {})
-    h = table.get(u)
+    table = poly._cache.get("support")
+    if table is None:
+        table = poly._cache["support"] = {}
+    points, den = _integer_vertices(poly)
+    h = table.get(row)
     if h is None:
-        points = poly._cache.get("integer vertices")
-        if points is None:
-            verts = vertices(poly)
-            if not verts:
-                raise DegenerateError("empty polytope")
-            points = poly._cache["integer vertices"] = _integer_points(verts)
-        ints, den = points
-        row, row_den, content = linalg.integer_row(u)
-        best = max(sum(map(operator.mul, row, x)) for x in ints)
-        h = table[u] = Fraction(best * content, row_den * den)
-    return h
+        if not points:
+            raise DegenerateError("empty polytope")
+        h = table[row] = max(sum(map(operator.mul, row, x)) for x in points)
+    return h, den
 
 
-def _edge_directions(poly: HPolytope) -> list[tuple[Fraction, ...]]:
-    """v - w for every edge [w, v] of a polytope in dimension 3.
+def _edge_directions(poly: HPolytope) -> list[tuple[int, ...]]:
+    """D (v - w) for every edge [w, v] of a polytope in dimension 3, with
+    the vertices X / D (``_integer_vertices``).
 
     Two vertices span an edge iff two independent constraints are tight at
     both: those cut out a line, and its intersection with the polytope is a
-    face holding both vertices.
+    face holding both vertices.  Row (a, b) is tight at X / D iff
+    a . X = b D.
     """
     cached = poly._cache.get("edges")
     if cached is None:
-        verts = vertices(poly)
+        points, den = _integer_vertices(poly)
+        rows = poly._rows
         tight = [
-            {i for i, (n, o) in enumerate(poly.constraints)
-             if linalg.dot(n, v) == o}
-            for v in verts
+            {i for i, row in enumerate(rows)
+             if sum(map(operator.mul, row, x)) == row[-1] * den}
+            for x in points
         ]
         cached = []
-        for (v, tv), (w, tw) in itertools.combinations(zip(verts, tight), 2):
-            common = [poly.constraints[i][0] for i in tv & tw]
+        for (v, tv), (w, tw) in itertools.combinations(zip(points, tight), 2):
+            common = [rows[i] for i in tv & tw]
             if any(any(_cross(a, b)) for a, b in
                    itertools.combinations(common, 2)):
                 cached.append(tuple(x - y for x, y in zip(v, w)))
@@ -620,8 +726,9 @@ def _edge_directions(poly: HPolytope) -> list[tuple[Fraction, ...]]:
 
 
 def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
-    """Directions u whose inequalities u . y <= (1 - s) h0(u) + s h1(u)
-    together cut out (1 - s) E0 + s E1 for every s in [0, 1].
+    """Directions u, as primitive integer rows, whose inequalities
+    u . y <= (1 - s) h0(u) + s h1(u) together cut out (1 - s) E0 + s E1 for
+    every s in [0, 1].
 
     A facet of a Minkowski sum is a sum of faces of the summands, so its
     normal is a facet normal of E0 or of E1 or, in dimension 3, normal to an
@@ -638,12 +745,15 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
                 f"exit times implemented for fiber dimension <= {MAX_FIBER_DIM}"
             )
         polys = (e0,) if e1 is None else (e0, e1)
-        found = dict.fromkeys(n for poly in polys for n, _ in poly.constraints)
+        found = dict.fromkeys(
+            _primitive(row[:-1]) for poly in polys for row in poly._rows
+        )
         if e0.dim == 3 and e1 is not None:
             for a in _edge_directions(e0):
                 for b in _edge_directions(e1):
                     u = _cross(a, b)
                     if any(u):
+                        u = _primitive(u)
                         found[u] = None
                         found[tuple(-x for x in u)] = None
         normals = owner._cache[key] = tuple(found)
@@ -657,7 +767,8 @@ class _Ray:
     iff t * g <= 1, so that the base point stays in the cube, and
     t u . vf <= (1 - t g) h0(u) + t g h1(u) for every join normal u, where
     h0 and h1 are the support functions of the bottom center's fiber E0 and
-    of the fiber E1 the ray's base part points at.
+    of the fiber E1 the ray's base part points at.  The direction is also
+    held as an integer point V / L, whose base part has base gauge G = g L.
     """
 
     def __init__(self, fiber_at: Callable, base_dim: int, direction):
@@ -667,11 +778,12 @@ class _Ray:
         self.vf = self.v[base_dim:]
         if not any(self.v):
             raise ValueError("ray direction is zero")
-        self.g = base_gauge(self.vb) if any(self.vb) else Fraction(0)
+        self._ints, self._den = _integer_vector(self.v)
+        base = self._ints[:base_dim]
+        self._gauge = base_gauge(base)
         self.E0 = fiber_at(tuple(Fraction(0) for _ in range(base_dim)))
-        if self.g > 0:
-            q = tuple(x / self.g for x in self.vb)
-            self.E1 = fiber_at(q)
+        if self._gauge > 0:
+            self.E1 = fiber_at(tuple(Fraction(x, self._gauge) for x in base))
         else:
             self.E1 = None
         self.normals = _join_normals(self.E0, self.E1)
@@ -682,19 +794,26 @@ class _Ray:
         The fibers are centered, so h0 >= 0 and the ray starts inside.  A
         join normal with d(u) = u . vf - g (h1(u) - h0(u)) > 0 caps t at
         h0(u) / d(u); one with d(u) <= 0 never binds.  A ray whose base part
-        points below the bottom leaves the base cube at once.
+        points below the bottom leaves the base cube at once.  Over integers,
+        with h0 = M0 / D0 and h1 = M1 / D1, d(u) is N / (L D0 D1) for
+        N = (u . Vf) D0 D1 - G (M1 D0 - M0 D1), so the cap is L M0 D1 / N,
+        and the cube's cap 1 / g is L / G; the caps are compared as integer
+        pairs without the common factor L.
         """
         if self.vb[0] < 0:
             return Fraction(0)
-        best = 1 / self.g if self.g else None
+        gauge = self._gauge
+        vf = self._ints[self.base_dim:]
+        best = (1, gauge) if gauge else None
         for u in self.normals:
-            h0 = _support(self.E0, u)
-            d = linalg.dot(u, self.vf)
-            if self.g:
-                d -= self.g * (_support(self.E1, u) - h0)
-            if d > 0 and (best is None or h0 < best * d):
-                best = h0 / d
-        return best
+            m0, d0 = _support(self.E0, u)
+            n, cap = sum(map(operator.mul, u, vf)) * d0, m0
+            if gauge:
+                m1, d1 = _support(self.E1, u)
+                n, cap = n * d1 - gauge * (m1 * d0 - m0 * d1), m0 * d1
+            if n > 0 and (best is None or cap * best[1] < best[0] * n):
+                best = (cap, n)
+        return None if best is None else Fraction(best[0] * self._den, best[1])
 
     def exit_scale(self) -> Fraction:
         """The exit time, rounded to the midpoint of a dyadic bracket.
@@ -702,7 +821,8 @@ class _Ray:
         Bisecting [hi / 2, hi), hi the least power of 2 above t* (or [0, 1))
         until narrower than ``EXIT_TOL`` ends in the grid cell of width
         ``step`` that holds t*: step = (hi - lo) / 2^m with m the least
-        integer such that 2^m >= (hi - lo) / EXIT_TOL.  The rounding is kept
+        integer such that 2^m >= (hi - lo) / EXIT_TOL.  The cell and its
+        midpoint are read off t* = P / Q over integers.  The rounding is kept
         on purpose: dividing by the exact exit time puts the images of
         boundary points exactly on the support strata where the fiber frames
         change, and chart round trips then get worse (G(2,5) samples by up
@@ -711,13 +831,19 @@ class _Ray:
         t_star = self.exit_bound()
         if t_star is None or t_star >= 2**80:
             raise UnboundedError("ray never leaves the joined body")
+        num, den = _ratio(t_star)
         # t* < 0 (a ray from outside an uncentered fiber) lands in [0, step)
-        t_star = max(t_star, Fraction(0))
-        hi = 1 << int(t_star).bit_length()
-        lo = hi // 2
-        halvings = (ceil((hi - lo) / EXIT_TOL) - 1).bit_length()
-        step = Fraction(hi - lo, 1 << halvings)
-        return lo + (t_star - lo) // step * step + step / 2
+        num = max(num, 0)
+        hi = 1 << (num // den).bit_length()
+        lo = hi >> 1
+        width = hi - lo
+        # ceil(width / EXIT_TOL) - 1
+        halvings = (-(-width * EXIT_TOL.denominator // EXIT_TOL.numerator)
+                    - 1).bit_length()
+        # lo + cell * step + step / 2, with cell = floor((t* - lo) / step)
+        cell = ((num - lo * den) << halvings) // (den * width)
+        return Fraction((((lo << halvings) + cell * width) << 1) + width,
+                        1 << (halvings + 1))
 
 
 def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
@@ -754,7 +880,12 @@ class HalfBallMap:
     # -- radial rescale between the fiber and the joined fiber --------------
 
     def _lambda_joined(self, p, y) -> Fraction:
-        """sup{l : l * y in joined fiber over p}, by support functions."""
+        """sup{l : l * y in joined fiber over p}, by support functions: the
+        least ((1 - s) h0(u) + s h1(u)) / (u . y) over the join normals u
+        with u . y > 0.  Over integers, with s = S / T, y = Y / L,
+        h0 = M0 / D0 and h1 = M1 / D1, that is
+        L ((T - S) M0 D1 + S M1 D0) / (T D0 D1 (u . Y)), where only the
+        numerator and u . Y vary with u."""
         key = rationalize_point(p)
         if all(v == 0 for v in key):
             return radial(self.centered_fiber(key), y)
@@ -763,16 +894,21 @@ class HalfBallMap:
             return radial(self.centered_fiber(key), y)
         e0 = self.centered_fiber(self.spec.origin())
         e1 = self.centered_fiber(q)
+        ints, den = _integer_vector(y)
+        s_num, s_den = s.numerator, s.denominator
         best = None
         for u in _join_normals(e0, e1):
-            d = linalg.dot(u, y)
+            d = sum(map(operator.mul, u, ints))
             if d > 0:
-                lam = ((1 - s) * _support(e0, u) + s * _support(e1, u)) / d
-                if best is None or lam < best:
-                    best = lam
+                m0, d0 = _support(e0, u)
+                m1, d1 = _support(e1, u)
+                num = (s_den - s_num) * m0 * d1 + s_num * m1 * d0
+                if best is None or num * best[1] < best[0] * d:
+                    best = (num, d)
         if best is None:
             raise UnboundedError("joined fiber radial function undefined")
-        return best
+        # D0 and D1 are the polytopes' own, the same for every u
+        return Fraction(best[0] * den, best[1] * s_den * d0 * d1)
 
     def _joined_scale(self, p, y) -> Fraction:
         """Radial function of the joined fiber over p along y, over that of
@@ -830,7 +966,11 @@ class HalfBallMap:
             )
         ray = _Ray(self.centered_fiber, nb, direction)
         t_star = ray.exit_scale()
-        point = tuple(v * t_star * rationalize(norm) for v in direction)
+        # direction * t* * norm, over the ray's integer direction V / L
+        norm_num, norm_den = _limit_float(norm)
+        num = t_star.numerator * norm_num
+        den = t_star.denominator * norm_den * ray._den
+        point = tuple(Fraction(v * num, den) for v in ray._ints)
         p = _clamp_to_cube(point[:nb])
         yj = point[nb:]
         scale = self._joined_scale(p, yj)

@@ -152,8 +152,3 @@ def det(rows: Sequence[Sequence]) -> Fraction:
             ]
         prev = p
     return Fraction(num * prev, den)
-
-
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    """Exact dot product; the entries must already be Fraction or int."""
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))

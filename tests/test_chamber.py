@@ -48,6 +48,10 @@ from grassball.sampling import (
 SPACES = [(2, 4), (2, 5), (3, 5)]
 
 
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
 def vandermonde_point():
     return ChamberPoint(
         normalize(plucker_of_matrix(PlaneMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])))
@@ -289,8 +293,8 @@ def reference_nudge_into(poly, y):
     direction = tuple(a - b for a, b in zip(y, center))
     lam = Fraction(1)
     for normal, offset in poly.constraints:
-        num = offset - linalg.dot(normal, center)
-        den = linalg.dot(normal, direction)
+        num = offset - dot(normal, center)
+        den = dot(normal, direction)
         if den > 0 and num < den * lam:
             lam = num / den
     lam = max(lam, Fraction(0))
@@ -324,7 +328,7 @@ def test_nudge_into_equals_its_ratio_loop(dim):
             if got != y:  # moved onto the boundary, short of y
                 moved += 1
                 assert not poly.contains_point(y)
-                assert any(linalg.dot(n, got) == o
+                assert any(dot(n, got) == o
                            for n, o in poly.constraints)
     assert moved > 100
 
@@ -486,14 +490,14 @@ def reference_centroid(poly, verts):
     for v in verts[1:]:
         vec = [a - b for a, b in zip(v, base)]
         for f in frame:
-            coeff = linalg.dot(vec, f) / linalg.dot(f, f)
+            coeff = dot(vec, f) / dot(f, f)
             vec = [x - coeff * y for x, y in zip(vec, f)]
         if any(vec):
             frame.append(tuple(vec))
     if len(frame) == poly.dim:
         return convexoid.barycenter(poly)
     rows = [
-        (tuple(linalg.dot(n, f) for f in frame), o - linalg.dot(n, base))
+        (tuple(dot(n, f) for f in frame), o - dot(n, base))
         for n, o in poly.constraints
     ]
     mid = convexoid.barycenter(

@@ -24,7 +24,12 @@ from grassball.chamber import (
     split,
 )
 from grassball.convexoid import DomainError
-from grassball.exterior import MultiVector, classify_sign, normalize
+from grassball.exterior import (
+    MultiVector,
+    classify_sign,
+    integer_coeffs,
+    normalize,
+)
 from grassball.sampling import random_nonneg_point, random_positive_point
 
 
@@ -349,6 +354,88 @@ def test_simplex_leaves_take_points_near_the_center_to_the_barycenter(k, n):
             back = leaf.inverse(tuple(radius * direction))
             assert back.rho == barycenter.rho
     assert leaf.forward(barycenter).coords == (0.0,) * dim
+
+
+def fraction_simplex_inverse(leaf, coords):
+    """The simplex leaf's inverse in ``Fraction`` arithmetic, the form its
+    integer one replaced: each rescaled offset rationalized, 1 / count added,
+    clamped at 0, and the values divided by their total."""
+    y = np.asarray(coords, dtype=float)
+    norm = float(np.linalg.norm(y))
+    count = leaf.count
+    if not norm:
+        values = [Fraction(1, count)] * count
+    else:
+        d_dir = leaf.frame.T @ y
+        d = d_dir * (norm / (count * float(-np.min(d_dir))))
+        values = [max(convexoid.rationalize(v) + Fraction(1, count),
+                      Fraction(0)) for v in d]
+    total = sum(values)
+    return MultiVector(leaf.n, leaf.k, {
+        key: v / total for key, v in zip(leaf.subsets, values) if v
+    })
+
+
+LEAVES = [(1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (4, 5)]
+
+
+@pytest.mark.parametrize("k, n", LEAVES)
+def test_simplex_inverse_matches_fraction_form(k, n):
+    """The integer inverse of the leaves the charts recurse into, against
+    the Fraction form: the center, the images of the leaf's coordinate
+    points and of random boundary points (norm 1, where offsets clamp to 0),
+    random points inside, and norms from 1e-15 to 1e-11."""
+    leaf = _SimplexChart(n, k)
+    dim = leaf.count - 1
+    rng = np.random.default_rng(17 + 10 * n + k)
+    coords = [(0.0,) * dim]
+    coords += [leaf.forward(ChamberPoint(MultiVector.basis(n, key))).coords
+               for key in leaf.subsets]
+    for _ in range(20):
+        direction = rng.normal(size=dim)
+        direction /= np.linalg.norm(direction)
+        coords.append(tuple(direction))  # on the sphere
+        coords.append(tuple(direction * rng.uniform(0, 1)))
+        for exponent in range(-15, -10):
+            coords.append(tuple(direction * 10.0 ** exponent))
+    clamped = 0
+    for c in coords:
+        got = leaf.inverse(c).rho
+        want = fraction_simplex_inverse(leaf, c)
+        assert got == want and repr(got) == repr(want), c
+        assert integer_coeffs(got) == integer_coeffs(want)
+        clamped += len(got.support()) < leaf.count
+    assert clamped >= leaf.count + 20, clamped  # every boundary point
+
+
+# 10% above the count of the guard below
+FRACTION_CAP = 4_810 * 11 // 10
+
+
+def test_g24_round_trips_construct_few_fractions(monkeypatch):
+    """A guard with no timing in it: 20 fixed G(2,4) round trips on a fresh
+    chart, its glued map built first, construct at most FRACTION_CAP
+    ``Fraction``s.  With the polytopes and the simplex leaves over integers
+    they make 4,810; with ``Fraction`` constraints and leaves they made
+    17,263."""
+    rng = random.Random(5)
+    points = [random_nonneg_point(rng, 2, 4) for _ in range(20)]
+    chart = BallChart(2, 4)
+    chart._glued_map()
+    made = 0
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    backs = [chart.inverse(chart.forward(point)) for point in points]
+    monkeypatch.undo()
+    assert max(roundtrip_error(chart, p) for p in points) < 1e-6
+    assert all(isinstance(b, ChamberPoint) for b in backs)
+    assert made <= FRACTION_CAP, made
 
 
 def test_unsupported_charts_are_refused_up_front():

@@ -232,7 +232,8 @@ def test_moved_polytope_caches_equal_a_fresh_computation():
         centroid(poly)
         for moved in moved_copies(poly, rng):
             # the copies come from the source, not from a new computation
-            assert "vertices" in moved._cache and "centroid" in moved._cache
+            assert "integer vertices" in moved._cache
+            assert "centroid" in moved._cache
             fresh = HPolytope(moved.dim, moved.constraints)
             assert vertices(moved) == vertices(fresh)  # same order, too
             assert centroid(moved) == centroid(fresh)
@@ -245,7 +246,8 @@ def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
     centroid(cube)
     point = cube.scaled(0)
     fresh = HPolytope(point.dim, point.constraints)
-    assert point._cache["vertices"] == vertices(fresh) == [(F(0),) * 3]
+    assert point._cache["integer vertices"] == ([(0,) * 3], 1)
+    assert vertices(point) == vertices(fresh) == [(F(0),) * 3]
     assert point._cache["centroid"] == centroid(fresh) == (F(0),) * 3
     half_plane = HPolytope(2, [((F(1), F(0)), F(1))])
     with pytest.raises(UnboundedError):
@@ -1257,7 +1259,7 @@ def reference_vertices(poly):
         point = reference_solve_square([n for n, _ in subset],
                                        [o for _, o in subset])
         if point is not None and point not in found \
-                and poly.contains_point(point):
+                and fraction_contains_point(poly, point):
             found.append(point)
     return found
 
@@ -1683,6 +1685,15 @@ def test_rationalize_tie_rule_matches_the_stdlib(monkeypatch, den):
         assert rationalize(0.5) == F(0) and rationalize(-1.5) == F(-2)
 
 
+def support_of(poly, u):
+    """h(u) for a rational u, from ``_support`` of its primitive row: u is
+    the row times content / den, and h(row) = M / D."""
+    row, den, content = linalg.integer_row(u)
+    m, d = convexoid._support(poly, tuple(row))
+    assert type(m) is int and type(d) is int and d > 0
+    return F(m * content, den * d)
+
+
 def test_support_matches_fraction_max_dot():
     rng = random.Random(93)
     checked = collections.Counter()
@@ -1699,12 +1710,10 @@ def test_support_matches_fraction_max_dot():
             for u in us:
                 if not verts:
                     with pytest.raises(DegenerateError, match="empty polytope"):
-                        convexoid._support(poly, u)
+                        support_of(poly, u)
                     checked["empty"] += 1
                     continue
-                want = max(dot(u, v) for v in verts)
-                got = convexoid._support(poly, u)
-                assert type(got) is F and got == want
+                assert support_of(poly, u) == max(dot(u, v) for v in verts)
                 checked["bounded"] += 1
             if verts:
                 shift = (F(rng.randint(1, 5), rng.randint(1, 4)),) + tuple(
@@ -1712,9 +1721,9 @@ def test_support_matches_fraction_max_dot():
                     for _ in range(dim - 1))
                 moved = poly.translated(shift)
                 assert "integer vertices" in poly._cache
-                assert "integer vertices" not in moved._cache
+                assert "integer vertices" in moved._cache  # carried over
                 for u in us:
-                    assert convexoid._support(moved, u) == max(
+                    assert support_of(moved, u) == max(
                         dot(u, tuple(a + b for a, b in zip(v, shift)))
                         for v in verts)
     assert checked["bounded"] > 500 and checked["empty"] > 0, checked
@@ -1748,10 +1757,403 @@ def test_interval_centroid_in_closed_form():
         assert polytope_outcome(centroid, poly) == want, name
         if name in expected:
             assert centroid(poly) == (expected[name],)
-            assert "vertices" not in poly._cache  # the vertices stay lazy
+            # the vertices stay lazy
+            assert "integer vertices" not in poly._cache
             # a fresh enumeration on the centered copy gives the carried order
             moved = [tuple(x - c for x, c in zip(v, centroid(poly)))
                      for v in reference_vertices(poly)]
             assert vertices(centered(poly)) == moved
     assert polytope_outcome(centroid, HPolytope(1, cases["empty"])) == \
         "DegenerateError"
+
+
+# -- polytope steps over integer rows against their Fraction forms ------------
+# A polytope holds integer rows over one denominator, and the per-op steps
+# (membership, the radial function, moves, the interval midpoint, the
+# support function, the exit bound and the joined radial function) work on
+# those rows and build one ``Fraction`` per result.  The oracles below are
+# the ``Fraction`` forms they replaced, reading only the ``constraints``
+# view and ``reference_vertices``; every comparison is on ``repr``, so value
+# and type both have to agree.
+
+
+def fraction_contains_point(poly, point, slack=F(0)):
+    return all(dot(n, point) <= o + slack for n, o in poly.constraints)
+
+
+def fraction_radial(poly, y):
+    best = None
+    for normal, offset in poly.constraints:
+        d = dot(normal, y)
+        if d > 0:
+            lam = offset / d
+            if best is None or lam < best:
+                best = lam
+    if best is None:
+        raise UnboundedError("radial function undefined; polytope unbounded")
+    return best
+
+
+def fraction_interval_midpoint(poly):
+    lo = hi = None
+    for (a,), b in poly.constraints:
+        x = b / a
+        if a < 0:
+            if lo is None or x > lo:
+                lo = x
+        elif hi is None or x < hi:
+            hi = x
+    if lo is None or hi is None or lo > hi:
+        return None
+    return ((lo + hi) / 2,)
+
+
+def fraction_support(verts, u):
+    if not verts:
+        raise DegenerateError("empty polytope")
+    return max(dot(u, v) for v in verts)
+
+
+def cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+# the oracles below see the same fibers again and again (the fiber oracle
+# memoizes them), so their reference vertices and edges are kept per polytope
+memo_reference_vertices = functools.lru_cache(maxsize=256)(reference_vertices)
+
+
+@functools.lru_cache(maxsize=256)
+def fraction_edge_directions(poly):
+    verts = reference_vertices(poly)
+    cons = poly.constraints
+    tight = [{i for i, (n, o) in enumerate(cons) if dot(n, v) == o}
+             for v in verts]
+    edges = []
+    for (v, tv), (w, tw) in itertools.combinations(zip(verts, tight), 2):
+        common = [cons[i][0] for i in tv & tw]
+        if any(any(cross3(a, b))
+               for a, b in itertools.combinations(common, 2)):
+            edges.append(tuple(x - y for x, y in zip(v, w)))
+    return edges
+
+
+def fraction_join_normals(e0, e1):
+    polys = (e0,) if e1 is None else (e0, e1)
+    found = dict.fromkeys(n for poly in polys for n, _ in poly.constraints)
+    if e0.dim == 3 and e1 is not None:
+        for a in fraction_edge_directions(e0):
+            for b in fraction_edge_directions(e1):
+                u = cross3(a, b)
+                if any(u):
+                    found[u] = None
+                    found[tuple(-x for x in u)] = None
+    return list(found)
+
+
+def fraction_exit_bound(fiber_at, nb, direction):
+    v = rationalize_point(direction)
+    vb, vf = v[:nb], v[nb:]
+    g = base_gauge(vb) if any(vb) else F(0)
+    e0 = fiber_at((F(0),) * nb)
+    e1 = fiber_at(tuple(x / g for x in vb)) if g > 0 else None
+    normals = fraction_join_normals(e0, e1)
+    if vb[0] < 0:
+        return F(0)
+    verts0 = memo_reference_vertices(e0)
+    verts1 = None if e1 is None else memo_reference_vertices(e1)
+    best = 1 / g if g else None
+    for u in normals:
+        h0 = fraction_support(verts0, u)
+        d = dot(u, vf)
+        if g:
+            d -= g * (fraction_support(verts1, u) - h0)
+        if d > 0 and (best is None or h0 < best * d):
+            best = h0 / d
+    return best
+
+
+def fraction_radial_project_base(p):
+    p = rationalize_point(p)
+    if p[0] < 0 or p[0] > 1 or any(abs(v) > 1 for v in p[1:]):
+        raise DomainError("point lies outside the base cube")
+    g = base_gauge(p)
+    if g == 0:
+        raise ValueError("the bottom center has no radial projection")
+    return tuple(v / g for v in p), g
+
+
+def fraction_lambda_joined(hb, p, y):
+    key = rationalize_point(p)
+    if all(v == 0 for v in key):
+        return fraction_radial(hb.centered_fiber(key), y)
+    q, s = fraction_radial_project_base(key)
+    if s == 1:
+        return fraction_radial(hb.centered_fiber(key), y)
+    e0 = hb.centered_fiber(hb.spec.origin())
+    e1 = hb.centered_fiber(q)
+    verts0, verts1 = memo_reference_vertices(e0), memo_reference_vertices(e1)
+    best = None
+    for u in fraction_join_normals(e0, e1):
+        d = dot(u, y)
+        if d > 0:
+            lam = ((1 - s) * fraction_support(verts0, u)
+                   + s * fraction_support(verts1, u)) / d
+            if best is None or lam < best:
+                best = lam
+    if best is None:
+        raise UnboundedError("joined fiber radial function undefined")
+    return best
+
+
+def random_rational(rng, lo, hi, dens=(1, 2, 3, 4, 7, 16)):
+    den = rng.choice(dens)
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def uncentered(rng, poly):
+    """poly moved by a random shift of up to 5 per coordinate, built through
+    the public constructor: offsets o + n . c, often negative."""
+    c = tuple(random_rational(rng, -5, 5) for _ in range(poly.dim))
+    return HPolytope(poly.dim,
+                     [(n, o + dot(n, c)) for n, o in poly.constraints])
+
+
+def random_polytopes(rng, dim, count):
+    """``random_polytope``s, half of them moved off the origin."""
+    for _ in range(count):
+        poly = random_polytope(rng, dim)
+        yield uncentered(rng, poly) if rng.random() < 0.5 else poly
+
+
+def random_direction(rng, dim):
+    while True:
+        y = tuple(random_rational(rng, -3, 3) for _ in range(dim))
+        if any(y):
+            return y
+
+
+def in_lowest_terms(rows, den):
+    return den > 0 and math.gcd(den, *[x for row in rows for x in row]) == 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_rows_are_the_constraints_in_lowest_terms(dim):
+    rng = random.Random(100 + dim)
+    for poly in random_polytopes(rng, dim, 150):
+        assert in_lowest_terms(poly._rows, poly._den)
+        assert all(type(x) is int for row in poly._rows for x in row)
+        view = poly.constraints
+        assert HPolytope(dim, view).constraints == view
+        assert all(type(x) is F for n, o in view for x in (*n, o))
+        for row, (n, o) in zip(poly._rows, view):
+            assert (*n, o) == tuple(F(x, poly._den) for x in row)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_matches_fraction_form(dim):
+    rng = random.Random(110 + dim)
+    seen = collections.Counter()
+    for poly in random_polytopes(rng, dim, 200):
+        for _ in range(4):
+            y = random_direction(rng, dim)
+            want = polytope_outcome(fraction_radial, poly, y)
+            assert polytope_outcome(convexoid.radial, poly, y) == want
+            seen[want.split("(")[0]] += 1
+        y = tuple(rng.randint(-2, 2) for _ in range(dim))  # int entries
+        if any(y):
+            assert polytope_outcome(convexoid.radial, poly, y) == \
+                polytope_outcome(fraction_radial, poly, y)
+    assert seen["Fraction"] > 300 and seen["UnboundedError"] > 0, seen
+
+
+def near_facet_points(rng, poly, verts):
+    """Points at distance 0, 1/2, 1 and 2 times SLACK (in the units of each
+    normal) inside and outside each facet, around a vertex or a random
+    point, and each just beyond SLACK."""
+    base = list(verts) or [tuple(random_rational(rng, -3, 3)
+                                 for _ in range(poly.dim))]
+    deltas = [F(0), convexoid.SLACK, -convexoid.SLACK, 2 * convexoid.SLACK,
+              convexoid.SLACK / 2, -convexoid.SLACK / 2,
+              convexoid.SLACK + F(1, 10**18), convexoid.SLACK - F(1, 10**18)]
+    for n, o in poly.constraints:
+        y0 = rng.choice(base)
+        nn = dot(n, n)
+        for delta in deltas:
+            # n . y = o + delta
+            step = (o + delta - dot(n, y0)) / nn
+            yield tuple(a + step * b for a, b in zip(y0, n))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_contains_point_matches_fraction_form_near_facets(dim):
+    rng = random.Random(120 + dim)
+    seen = collections.Counter()
+    for poly in random_polytopes(rng, dim, 120):
+        try:
+            verts = reference_vertices(poly)
+        except UnboundedError:
+            verts = []
+        for y in near_facet_points(rng, poly, verts):
+            inside = {}
+            for slack in (F(0), convexoid.SLACK):
+                got = poly.contains_point(y, slack)
+                assert got is fraction_contains_point(poly, y, slack)
+                inside[slack] = got
+            if inside[F(0)] != inside[convexoid.SLACK]:
+                seen["slack decides"] += 1
+            seen[inside[convexoid.SLACK]] += 1
+        y = tuple(rng.randint(-3, 3) for _ in range(dim))  # int entries
+        assert poly.contains_point(y) is fraction_contains_point(poly, y)
+    assert seen["slack decides"] > 100 and seen[True] and seen[False], seen
+
+
+def moved_fraction_form(poly, factor, shift):
+    """Constraints of the image under y -> factor y + shift, in the order of
+    the parent's ``scaled`` then ``translated``."""
+    return tuple(
+        (n, o * factor + dot(n, shift)) for n, o in poly.constraints
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_translated_and_scaled_match_fraction_forms(dim):
+    rng = random.Random(130 + dim)
+    seen = collections.Counter()
+    for poly in random_polytopes(rng, dim, 120):
+        try:
+            verts = reference_vertices(poly)
+            hull = reference_hull_centroid(poly, verts) if verts else None
+        except (UnboundedError, ValueError):
+            verts, hull = None, None
+        if verts is not None and rng.random() < 0.7:
+            vertices(poly)  # warm the caches the copies carry
+            if hull is not None:
+                centroid(poly)
+        zero = (F(0),) * dim
+        shift = tuple(random_rational(rng, -5, 5) if rng.random() < 0.8
+                      else F(0) for _ in range(dim))
+        factor = rng.choice([F(0), F(1), F(3, 2), F(1, 3),
+                             random_rational(rng, 0, 4)])
+        cases = [(poly.translated(shift), F(1), shift),
+                 (poly.scaled(factor), factor, zero),
+                 (poly.scaled(factor).translated(shift), factor, shift)]
+        for moved, f, s in cases:
+            assert moved.constraints == moved_fraction_form(poly, f, s)
+            assert all(type(x) is F
+                       for n, o in moved.constraints for x in (*n, o))
+            assert in_lowest_terms(moved._rows, moved._den)
+            if "integer vertices" not in poly._cache:
+                assert "integer vertices" not in moved._cache
+                continue
+            seen["carried"] += 1
+            points, den = moved._cache["integer vertices"]
+            assert in_lowest_terms(points, den)
+            want = list(dict.fromkeys(
+                tuple(f * x + d for x, d in zip(v, s)) for v in verts))
+            assert vertices(moved) == want  # carried, in order
+            if want or f:  # an empty body scaled by 0 reads as the point 0
+                assert vertices(HPolytope(dim, moved.constraints)) == want
+            if hull is not None:
+                seen["centroid"] += 1
+                got = moved._cache["centroid"]
+                assert repr(got) == repr(
+                    tuple(f * x + d for x, d in zip(hull, s)))
+    assert seen["carried"] > 100 and seen["centroid"] > 50, seen
+
+
+def test_interval_midpoint_matches_fraction_form():
+    rng = random.Random(140)
+    seen = collections.Counter()
+    for poly in random_polytopes(rng, 1, 600):
+        want = fraction_interval_midpoint(poly)
+        assert repr(convexoid._interval_midpoint(poly)) == repr(want)
+        seen[want is None] += 1
+    assert seen[True] > 20 and seen[False] > 300, seen
+
+
+def random_fiber_family(rng, nb, m):
+    """Fibers whose facet normals are those of a box with up to two extra
+    cuts, around a random center c (often far from the origin, so offsets
+    go negative), with offsets that move affinely in the base point p by at
+    most 1/8 of their normal's 1-norm; every fiber holds a box around c."""
+    normals = []
+    for i in range(m):
+        e = tuple(F(int(i == j)) for j in range(m))
+        normals += [e, tuple(-x for x in e)]
+    normals += [random_normal(rng, m) for _ in range(rng.randint(0, 2))]
+    center = tuple(random_rational(rng, -3, 3) for _ in range(m))
+    if rng.random() < 0.3:
+        center = (F(0),) * m
+    rows = [
+        (n, random_rational(rng, 1, 3) / 2,
+         tuple(random_rational(rng, -1, 1) / (8 * nb) for _ in range(nb)))
+        for n in normals
+    ]
+
+    def oracle(p):
+        return HPolytope(m, [
+            (n, dot(n, center) + (r + dot(slopes, p)) * sum(map(abs, n)))
+            for n, r, slopes in rows
+        ])
+
+    return oracle
+
+
+def random_ray_direction(rng, nb, m):
+    while True:
+        vb = (random_rational(rng, -1, 4) / 4,) + tuple(
+            random_rational(rng, -1, 1) for _ in range(nb - 1))
+        if rng.random() < 0.15:
+            vb = (F(0),) * nb
+        vf = tuple(random_rational(rng, -2, 2) for _ in range(m))
+        if rng.random() < 0.2:
+            return tuple(float(x) for x in vb + vf)  # rationalized
+        if any(vb + vf):
+            return vb + vf
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_exit_bound_matches_fraction_form_on_random_specs(m):
+    rng = random.Random(150 + m)
+    seen = collections.Counter()
+    for _ in range(10 if m < 3 else 6):  # 3-D rays have many join normals
+        nb = rng.randint(1, 2)
+        spec = ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m))
+        hb = HalfBallMap(spec)
+        for fiber_at in (spec.fiber, hb.centered_fiber):
+            for _ in range(5):
+                direction = random_ray_direction(rng, nb, m)
+                if not any(direction):
+                    continue
+                got = polytope_outcome(
+                    lambda: _Ray(fiber_at, nb, direction).exit_bound())
+                want = polytope_outcome(fraction_exit_bound, fiber_at, nb,
+                                        direction)
+                assert got == want, direction
+                seen[want.split("(")[0]] += 1
+    assert seen["Fraction"] > 0.8 * sum(seen.values()), seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_lambda_joined_matches_fraction_form_on_random_specs(m):
+    rng = random.Random(160 + m)
+    checked = 0
+    for _ in range(8):
+        nb = rng.randint(1, 2)
+        hb = HalfBallMap(ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m)))
+        points = [(F(0),) * nb, (F(1),) + (F(0),) * (nb - 1)]
+        points += [(random_rational(rng, 0, 1),) + tuple(
+            random_rational(rng, -1, 1) for _ in range(nb - 1))
+            for _ in range(4)]
+        for p in points:
+            if any(p):
+                assert repr(convexoid.radial_project_base(p)) == repr(
+                    fraction_radial_project_base(p))
+            for _ in range(3):
+                y = random_direction(rng, m)
+                assert repr(hb._lambda_joined(p, y)) == repr(
+                    fraction_lambda_joined(hb, p, y))
+                checked += 1
+    assert checked == 8 * 6 * 3
