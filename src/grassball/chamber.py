@@ -13,16 +13,20 @@ halves along t = 1/2 yields a chart onto the closed ball of dimension
 k(n-k), evaluated numerically.
 
 The generators are read off the base's integer plane rows, with no
-``Fraction`` row and no kernel solve: ``plucker.plane_vectors`` of omega on
-the E side, ``plucker.complement_vectors`` of eta on the F side.  A frame is
-one integer affine map from centered slice coordinates to fiber elements:
-the generator images are scaled once to integer coefficient maps over a
-common denominator, the slice is parametrized by the free generator
-coordinates, whose images M_f and the origin's image O are integer
-combinations of those maps, an element is one integer combination of O and
-the M_f, and its centered point is one exact solve against the generator
-images.  A side takes the base chart's ball coordinates to its cube and back
-by ``convexoid.regauge``.
+``Fraction`` row, no multivector and no kernel solve: ``plucker.plane_ints``
+of omega on the E side, ``plucker.complement_ints`` of eta on the F side,
+each a list of integer maps over one denominator p.  The generator images
+are those maps run through ``exterior.contract_ints`` or ``wedge_ints``
+with the base's integer coefficients, all over the one denominator
+base den * p.  A frame is one integer affine map from centered slice
+coordinates to fiber elements: the slice is parametrized by the free
+generator coordinates, measured from the pivot point of the slice (the
+point on the first generator whose image has a nonzero coefficient sum),
+whose image O and the images M_f of the free directions are integer
+combinations of the generator images; an element is one integer
+combination of O and the M_f, and its centered point is one exact solve
+against the generator images.  A side takes the base chart's ball
+coordinates to its cube and back by ``convexoid.regauge``.
 
 The public constructors ``ChamberPoint`` and ``SplitTriple`` check every
 invariant of their input.  The points and triples the chart builds itself
@@ -64,15 +68,16 @@ from .exterior import (
     MultiVector,
     SignClass,
     classify_sign,
-    contract,
+    contract_ints,
     integer_coeffs,
     wedge,
+    wedge_ints,
 )
 from .plucker import (
-    complement_vectors,
+    complement_ints,
     contains,
     is_decomposable,
-    plane_vectors,
+    plane_ints,
     require_chamber_vector,
 )
 
@@ -244,50 +249,53 @@ class FiberFrame:
     """Normalized fiber over a base element, as a polytope in centered coords.
 
     The fiber elements are the images ``image(base, g)`` of the linear span
-    of ``generators`` (grade-1 elements) that have coefficient sum 1 and are
+    of the grade-1 generators g that have coefficient sum 1 and are
     nonnegative.  The frame is one integer affine map from centered slice
     coordinates to those elements, and ``polytope`` collects one
     nonnegativity inequality per coefficient of the grade-``grade`` images.
     Subclasses pick the generators and the image map, and name the
     SplitTriple fields of their base and fiber elements.
 
-    The generator images are scaled once to integer maps I_j over one
-    denominator D, so the element of generator coordinates x is
-    sum_j x_j I_j / D, with coefficient sum v . x / D for the integer sums
-    v_j of the I_j.  The slice v . x = D is parametrized by the free
-    generator coordinates, every f but the first p with v_p != 0, measured
-    from the slice origin v D / |v|^2: that origin maps to
-    O = sum_j v_j I_j over |v|^2, and free coordinate f, which moves x_p by
-    -v_f / v_p, to M_f = v_p I_f - v_f I_p over v_p D.  A centered point yc
-    is the slice point y = center + yc, and the centered point of an element
-    is read off the free columns of its generator coordinates.
+    The generators come as integer coefficient maps over one denominator d,
+    and ``image`` is an integer kernel (``contract_ints``, ``wedge_ints``),
+    so the generator images I_j = image(base ints, g_j) share the
+    denominator D = base den * d, with no multivector built and none
+    reduced.  The element of generator coordinates x is sum_j x_j I_j / D,
+    with coefficient sum v . x / D for the integer sums v_j of the I_j.
+    The slice v . x = D is parametrized by the free generator coordinates,
+    every f but the first p with v_p != 0, measured from the pivot point
+    x = (D / v_p) e_p: over E = |v_p D| and with s the sign of v_p D, that
+    point maps to O = s D I_p, and free coordinate f, which moves x_p by
+    -v_f / v_p, to M_f = s (v_p I_f - v_f I_p).  ``polytope`` and
+    ``center`` are in those slice coordinates; centering cancels the choice
+    of origin, so the centered polytope, its points and their elements do
+    not depend on it.  A centered point yc is the slice point
+    y = center + yc, and the centered point of an element is read off the
+    free columns of its generator coordinates.
     """
 
     base_part = fiber_part = None
 
-    def __init__(self, base: MultiVector, generators, image, grade: int):
+    def __init__(self, base: MultiVector, generators, den: int, image,
+                 grade: int):
         self.base = base
-        scaled = [integer_coeffs(image(base, g)) for g in generators]
-        self._den = lcm(*[d for _, d in scaled])
-        self._ints = [
-            {key: c * (self._den // d) for key, c in m.items()}
-            for m, d in scaled
-        ]
+        base_ints, base_den = integer_coeffs(base)
+        self._den = base_den * den
+        self._ints = [image(base_ints, g) for g in generators]
         self._grade = grade
         values = [sum(m.values()) for m in self._ints]
-        total_sq = sum(v * v for v in values)
-        if total_sq == 0:
+        pivot = next((j for j, v in enumerate(values) if v), None)
+        if pivot is None:
             raise ValidationError("the normalization functional vanishes")
-        pivot = next(j for j, v in enumerate(values) if v)
         self._free = [j for j in range(len(values)) if j != pivot]
         self.dim = len(self._free)
         # O and the M_f over one denominator E, so slice point y maps to
         # (O + sum_f y_f M_f) / E
         vp, ip = values[pivot], self._ints[pivot]
-        self._map_den = lcm(total_sq, vp * self._den)
-        a, b = self._map_den // total_sq, self._map_den // (vp * self._den)
-        self._maps = [_combination([a * v for v in values], self._ints)] + [
-            _combination((b * vp, -b * values[f]), (self._ints[f], ip))
+        self._map_den = abs(vp * self._den)
+        s = 1 if vp * self._den > 0 else -1
+        self._maps = [{key: s * self._den * c for key, c in ip.items()}] + [
+            _combination((s * vp, -s * values[f]), (self._ints[f], ip))
             for f in self._free
         ]
         # one nonnegativity row per coefficient key: O + sum_f y_f M_f >= 0
@@ -305,13 +313,10 @@ class FiberFrame:
         # pivots, so the generators change by a linear map and the fiber
         # frame can be rescaled as well as moved.  Chart fibers are centered
         # only here; ``_Side.oracle`` scales them with their centroid cached.
+        # The pivot point has free coordinates 0, so the centered origin has
+        # free generator coordinates ``center``.
         self.center = centroid(self.polytope)
         self.centered_polytope = centered(self.polytope)
-        # the free generator coordinates of the centered origin
-        self._x0 = [
-            Fraction(values[f] * self._den, total_sq) + c
-            for f, c in zip(self._free, self.center)
-        ]
 
     def element_of_centered(self, yc: Sequence) -> MultiVector:
         """(O + sum_f y_f M_f) / E at y = center + yc, as one integer
@@ -341,7 +346,7 @@ class FiberFrame:
             raise ValidationError(
                 f"{self.fiber_part} does not lie on the normalized slice"
             )
-        return tuple(x[f] - x0 for f, x0 in zip(self._free, self._x0))
+        return tuple(x[f] - c for f, c in zip(self._free, self.center))
 
 
 def _combination(coefficients, maps) -> dict:
@@ -366,7 +371,7 @@ class EFiberFrame(FiberFrame):
 
     def __init__(self, omega: MultiVector):
         _check_away_from_first(omega, "omega")
-        super().__init__(omega, plane_vectors(omega), contract, omega.k - 1)
+        super().__init__(omega, *plane_ints(omega), contract_ints, omega.k - 1)
 
 
 class FFiberFrame(FiberFrame):
@@ -382,7 +387,8 @@ class FFiberFrame(FiberFrame):
 
     def __init__(self, eta: MultiVector):
         _check_away_from_first(eta, "eta")
-        super().__init__(eta, complement_vectors(eta)[1:], wedge, eta.k + 1)
+        maps, p = complement_ints(eta)
+        super().__init__(eta, maps[1:], p, wedge_ints, eta.k + 1)
 
 
 def e_fiber(omega: MultiVector) -> EFiberFrame:
@@ -396,10 +402,14 @@ def f_fiber(eta: MultiVector) -> FFiberFrame:
 
 
 def e_fiber_polytope(omega: MultiVector) -> HPolytope:
+    """The E fiber over omega in the frame's slice coordinates, measured
+    from the pivot point of the slice (see ``FiberFrame``)."""
     return e_fiber(omega).polytope
 
 
 def f_fiber_polytope(eta: MultiVector) -> HPolytope:
+    """The F fiber over eta in the frame's slice coordinates, measured from
+    the pivot point of the slice (see ``FiberFrame``)."""
     return f_fiber(eta).polytope
 
 

@@ -232,11 +232,13 @@ class HPolytope:
 
         The normals are the same, in the same order, so the cached integer
         vertices (in their order) and centroid carry over, moved; the copy is
-        built unchecked.  Over the common denominator D den L of the image,
-        row (a, b) becomes (a den L, b num L + (a . S) den).  Moved vertices
-        are de-duplicated: a shift or a positive scale keeps them distinct,
-        and scaling by 0 sends them all to the shift, the one vertex of the
-        point polytope.
+        built unchecked.  An empty vertex cache is not carried: scaling by 0
+        keeps the normals and zeroes the offsets, so the copy of an empty
+        polytope need not be empty, and it enumerates its own.  Over the
+        common denominator D den L of the image, row (a, b) becomes
+        (a den L, b num L + (a . S) den).  Moved vertices are de-duplicated:
+        a shift or a positive scale keeps them distinct, and scaling by 0
+        sends them all to the shift, the one vertex of the point polytope.
         """
         rows = [
             (*[a * den * shift_den for a in row[:-1]],
@@ -246,7 +248,7 @@ class HPolytope:
         ]
         out = HPolytope._of_rows(self.dim, rows, self._den * den * shift_den)
         cached = self._cache.get("integer vertices")
-        if cached is not None:
+        if cached is not None and cached[0]:
             points, vden = cached
             moved = dict.fromkeys(
                 tuple(x * num * shift_den + d * vden * den

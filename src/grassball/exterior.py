@@ -13,8 +13,9 @@ normalization and products run over integers and reduce once, through
 ``MultiVector._of_ints``: one gcd over the denominator and every value, and a
 sign flip when the denominator came out negative.  ``wedge`` and
 ``wedge_all`` multiply the stored integer maps and the denominators as they
-are.  ``coeffs`` is a read-only ``Fraction`` view for callers outside the
-library, built on each access and never stored.
+are, through ``wedge_ints``, and ``contract`` through its twin
+``contract_ints``.  ``coeffs`` is a read-only ``Fraction`` view for callers
+outside the library, built on each access and never stored.
 """
 
 from __future__ import annotations
@@ -382,6 +383,26 @@ def wedge_all(factors: Iterable[MultiVector]) -> MultiVector:
     return MultiVector._of_ints(n, k, ints, den)
 
 
+def contract_ints(a: Mapping[IndexSet, int], v: Mapping[IndexSet, int]
+                  ) -> dict[IndexSet, int]:
+    """Interior product of an integer coefficient map by a grade-1 one,
+    zeros dropped: the twin of ``wedge_ints``.
+
+    e_A contracted by e_i is 0 when i is not in A, and otherwise
+    (-1)^pos * e_(A without i), pos the place of i in A, counted from 0.
+    """
+    out: dict[IndexSet, int] = {}
+    for key, c in a.items():
+        for pos, idx in enumerate(key):
+            cv = v.get((idx,))
+            if cv is None:
+                continue
+            reduced = key[:pos] + key[pos + 1 :]
+            term = c * cv
+            out[reduced] = out.get(reduced, 0) + (-term if pos & 1 else term)
+    return {key: c for key, c in out.items() if c}
+
+
 def contract(mv: MultiVector, v: MultiVector) -> MultiVector:
     """Interior product by a grade-1 element, adjoint to wedging by it.
 
@@ -393,19 +414,8 @@ def contract(mv: MultiVector, v: MultiVector) -> MultiVector:
         raise GradeError("contraction direction must have grade 1")
     if mv.n != v.n:
         raise GradeError(f"ambient mismatch: {mv.n} vs {v.n}")
-    direction = v._ints
-    out: dict[IndexSet, int] = {}
-    for key, c in mv._ints.items():
-        for pos, idx in enumerate(key):
-            cv = direction.get((idx,))
-            if cv is None:
-                continue
-            reduced = key[:pos] + key[pos + 1 :]
-            term = c * cv
-            out[reduced] = out.get(reduced, 0) + (-term if pos & 1 else term)
     return MultiVector._of_ints(
-        mv.n, mv.k - 1, {key: c for key, c in out.items() if c},
-        mv._den * v._den,
+        mv.n, mv.k - 1, contract_ints(mv._ints, v._ints), mv._den * v._den
     )
 
 

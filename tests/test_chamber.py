@@ -30,12 +30,15 @@ from grassball.exterior import (
     MultiVector,
     classify_sign,
     contract,
+    contract_ints,
     normalize,
     wedge,
 )
 from grassball.plucker import (
     PlaneMatrix,
+    complement_vectors,
     contains,
+    plane_vectors,
     plucker_of_matrix,
     spanning_vectors,
 )
@@ -346,7 +349,7 @@ def test_fiber_validation_errors():
     with pytest.raises(
         ValidationError, match="^the normalization functional vanishes$"
     ) as info:
-        FiberFrame(MultiVector.basis(4, (2, 3)), [], contract, 1)
+        FiberFrame(MultiVector.basis(4, (2, 3)), [], 1, contract_ints, 1)
     assert type(info.value) is ValidationError
 
 
@@ -378,8 +381,8 @@ def test_centered_point_of_rejects_elements_off_the_fiber():
 
 # -- integer frames against their Fraction form --------------------------------------
 # A ``FiberFrame`` is one integer affine map in centered coordinates.  The
-# oracle below is its Fraction form, kept as the reference: the origin and
-# kernel of the slice sum == 1, the images built by Fraction multivector
+# oracle below is its Fraction form, kept as the reference: the pivot point
+# and kernel of the slice sum == 1, the images built by Fraction multivector
 # arithmetic, a checked ``HPolytope``, the centroid through vertex
 # enumeration and the barycenter, with the centered copy carrying the
 # translated vertices, and the element of a centered point as the origin's
@@ -426,10 +429,12 @@ def _reference_frame(frame_cls, base, rng):
         image, grade = wedge, base.k + 1
     images = [image(base, MultiVector.from_vector(r)) for r in generators]
     values = [img.coefficient_sum() for img in images]
-    total_sq = sum((v * v for v in values), Fraction(0))
-    if total_sq == 0:
+    pivot = next((j for j, v in enumerate(values) if v), None)
+    if pivot is None:
         raise ValidationError("the normalization functional vanishes")
-    origin = [v / total_sq for v in values]
+    # the pivot point e_p / v_p, with p the first generator of nonzero sum
+    origin = [Fraction(int(j == pivot)) / values[pivot]
+              for j in range(len(values))]
     kernel = linalg.kernel_basis([values], len(values))
     zero = MultiVector.zero(base.n, grade)
 
@@ -592,6 +597,58 @@ def test_integer_frames_match_fraction_oracle_with_2d_fibers(k, n):
         for frame_cls, base in frame_bases(triples) + coordinate_bases(k, n)
     }
     assert "2" in dims, dims
+
+
+# -- generator images and frame sizes ------------------------------------------------
+
+
+def test_frame_images_match_multivector_images():
+    """Each frame's integer images over its one denominator are, as
+    rationals, the contractions of omega by its plane vectors (E) and the
+    wedges of eta with its complement vectors after e_1 (F)."""
+    rng = random.Random(73)
+    bases = [(EFiberFrame, MultiVector.basis(4, (2, 3))),
+             (FFiberFrame, MultiVector.basis(4, (2,)))]
+    for k, n in [(2, 4), (2, 5), (3, 5), (4, 6)]:
+        triples = [split(random_positive_point(rng, k, n)) for _ in range(2)]
+        triples += [split(random_nonneg_point(rng, k, n)) for _ in range(6)]
+        bases += frame_bases(triples)
+    sides = set()
+    for frame_cls, base in bases:
+        frame = frame_cls(base)
+        if frame_cls is EFiberFrame:
+            want = [contract(base, g) for g in plane_vectors(base)]
+        else:
+            want = [wedge(base, g) for g in complement_vectors(base)[1:]]
+        got = [
+            {key: Fraction(c, frame._den) for key, c in ints.items()}
+            for ints in frame._ints
+        ]
+        assert got == [img.coeffs for img in want], (frame_cls, base)
+        sides.add((frame_cls, base.n))
+    assert len(sides) == 6, sides  # both sides in R^4, R^5 and R^6
+
+
+# The bit lengths of every frame map and polytope row over 40 seeded G(2,4)
+# frames.  With the slice origin at v D / |v|^2 they summed to 23,565; from
+# the pivot point they sum to 11,252.
+FRAME_BITS = 11_252
+
+
+def test_g24_frame_rows_stay_small():
+    rng = random.Random(5)
+    bases = {}
+    while len(bases) < 40:
+        bases.update(dict.fromkeys(
+            frame_bases([split(random_nonneg_point(rng, 2, 4))])))
+    bits = 0
+    for frame_cls, base in list(bases)[:40]:
+        frame = frame_cls(base)
+        bits += sum(abs(c).bit_length()
+                    for m in frame._maps for c in m.values())
+        bits += sum(abs(x).bit_length()
+                    for row in frame.polytope._rows for x in row)
+    assert bits <= FRAME_BITS * 11 // 10, bits
 
 
 # -- no Fraction rows or kernel solves on the plane paths ----------------------------

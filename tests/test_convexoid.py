@@ -239,6 +239,24 @@ def test_moved_polytope_caches_equal_a_fresh_computation():
             assert centroid(moved) == centroid(fresh)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scaled_zero_of_empty_polytope_does_not_depend_on_call_order(dim):
+    """A box cut by a row that misses it is empty, and by 0 it scales to the
+    point 0 whether or not its vertices were read first."""
+    rows = []
+    for i in range(dim):
+        e = tuple(F(int(j == i)) for j in range(dim))
+        rows += [(e, F(1)), (tuple(-x for x in e), F(1))]
+    rows.append((tuple(F(-1) for _ in range(dim)), F(-dim - 1)))
+    cold, warm = HPolytope(dim, rows), HPolytope(dim, rows)
+    assert vertices(warm) == []
+    point = [(F(0),) * dim]
+    assert vertices(cold.scaled(0)) == vertices(warm.scaled(0)) == point
+    shift = tuple(F(i + 1, 3) for i in range(dim))
+    assert vertices(warm.scaled(0).translated(shift)) == [shift]
+    assert vertices(warm.translated(shift)) == []
+
+
 def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
     rng = random.Random(44)
     cube = random_bounded_3d(rng)
@@ -2044,8 +2062,10 @@ def test_translated_and_scaled_match_fraction_forms(dim):
             assert all(type(x) is F
                        for n, o in moved.constraints for x in (*n, o))
             assert in_lowest_terms(moved._rows, moved._den)
-            if "integer vertices" not in poly._cache:
-                assert "integer vertices" not in moved._cache
+            if not poly._cache.get("integer vertices", ([], 1))[0]:
+                # nothing to carry: no vertices read yet, or none at all;
+                # a zero shift returns the polytope itself
+                assert moved is poly or "integer vertices" not in moved._cache
                 continue
             seen["carried"] += 1
             points, den = moved._cache["integer vertices"]
@@ -2053,8 +2073,7 @@ def test_translated_and_scaled_match_fraction_forms(dim):
             want = list(dict.fromkeys(
                 tuple(f * x + d for x, d in zip(v, s)) for v in verts))
             assert vertices(moved) == want  # carried, in order
-            if want or f:  # an empty body scaled by 0 reads as the point 0
-                assert vertices(HPolytope(dim, moved.constraints)) == want
+            assert vertices(HPolytope(dim, moved.constraints)) == want
             if hull is not None:
                 seen["centroid"] += 1
                 got = moved._cache["centroid"]
