@@ -24,8 +24,8 @@ generator coordinates, measured from the pivot point of the slice (the
 point on the first generator whose image has a nonzero coefficient sum),
 whose image O and the images M_f of the free directions are integer
 combinations of the generator images; an element is one integer
-combination of O and the M_f, and its centered point is one exact solve
-against the generator images.  A side takes the base chart's ball
+combination of O and the M_f, and its centered point is one integer
+solve against the generator images.  A side takes the base chart's ball
 coordinates to its cube and back by ``convexoid.regauge``.
 
 The public constructors ``ChamberPoint`` and ``SplitTriple`` check every
@@ -271,7 +271,9 @@ class FiberFrame:
     of origin, so the centered polytope, its points and their elements do
     not depend on it.  A centered point yc is the slice point
     y = center + yc, and the centered point of an element is read off the
-    free columns of its generator coordinates.
+    free columns of its generator coordinates.  ``center`` is computed when
+    the frame is built, ``centered_polytope`` the first time it is read:
+    a frame that only maps elements to centered points never builds it.
     """
 
     base_part = fiber_part = None
@@ -312,11 +314,17 @@ class FiberFrame:
         # Plucker coordinate hits exactly 0, the plane's RREF picks other
         # pivots, so the generators change by a linear map and the fiber
         # frame can be rescaled as well as moved.  Chart fibers are centered
-        # only here; ``_Side.oracle`` scales them with their centroid cached.
-        # The pivot point has free coordinates 0, so the centered origin has
-        # free generator coordinates ``center``.
+        # only by their frames, on the first read of ``centered_polytope``;
+        # ``_Side.oracle`` scales them with their centroid cached.  The pivot
+        # point has free coordinates 0, so the centered origin has free
+        # generator coordinates ``center``.
         self.center = centroid(self.polytope)
-        self.centered_polytope = centered(self.polytope)
+
+    @property
+    def centered_polytope(self) -> HPolytope:
+        """The fiber polytope translated by -``center``, built on first read
+        and then cached on ``polytope`` (``convexoid.centered``)."""
+        return centered(self.polytope)
 
     def element_of_centered(self, yc: Sequence) -> MultiVector:
         """(O + sum_f y_f M_f) / E at y = center + yc, as one integer
@@ -331,13 +339,21 @@ class FiberFrame:
         )
 
     def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
-        # the solution is unique: contraction by a vector of omega's plane
-        # and wedging eta with a vector of the complement are injective
-        keys = sorted(set(element._ints).union(*self._ints))
-        x = linalg.solve(
-            [[ints.get(key, 0) for ints in self._ints] for key in keys],
-            [self._den * element.coefficient(key) for key in keys],
-        )
+        """The centered point whose element is ``element``.
+
+        Its generator coordinates x solve sum_j x_j I_j / D = e / d, e the
+        element's integers over d; that is the integer system (d I) x = D e,
+        one row per coefficient key, row-reduced by ``linalg.solve_ints``.
+        The solution is unique: contraction by a vector of omega's plane
+        and wedging eta with a vector of the complement are injective.
+        """
+        ints, den = element._ints, element._den
+        keys = sorted(set(ints).union(*self._ints))
+        x = linalg.solve_ints([
+            [den * image.get(key, 0) for image in self._ints]
+            + [self._den * ints.get(key, 0)]
+            for key in keys
+        ])
         if x is None:
             raise ValidationError(
                 f"{self.fiber_part} is not contained in the fiber family"
@@ -541,12 +557,20 @@ class _Side:
     runs from the shared bottom t = 1/2 to the top, z is the base element's
     point in the cube of ``base`` (the recursive chart of the base factor)
     and y the fiber element's centered point in the base element's frame.
+
+    ``element_of_cube`` inverts the base chart once per cube point and
+    caches the base element in ``elements``, keyed by the cube point as
+    floats: the lookup reads z only through ``float``, so the element is a
+    function of that key.  The rationals that round to one float point
+    share its entry, and so do points that differ only in the sign of a
+    zero, since -0.0 == 0.0 as a key; both give the same element.
     """
 
     def __init__(self, name, n, base, frame_cls, fiber_dim, sign):
         self.name, self.n, self.base = name, n, base
         self.frame_cls = frame_cls
         self.frames: dict[MultiVector, FiberFrame] = {}
+        self.elements: dict[tuple[float, ...], MultiVector] = {}
         self.fiber_dim = fiber_dim
         self.sign = sign
 
@@ -558,8 +582,14 @@ class _Side:
         return frame
 
     def element_of_cube(self, z) -> MultiVector:
-        ball = regauge(np.array([float(v) for v in z]), sup_gauge, norm_gauge)
-        return self.base.inverse(ChartPoint(ball)).rho.shift(+1, n=self.n)
+        key = tuple(float(v) for v in z)
+        element = self.elements.get(key)
+        if element is None:
+            ball = regauge(np.array(key), sup_gauge, norm_gauge)
+            point = self.base.inverse(ChartPoint(ball))
+            element = point.rho.shift(+1, n=self.n)
+            self.elements[key] = element
+        return element
 
     def cube_of_element(self, base_el: MultiVector) -> np.ndarray:
         # unchecked: base_el is a part of a valid split triple or a fiber

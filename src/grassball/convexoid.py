@@ -29,7 +29,8 @@ functions of the two fibers it joins.  The exit time is still rounded to a
 dyadic within ``EXIT_TOL`` (see ``_Ray.exit_scale``).  The maps center
 fibers with ``centroid`` and ``centered``, which cache on the polytope;
 ``translated`` and ``scaled`` carry the integer vertices and the centroid
-over, so a fiber centered once is never centered again.  Those copies keep
+over, so a fiber centered once is never centered again; shifting by 0 and
+scaling by 1 return the polytope itself, caches and all.  Those copies keep
 the normals, already checked, so they are built unchecked; the public
 ``HPolytope`` constructor checks and converts every constraint.
 
@@ -270,6 +271,8 @@ class HPolytope:
         num, den = _ratio(factor)
         if num < 0:
             raise ValueError("scale factor must be nonnegative")
+        if num == den:  # in lowest terms: the factor is 1
+            return self
         return self._moved(num, den, (0,) * self.dim, 1)
 
     def translated(self, shift) -> "HPolytope":

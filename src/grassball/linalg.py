@@ -5,9 +5,10 @@ and results are ``Fraction``.  Inside, each row is scaled by the lcm of its
 denominators, which leaves its span unchanged, and eliminated over Python
 integers: rows are kept small by dividing out their content (the gcd of
 their entries), and ``det`` uses Bareiss's fraction-free elimination.
-``Fraction`` objects are built only for the results.  ``integer_row`` and
-``eliminate`` are public so that the polytope layer in ``convexoid`` can
-reduce its own integer rows.
+``Fraction`` objects are built only for the results.  ``integer_row``,
+``eliminate`` and ``solve_ints`` are public so that the polytope layer in
+``convexoid`` and the fiber frames in ``chamber`` can reduce their own
+integer rows.
 """
 
 from __future__ import annotations
@@ -109,8 +110,19 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     """One solution of rows @ x = rhs, or None if inconsistent."""
     if not rows:
         return None if any(Fraction(b) for b in rhs) else []
-    n_cols = len(rows[0])
-    m = [integer_row((*row, b))[0] for row, b in zip(rows, rhs)]
+    return solve_ints(
+        [integer_row((*row, b))[0] for row, b in zip(rows, rhs)]
+    )
+
+
+def solve_ints(m: list[list[int]]) -> list[Fraction] | None:
+    """``solve`` on nonempty augmented integer rows [a | b], reduced in place.
+
+    Scaling a row by a nonzero integer leaves the RREF, hence the pivots and
+    the solution, unchanged, so callers may hand in any integer multiples of
+    their rows.  Free columns are 0 in the solution; None if inconsistent.
+    """
+    n_cols = len(m[0]) - 1
     pivots = eliminate(m, reduced=True)
     if n_cols in pivots:
         return None

@@ -1,5 +1,7 @@
 """Chamber splitting, assembling, and the fiber polytopes of the two halves."""
 
+import collections
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -649,6 +651,86 @@ def test_g24_frame_rows_stay_small():
         bits += sum(abs(x).bit_length()
                     for row in frame.polytope._rows for x in row)
     assert bits <= FRAME_BITS * 11 // 10, bits
+
+
+# -- centered points by integer elimination ------------------------------------------
+
+
+def solve_centered_point_of(frame, element):
+    """``centered_point_of`` through ``linalg.solve``, the reference for the
+    integer solve: the generator images as integer columns, and the
+    element's ``Fraction`` coefficients times the images' denominator as
+    the right-hand side."""
+    keys = sorted(set(element._ints).union(*frame._ints))
+    x = linalg.solve(
+        [[ints.get(key, 0) for ints in frame._ints] for key in keys],
+        [frame._den * element.coefficient(key) for key in keys],
+    )
+    if x is None:
+        raise ValidationError(
+            f"{frame.fiber_part} is not contained in the fiber family"
+        )
+    if element.coefficient_sum() != 1:
+        raise ValidationError(
+            f"{frame.fiber_part} does not lie on the normalized slice"
+        )
+    return tuple(x[f] - c for f, c in zip(frame._free, frame.center))
+
+
+def point_or_error(solve, frame, element):
+    """(point, its repr), or (error type, message)."""
+    try:
+        point = solve(frame, element)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return point, repr(point)
+
+
+def test_centered_point_of_matches_its_fraction_solve():
+    """The integer solve gives the ``linalg.solve`` points, by value and
+    type, on elements of the family, and the same errors on elements off
+    the slice or outside the family; with a generator image repeated, so
+    that the system is rank-deficient, it still agrees."""
+    rng = random.Random(81)
+    bases = []
+    for k, n in [(2, 4), (2, 5), (3, 5), (4, 6)]:
+        triples = [split(random_positive_point(rng, k, n)) for _ in range(2)]
+        triples += [split(random_nonneg_point(rng, k, n)) for _ in range(3)]
+        bases += frame_bases(triples)
+    assert {frame_cls for frame_cls, _ in bases} == {EFiberFrame, FFiberFrame}
+    seen = collections.Counter()
+    for frame_cls, base in bases:
+        frame = frame_cls(base)
+        repeated = copy.copy(frame)
+        repeated._ints = frame._ints + [frame._ints[-1]]
+        verts = vertices(frame.centered_polytope)
+        mean = tuple(sum(v[i] for v in verts) / len(verts)
+                     for i in range(frame.dim))
+        probes = verts + [mean]
+        family = [frame.element_of_centered(p) for p in probes]
+        n, grade = base.n, frame._grade
+        outside = [MultiVector.basis(n, (1,) + tuple(range(2, grade + 1)))]
+        outside += [
+            normalize(family[-1] + MultiVector.basis(n, key))
+            for key in combinations(range(2, n + 1), grade)
+        ]
+        off_slice = [el * 2 for el in family[-2:]]
+        for element in family + off_slice + outside:
+            want = point_or_error(solve_centered_point_of, frame, element)
+            assert point_or_error(
+                FiberFrame.centered_point_of, frame, element) == want
+            for solve in (FiberFrame.centered_point_of,
+                          solve_centered_point_of):
+                assert point_or_error(solve, repeated, element) == want
+            if want[0] is ValidationError:
+                seen[want[1].split(" ", 1)[1]] += 1
+            else:
+                assert all(type(c) is Fraction for c in want[0])
+                seen["point"] += 1
+        assert [frame.centered_point_of(el) for el in family] == probes
+    assert seen["point"] >= 3 * len(bases), seen
+    assert seen["does not lie on the normalized slice"] >= len(bases), seen
+    assert seen["is not contained in the fiber family"] >= len(bases), seen
 
 
 # -- no Fraction rows or kernel solves on the plane paths ----------------------------

@@ -485,6 +485,86 @@ def test_g24_round_trips_construct_few_fractions(monkeypatch):
     assert made <= FRACTION_CAP, made
 
 
+# 10% above the count of the guard below
+LEAF_INVERSE_CAP = 131 * 11 // 10
+
+
+def test_g24_round_trips_invert_each_base_cube_point_once(monkeypatch):
+    """A guard with no timing in it: 20 fixed G(2,4) round trips on a fresh
+    chart, its glued map built first, invert the base charts' simplex
+    leaves at most LEAF_INVERSE_CAP times.  With one lookup per cube point
+    they make 131 leaf inversions; with a lookup per call they made 178."""
+    rng = random.Random(5)
+    points = [random_nonneg_point(rng, 2, 4) for _ in range(20)]
+    chart = BallChart(2, 4)
+    chart._glued_map()
+    calls = 0
+    inverse = _SimplexChart.inverse
+
+    def counting(self, coords):
+        nonlocal calls
+        calls += 1
+        return inverse(self, coords)
+
+    monkeypatch.setattr(_SimplexChart, "inverse", counting)
+    backs = [chart.inverse(chart.forward(point)) for point in points]
+    monkeypatch.undo()
+    assert max(roundtrip_error(chart, p) for p in points) < 1e-6
+    assert all(isinstance(b, ChamberPoint) for b in backs)
+    assert calls <= LEAF_INVERSE_CAP, calls
+
+
+def uncached_element_of_cube(side, z):
+    """The base element of cube point z, looked up without the cache."""
+    ball = convexoid.regauge(
+        np.array([float(v) for v in z]),
+        convexoid.sup_gauge, convexoid.norm_gauge,
+    )
+    return side.base.inverse(ChartPoint(ball)).rho.shift(+1, n=side.n)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5)])
+def test_cached_base_lookups_equal_uncached_ones(k, n):
+    """``element_of_cube`` caches by the cube point as floats: a Fraction
+    point and the float point of the same value, and a point with -0.0
+    where another has 0.0, share one entry, and every lookup equals the
+    uncached one of its own input."""
+    rng = random.Random(71)
+    chart = BallChart(k, n)  # fresh, so that its caches start empty
+    for side in (chart._e, chart._f):
+        dim = side.base.dim
+        for _ in range(4):
+            z = [Fraction(rng.randint(-60, 60), 64) for _ in range(dim)]
+            z[0] = Fraction(0)
+            floats = [float(v) for v in z]
+            negative = [-0.0] + floats[1:]
+            assert str(negative[0]) == "-0.0"
+            before = len(side.elements)
+            got = [side.element_of_cube(p) for p in (negative, z, floats)]
+            assert len(side.elements) == before + 1
+            want = [uncached_element_of_cube(side, p)
+                    for p in (negative, z, floats)]
+            assert got == want and repr(got) == repr(want)
+            assert got[0] is got[1] is got[2]
+        # a rational that is no float reads as its float
+        third = [Fraction(1, 3)] * dim
+        assert side.element_of_cube(third) == uncached_element_of_cube(
+            side, [1 / 3] * dim)
+        assert side.element_of_cube([1 / 3] * dim) is side.element_of_cube(
+            third)
+
+
+def test_fibers_at_the_bottom_are_the_frames_own_polytopes():
+    """At tau = 0 a side's oracle scales the frame's centered polytope by 1,
+    which returns that polytope itself, its caches included."""
+    chart = BallChart(2, 4)
+    for side in (chart._e, chart._f):
+        z = (Fraction(1, 5), Fraction(-2, 7))
+        fiber = side.oracle((Fraction(0),) + z)
+        assert fiber is side.frame(side.element_of_cube(z)).centered_polytope
+        assert side.oracle((Fraction(1, 2),) + z) is not fiber
+
+
 def test_unsupported_charts_are_refused_up_front():
     cap = convexoid.MAX_FIBER_DIM
     for k, n in ((2, 7), (5, 7)):

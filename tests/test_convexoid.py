@@ -239,6 +239,20 @@ def test_moved_polytope_caches_equal_a_fresh_computation():
             assert centroid(moved) == centroid(fresh)
 
 
+def test_scaling_by_one_and_shifting_by_zero_return_the_polytope_itself():
+    rng = random.Random(45)
+    polys = [interval(-1, 3), box2(-1, 2, 0, 1), flat_segment(),
+             random_bounded_3d(rng)]
+    for poly in polys:
+        zero = (F(0),) * poly.dim
+        for same in (poly.scaled(1), poly.scaled(F(3, 3)), poly.scaled(1.0),
+                     poly.translated(zero), poly.translated([0] * poly.dim)):
+            assert same is poly
+        assert poly.scaled(F(2, 3)) is not poly
+    with pytest.raises(ValueError, match="nonnegative"):
+        interval(-1, 3).scaled(-1)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_scaled_zero_of_empty_polytope_does_not_depend_on_call_order(dim):
     """A box cut by a row that misses it is empty, and by 0 it scales to the

@@ -190,6 +190,14 @@ def test_solve_matches_oracle():
             rhs = [sum(Fraction(a) * b for a, b in zip(row, x)) for row in rows]
         want = reference_solve(rows, rhs)
         _same(linalg.solve(rows, rhs), want)
+        if rows:
+            # any nonzero integer multiples of the augmented rows will do
+            scales = [rng.choice([-6, -1, 1, 3, 10 ** 12]) for _ in rows]
+            scaled = [
+                [x * c for x in linalg.integer_row((*row, b))[0]]
+                for row, b, c in zip(rows, rhs, scales)
+            ]
+            _same(linalg.solve_ints(scaled), want)
         inconsistent += want is None
     assert inconsistent >= 200
     assert linalg.solve([], [0, 0]) == []
