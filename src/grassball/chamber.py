@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Sequence
 
@@ -67,10 +68,12 @@ from .convexoid import (
 from .exterior import (
     MultiVector,
     SignClass,
+    _known_decomposable,
     classify_sign,
+    combine_ints,
     contract_ints,
     integer_coeffs,
-    wedge,
+    wedge_first_ints,
     wedge_ints,
 )
 from .plucker import (
@@ -202,7 +205,8 @@ def split(point: ChamberPoint) -> SplitTriple:
     part with index 1 is e_1 ^ eta0, eta0 the contraction of rho by e_1,
     and the rest is the projection of rho along e_1; both are nonnegative
     and decomposable, supported away from index 1, eta0 is contained in the
-    rest, and dividing each by its coefficient sum normalizes it.
+    rest, and dividing each by its coefficient sum normalizes it.  Both
+    parts carry the decomposable mark when rho is known to be decomposable.
     """
     rho = point.rho
     ints, den = integer_coeffs(rho)
@@ -214,13 +218,15 @@ def split(point: ChamberPoint) -> SplitTriple:
     first = sum(with_first.values())
     if first == 0:
         return SplitTriple._unchecked(Fraction(0), None, rho)
-    eta = MultiVector._of_ints(rho.n, rho.k - 1, with_first, first)
+    known = _known_decomposable(rho)
+    eta = MultiVector._of_ints(rho.n, rho.k - 1, with_first, first, known)
     if first == den:
         return SplitTriple._unchecked(Fraction(1), eta, None)
     without_first = {
         key: c for key, c in ints.items() if not key or key[0] != 1
     }
-    omega = MultiVector._of_ints(rho.n, rho.k, without_first, den - first)
+    omega = MultiVector._of_ints(rho.n, rho.k, without_first, den - first,
+                                 known)
     return SplitTriple._unchecked(Fraction(first, den), eta, omega)
 
 
@@ -229,14 +235,19 @@ def assemble(triple: SplitTriple) -> ChamberPoint:
 
     The point is built unchecked, because the triple is valid: with
     omega = eta ^ w, rho = eta ^ (+-t e_1 + (1 - t) w) is decomposable, and
-    it is nonnegative with coefficient sum t + (1 - t) = 1.
+    it is nonnegative with coefficient sum t + (1 - t) = 1.  eta avoids
+    index 1, so e_1 ^ eta is a relabel (``wedge_first_ints``), not a wedge;
+    it carries the decomposable mark when eta is known to be decomposable.
     """
     t = triple.t
     if t == 0:
         rho = triple.omega
     else:
-        n = triple.eta.n
-        lifted = wedge(MultiVector.basis(n, (1,)), triple.eta)
+        eta = triple.eta
+        lifted = MultiVector._of_ints(
+            eta.n, eta.k + 1, wedge_first_ints(eta._ints), eta._den,
+            _known_decomposable(eta),
+        )
         rho = lifted * t if t == 1 else lifted * t + triple.omega * (1 - t)
     return ChamberPoint._unchecked(rho)
 
@@ -297,7 +308,7 @@ class FiberFrame:
         self._map_den = abs(vp * self._den)
         s = 1 if vp * self._den > 0 else -1
         self._maps = [{key: s * self._den * c for key, c in ip.items()}] + [
-            _combination((s * vp, -s * values[f]), (self._ints[f], ip))
+            combine_ints((s * vp, -s * values[f]), (self._ints[f], ip))
             for f in self._free
         ]
         # one nonnegativity row per coefficient key: O + sum_f y_f M_f >= 0
@@ -331,7 +342,7 @@ class FiberFrame:
         combination over L E, with L the lcm of the denominators of y."""
         y = [Fraction(1)] + [c + v for c, v in zip(self.center, yc)]
         scale = lcm(*[c.denominator for c in y])
-        out = _combination(
+        out = combine_ints(
             [c.numerator * (scale // c.denominator) for c in y], self._maps
         )
         return MultiVector._of_ints(
@@ -365,17 +376,6 @@ class FiberFrame:
         return tuple(x[f] - c for f, c in zip(self._free, self.center))
 
 
-def _combination(coefficients, maps) -> dict:
-    """sum_j coefficients[j] * maps[j] over integer coefficient maps, zeros
-    dropped."""
-    out: dict = {}
-    for c, ints in zip(coefficients, maps):
-        if c:
-            for key, a in ints.items():
-                out[key] = out.get(key, 0) + c * a
-    return {key: a for key, a in out.items() if a}
-
-
 class EFiberFrame(FiberFrame):
     """Fiber over omega on the low-t side: contained grade-(k-1) elements.
 
@@ -404,7 +404,8 @@ class FFiberFrame(FiberFrame):
     def __init__(self, eta: MultiVector):
         _check_away_from_first(eta, "eta")
         maps, p = complement_ints(eta)
-        super().__init__(eta, maps[1:], p, wedge_ints, eta.k + 1)
+        super().__init__(eta, maps[1:], p, partial(wedge_ints, n=eta.n),
+                         eta.k + 1)
 
 
 def e_fiber(omega: MultiVector) -> EFiberFrame:

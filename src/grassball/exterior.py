@@ -16,6 +16,24 @@ sign flip when the denominator came out negative.  ``wedge`` and
 are, through ``wedge_ints``, and ``contract`` through its twin
 ``contract_ints``.  ``coeffs`` is a read-only ``Fraction`` view for callers
 outside the library, built on each access and never stored.
+
+Almost every product the library forms has a grade-1 factor: the rows of a
+plane, the witness vectors, the generators of a fiber frame.  ``wedge_ints``
+places each index of such a factor with a table per (n, key), built on first
+use and kept, that maps an index y to the merged key and the parity of the
+shuffle; the general loop runs only when neither factor has grade 1.
+
+An element may carry a decomposable mark (``MultiVector`` says how), so
+that ``plucker`` reads its plane without proving it a single wedge again.
+The mark is set only where the construction guarantees it: on a nonzero
+``wedge_all`` of factors known to be decomposable, and on the results of
+operations that keep decomposability (nonzero scaling, negation,
+``normalize``, ``shift``, and the two index-1 parts that ``chamber.split``
+and ``lemmas.extend_positive`` take: the contraction by e_1 and the
+projection away from e_1).  Wedges formed without ``wedge_all`` get it
+under the same condition: e_1 ^ eta in ``chamber.assemble`` and the extend
+candidates (e_1 + eps v) ^ omega in ``lemmas``.  Sums, the public
+constructor, ``from_json`` and ``_of_ints`` on a caller's ints never set it.
 """
 
 from __future__ import annotations
@@ -24,6 +42,7 @@ import enum
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping
@@ -92,14 +111,36 @@ def _ratio(value) -> tuple[int, int]:
 
 _set = object.__setattr__
 
+# The ``_plane`` state of an element known to be decomposable whose plane
+# rows are not read yet.
+DECOMPOSABLE = "decomposable"
+
+
+def _known_decomposable(mv: "MultiVector") -> bool:
+    """True when mv is decomposable by its grade (0, 1, n - 1 or n) or by its
+    ``_plane`` state (rows read, or marked); False says nothing."""
+    return (mv.k <= 1 or mv.k >= mv.n - 1
+            or getattr(mv, "_plane", None) is not None)
+
 
 class MultiVector:
     """Immutable element of the k-th exterior power of R^n.
 
     The e_A coefficient is ``_ints[A] / _den``, in lowest terms with
     ``_den`` > 0; keys with zero coefficient are never stored, so
-    ``support()`` is the true support.  ``_plane`` is empty until
-    ``plucker`` stores the element's plane there on its first read.
+    ``support()`` is the true support.
+
+    ``_plane`` holds what is known of the element's plane, in one of four
+    states: unset (nothing known yet); ``DECOMPOSABLE`` (a mark: the element
+    is a nonzero single wedge by construction, its rows not read yet);
+    ``(rows, p)`` (the plane's integer RREF rows, stored by ``plucker`` on
+    the first read); or None (read, and not decomposable).  The mark is set
+    by ``wedge_all`` on a nonzero product whose factors are all known to be
+    decomposable (by grade 0, 1, n - 1 or n, or by their ``_plane`` state),
+    and carried by nonzero ``*`` and ``/`` by a scalar, negation,
+    ``normalize``, ``shift`` and the two index-1 parts (the module docstring
+    lists them).  ``plucker`` reads a marked element's rows without the
+    decomposability product.
     """
 
     __slots__ = ("n", "k", "_ints", "_den", "_plane")
@@ -129,13 +170,15 @@ class MultiVector:
         raise AttributeError("MultiVector is immutable")
 
     @classmethod
-    def _of_ints(cls, n: int, k: int, ints: dict[IndexSet, int], den: int
-                 ) -> "MultiVector":
+    def _of_ints(cls, n: int, k: int, ints: dict[IndexSet, int], den: int,
+                 decomposable: bool = False) -> "MultiVector":
         """The element with coefficients ints[key] / den, reduced once.
 
         The keys are ascending k-subsets of 1..n, the ints nonzero and den
         nonzero, as the integer kernels make them, so nothing is checked;
-        the element takes ``ints`` over and may store it as it is.
+        the element takes ``ints`` over and may store it as it is.  With
+        ``decomposable``, which a caller passes only when the construction
+        makes the element a single wedge, a nonzero element gets the mark.
         """
         g = gcd(den, *ints.values())
         if den < 0:
@@ -148,6 +191,8 @@ class MultiVector:
         _set(mv, "k", k)
         _set(mv, "_ints", ints)
         _set(mv, "_den", den)
+        if decomposable and ints:
+            _set(mv, "_plane", DECOMPOSABLE)
         return mv
 
     # -- constructors ------------------------------------------------------
@@ -207,7 +252,8 @@ class MultiVector:
         for key in moved:
             if key and (key[0] < 1 or key[-1] > new_n):
                 raise ValueError(f"index set {key} is not ascending in 1..{new_n}")
-        return MultiVector._of_ints(new_n, self.k, moved, self._den)
+        return MultiVector._of_ints(new_n, self.k, moved, self._den,
+                                    _known_decomposable(self))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -237,7 +283,8 @@ class MultiVector:
 
     def __neg__(self) -> "MultiVector":
         return MultiVector._of_ints(
-            self.n, self.k, {key: -c for key, c in self._ints.items()}, self._den
+            self.n, self.k, {key: -c for key, c in self._ints.items()},
+            self._den, _known_decomposable(self),
         )
 
     def __mul__(self, scale) -> "MultiVector":
@@ -246,7 +293,7 @@ class MultiVector:
             return MultiVector._of_ints(self.n, self.k, {}, 1)
         return MultiVector._of_ints(
             self.n, self.k, {key: c * num for key, c in self._ints.items()},
-            self._den * den,
+            self._den * den, _known_decomposable(self),
         )
 
     __rmul__ = __mul__
@@ -257,7 +304,7 @@ class MultiVector:
             raise ZeroDivisionError(f"MultiVector division by {scale!r}")
         return MultiVector._of_ints(
             self.n, self.k, {key: c * den for key, c in self._ints.items()},
-            self._den * num,
+            self._den * num, _known_decomposable(self),
         )
 
     def __eq__(self, other) -> bool:
@@ -321,40 +368,82 @@ def integer_coeffs(mv: MultiVector) -> tuple[dict[IndexSet, int], int]:
     return mv._ints, mv._den
 
 
-def wedge_ints(a: Mapping[IndexSet, int], b: Mapping[IndexSet, int]
+@cache
+def _placements(n: int, key: IndexSet) -> list:
+    """e_key ^ e_y for every index y of 1..n: entry y is None when y lies in
+    key, and otherwise (merged key, parity), the parity that of the number
+    of indices of key above y.  Built on first use and kept, one list of
+    n + 1 entries per (n, key)."""
+    row: list = [None] * (n + 1)
+    size = len(key)
+    for y in range(1, n + 1):
+        pos = bisect_left(key, y)
+        if pos == size or key[pos] != y:
+            row[y] = (key[:pos] + (y,) + key[pos:], (size - pos) & 1)
+    return row
+
+
+def _wedge_vector_ints(m: Mapping[IndexSet, int], vec: Mapping[IndexSet, int],
+                       n: int, left: bool) -> dict[IndexSet, int]:
+    """m ^ vec, or vec ^ m when ``left``, for a grade-1 map vec, zeros
+    dropped.  e_B ^ e_y is read off ``_placements``; e_y ^ e_B is
+    (-1)^|B| e_B ^ e_y, so on the left the parity flips with the grade."""
+    flip = len(next(iter(m))) & 1 if left else 0
+    entries = [(key[0], c) for key, c in vec.items()]
+    out: dict[IndexSet, int] = {}
+    for key, c in m.items():
+        row = _placements(n, key)
+        for y, cy in entries:
+            placed = row[y]
+            if placed is not None:
+                merged, odd = placed
+                term = c * cy
+                out[merged] = out.get(merged, 0) + (-term if odd ^ flip else term)
+    return {key: c for key, c in out.items() if c}
+
+
+def wedge_ints(a: Mapping[IndexSet, int], b: Mapping[IndexSet, int], n: int
                ) -> dict[IndexSet, int]:
-    """Exterior product of two integer coefficient maps, zeros dropped.
+    """Exterior product of two integer coefficient maps of one grade each,
+    in ambient dimension n, zeros dropped.
 
     e_A ^ e_B is 0 when A and B meet, and otherwise e_(A u B) times the sign
     of the shuffle merging A then B: (-1)^(pairs x in A, y in B with x > y).
-    A single index, the common case, is placed by bisection.
+    A grade-1 factor, on either side, is placed by ``_placements``.
     """
+    if not a or not b:
+        return {}
+    if len(next(iter(b))) == 1:
+        return _wedge_vector_ints(a, b, n, False)
+    if len(next(iter(a))) == 1:
+        return _wedge_vector_ints(b, a, n, True)
     out: dict[IndexSet, int] = {}
     for key_a, ca in a.items():
-        size_a = len(key_a)
         for key_b, cb in b.items():
-            if len(key_b) == 1:  # the x in A above y
-                y = key_b[0]
-                pos = bisect_left(key_a, y)
-                if pos < size_a and key_a[pos] == y:
-                    continue
-                merged = key_a[:pos] + key_b + key_a[pos:]
-                inversions = size_a - pos
-            elif size_a == 1:  # the y in B below x
-                x = key_a[0]
-                pos = bisect_left(key_b, x)
-                if pos < len(key_b) and key_b[pos] == x:
-                    continue
-                merged = key_b[:pos] + key_a + key_b[pos:]
-                inversions = pos
-            elif set(key_a).isdisjoint(key_b):
-                merged = tuple(sorted(key_a + key_b))
-                inversions = sum(x > y for x in key_a for y in key_b)
-            else:
+            if not set(key_a).isdisjoint(key_b):
                 continue
+            merged = tuple(sorted(key_a + key_b))
+            inversions = sum(x > y for x in key_a for y in key_b)
             term = ca * cb
             out[merged] = out.get(merged, 0) + (-term if inversions & 1 else term)
     return {key: c for key, c in out.items() if c}
+
+
+def wedge_first_ints(a: Mapping[IndexSet, int]) -> dict[IndexSet, int]:
+    """e_1 ^ a over integers: a relabel, since e_1 ^ e_A is e_(1 A) with sign
+    +1 when 1 is not in A (no index of A lies below 1) and 0 when it is."""
+    return {(1,) + key: c for key, c in a.items() if not key or key[0] != 1}
+
+
+def combine_ints(coefficients, maps) -> dict[IndexSet, int]:
+    """sum_j coefficients[j] * maps[j] over integer coefficient maps, zeros
+    dropped."""
+    out: dict = {}
+    for c, ints in zip(coefficients, maps):
+        if c:
+            for key, a in ints.items():
+                out[key] = out.get(key, 0) + c * a
+    return {key: a for key, a in out.items() if a}
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -363,7 +452,9 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
 
 
 def wedge_all(factors: Iterable[MultiVector]) -> MultiVector:
-    """factors[0] ^ factors[1] ^ ..., accumulated over integers."""
+    """factors[0] ^ factors[1] ^ ..., accumulated over integers.  A nonzero
+    product of factors that are all known to be decomposable gets the
+    decomposable mark."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty wedge")
@@ -378,9 +469,11 @@ def wedge_all(factors: Iterable[MultiVector]) -> MultiVector:
         if k + f.k > n:
             raise GradeError(f"grade overflow: {k}+{f.k} > {n}")
         k += f.k
-        ints = wedge_ints(ints, f._ints)
+        ints = wedge_ints(ints, f._ints, n)
         den *= f._den
-    return MultiVector._of_ints(n, k, ints, den)
+    return MultiVector._of_ints(
+        n, k, ints, den, all(_known_decomposable(f) for f in factors)
+    )
 
 
 def contract_ints(a: Mapping[IndexSet, int], v: Mapping[IndexSet, int]
@@ -427,7 +520,8 @@ def normalize(mv: MultiVector) -> MultiVector:
         raise NormalizationError("coefficient sum is zero")
     if total == mv._den:
         return mv
-    return MultiVector._of_ints(mv.n, mv.k, dict(mv._ints), total)
+    return MultiVector._of_ints(mv.n, mv.k, dict(mv._ints), total,
+                                _known_decomposable(mv))
 
 
 def classify_sign(mv: MultiVector) -> SignClass:

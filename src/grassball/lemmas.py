@@ -5,6 +5,16 @@ produces a contained grade-(k-1) element and ``extend_*`` a containing
 grade-(k+1) element, preserving nonnegativity; the ``*_positive`` variants
 keep strict positivity by an explicit epsilon construction, with epsilon
 found by exact geometric halving.
+
+Every witness is a wedge of vectors by construction, so it carries the
+decomposable mark of ``exterior`` and ``plucker`` reads its plane with no
+decomposability product.  The searches wedge as little as they can: an
+extend candidate (e_1 + eps v) ^ omega is e_1 ^ omega + eps (v ^ omega), an
+integer combination of a relabel and one wedge made once per search; a
+completion row is tested against the integer plane rows of the element it
+completes (``plucker.contains``); and a sign or scale that needs one
+coefficient of u ^ w reads it by a Laplace expansion along u, with no wedge
+built.
 """
 
 from __future__ import annotations
@@ -15,12 +25,16 @@ from fractions import Fraction
 from .exterior import (
     MultiVector,
     SignClass,
+    _known_decomposable,
     classify_sign,
+    combine_ints,
     normalize,
     wedge,
     wedge_all,
+    wedge_first_ints,
+    wedge_ints,
 )
-from .plucker import plane_vectors, require_chamber_vector
+from .plucker import contains, plane_vectors, require_chamber_vector
 
 __all__ = [
     "EpsilonSearch",
@@ -96,18 +110,32 @@ def _all_hyperplane_vector(n: int) -> MultiVector:
 
 
 def _completion_row(candidates, partial: MultiVector) -> MultiVector:
-    """First candidate vector outside the plane of ``partial``: the first v
-    with partial ^ v nonzero."""
+    """First candidate vector outside the plane of ``partial``, the first v
+    with partial ^ v nonzero, decided by ranking the integer plane rows of
+    v and of ``partial`` (``plucker.contains``) with no wedge built."""
     for v in candidates:
-        if not wedge(partial, v).is_zero():
+        if not contains(v, partial):
             return v
     raise AssertionError("no completion row found; plane dimensions are off")
 
 
-def _proportionality(a: MultiVector, b: MultiVector) -> Fraction:
-    """Scalar c with a = c * b, for proportional nonzero multivectors."""
-    key = b.support()[0]
-    return a.coefficient(key) / b.coefficient(key)
+def _proportionality(u: MultiVector, w: MultiVector, b: MultiVector
+                     ) -> Fraction:
+    """Scalar c with u ^ w = c * b, for a grade-1 u and u ^ w and b
+    proportional and nonzero, read at the first key K of b's support with
+    no wedge built: the e_K coefficient of u ^ w is the Laplace expansion
+    sum_r (-1)^r u[K_r] w[K without K_r], since e_(K_r) passes the r indices
+    of K below it to reach its place."""
+    key = min(b._ints)
+    u_ints, w_ints = u._ints, w._ints
+    total = 0
+    for r, i in enumerate(key):
+        x = u_ints.get((i,))
+        if x:
+            y = w_ints.get(key[:r] + key[r + 1:])
+            if y:
+                total += -x * y if r & 1 else x * y
+    return Fraction(total * b._den, u._den * w._den * b._ints[key])
 
 
 def shrink_positive(
@@ -139,16 +167,12 @@ def shrink_positive(
         tail_wedge.shift(-1), cfg, validate=False
     ).shift(+1, n=n)
 
+    # The rows of inner's RREF have minor 1 on their pivot columns I, so
+    # w3 ^ later = inner / inner[I], a positive multiple of the recursive
+    # witness: w2 is completed and signed against inner itself.
     w3, *later = plane_vectors(inner)
-    # Fix the sign so the wedge of the chosen rows is positively
-    # proportional to the recursive witness.
-    rest_wedge = wedge_all([w3, *later])
-    if _proportionality(rest_wedge, inner) < 0:
-        w3 = -w3
-        rest_wedge = -rest_wedge
-
-    w2 = _completion_row(plane_vectors(tail_wedge), rest_wedge)
-    if _proportionality(wedge(w2, rest_wedge), tail_wedge) < 0:
+    w2 = _completion_row(plane_vectors(tail_wedge), inner)
+    if _proportionality(w2, inner, tail_wedge) < 0:
         w2 = -w2
 
     def candidate(eps: Fraction) -> MultiVector:
@@ -188,7 +212,8 @@ def extend_positive(
     Induction on the ambient dimension: the part of ``mv`` away from index 1
     is positive one dimension down; a recursively extended witness supplies a
     direction v with v ^ omega_2 positive, and (e_1 + eps*v) ^ mv works for
-    small eps.
+    small eps.  That candidate is e_1 ^ mv + eps * (v ^ mv): a relabel and
+    one wedge, made once, and one integer combination per eps.
     """
     if validate:
         require_chamber_vector(mv, positive=True)
@@ -198,14 +223,27 @@ def extend_positive(
     if n == k + 1:
         return MultiVector.basis(n, range(1, n + 1))
 
+    # the projection of mv away from e_1, decomposable when mv is
+    known = _known_decomposable(mv)
     away = MultiVector._of_ints(
-        n, k, {key: c for key, c in mv._ints.items() if 1 not in key}, mv._den
+        n, k, {key: c for key, c in mv._ints.items() if 1 not in key},
+        mv._den, known,
     )
     away_small = normalize(away.shift(-1))
     bigger = extend_positive(away_small, cfg, validate=False).shift(+1, n=n)
 
     u = _completion_row(plane_vectors(bigger), away)
-    v = u / _proportionality(wedge(u, away), bigger)  # v ^ away = bigger
+    v = u / _proportionality(u, away, bigger)  # v ^ away = bigger
 
-    e1 = MultiVector.basis(n, (1,))
-    return _search(cfg, lambda eps: wedge(e1 + v * eps, mv))
+    # (e_1 + eps v) ^ mv over b * v den * mv den, for eps = a / b
+    lifted = wedge_first_ints(mv._ints)
+    moved = wedge_ints(v._ints, mv._ints, n)
+
+    def candidate(eps: Fraction) -> MultiVector:
+        scale = eps.denominator * v._den
+        return MultiVector._of_ints(
+            n, k + 1, combine_ints((scale, eps.numerator), (lifted, moved)),
+            scale * mv._den, known,
+        )
+
+    return _search(cfg, candidate)

@@ -16,8 +16,10 @@ without i_r strictly between i_r and j.  Those rows wedge back to
 mv / mv[I] exactly when mv is decomposable, and that integer wedge is the
 decomposability test.  An element's rows, or the finding that it has no
 plane, are stored on it at the first read, and ``contains`` ranks the
-integer rows of the two planes as they are.  Minors are wedges too:
-``plucker_of_matrix`` is the wedge of the rows.
+integer rows of the two planes as they are.  An element that carries the
+decomposable mark of ``exterior`` (a wedge of vectors by construction) has
+its rows read with no wedge at all.  Minors are wedges too:
+``plucker_of_matrix`` is the wedge of the rows, so it carries the mark.
 
 Every basis built on a plane comes from those integer rows over p, with no
 ``Fraction`` row and no solve: ``plane_ints`` is the rows as grade-1 integer
@@ -34,11 +36,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from functools import reduce
 from typing import Mapping, Sequence
 
 from . import linalg
 from .exterior import (
+    DECOMPOSABLE,
     GradeError,
     MultiVector,
     SignClass,
@@ -164,11 +166,15 @@ def _plane_rows(mv: MultiVector) -> tuple[tuple[tuple[int, ...], ...], int] | No
     into place in the minor J).  The minors of those rows are p^(k-1) times
     c when mv is decomposable, and when they are, mv is their wedge divided
     by p^(k-1); so comparing the wedge with p^(k-1) * c decides
-    decomposability in both directions.
+    decomposability in both directions.  An element with the decomposable
+    mark (``exterior.MultiVector`` says which elements carry it) is a single
+    wedge by construction: its rows are read the same way, and the
+    comparison is skipped.
     """
     found = getattr(mv, "_plane", _UNREAD)
-    if found is not _UNREAD:
+    if found is not _UNREAD and found is not DECOMPOSABLE:
         return found
+    marked = found is DECOMPOSABLE
     if mv.is_zero():
         raise ValueError("the zero multivector has no well-defined plane")
     c, _ = integer_coeffs(mv)
@@ -189,11 +195,11 @@ def _plane_rows(mv: MultiVector) -> tuple[tuple[tuple[int, ...], ...], int] | No
                 row[j - 1] = -x if (pos - r) & 1 else x
         rows.append(tuple(row))
     found = tuple(rows), p
-    if mv.k > 1:
-        product = reduce(
-            wedge_ints,
-            [{(j + 1,): x for j, x in enumerate(row) if x} for row in rows],
-        )
+    if mv.k > 1 and not marked:
+        maps = [{(j + 1,): x for j, x in enumerate(row) if x} for row in rows]
+        product = maps[0]
+        for m in maps[1:]:
+            product = wedge_ints(product, m, mv.n)
         scale = p ** (mv.k - 1)
         if product != {key: scale * x for key, x in c.items()}:
             found = None
@@ -210,7 +216,12 @@ def is_decomposable(mv: MultiVector) -> bool:
     of I without i_r strictly between i_r and j.  mv is a single wedge of
     vectors iff the wedge of those k rows is p^(k-1) * mv, coefficient for
     coefficient (``_plane_rows`` says why).  Grades 0, 1, n - 1 and n always
-    pass; the zero multivector raises ``ValueError``.
+    pass; the zero multivector raises ``ValueError``.  An element with the
+    decomposable mark passes without the product: the mark is set only on
+    nonzero wedges of vectors and on what keeps their decomposability
+    (``exterior`` lists both), never on a sum or on a caller's coefficients,
+    so an element built by ``MultiVector(...)`` or ``from_json`` is always
+    tested in full.
     """
     return _plane_rows(mv) is not None
 

@@ -29,6 +29,7 @@ from grassball.chamber import (
 )
 from grassball.convexoid import HPolytope, vertices
 from grassball.exterior import (
+    DECOMPOSABLE,
     MultiVector,
     classify_sign,
     contract,
@@ -158,6 +159,31 @@ def test_split_assemble_mutual_inverse_random(k, n):
         assert assemble(s).rho == point.rho
         s2 = split(assemble(s))
         assert s2.t == s.t and s2.eta == s.eta and s2.omega == s.omega
+
+
+@pytest.mark.parametrize("k,n", [(3, 7), (4, 8)])
+def test_split_parts_carry_the_decomposable_mark(k, n):
+    """The index-1 parts of a rho known to be decomposable are marked, and
+    read the planes that the full check reads on unmarked copies; a rho
+    whose plane is unknown gives unmarked parts."""
+    rng = random.Random(410 + k + 10 * n)
+    marked = 0
+    for _ in range(20):
+        point = random_nonneg_point(rng, k, n)  # checked, so its plane is read
+        triple = split(point)
+        unknown = split(ChamberPoint._unchecked(
+            MultiVector(n, k, point.rho.coeffs)))
+        for part, fresh in ((triple.eta, unknown.eta),
+                            (triple.omega, unknown.omega)):
+            if part is None or part is point.rho:  # t = 0 keeps rho as omega
+                continue
+            assert part._plane is DECOMPOSABLE
+            assert getattr(fresh, "_plane", None) is None
+            assert plane_vectors(part) == plane_vectors(fresh)
+            marked += 1
+        if triple.t == 1:
+            assert assemble(triple).rho._plane is DECOMPOSABLE
+    assert marked >= 10
 
 
 def test_t_is_one_lipschitz_in_rho():

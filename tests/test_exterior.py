@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from bisect import bisect_left
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grassball.exterior import (
+    DECOMPOSABLE,
     GradeError,
     MultiVector,
     NormalizationError,
@@ -23,6 +25,8 @@ from grassball.exterior import (
     q_form,
     wedge,
     wedge_all,
+    wedge_first_ints,
+    wedge_ints,
 )
 
 
@@ -629,3 +633,143 @@ def test_shift_keeps_the_constructor_checks():
         mv.shift(+1, n=4)
     with pytest.raises(GradeError):
         MultiVector.basis(3, (1, 2, 3)).shift(0, n=2)
+
+
+# -- the grade-1 wedge kernel against the general integer loop -----------------
+# ``wedge_ints`` places a grade-1 factor, on either side, with a table per
+# (n, key).  The oracle below is the loop it replaces, over every pair of
+# keys with single indices placed by bisection.
+
+
+def reference_wedge_ints(a, b):
+    out = {}
+    for key_a, ca in a.items():
+        size_a = len(key_a)
+        for key_b, cb in b.items():
+            if len(key_b) == 1:  # the x in A above y
+                y = key_b[0]
+                pos = bisect_left(key_a, y)
+                if pos < size_a and key_a[pos] == y:
+                    continue
+                merged = key_a[:pos] + key_b + key_a[pos:]
+                inversions = size_a - pos
+            elif size_a == 1:  # the y in B below x
+                x = key_a[0]
+                pos = bisect_left(key_b, x)
+                if pos < len(key_b) and key_b[pos] == x:
+                    continue
+                merged = key_b[:pos] + key_a + key_b[pos:]
+                inversions = pos
+            elif set(key_a).isdisjoint(key_b):
+                merged = tuple(sorted(key_a + key_b))
+                inversions = sum(x > y for x in key_a for y in key_b)
+            else:
+                continue
+            term = ca * cb
+            out[merged] = out.get(merged, 0) + (-term if inversions & 1 else term)
+    return {key: c for key, c in out.items() if c}
+
+
+def random_int_map(rng, n, k, density):
+    """Nonzero ints, small and large, as the coefficient maps hold them."""
+    out = {}
+    for key in combinations(range(1, n + 1), k):
+        if rng.random() < density:
+            out[key] = rng.choice([rng.randint(1, 9),
+                                   rng.randint(1, 10**15)]) * rng.choice([-1, 1])
+    return out
+
+
+@pytest.mark.parametrize("grades", ["right", "left", "both", "neither"])
+def test_wedge_ints_kernel_matches_general_loop(grades):
+    rng = random.Random(120 + len(grades))
+    zeros = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        if grades == "both":
+            ka = kb = 1
+        elif grades == "neither":
+            ka = rng.choice([0] + list(range(2, n + 1)))
+            kb = rng.choice([0] + list(range(2, n - ka + 1)) if n - ka >= 2
+                            else [0])
+        else:
+            ka, kb = rng.randint(0, n - 1), 1
+        if n < ka + kb:
+            continue
+        a = random_int_map(rng, n, ka, rng.random())
+        b = random_int_map(rng, n, kb, rng.random())
+        if grades == "left":
+            a, b = b, a
+        got = wedge_ints(a, b, n)
+        assert got == reference_wedge_ints(a, b)
+        assert all(got.values())
+        zeros += not got
+    assert zeros >= 20
+
+
+def test_wedge_ints_kernel_on_overlaps_and_cancellations():
+    rng = random.Random(125)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        k = rng.randint(1, n - 1)
+        # e_y ^ e_B with y in B, and an element against itself
+        omega = random_int_map(rng, n, k, 1.0)
+        y = rng.choice(next(iter(omega)))
+        for a, b in (({(y,): 3}, omega), (omega, {(y,): -5})):
+            assert wedge_ints(a, b, n) == reference_wedge_ints(a, b)
+        v = random_int_map(rng, n, 1, 1.0)
+        assert wedge_ints(v, v, n) == {} == reference_wedge_ints(v, v)
+        # (v ^ omega) ^ v and v ^ (v ^ omega) cancel to zero on both sides
+        vo = wedge_ints(v, omega, n)
+        if vo:
+            assert wedge_ints(vo, v, n) == {}
+            assert wedge_ints(v, vo, n) == {}
+        # (e_1 + e_2) ^ (e_1 - e_2): the two cross terms add up to -2 e_12
+        assert wedge_ints({(1,): 1, (2,): 1}, {(1,): 1, (2,): -1}, n) == {
+            (1, 2): -2}
+
+
+def test_wedge_first_ints_is_the_wedge_by_e1():
+    rng = random.Random(126)
+    for _ in range(200):
+        n = rng.randint(2, 8)
+        k = rng.randint(0, n - 1)
+        omega = random_int_map(rng, n, k, rng.random())
+        assert wedge_first_ints(omega) == reference_wedge_ints(
+            {(1,): 1}, omega)
+
+
+# -- the decomposable mark ------------------------------------------------------
+
+
+def marked(mv):
+    return getattr(mv, "_plane", None) is DECOMPOSABLE
+
+
+def test_the_mark_is_set_on_products_of_vectors_and_carried_by_scaling():
+    rng = random.Random(127)
+    for _ in range(100):
+        n = rng.randint(4, 8)
+        k = rng.randint(2, n - 2)
+        rows = [random_rational_mv(rng, n, 1, 0.9) for _ in range(k)]
+        product = wedge_all(rows)
+        if product.is_zero():
+            assert not marked(product)
+            continue
+        assert marked(product)
+        scale = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+        carried = [product * scale, scale * product, product / scale,
+                   -product, product.shift(+1, n=n + 1)]
+        if product.coefficient_sum():
+            carried.append(normalize(product))
+        assert all(marked(x) for x in carried)
+        # a sum, the public constructor, JSON and a scaling by zero do not
+        other = wedge_all([random_rational_mv(rng, n, 1, 0.9)
+                           for _ in range(k)])
+        unmarked = [product + other, product - other * 0 + other * 0,
+                    MultiVector(n, k, product.coeffs),
+                    MultiVector.from_json(product.to_json()), product * 0]
+        assert not any(marked(x) for x in unmarked)
+        # a factor that is not known to be decomposable keeps the product
+        # unmarked
+        assert not marked(wedge(product + other, rows[0]))

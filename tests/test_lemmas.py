@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from grassball import linalg
+from grassball import exterior, lemmas, linalg, plucker
+from grassball.chamber import ChamberPoint, assemble, split
 from grassball.exterior import (
     MultiVector,
     SignClass,
@@ -17,6 +18,8 @@ from grassball.exterior import (
 from grassball.lemmas import (
     EpsilonExhausted,
     EpsilonSearch,
+    _completion_row,
+    _proportionality,
     extend_nonneg,
     extend_positive,
     shrink_nonneg,
@@ -31,7 +34,12 @@ from grassball.plucker import (
     q_orthocomplement,
     spanning_vectors,
 )
-from grassball.sampling import random_nonneg_point, random_positive_point
+from grassball.sampling import (
+    random_nonneg_point,
+    random_positive_matrix,
+    random_positive_point,
+    random_rational,
+)
 
 SPACES = [(2, 4), (2, 5), (3, 5)]
 
@@ -349,3 +357,128 @@ def test_witnesses_match_fraction_row_oracles(k, n):
         assert shrink_nonneg(rho) == reference_shrink_nonneg(rho)
         nonneg = random_nonneg_point(rng, k, n).rho
         assert shrink_nonneg(nonneg) == reference_shrink_nonneg(nonneg)
+
+
+# -- the pieces of the witness searches -------------------------------------------
+
+
+def wedge_completion_row(candidates, partial):
+    """The wedge test that the rank test replaces: the first v with
+    partial ^ v nonzero."""
+    for v in candidates:
+        if not wedge(partial, v).is_zero():
+            return v
+    raise AssertionError("no completion row found")
+
+
+def random_vector(rng, n, zeros=0.3):
+    return MultiVector.from_vector(
+        [0 if rng.random() < zeros else random_rational(rng) for _ in range(n)]
+    )
+
+
+def test_completion_row_by_ranks_picks_the_row_the_wedge_picked():
+    rng = random.Random(460)
+    inside = 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, n - 1)
+        rows = [random_vector(rng, n) for _ in range(k)]
+        partial = wedge_all(rows)
+        if partial.is_zero():
+            continue
+        # candidates in the plane (combinations of the rows) come first
+        candidates = []
+        for _ in range(rng.randint(0, 3)):
+            mix = [random_rational(rng) for _ in rows]
+            v = sum((r * c for r, c in zip(rows, mix)), MultiVector.zero(n, 1))
+            if not v.is_zero():
+                candidates.append(v)
+        inside += len(candidates)
+        candidates += [random_vector(rng, n) for _ in range(3)]
+        candidates = [v for v in candidates if not v.is_zero()]
+        try:
+            expected = wedge_completion_row(candidates, partial)
+        except AssertionError:
+            with pytest.raises(AssertionError):
+                _completion_row(candidates, partial)
+            continue
+        assert _completion_row(candidates, partial) is expected
+    assert inside >= 200
+
+
+def test_proportionality_reads_one_coefficient_of_the_wedge():
+    rng = random.Random(461)
+    checked = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        k = rng.randint(0, n - 1)
+        u = random_vector(rng, n)
+        w = wedge_all([MultiVector.scalar(n, random_rational(rng) or 1)]
+                      + [random_vector(rng, n) for _ in range(k)])
+        if u.is_zero() or w.is_zero() or wedge(u, w).is_zero():
+            continue
+        scale = random_rational(rng) or Fraction(7, 3)
+        b = wedge(u, w) * scale
+        assert _proportionality(u, w, b) == 1 / scale
+        assert _proportionality(u, w, b) == reference_proportionality(
+            wedge(u, w), b)
+        checked += 1
+    assert checked >= 150
+
+
+def test_plane_rows_wedge_to_the_element_over_its_first_coefficient():
+    """shrink_positive signs its completion row against the recursive
+    witness itself, because the wedge of the witness's plane rows is the
+    witness over its first coefficient, a positive multiple of it."""
+    rng = random.Random(462)
+    for k, n in [(1, 4), (2, 5), (3, 7), (4, 8)] * 5:
+        mv = random_positive_point(rng, k, n).rho
+        first = mv.coefficient(mv.support()[0])
+        assert first > 0
+        assert wedge_all(plucker.plane_vectors(mv)) == mv / first
+
+
+# the counts of the guard below
+WEDGE_CAP = 247
+PRODUCT_CAP = 0
+
+
+def test_witness_chains_wedge_little_and_prove_no_plane_again(monkeypatch):
+    """A guard with no timing in it: 20 fixed (3,7) and (4,8) chains, each
+    plucker_of_matrix -> normalize -> ChamberPoint -> split -> assemble ->
+    shrink_positive, extend_positive -> contains, make at most WEDGE_CAP
+    ``wedge_ints`` calls and at most PRODUCT_CAP decomposability products.
+    A product is a run of ``plucker``'s wedges of plane rows; it starts
+    with the wedge of two rows.  With the decomposable mark, one wedge per
+    extend search and the witness pieces read off plane rows and single
+    coefficients, the chains make 247 calls and no product.  Without them
+    they made 957 calls and 190 products; on the benchmark's exact_algebra
+    inputs that was 45.8 ``wedge_ints`` calls and 9.0 products per op."""
+    rng = random.Random(18)
+    matrices = [random_positive_matrix(rng, *shape)
+                for shape in [(3, 7), (4, 8)] * 10]
+    calls = products = 0
+    wedge_ints = exterior.wedge_ints
+
+    def counting(a, b, n):
+        nonlocal calls
+        calls += 1
+        return wedge_ints(a, b, n)
+
+    def counting_rows(a, b, n):
+        nonlocal products
+        products += len(next(iter(a))) == 1
+        return counting(a, b, n)
+
+    for module in (exterior, lemmas):
+        monkeypatch.setattr(module, "wedge_ints", counting)
+    monkeypatch.setattr(plucker, "wedge_ints", counting_rows)
+    for matrix in matrices:
+        rho = ChamberPoint(normalize(plucker_of_matrix(matrix))).rho
+        assert assemble(split(ChamberPoint(rho))).rho == rho
+        shrunk, extended = shrink_positive(rho), extend_positive(rho)
+        assert contains(shrunk, rho) and contains(rho, extended)
+    monkeypatch.undo()
+    assert calls <= WEDGE_CAP, calls
+    assert products <= PRODUCT_CAP, products

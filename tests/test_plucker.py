@@ -8,6 +8,7 @@ import pytest
 
 from grassball import linalg
 from grassball.exterior import (
+    DECOMPOSABLE,
     GradeError,
     MultiVector,
     SignClass,
@@ -15,11 +16,13 @@ from grassball.exterior import (
     contract,
     normalize,
     wedge,
+    wedge_all,
 )
 from grassball.plucker import (
     DecomposabilityError,
     PlaneMatrix,
     RankError,
+    _plane_rows,
     canonical_scale,
     complement_vectors,
     contains,
@@ -232,6 +235,58 @@ def test_decomposable_agrees_with_plucker_relations():
         checked += 1
         crossed += not expected and 2 <= k <= n - 2
     assert crossed >= 500
+
+
+# -- the decomposable mark ------------------------------------------------------
+# ``plucker`` reads a marked element's rows without the decomposability
+# product, so the mark must never reach an element that is not a single
+# wedge, and the rows it reads must be the rows of the full check.
+
+
+def plane_state(mv):
+    return getattr(mv, "_plane", None)
+
+
+def test_a_wedge_with_an_undecomposable_factor_is_not_marked():
+    omega = MultiVector(5, 2, {(1, 2): 1, (3, 4): 1})
+    product = wedge(omega, MultiVector.basis(5, (5,)))
+    assert product == MultiVector(5, 3, {(1, 2, 5): 1, (3, 4, 5): 1})
+    assert plane_state(product) is None
+    assert not is_decomposable(product)
+    assert plane_state(product) is None  # read, and found not decomposable
+    # nor does anything made from it by an operation that carries the mark
+    assert not is_decomposable(normalize(-product * 3).shift(+1, n=6))
+
+
+def test_a_zero_product_is_not_marked():
+    e1 = MultiVector.basis(6, (1,))
+    v = MultiVector.from_vector([1, 2, 3, 4, 5, 6])
+    for zero in (wedge(e1, e1), wedge_all([e1, v, e1 * 2 - v * 3]),
+                 wedge(wedge(e1, v), v)):
+        assert zero.is_zero()
+        assert plane_state(zero) is None
+        with pytest.raises(ValueError):
+            is_decomposable(zero)
+
+
+def test_marked_and_unmarked_elements_read_the_same_plane():
+    rng = random.Random(47)
+    read = 0
+    while read < 300:
+        n = rng.randint(2, 8)
+        k = rng.randint(2, min(4, n))
+        rows = [MultiVector.from_vector(
+            [rng.choice([0, 0, random_rational(rng)]) for _ in range(n)]
+        ) for _ in range(k)]
+        mv = wedge_all(rows)
+        if mv.is_zero():
+            continue
+        assert plane_state(mv) is DECOMPOSABLE
+        copy = MultiVector(n, k, mv.coeffs)
+        assert plane_state(copy) is None
+        assert _plane_rows(mv) == _plane_rows(copy) is not None
+        assert plane_vectors(mv) == plane_vectors(copy)
+        read += 1
 
 
 # -- spanning_vectors -----------------------------------------------------------
