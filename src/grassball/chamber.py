@@ -12,13 +12,15 @@ base element, whose generators and image map are picked by ``EFiberFrame``
 halves along t = 1/2 yields a chart onto the closed ball of dimension
 k(n-k), evaluated numerically.
 
-The generators are read off the base's integer plane rows, with no
-``Fraction`` row, no multivector and no kernel solve: ``plucker.plane_ints``
-of omega on the E side, ``plucker.complement_ints`` of eta on the F side,
-each a list of integer maps over one denominator p.  The generator images
-are those maps run through ``exterior.contract_ints`` or ``wedge_ints``
-with the base's integer coefficients, all over the one denominator
-base den * p.  A frame is one integer affine map from centered slice
+The generators do not depend on the base: both sides read them off one
+fixed totally positive reference per (n, count), the vectors
+b_i = sum_{j=0}^{n-2} (i+1)^j e_(j+2), i = 0..count-1, on the E side, and
+the same with every other entry negated on the F side (``_reference``).
+So no RREF pivot moves with the base, and each generator image depends
+linearly on the base element's coefficients.  The generator images are
+those integer maps run through ``exterior.contract_ints`` or
+``wedge_ints`` with the base's integer coefficients, all over the base's
+denominator.  A frame is one integer affine map from centered slice
 coordinates to fiber elements: the slice is parametrized by the free
 generator coordinates, measured from the pivot point of the slice (the
 point on the first generator whose image has a nonzero coefficient sum),
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 from typing import Sequence
 
@@ -76,13 +78,7 @@ from .exterior import (
     wedge_first_ints,
     wedge_ints,
 )
-from .plucker import (
-    complement_ints,
-    contains,
-    is_decomposable,
-    plane_ints,
-    require_chamber_vector,
-)
+from .plucker import contains, is_decomposable, require_chamber_vector
 
 __all__ = [
     "ValidationError",
@@ -267,12 +263,15 @@ class FiberFrame:
     Subclasses pick the generators and the image map, and name the
     SplitTriple fields of their base and fiber elements.
 
-    The generators come as integer coefficient maps over one denominator d,
-    and ``image`` is an integer kernel (``contract_ints``, ``wedge_ints``),
-    so the generator images I_j = image(base ints, g_j) share the
-    denominator D = base den * d, with no multivector built and none
-    reduced.  The element of generator coordinates x is sum_j x_j I_j / D,
-    with coefficient sum v . x / D for the integer sums v_j of the I_j.
+    The generators come as integer coefficient maps, and ``image`` is an
+    integer kernel (``contract_ints``, ``wedge_ints``), so the generator
+    images I_j = image(base ints, g_j) share the base's denominator D, with
+    no multivector built and none reduced.  The subclasses pass one fixed
+    reference (``_reference``) on which ``image(base, .)`` is injective for
+    every base of the closed chamber, so the generator coordinates of an
+    element are unique and the frame varies continuously with the base.
+    The element of generator coordinates x is sum_j x_j I_j / D, with
+    coefficient sum v . x / D for the integer sums v_j of the I_j.
     The slice v . x = D is parametrized by the free generator coordinates,
     every f but the first p with v_p != 0, measured from the pivot point
     x = (D / v_p) e_p: over E = |v_p D| and with s the sign of v_p D, that
@@ -289,11 +288,9 @@ class FiberFrame:
 
     base_part = fiber_part = None
 
-    def __init__(self, base: MultiVector, generators, den: int, image,
-                 grade: int):
+    def __init__(self, base: MultiVector, generators, image, grade: int):
         self.base = base
-        base_ints, base_den = integer_coeffs(base)
-        self._den = base_den * den
+        base_ints, self._den = integer_coeffs(base)
         self._ints = [image(base_ints, g) for g in generators]
         self._grade = grade
         values = [sum(m.values()) for m in self._ints]
@@ -320,15 +317,10 @@ class FiberFrame:
             if any(normal):
                 rows.append((*normal, origin.get(key, 0)))
         self.polytope = HPolytope._of_rows(self.dim, rows, self._map_den)
-        # centered coordinates: centering cancels the translation part of a
-        # frame jump across support strata, but not all of it.  When a
-        # Plucker coordinate hits exactly 0, the plane's RREF picks other
-        # pivots, so the generators change by a linear map and the fiber
-        # frame can be rescaled as well as moved.  Chart fibers are centered
-        # only by their frames, on the first read of ``centered_polytope``;
-        # ``_Side.oracle`` scales them with their centroid cached.  The pivot
-        # point has free coordinates 0, so the centered origin has free
-        # generator coordinates ``center``.
+        # chart fibers are centered only by their frames, on the first read
+        # of ``centered_polytope``; ``_Side.oracle`` scales them with their
+        # centroid cached.  The pivot point has free coordinates 0, so the
+        # centered origin has free generator coordinates ``center``.
         self.center = centroid(self.polytope)
 
     @property
@@ -355,8 +347,8 @@ class FiberFrame:
         Its generator coordinates x solve sum_j x_j I_j / D = e / d, e the
         element's integers over d; that is the integer system (d I) x = D e,
         one row per coefficient key, row-reduced by ``linalg.solve_ints``.
-        The solution is unique: contraction by a vector of omega's plane
-        and wedging eta with a vector of the complement are injective.
+        The solution is unique: the image map is injective on the span of
+        the reference (``EFiberFrame`` and ``FFiberFrame`` say why).
         """
         ints, den = element._ints, element._den
         keys = sorted(set(ints).union(*self._ints))
@@ -376,36 +368,64 @@ class FiberFrame:
         return tuple(x[f] - c for f, c in zip(self._free, self.center))
 
 
+@cache
+def _reference(n: int, count: int, alternate: bool) -> tuple[dict, ...]:
+    """The integer maps of b_i = sum_{j=0}^{n-2} (+-1)^j (i+1)^j e_(j+2),
+    i = 0..count-1, the sign negative on odd j only when ``alternate``.
+
+    Without the signs, the count x (n-1) matrix (i+1)^j on e_2..e_n is
+    totally positive: each maximal minor is a generalized Vandermonde
+    determinant at the increasing positive nodes 1..count.
+    """
+    return tuple(
+        {(j + 2,): -(i + 1) ** j if alternate and j % 2 else (i + 1) ** j
+         for j in range(n - 1)}
+        for i in range(count)
+    )
+
+
 class EFiberFrame(FiberFrame):
     """Fiber over omega on the low-t side: contained grade-(k-1) elements.
 
-    Contained codimension-one elements are contractions of omega by vectors
-    of its plane.
+    Contained codimension-one elements are contractions of omega by vectors,
+    and contracting by v depends only on the projection of v to omega's
+    plane.  The generators are the k reference vectors b_i, and contraction
+    by their span is injective for every omega of the closed chamber: the
+    projection of that span to omega's plane is onto iff
+    <omega, b_1 ^ ... ^ b_k> != 0, and by Cauchy-Binet that pairing is
+    sum_I omega_I Delta_I(B), nonnegative terms with every Delta_I(B) > 0
+    and omega nonzero.
     """
 
     base_part, fiber_part = "omega", "eta"
 
     def __init__(self, omega: MultiVector):
         _check_away_from_first(omega, "omega")
-        super().__init__(omega, *plane_ints(omega), contract_ints, omega.k - 1)
+        super().__init__(omega, _reference(omega.n, omega.k, False),
+                         contract_ints, omega.k - 1)
 
 
 class FFiberFrame(FiberFrame):
     """Fiber over eta on the high-t side: containing grade-(k+1) elements.
 
-    Containing elements are wedges of eta with vectors orthogonal to its
-    plane inside the span of e_2..e_n.  eta avoids index 1, so column 1 is
-    free in its RREF and the first complement vector is e_1; the rest span
-    the complement of the plane and e_1.
+    Containing elements away from index 1 are wedges of eta with vectors of
+    the span of e_2..e_n.  The generators are the n - 1 - k alternating
+    reference vectors, and wedging eta with their span C is injective for
+    every eta of the closed chamber exactly when C meets eta's plane only
+    in 0, that is when eta ^ c_1 ^ ... ^ c_(n-1-k) != 0.  Expanded by
+    Laplace, that coefficient is a sum of eta_I times the complementary
+    minors of the alternating matrix, each signed so that all terms share
+    one sign: the alternating-sign duality of the nonnegative
+    Grassmannian (Karp, arXiv:1503.05622) sends the totally positive
+    reference to a matrix whose plane meets no nonnegative plane.
     """
 
     base_part, fiber_part = "eta", "omega"
 
     def __init__(self, eta: MultiVector):
         _check_away_from_first(eta, "eta")
-        maps, p = complement_ints(eta)
-        super().__init__(eta, maps[1:], p, partial(wedge_ints, n=eta.n),
-                         eta.k + 1)
+        super().__init__(eta, _reference(eta.n, eta.n - 1 - eta.k, True),
+                         partial(wedge_ints, n=eta.n), eta.k + 1)
 
 
 def e_fiber(omega: MultiVector) -> EFiberFrame:

@@ -11,28 +11,27 @@ integer rows over one positive denominator in lowest terms, and its
 vertices are cached as integer points over theirs.  Membership, the radial
 function, translation and scaling, vertex enumeration, the boundedness
 check, the centroid, the support function (cached per primitive integer
-direction), the join normals (primitive integer rows), the exit bound and
-its dyadic rounding, and the joined radial function all compute on those
-integers and build one ``Fraction`` per result; ``constraints`` and
-``vertices`` are ``Fraction`` views built when asked for, and
-``rationalize`` runs its continued fraction for a float over integers.  The
-half-ball and ball maps emit floats with explicit tolerances.  Every
-centroid, of a full polytope or of a flat one in its own affine span, is
-one exact simplex fan over the integer vertices (``_fan_centroid``), except
-that of an interval: the midpoint of its two bounds, read off the rows, so
-that its vertices stay unenumerated until asked for.  No linear program
-runs: boundedness is an exact extreme-ray check on the integer normals, and
-the joined body (the union of segments from the bottom center's fiber to
-the fibers over the distinguished boundary) is never built as a polytope.
-Its exit times and radial functions are closed forms in the support
-functions of the two fibers it joins.  The exit time is still rounded to a
-dyadic within ``EXIT_TOL`` (see ``_Ray.exit_scale``).  The maps center
-fibers with ``centroid`` and ``centered``, which cache on the polytope;
-``translated`` and ``scaled`` carry the integer vertices and the centroid
-over, so a fiber centered once is never centered again; shifting by 0 and
-scaling by 1 return the polytope itself, caches and all.  Those copies keep
-the normals, already checked, so they are built unchecked; the public
-``HPolytope`` constructor checks and converts every constraint.
+direction), the join normals (primitive integer rows), the exit time and
+the joined radial function all compute on those integers and build one
+``Fraction`` per result; ``constraints`` and ``vertices`` are ``Fraction``
+views built when asked for, and ``rationalize`` runs its continued fraction
+for a float over integers.  The half-ball and ball maps emit floats with
+explicit tolerances.  Every centroid, of a full polytope or of a flat one
+in its own affine span, is one exact simplex fan over the integer vertices
+(``_fan_centroid``), except that of an interval: the midpoint of its two
+bounds, read off the rows, so that its vertices stay unenumerated until
+asked for.  No linear program runs: boundedness is an exact extreme-ray
+check on the integer normals, and the joined body (the union of segments
+from the bottom center's fiber to the fibers over the distinguished
+boundary) is never built as a polytope.  Its exit times and radial
+functions are closed forms in the support functions of the two fibers it
+joins, and the half-ball maps divide by the exact exit time.  The maps
+center fibers with ``centroid`` and ``centered``, which cache on the
+polytope; ``translated`` and ``scaled`` carry the integer vertices and the
+centroid over, so a fiber centered once is never centered again; shifting
+by 0 and scaling by 1 return the polytope itself, caches and all.  Those
+copies keep the normals, already checked, so they are built unchecked; the
+public ``HPolytope`` constructor checks and converts every constraint.
 
 The numeric layer's radial rescales (ball and cube, half-ball and
 half-cylinder, long cylinder and ball) are one map, ``regauge``, between
@@ -40,7 +39,6 @@ the unit bodies of two gauges, and the radial function of a fiber is one
 function, ``radial``.  ``regauge`` guards an exact 0 only.  Every tolerance
 of the numeric layer, this module's and ``chamber``'s, is one of these:
 
-- ``EXIT_TOL`` (1e-10, exact): exit times are rounded to a dyadic within it.
 - ``SLACK`` (1e-9, exact): how far outside the base cube or its fiber a
   point given to ``HalfBallMap.forward`` may lie, how far beyond norm 1 or
   below height 0 a half-ball point may lie, the stand-in for a radial
@@ -55,7 +53,8 @@ of the numeric layer, this module's and ``chamber``'s, is one of these:
   simplex leaf's offset that it rounds to 0 is the barycenter's.
 
 Apart from them, ``_Ray.exit_scale`` takes an exit time of 2^80 or more
-for a ray that never leaves.
+for a ray that never leaves, and clamps a negative one, which only a ray
+from outside an uncentered fiber gives, at 0.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ __all__ = [
     "GluedBallMap",
 ]
 
-EXIT_TOL = Fraction(1, 10**10)
 SLACK = Fraction(1, 10**9)
 RATIONALIZE_DEN = 10**12
 GLUE_TOL = 1e-6
@@ -774,6 +772,9 @@ class _Ray:
     h0 and h1 are the support functions of the bottom center's fiber E0 and
     of the fiber E1 the ray's base part points at.  The direction is also
     held as an integer point V / L, whose base part has base gauge G = g L.
+    ``exit_scale`` is the exact exit time t*, not rounded: the chart builds
+    every fiber frame from one fixed reference, so its fibers vary
+    continuously with the base point, boundary images included.
     """
 
     def __init__(self, fiber_at: Callable, base_dim: int, direction):
@@ -821,39 +822,21 @@ class _Ray:
         return None if best is None else Fraction(best[0] * self._den, best[1])
 
     def exit_scale(self) -> Fraction:
-        """The exit time, rounded to the midpoint of a dyadic bracket.
+        """The exit time t* of ``exit_bound``, exact, for a ray that leaves.
 
-        Bisecting [hi / 2, hi), hi the least power of 2 above t* (or [0, 1))
-        until narrower than ``EXIT_TOL`` ends in the grid cell of width
-        ``step`` that holds t*: step = (hi - lo) / 2^m with m the least
-        integer such that 2^m >= (hi - lo) / EXIT_TOL.  The cell and its
-        midpoint are read off t* = P / Q over integers.  The rounding is kept
-        on purpose: dividing by the exact exit time puts the images of
-        boundary points exactly on the support strata where the fiber frames
-        change, and chart round trips then get worse (G(2,5) samples by up
-        to 8.6e-2).
+        A point inside the joined body has exit time at least 1 along its
+        own ray, so ``HalfBallMap.forward`` never divides by 0.
         """
         t_star = self.exit_bound()
         if t_star is None or t_star >= 2**80:
             raise UnboundedError("ray never leaves the joined body")
-        num, den = _ratio(t_star)
-        # t* < 0 (a ray from outside an uncentered fiber) lands in [0, step)
-        num = max(num, 0)
-        hi = 1 << (num // den).bit_length()
-        lo = hi >> 1
-        width = hi - lo
-        # ceil(width / EXIT_TOL) - 1
-        halvings = (-(-width * EXIT_TOL.denominator // EXIT_TOL.numerator)
-                    - 1).bit_length()
-        # lo + cell * step + step / 2, with cell = floor((t* - lo) / step)
-        cell = ((num - lo * den) << halvings) // (den * width)
-        return Fraction((((lo << halvings) + cell * width) << 1) + width,
-                        1 << (halvings + 1))
+        # t* < 0 comes only from a ray from outside an uncentered fiber
+        return max(t_star, Fraction(0))
 
 
 def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
-    """Exit time of a ray from the joined body of a centered spec: the exit
-    scale of ``_Ray.exit_scale``."""
+    """Exit time of a ray from the joined body of a centered spec, exact
+    (``_Ray.exit_scale``)."""
     return _Ray(spec.fiber, spec.base_dim, direction).exit_scale()
 
 
@@ -864,10 +847,9 @@ class HalfBallMap:
     rescale each fiber onto the joined body's fiber, then divide by the exit
     time of the ray through the point.
     Both the rescale and the exit time are exact closed forms in the support
-    functions of the two fibers the joined body combines; the exit time is
-    then rounded to a dyadic within ``EXIT_TOL`` (``_Ray.exit_scale`` says
-    why).  The bottom (base first coordinate 0) lands on the half-ball
-    bottom.
+    functions of the two fibers the joined body combines, and the point is
+    divided by that exact exit time.  The bottom (base first coordinate 0)
+    lands on the half-ball bottom.
     """
 
     def __init__(self, spec: ConvexoidSpec):

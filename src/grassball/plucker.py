@@ -22,13 +22,12 @@ its rows read with no wedge at all.  Minors are wedges too:
 ``plucker_of_matrix`` is the wedge of the rows, so it carries the mark.
 
 Every basis built on a plane comes from those integer rows over p, with no
-``Fraction`` row and no solve: ``plane_ints`` is the rows as grade-1 integer
-coefficient maps, and ``complement_ints`` reads the kernel of the RREF off
-them, one map p e_f - sum_r rows[r][f] e_(i_r) per non-pivot column f, both
-over the one denominator p; ``plane_vectors`` and ``complement_vectors`` are
-those maps over p as grade-1 elements.
-The Q-complement is the wedge of that kernel basis with its even
-coordinates negated.
+``Fraction`` row and no solve: ``plane_vectors`` is the rows over p as
+grade-1 elements, for the witnesses of ``lemmas``, and
+``complement_vectors`` reads the kernel of the RREF off them, one element
+(p e_f - sum_r rows[r][f] e_(i_r)) / p per non-pivot column f.  The
+Q-complement is the wedge of that kernel basis with its even coordinates
+negated.
 """
 
 from __future__ import annotations
@@ -262,50 +261,37 @@ def spanning_vectors(mv: MultiVector) -> PlaneMatrix:
     )
 
 
-def plane_ints(mv: MultiVector) -> tuple[list[dict[tuple, int]], int]:
-    """(maps, p): the integer coefficient maps of the plane rows, one
-    grade-1 map per row, over their one denominator p, so that map / p is
-    the RREF row; grade 0 raises ``GradeError`` as ``spanning_vectors``."""
-    rows, p = _spanning_rows(mv)
-    return [{(j + 1,): x for j, x in enumerate(row) if x} for row in rows], p
-
-
 def plane_vectors(mv: MultiVector) -> list[MultiVector]:
     """The rows of ``spanning_vectors(mv)`` as grade-1 elements, built from
-    the integer rows over p (``plane_ints``) with no ``Fraction``."""
-    maps, p = plane_ints(mv)
-    return [MultiVector._of_ints(mv.n, 1, m, p) for m in maps]
-
-
-def complement_ints(mv: MultiVector) -> tuple[list[dict[tuple, int]], int]:
-    """(maps, p): the integer coefficient maps of ``complement_vectors(mv)``
-    over their one denominator p.
-
-    For each non-pivot column f, ascending, the map is p at f and
-    -rows[r][f] at each pivot i_r, which is p times
-    e_f - sum_r rows[r][f] / p * e_(i_r).
-    """
-    rows, p = _plane(mv)
-    pivots = min(integer_coeffs(mv)[0])
+    the integer rows over p with no ``Fraction``; grade 0 raises
+    ``GradeError`` as ``spanning_vectors``."""
+    rows, p = _spanning_rows(mv)
     return [
-        {(f,): p} | {
-            (i,): -row[f - 1] for i, row in zip(pivots, rows) if row[f - 1]
-        }
-        for f in range(1, mv.n + 1) if f not in pivots
-    ], p
+        MultiVector._of_ints(
+            mv.n, 1, {(j + 1,): x for j, x in enumerate(row) if x}, p
+        )
+        for row in rows
+    ]
 
 
 def complement_vectors(mv: MultiVector) -> list[MultiVector]:
     """Basis of the orthogonal complement of the plane of mv, read off its RREF.
 
     For each non-pivot column f, ascending, the vector is
-    e_f - sum_r rows[r][f] / p * e_(i_r) (``complement_ints``): it has 1 in
-    the one free column f and solves every row, which is
-    ``linalg.kernel_basis`` of the spanning rows.  A nonzero scalar spans
-    the zero plane, whose complement is every e_j.
+    e_f - sum_r rows[r][f] / p * e_(i_r), built as the integer map p at f
+    and -rows[r][f] at each pivot i_r over p: it has 1 in the one free
+    column f and solves every row, which is ``linalg.kernel_basis`` of the
+    spanning rows.  A nonzero scalar spans the zero plane, whose complement
+    is every e_j.
     """
-    maps, p = complement_ints(mv)
-    return [MultiVector._of_ints(mv.n, 1, m, p) for m in maps]
+    rows, p = _plane(mv)
+    pivots = min(integer_coeffs(mv)[0])
+    return [
+        MultiVector._of_ints(mv.n, 1, {(f,): p} | {
+            (i,): -row[f - 1] for i, row in zip(pivots, rows) if row[f - 1]
+        }, p)
+        for f in range(1, mv.n + 1) if f not in pivots
+    ]
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:

@@ -39,11 +39,9 @@ from grassball.exterior import (
 )
 from grassball.plucker import (
     PlaneMatrix,
-    complement_vectors,
     contains,
     plane_vectors,
     plucker_of_matrix,
-    spanning_vectors,
 )
 from grassball.sampling import (
     random_nonneg_point,
@@ -377,7 +375,7 @@ def test_fiber_validation_errors():
     with pytest.raises(
         ValidationError, match="^the normalization functional vanishes$"
     ) as info:
-        FiberFrame(MultiVector.basis(4, (2, 3)), [], 1, contract_ints, 1)
+        FiberFrame(MultiVector.basis(4, (2, 3)), [], contract_ints, 1)
     assert type(info.value) is ValidationError
 
 
@@ -444,17 +442,30 @@ def reference_frame(frame_cls, base, rng):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _reference_frame(frame_cls, base, rng):
+def reference_rows(n, count, alternate):
+    """The frames' fixed totally positive reference as ``Fraction`` rows:
+    row i is 0 at index 1 and (+-(i + 1))^j at index j + 2, the base
+    negated when ``alternate``."""
+    sign = -1 if alternate else 1
+    return [
+        (Fraction(0),) + tuple(Fraction((sign * (i + 1)) ** j)
+                               for j in range(n - 1))
+        for i in range(count)
+    ]
+
+
+def reference_generators(frame_cls, base):
+    """(generator rows, image map, fiber grade) of the frame over base:
+    k reference rows contracting omega (E), or n - 1 - k alternating ones
+    wedging eta (F)."""
     if frame_cls is EFiberFrame:
-        generators, image, grade = (
-            spanning_vectors(base).rows, contract, base.k - 1
-        )
-    else:
-        n = base.n
-        plane = spanning_vectors(base).rows if base.k else []
-        first = tuple(Fraction(int(i == 0)) for i in range(n))
-        generators = linalg.kernel_basis(list(plane) + [first], n)
-        image, grade = wedge, base.k + 1
+        return reference_rows(base.n, base.k, False), contract, base.k - 1
+    return (reference_rows(base.n, base.n - 1 - base.k, True), wedge,
+            base.k + 1)
+
+
+def _reference_frame(frame_cls, base, rng):
+    generators, image, grade = reference_generators(frame_cls, base)
     images = [image(base, MultiVector.from_vector(r)) for r in generators]
     values = [img.coefficient_sum() for img in images]
     pivot = next((j for j, v in enumerate(values) if v), None)
@@ -632,8 +643,8 @@ def test_integer_frames_match_fraction_oracle_with_2d_fibers(k, n):
 
 def test_frame_images_match_multivector_images():
     """Each frame's integer images over its one denominator are, as
-    rationals, the contractions of omega by its plane vectors (E) and the
-    wedges of eta with its complement vectors after e_1 (F)."""
+    rationals, the contractions of omega by the reference rows (E) and the
+    wedges of eta with the alternating reference rows (F)."""
     rng = random.Random(73)
     bases = [(EFiberFrame, MultiVector.basis(4, (2, 3))),
              (FFiberFrame, MultiVector.basis(4, (2,)))]
@@ -644,10 +655,8 @@ def test_frame_images_match_multivector_images():
     sides = set()
     for frame_cls, base in bases:
         frame = frame_cls(base)
-        if frame_cls is EFiberFrame:
-            want = [contract(base, g) for g in plane_vectors(base)]
-        else:
-            want = [wedge(base, g) for g in complement_vectors(base)[1:]]
+        rows, image, _ = reference_generators(frame_cls, base)
+        want = [image(base, MultiVector.from_vector(r)) for r in rows]
         got = [
             {key: Fraction(c, frame._den) for key, c in ints.items()}
             for ints in frame._ints
@@ -659,8 +668,9 @@ def test_frame_images_match_multivector_images():
 
 # The bit lengths of every frame map and polytope row over 40 seeded G(2,4)
 # frames.  With the slice origin at v D / |v|^2 they summed to 23,565; from
-# the pivot point they sum to 11,252.
-FRAME_BITS = 11_252
+# the pivot point 11,252, and with the fixed reference generators in place
+# of each base's RREF rows they sum to 7,713.
+FRAME_BITS = 7_713
 
 
 def test_g24_frame_rows_stay_small():
@@ -763,8 +773,9 @@ def test_centered_point_of_matches_its_fraction_solve():
 
 
 def test_chart_and_witnesses_solve_no_kernel(monkeypatch):
-    """Frames, chart round trips and witnesses build every basis from the
-    planes' integer rows: no kernel solve, RREF or dense-vector element."""
+    """Chart round trips build their frames from the fixed reference, and
+    witnesses their bases from the planes' integer rows: no kernel solve,
+    RREF or dense-vector element."""
     rng = random.Random(44)
     samples = {
         (k, n): [random_positive_point(rng, k, n) for _ in range(3)]

@@ -14,7 +14,6 @@ import pytest
 from grassball import chamber, convexoid, linalg, lp
 from grassball.sampling import random_positive_point
 from grassball.convexoid import (
-    EXIT_TOL,
     ConvexoidSpec,
     DegenerateError,
     DomainError,
@@ -350,14 +349,14 @@ def test_join_fiber_2d_minkowski():
 def test_exit_time_square_cases():
     spec = centered_spec(square_spec())
     assert type(exit_time(spec, (1.0, 0.0))) is F
-    assert abs(float(exit_time(spec, (1.0, 0.0))) - 1) < 1e-9
-    assert abs(float(exit_time(spec, (0.0, 1.0))) - 1) < 1e-9
+    assert exit_time(spec, (1.0, 0.0)) == 1
+    assert exit_time(spec, (0.0, 1.0)) == 1
     diag = 1 / math.sqrt(2)
     assert abs(float(exit_time(spec, (diag, diag))) - math.sqrt(2)) < 1e-8
 
 
 def exit_time_lp_oracle(spec, direction):
-    """Exit time as one exact parametric LP, independent of the bisection.
+    """Exit time as one exact parametric LP, independent of the closed form.
 
     Substituting z0 = (1 - t g) y0 and z1 = t g y1 makes the membership of
     t * direction a linear feasibility problem jointly in (t, z0, z1).
@@ -414,9 +413,8 @@ def test_exit_time_matches_lp_oracle():
     for _ in range(15):
         spec = random_centered_spec(rng)
         direction = [rng.uniform(0, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)]
-        got = float(exit_time(spec, direction))
-        want = float(exit_time_lp_oracle(spec, direction))
-        assert abs(got - want) < 1e-9
+        assert exit_time(spec, direction) == exit_time_lp_oracle(
+            spec, direction)
 
 
 def test_star_convexity_scan_never_reenters():
@@ -441,7 +439,7 @@ def test_exit_scale_caps_the_exit_time_below_2_to_the_80():
     # straight up the fiber [-1, 1] from the bottom center: t* = 1 / vf
     top = F(2**80 - 1)
     assert _Ray(spec.fiber, 1, (F(0), 1 / top)).exit_bound() == top
-    assert abs(exit_time(spec, (F(0), 1 / top)) - top) <= EXIT_TOL
+    assert exit_time(spec, (F(0), 1 / top)) == top
     for vf in (F(1, 2**80), F(1, 2**85)):
         with pytest.raises(UnboundedError):
             exit_time(spec, (F(0), vf))
@@ -955,22 +953,6 @@ def member_lp_oracle(spec, direction, t):
     return lp.lp_feasible(a_ub, b_ub)
 
 
-def bisection_lp_oracle(spec, direction):
-    """The dyadic exit scale: doubling, then bisection to EXIT_TOL, with an
-    LP membership test at every step."""
-    hi = F(1)
-    while member_lp_oracle(spec, direction, hi):
-        hi *= 2
-    lo = hi / 2 if hi > 1 else F(0)
-    while hi - lo > EXIT_TOL:
-        mid = (lo + hi) / 2
-        if member_lp_oracle(spec, direction, mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def lambda_joined_lp_oracle(e0, e1, s, y):
     """sup{l : l y in (1 - s) E0 + s E1}, one exact LP in (l, y1)."""
     a_ub = [[dot(n, y)] + [-s * a for a in n] for n, _ in e0.constraints]
@@ -1083,51 +1065,11 @@ def test_exit_time_closed_form_equals_lp_exactly(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_exit_scale_equals_lp_bisection(m):
+def test_exit_scale_equals_lp_optimum(m):
     spec = degenerate_spec(m)
     for direction in oracle_directions(random.Random(50 + m), m, 6):
-        assert exit_time(spec, direction) == bisection_lp_oracle(
-            spec, direction
-        )
-
-
-def dyadic_halving_oracle(t_star):
-    """The exit scale's rounding as a loop: halve the bracket width until it
-    is at most EXIT_TOL, then take the midpoint of the cell holding t*."""
-    t_star = max(t_star, F(0))
-    hi = 1 << int(t_star).bit_length()
-    lo = hi // 2
-    step = F(hi - lo)
-    while step > EXIT_TOL:
-        step /= 2
-    return lo + (t_star - lo) // step * step + step / 2
-
-
-class FixedExitRay(_Ray):
-    """A ray whose exact exit time is given, to test the rounding alone."""
-
-    def __init__(self, t_star):
-        self.t_star = t_star
-
-    def exit_bound(self):
-        return self.t_star
-
-
-def test_exit_scale_dyadic_step_matches_halving_loop():
-    rng = random.Random(55)
-    values = [F(0), F(-1), F(-3, 7), F(1), F(2**79), F(2**80 - 1),
-              F(2**80 - 1, 2), EXIT_TOL, EXIT_TOL / 3, 1 - EXIT_TOL]
-    for _ in range(1500):
-        scale = 2 ** rng.randint(-40, 79)
-        values.append(F(rng.randint(-10**6, 10**6), 10**6) * scale)
-        values.append(F(rng.randint(0, 2**40), 2 ** rng.randint(0, 45)))
-        values.append(F(rng.randint(1, 10**15), rng.randint(1, 10**15)))
-    for t_star in values:
-        assert FixedExitRay(t_star).exit_scale() == dyadic_halving_oracle(
-            t_star
-        ), t_star
-    with pytest.raises(UnboundedError):
-        FixedExitRay(F(2**80)).exit_scale()
+        assert exit_time(spec, direction) == exit_time_lp_oracle(
+            spec, direction)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

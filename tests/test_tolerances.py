@@ -1,6 +1,6 @@
 """Every numeric cutoff of ``grassball`` is one of the documented set.
 
-The numeric layer's tolerances are ``EXIT_TOL``, ``SLACK``, ``GLUE_TOL`` and
+The numeric layer's tolerances are ``SLACK``, ``GLUE_TOL`` and
 ``RATIONALIZE_DEN``, each assigned once at module level in ``convexoid``
 (its docstring lists them); ``NORM_SLACK`` is ``SLACK`` as a float.  Apart
 from them only the CLI's ``--tol`` defaults may spell a small number.  The
@@ -16,7 +16,7 @@ import pytest
 import grassball
 
 SRC = Path(grassball.__file__).parent
-TOLERANCES = {"EXIT_TOL", "SLACK", "GLUE_TOL", "RATIONALIZE_DEN"}
+TOLERANCES = {"SLACK", "GLUE_TOL", "RATIONALIZE_DEN"}
 
 
 def is_cutoff(node) -> bool:
