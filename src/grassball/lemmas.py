@@ -11,10 +11,10 @@ decomposable mark of ``exterior`` and ``plucker`` reads its plane with no
 decomposability product.  The searches wedge as little as they can: an
 extend candidate (e_1 + eps v) ^ omega is e_1 ^ omega + eps (v ^ omega), an
 integer combination of a relabel and one wedge made once per search; a
-completion row is tested against the integer plane rows of the element it
-completes (``plucker.contains``); and a sign or scale that needs one
-coefficient of u ^ w reads it by a Laplace expansion along u, with no wedge
-built.
+completion row is tested by substituting it into the integer RREF rows of
+the element it completes (``plucker.contains``); and a sign or scale that
+needs one coefficient of u ^ w reads it by a Laplace expansion along u, with
+no wedge built.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ def _all_hyperplane_vector(n: int) -> MultiVector:
 
 def _completion_row(candidates, partial: MultiVector) -> MultiVector:
     """First candidate vector outside the plane of ``partial``, the first v
-    with partial ^ v nonzero, decided by ranking the integer plane rows of
-    v and of ``partial`` (``plucker.contains``) with no wedge built."""
+    with partial ^ v nonzero, decided by substituting v into the integer
+    RREF rows of ``partial`` (``plucker.contains``), with no wedge built and
+    no elimination."""
     for v in candidates:
         if not contains(v, partial):
             return v

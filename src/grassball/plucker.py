@@ -15,11 +15,12 @@ J = sorted(I without i_r, plus j) and s is the number of elements of I
 without i_r strictly between i_r and j.  Those rows wedge back to
 mv / mv[I] exactly when mv is decomposable, and that integer wedge is the
 decomposability test.  An element's rows, or the finding that it has no
-plane, are stored on it at the first read, and ``contains`` ranks the
-integer rows of the two planes as they are.  An element that carries the
-decomposable mark of ``exterior`` (a wedge of vectors by construction) has
-its rows read with no wedge at all.  Minors are wedges too:
-``plucker_of_matrix`` is the wedge of the rows, so it carries the mark.
+plane, are stored on it at the first read, and ``contains`` substitutes the
+rows of the lower plane into the RREF rows of the upper one, with no
+elimination.  An element that carries the decomposable mark of ``exterior``
+(a wedge of vectors by construction) has its rows read with no wedge at
+all.  Minors are wedges too: ``plucker_of_matrix`` is the wedge of the
+integer rows of the matrix, so it carries the mark.
 
 Every basis built on a plane comes from those integer rows over p, with no
 ``Fraction`` row and no solve: ``plane_vectors`` is the rows over p as
@@ -35,6 +36,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -113,9 +115,6 @@ class PlaneMatrix:
     def __repr__(self) -> str:
         return f"PlaneMatrix({[[str(x) for x in row] for row in self.rows]})"
 
-    def row_vectors(self) -> list[MultiVector]:
-        return [MultiVector.from_vector(row) for row in self.rows]
-
     def to_json_dict(self) -> dict:
         return {"rows": [[str(x) for x in row] for row in self.rows]}
 
@@ -141,9 +140,17 @@ def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
 
     That is the wedge of the rows: expanding row_1 ^ ... ^ row_k over the
     basis gives, at e_A, the alternating sum over bijections of rows onto A,
-    which is the Leibniz expansion of the minor.
+    which is the Leibniz expansion of the minor.  Each row enters as a
+    grade-1 element of integers over the lcm of its denominators.
     """
-    return wedge_all(matrix.row_vectors())
+    factors = []
+    for row in matrix.rows:
+        den = lcm(*[x.denominator for x in row])
+        factors.append(MultiVector._of_ints(matrix.n, 1, {
+            (j + 1,): x.numerator * (den // x.denominator)
+            for j, x in enumerate(row) if x
+        }, den))
+    return wedge_all(factors)
 
 
 _UNREAD = object()
@@ -295,18 +302,38 @@ def complement_vectors(mv: MultiVector) -> list[MultiVector]:
 
 
 def contains(lower: MultiVector, upper: MultiVector) -> bool:
-    """True iff the plane of ``lower`` is a subspace of the plane of ``upper``."""
+    """True iff the plane of ``lower`` is a subspace of the plane of ``upper``.
+
+    Decided by substitution, with no elimination.  Upper's rows R are its
+    RREF times p, so R[r] is p at its pivot i_r and 0 at every other pivot,
+    and a vector x of its plane is sum_r x[i_r] R[r] / p.  Lower's rows span
+    its plane (they are its RREF times a nonzero integer), so the planes nest
+    exactly when each such row x has p x == sum_r x[i_r] R[r]: at a pivot
+    column both sides read p x[i_r], so only the other columns are compared,
+    and the first one that differs answers False.
+    """
     if lower.k > upper.k:
         return False
     if lower.k == 0:
         if lower.is_zero():
             raise ValueError("the zero multivector has no well-defined plane")
         return True
-    planes = [_plane(mv)[0] for mv in (lower, upper)]
+    rows = _plane(lower)[0]
+    basis, p = _plane(upper)
     if lower.n != upper.n:
         raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
-    # each row set is its plane's RREF times a nonzero integer, same span
-    return linalg.rank(planes[1] + planes[0]) == upper.k
+    # each row of basis is 0 left of its pivot, where it reads p
+    pivots = [row.index(p) for row in basis]
+    free = [j for j in range(upper.n) if j not in pivots]
+    for x in rows:
+        terms = [(x[i], row) for i, row in zip(pivots, basis) if x[i]]
+        for j in free:
+            total = 0
+            for c, row in terms:
+                total += c * row[j]
+            if total != p * x[j]:
+                return False
+    return True
 
 
 def canonical_scale(mv: MultiVector) -> MultiVector:

@@ -1556,6 +1556,47 @@ def test_hull_order_matches_the_monotone_chain_on_extreme_points(monkeypatch):
     assert len(fanned) > 200 and max(fanned) > 4
 
 
+def reference_subset_vertex(subset, dim):
+    """The eliminate form of the subset solve that Cramer's rule replaced:
+    every column pivots iff the normals are independent, and then row r
+    reads p * y_r = q with gcd(p, q) = 1."""
+    reduced = list(subset)
+    if linalg.eliminate(reduced, reduced=True) != list(range(dim)):
+        return None
+    den = math.lcm(*[row[r] for r, row in enumerate(reduced)])
+    return (*[row[dim] * (den // row[r]) for r, row in enumerate(reduced)],
+            -den)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_subset_vertex_matches_elimination(dim):
+    """Canonical keys (X, -D) on random primitive integer rows (a | b),
+    small entries so that many subsets are singular, with proportional and
+    zero normals among them, and with determinants of both signs."""
+    rng = random.Random(80 + dim)
+    seen = collections.Counter()
+    for _ in range(3000):
+        subset = [tuple(rng.randint(-3, 3) for _ in range(dim + 1))
+                  for _ in range(dim)]
+        if rng.random() < 0.2:
+            scale = rng.choice([-2, -1, 2, 3])
+            subset[-1] = tuple(scale * x for x in subset[0][:dim]) + (
+                rng.randint(-3, 3),)
+        # vertices() hands in primitive rows, which the eliminate form needs
+        subset = [convexoid._primitive(row) for row in subset]
+        got = convexoid._subset_vertex(subset, dim)
+        assert got == reference_subset_vertex(subset, dim), subset
+        if got is None:
+            seen["singular"] += 1
+            continue
+        assert got[-1] < 0 and math.gcd(*got) == 1
+        normals = [row[:dim] for row in subset]
+        seen["negative det"] += linalg.det(normals) < 0
+        for row in subset:  # every row holds with equality at X / D
+            assert sum(a * x for a, x in zip(row, got)) == 0
+    assert seen["singular"] > 100 and seen["negative det"] > 100
+
+
 def test_integer_vertices_keep_order_and_exact_values():
     """Vertices with denominators, met by more constraints than dim, or by
     proportional rows: the order is that of the first subset meeting each

@@ -455,9 +455,6 @@ def test_witness_chains_wedge_little_and_prove_no_plane_again(monkeypatch):
     coefficients, the chains make 247 calls and no product.  Without them
     they made 957 calls and 190 products; on the benchmark's exact_algebra
     inputs that was 45.8 ``wedge_ints`` calls and 9.0 products per op."""
-    rng = random.Random(18)
-    matrices = [random_positive_matrix(rng, *shape)
-                for shape in [(3, 7), (4, 8)] * 10]
     calls = products = 0
     wedge_ints = exterior.wedge_ints
 
@@ -474,11 +471,56 @@ def test_witness_chains_wedge_little_and_prove_no_plane_again(monkeypatch):
     for module in (exterior, lemmas):
         monkeypatch.setattr(module, "wedge_ints", counting)
     monkeypatch.setattr(plucker, "wedge_ints", counting_rows)
-    for matrix in matrices:
-        rho = ChamberPoint(normalize(plucker_of_matrix(matrix))).rho
-        assert assemble(split(ChamberPoint(rho))).rho == rho
-        shrunk, extended = shrink_positive(rho), extend_positive(rho)
-        assert contains(shrunk, rho) and contains(rho, extended)
+    run_witness_chains()
     monkeypatch.undo()
     assert calls <= WEDGE_CAP, calls
     assert products <= PRODUCT_CAP, products
+
+
+def test_witness_chains_decide_containment_without_elimination(monkeypatch):
+    """A guard with no timing in it: the 20 chains above make no
+    ``linalg.rank`` or ``linalg.eliminate`` call inside ``contains``, which
+    substitutes the lower plane's rows into the upper plane's RREF rows.
+    Ranking the stacked rows instead made one ``rank`` and one ``eliminate``
+    call per ``contains`` call: 260 calls over the chains' 130 checks."""
+    depth = checks = eliminations = 0
+    original = plucker.contains
+
+    def counting_contains(lower, upper):
+        nonlocal depth, checks
+        depth += 1
+        checks += 1
+        try:
+            return original(lower, upper)
+        finally:
+            depth -= 1
+
+    def counting(name):
+        wrapped = getattr(linalg, name)
+
+        def count(*args, **kwargs):
+            nonlocal eliminations
+            eliminations += depth > 0
+            return wrapped(*args, **kwargs)
+        return count
+
+    for name in ("rank", "eliminate"):
+        monkeypatch.setattr(linalg, name, counting(name))
+    for module in (plucker, lemmas):
+        monkeypatch.setattr(module, "contains", counting_contains)
+    run_witness_chains()
+    monkeypatch.undo()
+    assert checks > 100, checks
+    assert eliminations == 0, eliminations
+
+
+def run_witness_chains():
+    """The guards' 20 fixed (3,7) and (4,8) chains, each checked exactly."""
+    rng = random.Random(18)
+    for shape in [(3, 7), (4, 8)] * 10:
+        matrix = random_positive_matrix(rng, *shape)
+        rho = ChamberPoint(normalize(plucker_of_matrix(matrix))).rho
+        assert assemble(split(ChamberPoint(rho))).rho == rho
+        shrunk, extended = shrink_positive(rho), extend_positive(rho)
+        assert plucker.contains(shrunk, rho)
+        assert plucker.contains(rho, extended)

@@ -1,5 +1,6 @@
 """Plane/multivector conversions, containment, and the Q-duality."""
 
+import collections
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -22,6 +23,7 @@ from grassball.plucker import (
     DecomposabilityError,
     PlaneMatrix,
     RankError,
+    _plane,
     _plane_rows,
     canonical_scale,
     complement_vectors,
@@ -520,6 +522,126 @@ def test_contains_matches_oracle():
         assert contains(lower, upper) == expected
         hits += expected
     assert hits > 20  # both branches exercised
+
+
+# ``contains`` substitutes the lower plane's rows into the upper plane's RREF
+# rows.  The oracle below is the form it replaces: the stacked integer rows
+# of both planes have the rank of the upper one.
+
+
+def reference_contains(lower, upper):
+    if lower.k > upper.k:
+        return False
+    if lower.k == 0:
+        if lower.is_zero():
+            raise ValueError("the zero multivector has no well-defined plane")
+        return True
+    planes = [_plane(mv)[0] for mv in (lower, upper)]
+    if lower.n != upper.n:
+        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
+    return linalg.rank(planes[1] + planes[0]) == upper.k
+
+
+def same_pair_outcome(lower, upper):
+    """contains and reference_contains agree exactly, or raise the same
+    error with the same message; returns the outcome."""
+    try:
+        want = reference_contains(lower, upper)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            contains(lower, upper)
+        assert type(got.value) is type(exc), (lower, upper)
+        assert str(got.value) == str(exc), (lower, upper)
+        return type(exc)
+    assert contains(lower, upper) is want, (lower, upper)
+    return want
+
+
+def containment_pairs(rng, k, n):
+    """(lower, upper) pairs on one random upper plane of grade k in R^n:
+    combinations of its rows of every grade up to k (contained, the grade-k
+    one an equal plane), the same with one row pushed off the plane along
+    one coordinate (mostly not contained), and a
+    random plane of grade k (equal grades, almost never contained).  The
+    upper element and each lower one are negated at random, so the pivot
+    coefficients p come with both signs."""
+    upper = random_decomposable(rng, k, n)
+    rows = spanning_vectors(upper).rows
+    pairs = []
+    for j in range(1, k + 1):
+        weights = [[random_rational(rng) for _ in rows] for _ in range(j)]
+        mixed = [[sum(w * row[c] for w, row in zip(ws, rows))
+                  for c in range(n)] for ws in weights]
+        if linalg.rank(mixed) < j:
+            continue
+        inside = plucker_of_matrix(PlaneMatrix(mixed))
+        # off in one column, often the last, which is compared last
+        off = rng.choice([n - 1, rng.randrange(n)])
+        pushed = [x + (c == off) for c, x in enumerate(mixed[0])]
+        outside = [pushed] + mixed[1:]
+        if linalg.rank(outside) < j:
+            continue
+        pairs += [(inside, upper),
+                  (plucker_of_matrix(PlaneMatrix(outside)), upper)]
+    pairs.append((random_decomposable(rng, k, n), upper))
+    return [(lower * rng.choice([1, -1]), upper * rng.choice([1, -1]))
+            for lower, upper in pairs]
+
+
+def test_contains_matches_rank_form_on_seeded_pairs():
+    rng = random.Random(20)
+    seen = collections.Counter()
+    for k, n in [(3, 7), (4, 8), (2, 6)] * 12:
+        for lower, upper in containment_pairs(rng, k, n):
+            outcome = same_pair_outcome(lower, upper)
+            seen[outcome] += 1
+            seen["grade 1"] += lower.k == 1
+            seen["equal grades"] += lower.k == upper.k
+            seen["negative p"] += _plane_rows(upper)[1] < 0
+            # the reverse pair: above, or the same plane when equal
+            seen[same_pair_outcome(upper, lower), "reverse"] += 1
+    assert seen[True] > 80 and seen[False] > 100
+    assert seen[True, "reverse"] > 30 and seen[False, "reverse"] > 100
+    assert seen["grade 1"] > 50 and seen["equal grades"] > 50
+    assert seen["negative p"] > 100
+
+
+def test_contains_error_paths_match_rank_form():
+    """Every error path, in the rank form's order: a grade above is False
+    before anything is read, a grade-0 lower answers before the upper plane
+    is read, lower's plane is read before upper's, and both before the
+    ambient dimensions are compared."""
+    rng = random.Random(21)
+    e12 = MultiVector.basis(5, (1, 2))
+    tangled = MultiVector.basis(4, (1, 2)) + MultiVector.basis(4, (3, 4))
+    cases = {
+        "grade above": (MultiVector.basis(4, (1, 2, 3)), tangled),
+        "scalar": (MultiVector.scalar(5, -2), tangled),
+        "zero scalar": (MultiVector.zero(5, 0), e12),
+        "zero lower": (MultiVector.zero(5, 1), e12),
+        "zero upper": (MultiVector.basis(5, (1,)), MultiVector.zero(5, 2)),
+        "tangled lower": (tangled, MultiVector.basis(6, (1, 2, 3))),
+        "tangled upper": (MultiVector.basis(4, (1,)), tangled),
+        "tangled lower, zero upper": (tangled, MultiVector.zero(4, 3)),
+        "tangled upper, ambient": (MultiVector.basis(5, (1,)), tangled),
+        "ambient": (MultiVector.basis(4, (1,)), e12),
+        "ambient, random": (random_decomposable(rng, 2, 6),
+                            random_decomposable(rng, 3, 7)),
+    }
+    outcomes = {name: same_pair_outcome(*pair) for name, pair in cases.items()}
+    assert outcomes == {
+        "grade above": False,
+        "scalar": True,
+        "zero scalar": ValueError,
+        "zero lower": ValueError,
+        "zero upper": ValueError,
+        "tangled lower": DecomposabilityError,
+        "tangled upper": DecomposabilityError,
+        "tangled lower, zero upper": DecomposabilityError,
+        "tangled upper, ambient": DecomposabilityError,
+        "ambient": GradeError,
+        "ambient, random": GradeError,
+    }
 
 
 # -- q_orthocomplement ------------------------------------------------------------
