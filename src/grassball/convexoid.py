@@ -368,11 +368,12 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
 
     The work is over integers: each row is divided by its content to a
     primitive integer row (a, b), every dim-subset of rows is solved by
-    Cramer's rule (``_subset_vertex``), and a candidate X / D with D > 0 is
-    kept iff a . X <= b D for every row, in subset order, the first subset
-    giving a vertex winning.  The vertices are cached as integer points over
-    their common denominator (``_integer_vertices``); the ``Fraction``
-    vertices returned are built from them on each call.
+    ``_subset_vertex`` (Cramer's rule in the plane, ``linalg.eliminate`` in
+    other dims), and a candidate X / D with D > 0 is kept iff a . X <= b D
+    for every row, in subset order, the first subset giving a vertex
+    winning.  The vertices are cached as integer points over their common
+    denominator (``_integer_vertices``); the ``Fraction`` vertices returned
+    are built from them on each call.
     """
     cached = poly._cache.get("integer vertices")
     if cached is None:
@@ -417,41 +418,29 @@ def _subset_vertex(subset, dim: int) -> tuple[int, ...] | None:
     dependent.  X / D is the point in lowest terms with D > 0, so D is the
     lcm of the reduced denominators of its coordinates.
 
-    By Cramer's rule the point is N / det, det the determinant of the
-    normals and N_r that determinant with column r replaced by b; dividing
-    N and det by their common gcd, signed as det, gives X and D.  For dim 3
-    N is b_1 (a_2 x a_3) + b_2 (a_3 x a_1) + b_3 (a_1 x a_2), the cross
-    products being the columns of the adjugate.  Above dim 3 the rows are
-    reduced by ``linalg.eliminate`` instead: every column pivots exactly
-    when the normals are independent, and then row r reads p y_r = q with
-    gcd(p, q) = 1, so D is the lcm of the p.
+    For dim 2 the point is N / det by Cramer's rule, det the determinant of
+    the normals and N_r that determinant with column r replaced by b;
+    dividing N and det by their common gcd, signed as det, gives X and D.
+    Other dims are reduced by ``linalg.eliminate``: every column pivots
+    exactly when the normals are independent, and then row r reads
+    p y_r = q with gcd(p, q) = 1, so D is the lcm of the p.
     """
-    if dim == 1:
-        (a, b), = subset
-        det, num = a, (b,)
-    elif dim == 2:
+    if dim == 2:
         (a1, a2, b1), (c1, c2, b2) = subset
         det = a1 * c2 - a2 * c1
-        num = (b1 * c2 - a2 * b2, a1 * b2 - b1 * c1)
-    elif dim == 3:
-        a, b, c = subset
-        bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
-        det = a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]
-        num = tuple(a[3] * x + b[3] * y + c[3] * z
-                    for x, y, z in zip(bc, ca, ab))
-    else:
-        reduced = list(subset)
-        if linalg.eliminate(reduced, reduced=True) != list(range(dim)):
+        if not det:
             return None
-        den = lcm(*[row[r] for r, row in enumerate(reduced)])
-        return (*[row[dim] * (den // row[r])
-                  for r, row in enumerate(reduced)], -den)
-    if not det:
+        x, y = b1 * c2 - a2 * b2, a1 * b2 - b1 * c1
+        g = gcd(det, x, y)
+        if det < 0:
+            g = -g
+        return x // g, y // g, -(det // g)
+    reduced = list(subset)
+    if linalg.eliminate(reduced, reduced=True) != list(range(dim)):
         return None
-    g = gcd(det, *num)
-    if det < 0:
-        g = -g
-    return (*[x // g for x in num], -(det // g))
+    den = lcm(*[row[r] for r, row in enumerate(reduced)])
+    return (*[row[dim] * (den // row[r]) for r, row in enumerate(reduced)],
+            -den)
 
 
 def _hull_order_2d(points):

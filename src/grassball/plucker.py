@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -145,10 +144,9 @@ def plucker_of_matrix(matrix: PlaneMatrix) -> MultiVector:
     """
     factors = []
     for row in matrix.rows:
-        den = lcm(*[x.denominator for x in row])
+        ints, den, content = linalg.integer_row(row)
         factors.append(MultiVector._of_ints(matrix.n, 1, {
-            (j + 1,): x.numerator * (den // x.denominator)
-            for j, x in enumerate(row) if x
+            (j + 1,): x * content for j, x in enumerate(ints) if x
         }, den))
     return wedge_all(factors)
 

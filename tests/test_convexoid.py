@@ -1557,9 +1557,9 @@ def test_hull_order_matches_the_monotone_chain_on_extreme_points(monkeypatch):
 
 
 def reference_subset_vertex(subset, dim):
-    """The eliminate form of the subset solve that Cramer's rule replaced:
-    every column pivots iff the normals are independent, and then row r
-    reads p * y_r = q with gcd(p, q) = 1."""
+    """The eliminate form of the subset solve, which Cramer's rule replaces
+    in the plane: every column pivots iff the normals are independent, and
+    then row r reads p * y_r = q with gcd(p, q) = 1."""
     reduced = list(subset)
     if linalg.eliminate(reduced, reduced=True) != list(range(dim)):
         return None
