@@ -3,8 +3,9 @@ Grassmann chambers.
 
 The exact layer (exterior products, Plucker coordinates, shrink/extend
 witnesses, chamber splitting) runs entirely over rationals; the topological
-layer (convexoid half-ball maps, glued ball charts) evaluates in floating
-point with explicit tolerances.
+layer (convexoid half-cube maps, glued cube charts) runs over rationals
+rounded to bounded denominators, with explicit tolerances, and takes the
+cubes to the Euclidean balls in floating point at its public API.
 """
 
 from .exterior import (

@@ -10,7 +10,7 @@ base element, whose generators and image map are picked by ``EFiberFrame``
 (contractions of omega) or ``FFiberFrame`` (wedges of eta), and one
 ``_Side`` per half that turns its frames into a convexoid.  Gluing the two
 halves along t = 1/2 yields a chart onto the closed ball of dimension
-k(n-k), evaluated numerically.
+k(n-k).
 
 The generators do not depend on the base: both sides read them off one
 fixed totally positive reference per (n, count), the vectors
@@ -27,8 +27,12 @@ point on the first generator whose image has a nonzero coefficient sum),
 whose image O and the images M_f of the free directions are integer
 combinations of the generator images; an element is one integer
 combination of O and the M_f, and its centered point is one integer
-solve against the generator images.  A side takes the base chart's ball
-coordinates to its cube and back by ``convexoid.regauge``.
+solve against the generator images.
+
+Every level of the chart maps onto the cube [-1, 1]^d, the sup-norm ball,
+over the rationals, and a side reads its base chart in cube coordinates,
+rounded (``convexoid.limit_point``).  Only ``BallChart.forward`` and
+``inverse`` use floats, to regauge the cube to the Euclidean ball and back.
 
 The public constructors ``ChamberPoint`` and ``SplitTriple`` check every
 invariant of their input.  The points and triples the chart builds itself
@@ -42,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate, combinations
 from math import lcm
 from typing import Sequence
 
@@ -56,9 +61,10 @@ from .convexoid import (
     MAX_FIBER_DIM,
     NORM_SLACK,
     SLACK,
-    _limit_float,
+    _integer_vector,
     centered,
     centroid,
+    limit_point,
     norm_gauge,
     radial,
     rationalize,
@@ -498,73 +504,63 @@ class ChartPoint:
 
 
 class _SimplexChart:
-    """Fixed homeomorphism of the coefficient simplex onto the unit ball.
+    """Fixed homeomorphism of the coefficient simplex onto the cube
+    [-1, 1]^(count - 1), over integers over one denominator.
 
-    Center at the barycenter, then rescale each ray so the simplex gauge
-    matches the Euclidean norm.  Used at every recursion leaf (grade 1 and
-    corank 1, where every nonnegative normalized element is decomposable).
+    The offsets d = v - 1 / count of the values v have the coordinates
+    c_i = d_1 + ... + d_i in the basis e_i - e_(i+1) of the sum-zero
+    hyperplane, and each ray is rescaled so that the sup norm of c matches
+    the simplex gauge -count min(d).  Used at every recursion leaf (grade 1
+    and corank 1, where every nonnegative normalized element is
+    decomposable).
     """
 
     def __init__(self, n: int, k: int):
-        from itertools import combinations
-
         self.n, self.k = n, k
         self.subsets = list(combinations(range(1, n + 1), k))
-        count = len(self.subsets)
-        self.count = count
-        raw = np.zeros((count - 1, count))
-        for i in range(count - 1):
-            raw[i, i] = 1.0
-            raw[i, i + 1] = -1.0
-        q, r = np.linalg.qr(raw.T)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        self.frame = (q * signs).T  # rows orthonormal, span {sum == 0}
+        self.count = len(self.subsets)
 
-    def forward(self, point: ChamberPoint) -> ChartPoint:
-        values = [point.rho.coefficient(key) for key in self.subsets]
-        offsets = [v - Fraction(1, self.count) for v in values]
-        # the offsets sum to 0, so the least is <= 0
-        gauge = -self.count * min(offsets)
-        d = np.array([float(v) for v in offsets])
-        x = self.frame @ d
-        norm = float(np.linalg.norm(x))
-        if not norm:
-            return ChartPoint(np.zeros(self.count - 1))
-        return ChartPoint(x * (float(gauge) / norm))
+    def forward(self, point: ChamberPoint) -> tuple[Fraction, ...]:
+        """c g / sup(c) over integers: with the values A / D, the offsets
+        are E / (count D) for E = count A - D, so c is C / (count D) for the
+        partial sums C of E, the gauge m / D for m = -min E, and the cube
+        point C m / (D S) for S = max |C|."""
+        ints, den = integer_coeffs(point.rho)
+        offsets = [self.count * ints.get(key, 0) - den for key in self.subsets]
+        sums = list(accumulate(offsets[:-1]))
+        top = max(map(abs, sums))
+        if not top:
+            return (Fraction(0),) * len(sums)
+        low = -min(offsets)
+        return tuple(Fraction(c * low, den * top) for c in sums)
 
-    def inverse(self, coords) -> ChamberPoint:
-        """The values 1 / count + d, clamped at 0, for the offsets d of the
-        rescaled direction, normalized.
-
-        Over integers: each offset rationalizes to p / q (``_limit_float``),
-        so its value is (p count + q) / (q count), and over the lcm Q of the
-        q the values are max(p count + q, 0) Q / q, up to the factor
-        1 / (Q count) that normalizing divides out.
+    def inverse(self, z) -> ChamberPoint:
+        """The point of cube point z = Z / L over integers: its direction
+        has the offsets E_i = Z_i - Z_(i-1) (Z_0 = Z_count = 0), which the
+        map rescales to E S / (L count m) for S = max |Z| and m = -min E;
+        so the values are L m + E_i S, up to the factor 1 / (L count m)
+        that normalizing divides out.  They are nonnegative for z in the
+        cube, and m = 0 only at z = 0, the barycenter.
         """
-        y = np.asarray(coords, dtype=float)
-        norm = float(np.linalg.norm(y))
-        count = self.count
-        if not norm:
-            ints = dict.fromkeys(self.subsets, 1)
+        ints, den = _integer_vector(z)
+        padded = [0, *ints, 0]
+        offsets = [b - a for a, b in zip(padded, padded[1:])]
+        low = -min(offsets)
+        if not low:
+            values = dict.fromkeys(self.subsets, 1)
         else:
-            d_dir = self.frame.T @ y
-            gauge_dir = count * float(-np.min(d_dir))
-            if gauge_dir <= 0:
-                raise DomainError("direction leaves the simplex hyperplane")
-            offsets = [_limit_float(v) for v in d_dir * (norm / gauge_dir)]
-            den = lcm(*[q for _, q in offsets])
-            ints = {
-                key: (p * count + q) * (den // q)
-                for key, (p, q) in zip(self.subsets, offsets)
-                if p * count + q > 0
+            top = max(map(abs, ints))
+            values = {
+                key: den * low + e * top
+                for key, e in zip(self.subsets, offsets)
+                if den * low + e * top > 0
             }
         # unchecked: the values are nonnegative and not all 0 (the offsets
-        # sum to 0, so some is above -1 / count), dividing by their total
-        # normalizes them, and every nonnegative element of grade 1 or n - 1
-        # is decomposable
+        # sum to 0, so some is positive), dividing by their total normalizes
+        # them, and every nonnegative element of grade 1 or n - 1 is
+        # decomposable
         return ChamberPoint._unchecked(
-            MultiVector._of_ints(self.n, self.k, ints, sum(ints.values()))
+            MultiVector._of_ints(self.n, self.k, values, sum(values.values()))
         )
 
 
@@ -579,19 +575,16 @@ class _Side:
     point in the cube of ``base`` (the recursive chart of the base factor)
     and y the fiber element's centered point in the base element's frame.
 
-    ``element_of_cube`` inverts the base chart once per cube point and
-    caches the base element in ``elements``, keyed by the cube point as
-    floats: the lookup reads z only through ``float``, so the element is a
-    function of that key.  The rationals that round to one float point
-    share its entry, and so do points that differ only in the sign of a
-    zero, since -0.0 == 0.0 as a key; both give the same element.
+    The cube points a side hands to ``base`` and takes from it are rounded
+    (``convexoid.limit_point``).  ``element_of_cube`` inverts ``base`` once
+    per rounded point and caches the element in ``elements``, keyed by it.
     """
 
     def __init__(self, name, n, base, frame_cls, fiber_dim, sign):
         self.name, self.n, self.base = name, n, base
         self.frame_cls = frame_cls
         self.frames: dict[MultiVector, FiberFrame] = {}
-        self.elements: dict[tuple[float, ...], MultiVector] = {}
+        self.elements: dict[tuple[Fraction, ...], MultiVector] = {}
         self.fiber_dim = fiber_dim
         self.sign = sign
 
@@ -603,21 +596,18 @@ class _Side:
         return frame
 
     def element_of_cube(self, z) -> MultiVector:
-        key = tuple(float(v) for v in z)
-        element = self.elements.get(key)
+        z = limit_point(z)
+        element = self.elements.get(z)
         if element is None:
-            ball = regauge(np.array(key), sup_gauge, norm_gauge)
-            point = self.base.inverse(ChartPoint(ball))
-            element = point.rho.shift(+1, n=self.n)
-            self.elements[key] = element
+            element = self.base._point_of_cube(z).rho.shift(+1, n=self.n)
+            self.elements[z] = element
         return element
 
-    def cube_of_element(self, base_el: MultiVector) -> np.ndarray:
+    def cube_of_element(self, base_el: MultiVector) -> tuple[Fraction, ...]:
         # unchecked: base_el is a part of a valid split triple or a fiber
         # element (see ``_assemble``), a chamber vector away from index 1
         point = ChamberPoint._unchecked(base_el.shift(-1))
-        coords = np.array(self.base.forward(point).coords)
-        return regauge(coords, norm_gauge, sup_gauge)
+        return limit_point(self.base._cube_of(point))
 
     def oracle(self, p) -> HPolytope:
         tau, z = p[0], p[1:]
@@ -627,26 +617,24 @@ class _Side:
     def spec(self) -> ConvexoidSpec:
         return ConvexoidSpec(1 + self.base.dim, self.fiber_dim, self.oracle)
 
-    def coords(self, triple: SplitTriple):
+    def coords(self, triple: SplitTriple) -> tuple[Fraction, ...]:
         tau = self.sign * (2 * triple.t - 1)
         base_el = getattr(triple, self.frame_cls.base_part)
         fiber_el = getattr(triple, self.frame_cls.fiber_part)
-        z = self.cube_of_element(base_el)
         if fiber_el is None:
             y = (Fraction(0),) * self.fiber_dim
         else:
             y = self.frame(base_el).centered_point_of(fiber_el)
         scaled = tuple((1 - tau) * v for v in y)
-        return (tau,) + tuple(rationalize(float(v)) for v in z) + scaled
+        return (tau, *self.cube_of_element(base_el), *scaled)
 
     def _unpack(self, x):
-        """(tau, z, fiber part) of convexoid coordinates, as rationals."""
-        x = rationalize_point(x)
+        """(tau, z, fiber part) of convexoid coordinates."""
         return x[0], x[1 : 1 + self.base.dim], x[1 + self.base.dim :]
 
     def point_of_coords(self, x) -> ChamberPoint:
-        # tau is in [0, 1]: x is a half-ball inverse, whose base point is
-        # clamped into the cube, and rationalizing keeps it there
+        # tau is in [0, 1]: x is a half-cube inverse, whose base point lies
+        # in the cube, and rounding keeps it there
         tau, z, scaled = self._unpack(x)
         base_el = self.element_of_cube(z)
         if 1 - tau < SLACK:
@@ -671,7 +659,7 @@ class _Side:
         }
         return assemble(SplitTriple._unchecked(t, **parts))
 
-    def bottom_to(self, other: "_Side", x):
+    def bottom_to(self, other: "_Side", x) -> tuple[Fraction, ...]:
         """This side's bottom coordinates -> the other side's.
 
         At t = 1/2 both elements are present; the base element here is the
@@ -685,20 +673,20 @@ class _Side:
         )
         z_other = other.cube_of_element(fiber_el)
         y_other = other.frame(fiber_el).centered_point_of(base_el)
-        return (0.0,) + tuple(float(v) for v in z_other) + tuple(
-            float(v) for v in y_other
-        )
+        return (Fraction(0), *z_other, *y_other)
 
 
 class BallChart:
-    """Numerical chart of the nonnegative (k, n) chamber onto the ball.
+    """Chart of the nonnegative (k, n) chamber onto the ball.
 
     Grade 1 and corank 1 are simplex leaves; a chart whose fibers, of
     dimension k - 1 and n - k - 1, exceed ``convexoid.MAX_FIBER_DIM`` is
     refused here, before any recursion.  Otherwise the chamber splits
     into the two fibered halves (``_Side``), each half becomes a convexoid
     whose base cube coordinates come from the recursive chart of the base
-    factor, and the glued convexoid maps provide the ball coordinates.
+    factor, and the glued convexoid maps provide the cube coordinates
+    (``_cube_of``, ``_point_of_cube``), which ``forward`` and ``inverse``
+    regauge to the Euclidean ball and back.
     """
 
     def __init__(self, k: int, n: int):
@@ -761,13 +749,16 @@ class BallChart:
             raise ValidationError("point belongs to a different chamber")
         if self.dim == 0:
             return ChartPoint(())
+        cube = [float(v) for v in self._cube_of(point)]
+        return ChartPoint(regauge(cube, sup_gauge, norm_gauge))
+
+    def _cube_of(self, point: ChamberPoint) -> tuple[Fraction, ...]:
+        """The point's coordinates in the cube [-1, 1]^dim, rational."""
         if self._simplex is not None:
             return self._simplex.forward(point)
         triple = split(point)
         side = self._e if 2 * triple.t <= 1 else self._f
-        return ChartPoint(
-            self._glued_map().forward(side.name, side.coords(triple))
-        )
+        return self._glued_map().forward(side.name, side.coords(triple))
 
     def inverse(self, chart: ChartPoint | Sequence) -> ChamberPoint:
         coords = chart.coords if isinstance(chart, ChartPoint) else tuple(chart)
@@ -784,9 +775,14 @@ class BallChart:
             return ChamberPoint(
                 MultiVector.basis(self.n, range(1, self.n + 1))
             )
+        cube = regauge(coords, norm_gauge, sup_gauge)
+        return self._point_of_cube(rationalize_point(cube))
+
+    def _point_of_cube(self, z) -> ChamberPoint:
+        """The chamber point of the rational cube point z."""
         if self._simplex is not None:
-            return self._simplex.inverse(coords)
-        name, x = self._glued_map().inverse(np.array(coords))
+            return self._simplex.inverse(z)
+        name, x = self._glued_map().inverse(z)
         side = self._e if name == "E" else self._f
         return side.point_of_coords(x)
 
@@ -809,5 +805,6 @@ def ball_chart(point: ChamberPoint) -> ChartPoint:
 
 
 def ball_chart_inverse(chart: ChartPoint | Sequence, k: int, n: int) -> ChamberPoint:
-    """Chamber point of ball coordinates; inverse of ball_chart up to 1e-6."""
+    """Chamber point of ball coordinates; inverse of ball_chart up to the
+    rounding of the rationals handed between chart levels."""
     return get_chart(k, n).inverse(chart)

@@ -1,10 +1,12 @@
-"""Fibered polytope bodies over a cube and their maps onto half-balls.
+"""Fibered polytope bodies over a cube and their maps onto half-cubes.
 
 A convexoid is a family of convex polytope fibers over the cube
 Q = [0,1] x [-1,1]^(nb-1), bounded with nonempty interior over interior base
 points and over the interior of the bottom face {0} x [-1,1]^(nb-1).  Such a
 body is homeomorphic to a closed half-ball with bottom going to bottom; two
-of them glued along their bottoms give a closed ball.
+of them glued along their bottoms give a closed ball.  The maps here take
+them onto the sup-norm forms of those balls: the half-cube
+[0, 1] x [-1, 1]^(d-1) and the cube [-1, 1]^d.
 
 Polytope data is exact rational, held over integers: an ``HPolytope`` is
 integer rows over one positive denominator in lowest terms, and its
@@ -14,18 +16,16 @@ check, the centroid, the support function (cached per primitive integer
 direction), the join normals (primitive integer rows), the exit time and
 the joined radial function all compute on those integers and build one
 ``Fraction`` per result; ``constraints`` and ``vertices`` are ``Fraction``
-views built when asked for, and ``rationalize`` runs its continued fraction
-for a float over integers.  The half-ball and ball maps emit floats with
-explicit tolerances.  Every centroid, of a full polytope or of a flat one
-in its own affine span, is one exact simplex fan over the integer vertices
-(``_fan_centroid``), except that of an interval: the midpoint of its two
-bounds, read off the rows, so that its vertices stay unenumerated until
-asked for.  No linear program runs: boundedness is an exact extreme-ray
+views built when asked for.  Every centroid, of a full polytope or of a
+flat one in its own affine span, is one exact simplex fan over the integer
+vertices (``_fan_centroid``), except that of an interval: the midpoint of
+its two bounds, read off the rows, so that its vertices stay unenumerated
+until asked for.  No linear program runs: boundedness is an exact extreme-ray
 check on the integer normals, and the joined body (the union of segments
 from the bottom center's fiber to the fibers over the distinguished
 boundary) is never built as a polytope.  Its exit times and radial
 functions are closed forms in the support functions of the two fibers it
-joins, and the half-ball maps divide by the exact exit time.  The maps
+joins, and the half-cube maps divide by the exact exit time.  The maps
 center fibers with ``centroid`` and ``centered``, which cache on the
 polytope; ``translated`` and ``scaled`` carry the integer vertices and the
 centroid over, so a fiber centered once is never centered again; shifting
@@ -33,24 +33,29 @@ by 0 and scaling by 1 return the polytope itself, caches and all.  Those
 copies keep the normals, already checked, so they are built unchecked; the
 public ``HPolytope`` constructor checks and converts every constraint.
 
-The numeric layer's radial rescales (ball and cube, half-ball and
-half-cylinder, long cylinder and ball) are one map, ``regauge``, between
-the unit bodies of two gauges, and the radial function of a fiber is one
-function, ``radial``.  ``regauge`` guards an exact 0 only.  Every tolerance
-of the numeric layer, this module's and ``chamber``'s, is one of these:
+``HalfBallMap`` and ``GluedBallMap`` take and return rationals, each
+coordinate they return rounded to a denominator of at most
+``RATIONALIZE_DEN`` by ``_limit``, the continued fraction over integers
+that ``rationalize`` runs for floats too; unrounded, the denominators grow
+with every level of a chart.  Floats appear only at the public API, where
+one radial map, ``regauge``, takes the cube onto the Euclidean ball
+(``chamber.BallChart``) and the half-cube onto the half-ball
+(``to_half_ball``, ``from_half_ball``); it guards an exact 0 only.  Every
+tolerance of the numeric layer, this module's and ``chamber``'s, is one of
+these:
 
-- ``SLACK`` (1e-9, exact): how far outside the base cube or its fiber a
-  point given to ``HalfBallMap.forward`` may lie, how far beyond norm 1 or
-  below height 0 a half-ball point may lie, the stand-in for a radial
-  function that is 0, and, in ``chamber``, how close to the top a side's
-  tau may come before it is put on the top.
+- ``SLACK`` (1e-9, exact): how far outside its fiber a point given to
+  ``HalfBallMap.forward`` may lie, the stand-in for a radial function that
+  is 0, and, in ``chamber``, how close to the top a side's tau may come
+  before it is put on the top.
 - ``NORM_SLACK``: ``SLACK`` as a float, how far beyond norm 1 a ball or
-  chart point may lie; ``chamber`` and the CLI checks use it too.
-- ``GLUE_TOL`` (1e-6): the two sides must agree within it on the bottom
-  samples.
-- ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact;
-  a half-ball point that it rounds to 0 is the center of the bottom, and a
-  simplex leaf's offset that it rounds to 0 is the barycenter's.
+  chart point may lie and how far outside its cube a point given to a map
+  here may lie (``_cube_point``); ``chamber`` and the CLI checks use it.
+- ``GLUE_TOL`` (1e-6): the two sides' cube points must agree within it, in
+  the sup norm, on the bottom samples; the rounded handoffs are not exact.
+- ``RATIONALIZE_DEN`` (10^12): the denominator limit of floats made exact
+  and of the rationals the maps hand on; a half-cube point that it rounds
+  to 0 is the center of the bottom.
 
 Apart from them, ``_Ray.exit_scale`` takes an exit time of 2^80 or more
 for a ray that never leaves, and clamps a negative one, which only a ray
@@ -120,32 +125,33 @@ def rationalize(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        return Fraction(*_limit_float(value))
+        return Fraction(*_limit(*value.as_integer_ratio()))
     return Fraction(value).limit_denominator(RATIONALIZE_DEN)
 
 
-def _limit_float(value: float) -> tuple[int, int]:
-    """``Fraction(value).limit_denominator(RATIONALIZE_DEN)`` over integers,
-    as its numerator and denominator.
+def _limit(num: int, den: int) -> tuple[int, int]:
+    """``Fraction(num, den).limit_denominator(RATIONALIZE_DEN)`` over
+    integers, for den > 0, as its numerator and denominator.
 
-    The same continued fraction of ``value.as_integer_ratio()`` as the
-    standard library's, whose last convergent p1 / q1 and semiconvergent
-    p / q bracket the value; the closer one is picked by cross-multiplying
-    instead of subtracting ``Fraction``s, with the convergent on a tie.
-    Each pair is in lowest terms with a positive denominator.
+    The same continued fraction of num / den as the standard library's,
+    whose last convergent p1 / q1 and semiconvergent p / q bracket the
+    value; the closer one is picked by cross-multiplying instead of
+    subtracting ``Fraction``s, with the convergent on a tie.  A den within
+    the limit comes back as it is; the expansion gives lowest terms.
     """
-    num, den = value.as_integer_ratio()
     if den <= RATIONALIZE_DEN:
         return num, den
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = num, den
-    while True:
+    while d:
         a = n // d
         q2 = q0 + a * q1
         if q2 > RATIONALIZE_DEN:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         n, d = d, n - a * d
+    else:
+        return p1, q1
     k = (RATIONALIZE_DEN - q0) // q1
     p, q = p0 + k * p1, q0 + k * q1
     # |p1 / q1 - x| <= |p / q - x| with x = num / den, times q1 q den > 0
@@ -156,6 +162,16 @@ def _limit_float(value: float) -> tuple[int, int]:
 
 def rationalize_point(point) -> tuple[Fraction, ...]:
     return tuple(rationalize(v) for v in point)
+
+
+def limit_point(point) -> tuple[Fraction, ...]:
+    """The rationals of ``point`` rounded to denominators of at most
+    ``RATIONALIZE_DEN`` (``_limit``); those within it stay as they are."""
+    return tuple(
+        v if v.denominator <= RATIONALIZE_DEN
+        else Fraction(*_limit(v.numerator, v.denominator))
+        for v in point
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -643,18 +659,6 @@ class ConvexoidSpec:
             self._memo[key] = poly
         return poly
 
-    def in_base(self, p, slack: Fraction = Fraction(0)) -> bool:
-        if not -slack <= p[0] <= 1 + slack:
-            return False
-        return all(-1 - slack <= v <= 1 + slack for v in p[1:])
-
-
-def _clamp_to_cube(p) -> tuple[Fraction, ...]:
-    """Nearest point of the base cube [0, 1] x [-1, 1]^(nb-1)."""
-    return (min(max(p[0], Fraction(0)), Fraction(1)),) + tuple(
-        min(max(v, Fraction(-1)), Fraction(1)) for v in p[1:]
-    )
-
 
 def base_gauge(p) -> Fraction:
     """Minkowski gauge of the base cube as seen from the bottom center."""
@@ -863,15 +867,16 @@ def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
 
 
 class HalfBallMap:
-    """Homeomorphism from a convexoid body onto the closed unit half-ball.
+    """Homeomorphism from a convexoid body onto the closed half-cube
+    [0, 1] x [-1, 1]^(d-1), the closed unit half-ball of the sup norm.
 
     Pipeline: center fibers (``centered``; free for centered ones), radially
-    rescale each fiber onto the joined body's fiber, then divide by the exit
-    time of the ray through the point.
-    Both the rescale and the exit time are exact closed forms in the support
-    functions of the two fibers the joined body combines, and the point is
-    divided by that exact exit time.  The bottom (base first coordinate 0)
-    lands on the half-ball bottom.
+    rescale each fiber onto the joined body's fiber, then take the point to
+    point / (t* sup(point)), t* the exit time of the ray through it.  Both
+    the rescale and the exit time are exact closed forms in the support
+    functions of the two fibers the joined body combines.  The bottom (base
+    first coordinate 0) lands on the half-cube bottom.  Points in and out
+    are rational, and each coordinate out is rounded (``_limit``).
     """
 
     def __init__(self, spec: ConvexoidSpec):
@@ -937,13 +942,10 @@ class HalfBallMap:
 
     # -- forward / inverse ---------------------------------------------------
 
-    def forward(self, x) -> np.ndarray:
+    def forward(self, x) -> tuple[Fraction, ...]:
         nb = self.spec.base_dim
-        x = rationalize_point(x)
-        p, y = x[:nb], x[nb:]
-        if not self.spec.in_base(p, SLACK):
-            raise DomainError("base point outside the cube")
-        p = _clamp_to_cube(p)
+        p = _cube_point(x[:nb], 0, "base cube")
+        y = rationalize_point(x[nb:])
         if not self.spec.fiber(p).contains_point(y, SLACK):
             raise DomainError("fiber point outside its polytope")
         yc = tuple(a - b for a, b in zip(y, self.centroid(p)))
@@ -952,51 +954,66 @@ class HalfBallMap:
         scale = self._joined_scale(p, yc)
         point = p + tuple(v * scale for v in yc)
         if not any(point):
-            return np.zeros(self.spec.dim)
+            return (Fraction(0),) * self.spec.dim
         ray = _Ray(self.centered_fiber, nb, point)
         t_star = ray.exit_scale()
-        arr = np.array([float(v) for v in point])
-        return arr / (float(t_star) * float(np.linalg.norm(arr)))
+        # point / (t* sup(point)), over the ray's integer direction V / L:
+        # V / (t* S), S = max |V|
+        num = t_star.denominator
+        den = t_star.numerator * max(map(abs, ray._ints))
+        return tuple(Fraction(*_limit(v * num, den)) for v in ray._ints)
 
-    def inverse(self, h) -> tuple[float, ...]:
+    def inverse(self, h) -> tuple[Fraction, ...]:
+        """The body point h t*(h) sup(h), its fiber part rescaled back from
+        the joined fiber and uncentered, each coordinate rounded."""
+        h = _cube_point(h, 0, "half-cube")
         nb = self.spec.base_dim
-        h = np.array(h, dtype=float)
-        norm = float(np.linalg.norm(h))
-        if not norm <= 1 + float(SLACK):  # NaN fails it too
-            raise DomainError(f"half-ball point has norm {norm} > 1")
-        if h[0] < -float(SLACK):
-            raise DomainError("half-ball point has negative height")
-        h[0] = max(h[0], 0.0)
-        direction = rationalize_point(h)
-        if not any(direction):
+        if not any(h):
             p = self.spec.origin()
-            return tuple(float(v) for v in p) + tuple(
-                float(v) for v in self.centroid(p)
-            )
-        ray = _Ray(self.centered_fiber, nb, direction)
+            return limit_point(p + self.centroid(p))
+        ray = _Ray(self.centered_fiber, nb, h)
         t_star = ray.exit_scale()
-        # direction * t* * norm, over the ray's integer direction V / L
-        norm_num, norm_den = _limit_float(norm)
-        num = t_star.numerator * norm_num
-        den = t_star.denominator * norm_den * ray._den
+        # over the ray's integer direction V / L, h t* sup(h) is
+        # V t* S / L^2, S = max |V|; its base part is in the cube, since t*
+        # is at most the cube's cap 1 / (base gauge of h)
+        num = t_star.numerator * max(map(abs, ray._ints))
+        den = t_star.denominator * ray._den * ray._den
         point = tuple(Fraction(v * num, den) for v in ray._ints)
-        p = _clamp_to_cube(point[:nb])
-        yj = point[nb:]
+        p, yj = point[:nb], point[nb:]
         scale = self._joined_scale(p, yj)
         y = tuple(v / scale + c for v, c in zip(yj, self.centroid(p)))
-        return tuple(float(v) for v in p) + tuple(float(v) for v in y)
+        return limit_point(p + y)
 
 
-def to_half_ball(spec: ConvexoidSpec, x):
-    return HalfBallMap(spec).forward(x)
+def _cube_point(x, low: int, body: str) -> tuple[Fraction, ...]:
+    """x as rationals clamped into [low, 1] x [-1, 1]^(d-1), if it lies
+    within ``NORM_SLACK`` of it; else ``DomainError`` naming ``body``.  The
+    test reads floats, so NaN and infinities fail before rationalizing."""
+    values = [float(v) for v in x]
+    if not (values[0] >= low - NORM_SLACK
+            and all(abs(v) <= 1 + NORM_SLACK for v in values)):
+        raise DomainError(f"point outside the closed {body}")
+    x = rationalize_point(x)
+    return (min(max(x[0], low), 1),) + tuple(
+        min(max(v, -1), 1) for v in x[1:]
+    )
 
 
-def from_half_ball(spec: ConvexoidSpec, h):
-    return HalfBallMap(spec).inverse(h)
+def to_half_ball(spec: ConvexoidSpec, x) -> np.ndarray:
+    """``HalfBallMap.forward``, regauged onto the Euclidean half-ball."""
+    h = HalfBallMap(spec).forward(x)
+    return regauge([float(v) for v in h], sup_gauge, norm_gauge)
+
+
+def from_half_ball(spec: ConvexoidSpec, h) -> tuple[float, ...]:
+    """``HalfBallMap.inverse`` of h regauged onto the half-cube, whose sup
+    norm is h's Euclidean norm."""
+    cube = regauge(h, norm_gauge, sup_gauge)
+    return tuple(float(v) for v in HalfBallMap(spec).inverse(cube))
 
 
 # ---------------------------------------------------------------------------
-# gluing two convexoids into a ball
+# gluing two convexoids into a cube
 
 
 def norm_gauge(x) -> float:
@@ -1007,13 +1024,6 @@ def norm_gauge(x) -> float:
 def sup_gauge(x) -> float:
     """Largest |coordinate|: the gauge of the cube [-1, 1]^d."""
     return float(np.abs(x).max(initial=0.0))
-
-
-def _cylinder_gauge(c) -> float:
-    """Gauge of the cylinder [-1, 1] x (unit disk).  The half-cylinder
-    [0, 1] x (unit disk) is its top, as the half-ball is the ball's, so on
-    c[0] >= 0 it is the half-cylinder's gauge too."""
-    return max(abs(c[0]), norm_gauge(c[1:]))
 
 
 def regauge(x, gauge_from: Callable, gauge_to: Callable) -> np.ndarray:
@@ -1027,23 +1037,22 @@ def regauge(x, gauge_from: Callable, gauge_to: Callable) -> np.ndarray:
 
 
 def _across(source: HalfBallMap, identify, target: HalfBallMap, w):
-    """The disk coordinate w of a bottom point of ``source``'s half-ball ->
-    that point's disk coordinate in ``target``'s half-ball."""
-    x = identify(source.inverse(np.concatenate(([0.0], w))))
+    """The bottom coordinate w of a bottom point of ``source``'s half-cube
+    -> that point's bottom coordinate in ``target``'s half-cube."""
+    x = identify(source.inverse((0, *w)))
     return target.forward(x)[1:]
 
 
 class GluedBallMap:
-    """Two convexoids glued along their bottoms, mapped onto a closed ball.
+    """Two convexoids glued along their bottoms, mapped onto the cube
+    [-1, 1]^d, the closed unit ball of the sup norm.
 
-    Each side goes to a half-ball, which ``regauge`` takes onto the unit
-    half-cylinder with the bottom at the shared slice.  On a long cylinder
-    of axis a in [0, 2] the E half-cylinder sits at a = 1 - u and the F one
-    at a = 1 + u, with the F disk coordinate moved across the bottom
-    identification (``_across``) so that identified points agree, and
-    ``regauge`` takes the long cylinder, shifted by a - 1, onto the ball.
-    ``phi`` and ``phi_inverse`` identify the bottoms; on ``bottom_samples``
-    the sides must agree within ``GLUE_TOL``.
+    Each side goes onto its half-cube (``HalfBallMap``): the E one with its
+    first coordinate negated, the F one with its bottom coordinate moved
+    across the bottom identification (``_across``) so that identified
+    points agree.  ``phi`` and ``phi_inverse`` identify the bottoms; on
+    ``bottom_samples`` the sides must agree within ``GLUE_TOL``.  Points in
+    and out are rational.
     """
 
     def __init__(self, e_spec, f_spec, phi, phi_inverse, bottom_samples=()):
@@ -1057,35 +1066,24 @@ class GluedBallMap:
         for x in bottom_samples:
             a = self.forward("E", x)
             b = self.forward("F", phi(x))
-            err = float(np.linalg.norm(a - b))
+            err = max(abs(float(u) - float(v)) for u, v in zip(a, b))
             if err > GLUE_TOL:
                 raise GluingError(
                     f"bottom identification disagrees by {err:.3g} at {x}"
                 )
 
-    def forward(self, side: str, x) -> np.ndarray:
+    def forward(self, side: str, x) -> tuple[Fraction, ...]:
         if side == "E":
-            c = regauge(self.e_map.forward(x), norm_gauge, _cylinder_gauge)
-            a, w = 1.0 - c[0], c[1:]
-        elif side == "F":
-            c = regauge(self.f_map.forward(x), norm_gauge, _cylinder_gauge)
-            a = 1.0 + c[0]
-            w = _across(self.f_map, self.phi_inverse, self.e_map, c[1:])
-        else:
-            raise ValueError(f"unknown side {side!r}")
-        return regauge(np.concatenate(([a - 1.0], w)), _cylinder_gauge,
-                       norm_gauge)
+            u, *w = self.e_map.forward(x)
+            return (-u, *w)
+        if side == "F":
+            u, *w = self.f_map.forward(x)
+            return (u, *_across(self.f_map, self.phi_inverse, self.e_map, w))
+        raise ValueError(f"unknown side {side!r}")
 
-    def inverse(self, ball_point):
-        b = np.asarray(ball_point, dtype=float)
-        if not norm_gauge(b) <= 1 + NORM_SLACK:  # NaN fails it too
-            raise DomainError("point outside the closed ball")
-        c = regauge(b, norm_gauge, _cylinder_gauge)
-        a, w = c[0] + 1.0, c[1:]
-        if a <= 1.0:
-            side, half, u = "E", self.e_map, 1.0 - a
-        else:
-            side, half, u = "F", self.f_map, a - 1.0
-            w = _across(self.e_map, self.phi, self.f_map, w)
-        h = regauge(np.concatenate(([u], w)), _cylinder_gauge, norm_gauge)
-        return side, half.inverse(h)
+    def inverse(self, cube_point):
+        u, *w = _cube_point(cube_point, -1, "cube")
+        if u <= 0:
+            return "E", self.e_map.inverse((-u, *w))
+        w = _across(self.e_map, self.phi, self.f_map, w)
+        return "F", self.f_map.inverse((u, *w))
