@@ -5,7 +5,9 @@ The exact layer (exterior products, Plucker coordinates, shrink/extend
 witnesses, chamber splitting) runs entirely over rationals; the topological
 layer (convexoid half-cube maps, glued cube charts) runs over rationals
 rounded to bounded denominators, with explicit tolerances, and takes the
-cubes to the Euclidean balls in floating point at its public API.
+cubes to the Euclidean balls in floating point at its public API.  That API
+works in Python floats; numpy only builds the array that ``to_half_ball``
+returns, so importing the package and using a chart do not load it.
 """
 
 from .exterior import (

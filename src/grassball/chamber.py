@@ -43,14 +43,13 @@ constructors, and each such site says why.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, combinations
 from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 from . import linalg
 from .convexoid import (
@@ -491,7 +490,7 @@ class ChartPoint:
 
     def __init__(self, coords):
         coords = tuple(float(v) for v in coords)
-        norm = float(np.linalg.norm(coords))
+        norm = norm_gauge(coords)
         if not norm <= 1 + NORM_SLACK:  # NaN fails it too
             raise ValidationError(f"chart point has norm {norm} > 1")
         object.__setattr__(self, "coords", coords)
@@ -723,17 +722,19 @@ class BallChart:
         return self._glued
 
     def _bottom_samples(self, count: int):
-        rng = np.random.default_rng(20240517)
+        rng = random.Random(20240517)
         samples = []
         e = self._e
         for _ in range(count):
-            z = rng.uniform(-0.8, 0.8, e.base.dim)
+            z = [rng.uniform(-0.8, 0.8) for _ in range(e.base.dim)]
             frame = e.frame(e.element_of_cube(rationalize_point(z)))
             verts = vertices(frame.centered_polytope)
-            weights = rng.dirichlet(np.ones(len(verts)))
+            # Dirichlet(1, ..., 1): exponential draws over their sum
+            draws = [rng.expovariate(1.0) for _ in verts]
+            weights = [rationalize(d / sum(draws)) for d in draws]
             y = [
                 sum(
-                    (rationalize(float(wt)) * v[i] for wt, v in zip(weights, verts)),
+                    (wt * v[i] for wt, v in zip(weights, verts)),
                     Fraction(0),
                 )
                 for i in range(frame.dim)
@@ -749,8 +750,7 @@ class BallChart:
             raise ValidationError("point belongs to a different chamber")
         if self.dim == 0:
             return ChartPoint(())
-        cube = [float(v) for v in self._cube_of(point)]
-        return ChartPoint(regauge(cube, sup_gauge, norm_gauge))
+        return ChartPoint(regauge(self._cube_of(point), sup_gauge, norm_gauge))
 
     def _cube_of(self, point: ChamberPoint) -> tuple[Fraction, ...]:
         """The point's coordinates in the cube [-1, 1]^dim, rational."""
@@ -766,7 +766,7 @@ class BallChart:
             raise ValidationError(
                 f"chart point has dimension {len(coords)}, expected {self.dim}"
             )
-        norm = float(np.linalg.norm(coords))
+        norm = norm_gauge(coords)
         if not norm <= 1 + NORM_SLACK:  # NaN fails it too
             raise DomainError(f"chart point has norm {norm} > 1")
         if norm > 1:

@@ -15,8 +15,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import chamber, convexoid, lemmas, plucker, sampling
 from .exterior import MultiVector, classify_sign, normalize, wedge
 
@@ -204,7 +202,7 @@ def _cmd_roundtrip(args) -> int:
          "tol": args.tol},
     )
     report.add_check("roundtrip_max_error", max(errors) <= args.tol, max(errors))
-    norms = [float(np.linalg.norm(fwd.coords)) for fwd, _ in results]
+    norms = [convexoid.norm_gauge(fwd.coords) for fwd, _ in results]
     report.add_check(
         "norms_at_most_one", max(norms) <= 1 + convexoid.NORM_SLACK, max(norms)
     )
@@ -302,7 +300,7 @@ def _cmd_convexoid_map(args) -> int:
         back = convexoid.from_half_ball(spec, image)
         err = max(abs(a - float(b)) for a, b in zip(back, point))
         errors.append(err)
-        max_norm = max(max_norm, float(np.linalg.norm(image)))
+        max_norm = max(max_norm, convexoid.norm_gauge(image))
         mapped.append([float(v) for v in image])
     report = RunReport(
         "convexoid-map", {"spec": args.spec, "points": len(points), "tol": args.tol}

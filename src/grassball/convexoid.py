@@ -40,7 +40,11 @@ that ``rationalize`` runs for floats too; unrounded, the denominators grow
 with every level of a chart.  Floats appear only at the public API, where
 one radial map, ``regauge``, takes the cube onto the Euclidean ball
 (``chamber.BallChart``) and the half-cube onto the half-ball
-(``to_half_ball``, ``from_half_ball``); it guards an exact 0 only.  Every
+(``to_half_ball``, ``from_half_ball``); it guards an exact 0 only.  The
+public API works in Python floats: ``regauge`` takes and returns lists of
+them, and its gauges are ``math.hypot``, which neither underflows nor
+overflows, and the largest |coordinate|.  numpy only builds the array that
+``to_half_ball`` returns, and is imported there, not with the package.  Every
 tolerance of the numeric layer, this module's and ``chamber``'s, is one of
 these:
 
@@ -67,10 +71,8 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, hypot, lcm
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import linalg
 
@@ -999,10 +1001,13 @@ def _cube_point(x, low: int, body: str) -> tuple[Fraction, ...]:
     )
 
 
-def to_half_ball(spec: ConvexoidSpec, x) -> np.ndarray:
-    """``HalfBallMap.forward``, regauged onto the Euclidean half-ball."""
+def to_half_ball(spec: ConvexoidSpec, x):
+    """``HalfBallMap.forward``, regauged onto the Euclidean half-ball, as a
+    numpy array: the one place the package loads numpy."""
+    import numpy as np
+
     h = HalfBallMap(spec).forward(x)
-    return regauge([float(v) for v in h], sup_gauge, norm_gauge)
+    return np.asarray(regauge(h, sup_gauge, norm_gauge))
 
 
 def from_half_ball(spec: ConvexoidSpec, h) -> tuple[float, ...]:
@@ -1017,23 +1022,26 @@ def from_half_ball(spec: ConvexoidSpec, h) -> tuple[float, ...]:
 
 
 def norm_gauge(x) -> float:
-    """Euclidean norm: the gauge of the unit ball."""
-    return float(np.linalg.norm(x))
+    """Euclidean norm: the gauge of the unit ball.  ``hypot`` scales, so it
+    neither underflows nor overflows."""
+    return hypot(*x)
 
 
 def sup_gauge(x) -> float:
     """Largest |coordinate|: the gauge of the cube [-1, 1]^d."""
-    return float(np.abs(x).max(initial=0.0))
+    return max(map(abs, x), default=0.0)
 
 
-def regauge(x, gauge_from: Callable, gauge_to: Callable) -> np.ndarray:
+def regauge(x, gauge_from: Callable, gauge_to: Callable) -> list[float]:
     """Radial map x * gauge_from(x) / gauge_to(x) from the unit body of
-    gauge_from onto that of gauge_to; x itself where gauge_to(x) = 0."""
-    x = np.asarray(x, dtype=float)
+    gauge_from onto that of gauge_to, as a list of floats; x itself where
+    gauge_to(x) = 0."""
+    x = [float(v) for v in x]
     to = gauge_to(x)
     if to == 0:
         return x
-    return x * (gauge_from(x) / to)
+    scale = gauge_from(x) / to
+    return [v * scale for v in x]
 
 
 def _across(source: HalfBallMap, identify, target: HalfBallMap, w):

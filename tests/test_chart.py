@@ -183,6 +183,18 @@ def test_bottom_maps_are_inverse(k, n):
         assert err <= 1e-9
 
 
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6)])
+def test_bottom_samples_glue_within_1e_15(k, n):
+    """On every bottom sample the E side and the F side give cube points
+    that agree within 1e-15 in every coordinate."""
+    chart = get_chart(k, n)
+    glued = chart._glued_map()
+    for x in chart._bottom_samples(8):
+        e = glued.forward("E", x)
+        f = glued.forward("F", glued.phi(x))
+        assert max(abs(float(a - b)) for a, b in zip(e, f)) <= 1e-15, x
+
+
 def test_t_degenerate_points_round_trip():
     chart = get_chart(2, 4)
     rng = random.Random(38)

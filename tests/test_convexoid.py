@@ -658,8 +658,10 @@ def test_glue_rejects_wrong_identification():
 # The ball <-> cube rescales of the chart were two functions; they are kept
 # here, as they were, as the reference oracles of ``regauge`` with the gauges
 # each pairs.  They snapped to 0 below 1e-300, where ``regauge`` leaves only a
-# gauge of exactly 0 alone.  (``np.linalg.norm`` underflows to 0 below about
-# 1e-154, so from there down the Euclidean gauge is 0 anyway.)
+# gauge of exactly 0 alone.  Their Euclidean norm is ``math.hypot``, as that
+# of ``regauge`` is: it scales before it squares, so it does not underflow,
+# and its last bit does not depend on the BLAS build, as that of
+# ``np.linalg.norm`` (0 below about 1e-154) does.
 
 
 def ref_cube_of_ball(x):
@@ -667,12 +669,12 @@ def ref_cube_of_ball(x):
     sup = float(np.max(np.abs(x))) if x.size else 0.0
     if sup < 1e-300:
         return np.zeros_like(x)
-    return x * (float(np.linalg.norm(x)) / sup)
+    return x * (math.hypot(*x) / sup)
 
 
 def ref_ball_of_cube(z):
     z = np.asarray(z, dtype=float)
-    norm = float(np.linalg.norm(z))
+    norm = math.hypot(*z)
     if norm < 1e-300:
         return np.zeros_like(z)
     return z * (float(np.max(np.abs(z))) / norm)
@@ -753,6 +755,36 @@ def test_regauge_oracle_catches_swapped_gauges(monkeypatch):
                         lambda x, g_from, g_to: regauge(x, g_to, g_from))
     assert set(regauge_mismatches(regauge_forms(*gauges()), points)) \
         == set(FORMS)
+
+
+def norm_within_one_ulp(x) -> bool:
+    """Whether ``norm_gauge(x)`` is within one ulp of the square root of
+    the exact sum of squares of x."""
+    h = convexoid.norm_gauge(x)
+    exact = sum(F(v) ** 2 for v in x)
+    ulp = F(math.ulp(h))
+    return max(F(h) - ulp, 0) ** 2 <= exact <= (F(h) + ulp) ** 2
+
+
+def test_norm_gauge_is_within_one_ulp_without_under_or_overflow():
+    """Vectors of dimension 1 to 16 with entries from 1e-300 to 1e300, each
+    entry at its own magnitude or all at one, whose squares under- or
+    overflow, and subnormal ones: no nonzero vector gets norm 0, and every
+    norm is within one ulp of the exact one."""
+    rng = random.Random(33)
+    vectors = [[5e-324], [5e-324] * 16, [1e-310, -2e-310], [1e300] * 16,
+               [-1e-300] * 16]
+    for i in range(2000):
+        dim = rng.randint(1, 16)
+        common = rng.uniform(-300, 299)
+        vectors.append([
+            rng.choice((-1, 1)) * 10 ** (
+                common + rng.random() if i % 2 else rng.uniform(-300, 300))
+            for _ in range(dim)
+        ])
+    for x in vectors:
+        assert convexoid.norm_gauge(x) > 0, x
+        assert norm_within_one_ulp(x), x
 
 
 class _IdentityHalfCube:
