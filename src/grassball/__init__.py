@@ -51,8 +51,6 @@ from .chamber import (
     assemble,
     ball_chart,
     ball_chart_inverse,
-    e_fiber_polytope,
-    f_fiber_polytope,
     get_chart,
     split,
 )

@@ -98,8 +98,6 @@ __all__ = [
     "FFiberFrame",
     "e_fiber",
     "f_fiber",
-    "e_fiber_polytope",
-    "f_fiber_polytope",
     "BallChart",
     "get_chart",
     "ball_chart",
@@ -441,18 +439,6 @@ def e_fiber(omega: MultiVector) -> EFiberFrame:
 def f_fiber(eta: MultiVector) -> FFiberFrame:
     require_chamber_vector(eta)
     return FFiberFrame(eta)
-
-
-def e_fiber_polytope(omega: MultiVector) -> HPolytope:
-    """The E fiber over omega in the frame's slice coordinates, measured
-    from the pivot point of the slice (see ``FiberFrame``)."""
-    return e_fiber(omega).polytope
-
-
-def f_fiber_polytope(eta: MultiVector) -> HPolytope:
-    """The F fiber over eta in the frame's slice coordinates, measured from
-    the pivot point of the slice (see ``FiberFrame``)."""
-    return f_fiber(eta).polytope
 
 
 def nudge_into(poly: HPolytope, y: Sequence) -> tuple[Fraction, ...]:

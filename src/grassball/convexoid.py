@@ -25,7 +25,8 @@ check on the integer normals, and the joined body (the union of segments
 from the bottom center's fiber to the fibers over the distinguished
 boundary) is never built as a polytope.  Its exit times and radial
 functions are closed forms in the support functions of the two fibers it
-joins, and the half-cube maps divide by the exact exit time.  The maps
+joins, both read off one ``_JoinedBody`` that each map call builds once,
+and the half-cube maps divide by the exact exit time.  The maps
 center fibers with ``centroid`` and ``centered``, which cache on the
 polytope; ``translated`` and ``scaled`` carry the integer vertices and the
 centroid over, so a fiber centered once is never centered again; shifting
@@ -61,9 +62,9 @@ these:
   and of the rationals the maps hand on; a half-cube point that it rounds
   to 0 is the center of the bottom.
 
-Apart from them, ``_Ray.exit_scale`` takes an exit time of 2^80 or more
-for a ray that never leaves, and clamps a negative one, which only a ray
-from outside an uncentered fiber gives, at 0.
+Apart from them, ``_JoinedBody.exit_time`` takes an exit time of 2^80 or
+more for a ray that never leaves, and clamps a negative one, which only a
+ray from outside an uncentered fiber gives, at 0.
 """
 
 from __future__ import annotations
@@ -393,10 +394,7 @@ def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
     denominator (``_integer_vertices``); the ``Fraction`` vertices returned
     are built from them on each call.
     """
-    cached = poly._cache.get("integer vertices")
-    if cached is None:
-        cached = poly._cache["integer vertices"] = _enumerate_vertices(poly)
-    points, den = cached
+    points, den = _integer_vertices(poly)
     return [tuple(Fraction(x, den) for x in p) for p in points]
 
 
@@ -405,8 +403,7 @@ def _integer_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
     D of their denominators, enumerated on first use and cached."""
     cached = poly._cache.get("integer vertices")
     if cached is None:
-        vertices(poly)
-        cached = poly._cache["integer vertices"]
+        cached = poly._cache["integer vertices"] = _enumerate_vertices(poly)
     return cached
 
 
@@ -791,133 +788,42 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
     return normals
 
 
-class _Ray:
-    """The ray t -> t * direction, t >= 0, against the joined body.
+class _JoinedBody:
+    """The joined body over the ray from the bottom center through a base
+    point p: the union of the segments from the bottom center's fiber E0 to
+    the fiber E1 over q, the radial projection of p onto the distinguished
+    boundary (``radial_project_base``).  Over the bottom center there is no
+    q, and E1 is None.
 
-    With g the base gauge of the direction, t * direction lies in the body
-    iff t * g <= 1, so that the base point stays in the cube, and
-    t u . vf <= (1 - t g) h0(u) + t g h1(u) for every join normal u, where
-    h0 and h1 are the support functions of the bottom center's fiber E0 and
-    of the fiber E1 the ray's base part points at.  The direction is also
-    held as an integer point V / L, whose base part has base gauge G = g L.
-    ``exit_scale`` is the exact exit time t*, not rounded: the chart builds
-    every fiber frame from one fixed reference, so its fibers vary
-    continuously with the base point, boundary images included.
+    Over the base point s q, 0 <= s <= 1, its fiber is (1 - s) E0 + s E1,
+    cut out by the inequalities u . y <= (1 - s) h0(u) + s h1(u) for the
+    join normals u (``_join_normals``), h0 and h1 the support functions of
+    E0 and E1.  ``radial`` and ``exit_time`` are closed forms in h0 and h1
+    over those normals; the fibers are read once, through ``fiber_at``.
     """
 
-    def __init__(self, fiber_at: Callable, base_dim: int, direction):
-        self.base_dim = base_dim
-        self.v = rationalize_point(direction)
-        self.vb = self.v[:base_dim]
-        self.vf = self.v[base_dim:]
-        if not any(self.v):
-            raise ValueError("ray direction is zero")
-        self._ints, self._den = _integer_vector(self.v)
-        base = self._ints[:base_dim]
-        self._gauge = base_gauge(base)
-        self.E0 = fiber_at(tuple(Fraction(0) for _ in range(base_dim)))
-        if self._gauge > 0:
-            self.E1 = fiber_at(tuple(Fraction(x, self._gauge) for x in base))
-        else:
-            self.E1 = None
-        self.normals = _join_normals(self.E0, self.E1)
+    __slots__ = ("e0", "e1", "normals")
 
-    def exit_bound(self) -> Fraction | None:
-        """max{t : t * direction in the joined body}, exact; None if unbounded.
+    def __init__(self, fiber_at: Callable, p):
+        self.e0 = fiber_at((Fraction(0),) * len(p))
+        self.e1 = fiber_at(radial_project_base(p)[0]) if any(p) else None
+        self.normals = _join_normals(self.e0, self.e1)
 
-        The fibers are centered, so h0 >= 0 and the ray starts inside.  A
-        join normal with d(u) = u . vf - g (h1(u) - h0(u)) > 0 caps t at
-        h0(u) / d(u); one with d(u) <= 0 never binds.  A ray whose base part
-        points below the bottom leaves the base cube at once.  Over integers,
-        with h0 = M0 / D0 and h1 = M1 / D1, d(u) is N / (L D0 D1) for
-        N = (u . Vf) D0 D1 - G (M1 D0 - M0 D1), so the cap is L M0 D1 / N,
-        and the cube's cap 1 / g is L / G; the caps are compared as integer
-        pairs without the common factor L.
-        """
-        if self.vb[0] < 0:
-            return Fraction(0)
-        gauge = self._gauge
-        vf = self._ints[self.base_dim:]
-        best = (1, gauge) if gauge else None
-        for u in self.normals:
-            m0, d0 = _support(self.E0, u)
-            n, cap = sum(map(operator.mul, u, vf)) * d0, m0
-            if gauge:
-                m1, d1 = _support(self.E1, u)
-                n, cap = n * d1 - gauge * (m1 * d0 - m0 * d1), m0 * d1
-            if n > 0 and (best is None or cap * best[1] < best[0] * n):
-                best = (cap, n)
-        return None if best is None else Fraction(best[0] * self._den, best[1])
-
-    def exit_scale(self) -> Fraction:
-        """The exit time t* of ``exit_bound``, exact, for a ray that leaves.
-
-        A point inside the joined body has exit time at least 1 along its
-        own ray, so ``HalfBallMap.forward`` never divides by 0.
-        """
-        t_star = self.exit_bound()
-        if t_star is None or t_star >= 2**80:
-            raise UnboundedError("ray never leaves the joined body")
-        # t* < 0 comes only from a ray from outside an uncentered fiber
-        return max(t_star, Fraction(0))
-
-
-def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
-    """Exit time of a ray from the joined body of a centered spec, exact
-    (``_Ray.exit_scale``)."""
-    return _Ray(spec.fiber, spec.base_dim, direction).exit_scale()
-
-
-class HalfBallMap:
-    """Homeomorphism from a convexoid body onto the closed half-cube
-    [0, 1] x [-1, 1]^(d-1), the closed unit half-ball of the sup norm.
-
-    Pipeline: center fibers (``centered``; free for centered ones), radially
-    rescale each fiber onto the joined body's fiber, then take the point to
-    point / (t* sup(point)), t* the exit time of the ray through it.  Both
-    the rescale and the exit time are exact closed forms in the support
-    functions of the two fibers the joined body combines.  The bottom (base
-    first coordinate 0) lands on the half-cube bottom.  Points in and out
-    are rational, and each coordinate out is rounded (``_limit``).
-    """
-
-    def __init__(self, spec: ConvexoidSpec):
-        self.spec = spec
-        self.degenerate_rescales = 0
-
-    # -- centered fibers ----------------------------------------------------
-
-    def centroid(self, p) -> tuple[Fraction, ...]:
-        return centroid(self.spec.fiber(p))
-
-    def centered_fiber(self, p) -> HPolytope:
-        return centered(self.spec.fiber(p))
-
-    # -- radial rescale between the fiber and the joined fiber --------------
-
-    def _lambda_joined(self, p, y) -> Fraction:
-        """sup{l : l * y in joined fiber over p}, by support functions: the
-        least ((1 - s) h0(u) + s h1(u)) / (u . y) over the join normals u
-        with u . y > 0.  Over integers, with s = S / T, y = Y / L,
-        h0 = M0 / D0 and h1 = M1 / D1, that is
+    def radial(self, s: Fraction, y) -> Fraction:
+        """sup{l : l * y in the joined fiber at gauge s}, by support
+        functions: the least ((1 - s) h0(u) + s h1(u)) / (u . y) over the
+        join normals u with u . y > 0.  Over integers, with s = S / T,
+        y = Y / L, h0 = M0 / D0 and h1 = M1 / D1, that is
         L ((T - S) M0 D1 + S M1 D0) / (T D0 D1 (u . Y)), where only the
         numerator and u . Y vary with u."""
-        key = rationalize_point(p)
-        if all(v == 0 for v in key):
-            return radial(self.centered_fiber(key), y)
-        q, s = radial_project_base(key)
-        if s == 1:
-            return radial(self.centered_fiber(key), y)
-        e0 = self.centered_fiber(self.spec.origin())
-        e1 = self.centered_fiber(q)
         ints, den = _integer_vector(y)
         s_num, s_den = s.numerator, s.denominator
         best = None
-        for u in _join_normals(e0, e1):
+        for u in self.normals:
             d = sum(map(operator.mul, u, ints))
             if d > 0:
-                m0, d0 = _support(e0, u)
-                m1, d1 = _support(e1, u)
+                m0, d0 = _support(self.e0, u)
+                m1, d1 = _support(self.e1, u)
                 num = (s_den - s_num) * m0 * d1 + s_num * m1 * d0
                 if best is None or num * best[1] < best[0] * d:
                     best = (num, d)
@@ -926,44 +832,124 @@ class HalfBallMap:
         # D0 and D1 are the polytopes' own, the same for every u
         return Fraction(best[0] * den, best[1] * s_den * d0 * d1)
 
-    def _joined_scale(self, p, y) -> Fraction:
-        """Radial function of the joined fiber over p along y, over that of
-        the fiber; forward multiplies by it and inverse divides, and y = 0
-        stays.  0 on the boundary of either body means the radial map
+    def exit_time(self, ints, den: int) -> Fraction:
+        """The exit time t* of the ray t -> t V / L, t >= 0, for the integer
+        direction V = ``ints`` over L = ``den``, whose base part is a
+        nonnegative multiple of p: exact, not rounded, for a ray that leaves.
+
+        With G the base gauge of V's base part, t V / L lies in the body
+        iff t G <= L, so that the base point stays in the cube, and
+        t u . Vf / L <= (1 - t G / L) h0(u) + (t G / L) h1(u) for every join
+        normal u.  A join normal with N = (u . Vf) D0 D1 - G (M1 D0 - M0 D1)
+        > 0 caps t at L M0 D1 / N; one with N <= 0 never binds.  The caps
+        are compared as integer pairs without the common factor L.  A t* of
+        2^80 or more is taken for a ray that never leaves, and a negative
+        one, which only a ray from outside an uncentered fiber gives, is
+        clamped at 0.  A point inside the joined body has exit time at least
+        1 along its own ray, so ``HalfBallMap.forward`` never divides by 0.
+        The chart builds every fiber frame from one fixed reference, so its
+        fibers vary continuously with the base point, boundary images
+        included.
+        """
+        nb = len(ints) - self.e0.dim
+        gauge = base_gauge(ints[:nb])
+        vf = ints[nb:]
+        best = (1, gauge) if gauge else None
+        for u in self.normals:
+            m0, d0 = _support(self.e0, u)
+            n, cap = sum(map(operator.mul, u, vf)) * d0, m0
+            if gauge:
+                m1, d1 = _support(self.e1, u)
+                n, cap = n * d1 - gauge * (m1 * d0 - m0 * d1), m0 * d1
+            if n > 0 and (best is None or cap * best[1] < best[0] * n):
+                best = (cap, n)
+        if best is None or best[0] * den >= 2**80 * best[1]:
+            raise UnboundedError("ray never leaves the joined body")
+        return max(Fraction(best[0] * den, best[1]), Fraction(0))
+
+
+def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
+    """Exit time of the ray t -> t * direction, t >= 0, from the joined body
+    of a centered spec, exact (``_JoinedBody.exit_time``).  A ray whose base
+    part points below the bottom leaves the base cube at once."""
+    v = rationalize_point(direction)
+    if not any(v):
+        raise ValueError("ray direction is zero")
+    if v[0] < 0:
+        return Fraction(0)
+    # the body depends on the ray only, so a base part beyond the cube is
+    # scaled onto its boundary
+    base = v[:spec.base_dim]
+    g = base_gauge(base)
+    body = _JoinedBody(spec.fiber, [x / g for x in base] if g > 1 else base)
+    return body.exit_time(*_integer_vector(v))
+
+
+class HalfBallMap:
+    """Homeomorphism from a convexoid body onto the closed half-cube
+    [0, 1] x [-1, 1]^(d-1), the closed unit half-ball of the sup norm.
+
+    Pipeline: center the fiber (``centered``; free for centered ones),
+    radially rescale it onto the joined body's fiber, then take the point to
+    point / (t* sup(point)), t* the exit time of the ray through it.  Each
+    leg reads its fiber once and builds the joined body (``_JoinedBody``)
+    once, and both the rescale and the exit time are exact closed forms over
+    that body.  The bottom (base first coordinate 0) lands on the half-cube
+    bottom.  Points in and out are rational, and each coordinate out is
+    rounded (``_limit``).
+    """
+
+    def __init__(self, spec: ConvexoidSpec):
+        self.spec = spec
+        self.degenerate_rescales = 0
+
+    def _body(self, p) -> _JoinedBody:
+        """The joined body over the ray through base point p, of the
+        centered fibers."""
+        return _JoinedBody(lambda q: centered(self.spec.fiber(q)), p)
+
+    def _joined_scale(self, body: _JoinedBody, fiber: HPolytope, p, y
+                      ) -> Fraction:
+        """Radial function along y of the joined fiber over p, over that of
+        the centered fiber over p; forward multiplies by it and inverse
+        divides, and y = 0 stays.  Over the bottom center (no E1) and over
+        the distinguished boundary (gauge 1) the joined fiber is the fiber
+        itself.  0 on the boundary of either body means the radial map
         degenerates; it is counted, perturbed by the slack, and the map
         carries on, as the hypotheses put such points over the distinguished
         boundary only."""
         if not any(y):
             return Fraction(1)
-        lam_e = radial(self.centered_fiber(p), y)
-        lam_j = self._lambda_joined(p, y)
+        lam_e = radial(fiber, y)
+        s = base_gauge(p)
+        lam_j = lam_e if body.e1 is None or s == 1 else body.radial(s, y)
         if lam_e <= 0 or lam_j <= 0:
             self.degenerate_rescales += 1
         return ((lam_j if lam_j > 0 else SLACK)
                 / (lam_e if lam_e > 0 else SLACK))
 
-    # -- forward / inverse ---------------------------------------------------
-
     def forward(self, x) -> tuple[Fraction, ...]:
         nb = self.spec.base_dim
         p = _cube_point(x[:nb], 0, "base cube")
         y = rationalize_point(x[nb:])
-        if not self.spec.fiber(p).contains_point(y, SLACK):
+        fiber = self.spec.fiber(p)
+        if not fiber.contains_point(y, SLACK):
             raise DomainError("fiber point outside its polytope")
-        yc = tuple(a - b for a, b in zip(y, self.centroid(p)))
+        yc = tuple(a - b for a, b in zip(y, centroid(fiber)))
         # gauge fraction in the fiber becomes gauge fraction in the joined
         # fiber
-        scale = self._joined_scale(p, yc)
+        body = self._body(p)
+        scale = self._joined_scale(body, centered(fiber), p, yc)
         point = p + tuple(v * scale for v in yc)
         if not any(point):
             return (Fraction(0),) * self.spec.dim
-        ray = _Ray(self.centered_fiber, nb, point)
-        t_star = ray.exit_scale()
-        # point / (t* sup(point)), over the ray's integer direction V / L:
+        # point / (t* sup(point)), over its integer form V / L:
         # V / (t* S), S = max |V|
+        ints, den = _integer_vector(point)
+        t_star = body.exit_time(ints, den)
         num = t_star.denominator
-        den = t_star.numerator * max(map(abs, ray._ints))
-        return tuple(Fraction(*_limit(v * num, den)) for v in ray._ints)
+        den = t_star.numerator * max(map(abs, ints))
+        return tuple(Fraction(*_limit(v * num, den)) for v in ints)
 
     def inverse(self, h) -> tuple[Fraction, ...]:
         """The body point h t*(h) sup(h), its fiber part rescaled back from
@@ -972,18 +958,21 @@ class HalfBallMap:
         nb = self.spec.base_dim
         if not any(h):
             p = self.spec.origin()
-            return limit_point(p + self.centroid(p))
-        ray = _Ray(self.centered_fiber, nb, h)
-        t_star = ray.exit_scale()
-        # over the ray's integer direction V / L, h t* sup(h) is
-        # V t* S / L^2, S = max |V|; its base part is in the cube, since t*
-        # is at most the cube's cap 1 / (base gauge of h)
-        num = t_star.numerator * max(map(abs, ray._ints))
-        den = t_star.denominator * ray._den * ray._den
-        point = tuple(Fraction(v * num, den) for v in ray._ints)
+            return limit_point(p + centroid(self.spec.fiber(p)))
+        body = self._body(h[:nb])
+        ints, den = _integer_vector(h)
+        t_star = body.exit_time(ints, den)
+        # over h's integer form V / L, h t* sup(h) is V t* S / L^2,
+        # S = max |V|; its base part is in the cube, since t* is at most the
+        # cube's cap 1 / (base gauge of h), and a multiple of h's, so the
+        # joined body over it is the one over h's
+        num = t_star.numerator * max(map(abs, ints))
+        den = t_star.denominator * den * den
+        point = tuple(Fraction(v * num, den) for v in ints)
         p, yj = point[:nb], point[nb:]
-        scale = self._joined_scale(p, yj)
-        y = tuple(v / scale + c for v, c in zip(yj, self.centroid(p)))
+        fiber = self.spec.fiber(p)
+        scale = self._joined_scale(body, centered(fiber), p, yj)
+        y = tuple(v / scale + c for v, c in zip(yj, centroid(fiber)))
         return limit_point(p + y)
 
 

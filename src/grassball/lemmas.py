@@ -85,15 +85,14 @@ def _search(cfg: EpsilonSearch, candidate) -> MultiVector:
     )
 
 
-def shrink_nonneg(mv: MultiVector, *, validate: bool = True) -> MultiVector:
+def shrink_nonneg(mv: MultiVector) -> MultiVector:
     """Nonnegative nonzero grade-(k-1) element contained in ``mv``.
 
     Row-reduce the plane so the first spanning vector is e_j plus higher
     columns (j the least index in the support); dropping it leaves a
     nonnegative wedge of the remaining rows.
     """
-    if validate:
-        require_chamber_vector(mv)
+    require_chamber_vector(mv)
     if mv.k < 1:
         raise ValueError("cannot shrink a grade-0 element")
     if mv.k == 1:
@@ -140,7 +139,7 @@ def _proportionality(u: MultiVector, w: MultiVector, b: MultiVector
 
 
 def shrink_positive(
-    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch(), *, validate: bool = True
+    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch()
 ) -> MultiVector:
     """Strictly positive grade-(k-1) element contained in ``mv``.
 
@@ -149,8 +148,13 @@ def shrink_positive(
     and one dimension down) and combine per
     (eps*w_2 + w_3) ^ (-eps^2*(e_1+v_1) + w_3) ^ w_4 ^ ... ^ w_k.
     """
-    if validate:
-        require_chamber_vector(mv, positive=True)
+    require_chamber_vector(mv, positive=True)
+    return _shrink_positive(mv, cfg)
+
+
+def _shrink_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
+    """``shrink_positive`` of a positive ``mv``, unchecked: its recursion
+    hands on only positive elements."""
     n, k = mv.n, mv.k
     if k == 1:
         return MultiVector.scalar(n, 1)
@@ -164,9 +168,7 @@ def shrink_positive(
 
     # Tail wedge is positive away from index 1; recurse in R^(n-1).
     tail_wedge = normalize(wedge_all(tail))
-    inner = shrink_positive(
-        tail_wedge.shift(-1), cfg, validate=False
-    ).shift(+1, n=n)
+    inner = _shrink_positive(tail_wedge.shift(-1), cfg).shift(+1, n=n)
 
     # The rows of inner's RREF have minor 1 on their pivot columns I, so
     # w3 ^ later = inner / inner[I], a positive multiple of the recursive
@@ -190,14 +192,13 @@ def _least_omitted_index(mv: MultiVector) -> int:
     raise ValueError("every index lies in every support set; is the grade n?")
 
 
-def extend_nonneg(mv: MultiVector, *, validate: bool = True) -> MultiVector:
+def extend_nonneg(mv: MultiVector) -> MultiVector:
     """Nonnegative nonzero grade-(k+1) element containing ``mv``.
 
     Wedges on e_j for the least index j omitted by some support set; every
     smaller index lies in every support set, which makes the sign uniform.
     """
-    if validate:
-        require_chamber_vector(mv)
+    require_chamber_vector(mv)
     if mv.k >= mv.n:
         raise ValueError("cannot extend a top-grade element")
     j = _least_omitted_index(mv)
@@ -206,7 +207,7 @@ def extend_nonneg(mv: MultiVector, *, validate: bool = True) -> MultiVector:
 
 
 def extend_positive(
-    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch(), *, validate: bool = True
+    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch()
 ) -> MultiVector:
     """Strictly positive grade-(k+1) element containing ``mv``.
 
@@ -216,8 +217,13 @@ def extend_positive(
     small eps.  That candidate is e_1 ^ mv + eps * (v ^ mv): a relabel and
     one wedge, made once, and one integer combination per eps.
     """
-    if validate:
-        require_chamber_vector(mv, positive=True)
+    require_chamber_vector(mv, positive=True)
+    return _extend_positive(mv, cfg)
+
+
+def _extend_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
+    """``extend_positive`` of a positive ``mv``, unchecked: its recursion
+    hands on only positive elements."""
     n, k = mv.n, mv.k
     if k >= n:
         raise ValueError("cannot extend a top-grade element")
@@ -231,7 +237,7 @@ def extend_positive(
         mv._den, known,
     )
     away_small = normalize(away.shift(-1))
-    bigger = extend_positive(away_small, cfg, validate=False).shift(+1, n=n)
+    bigger = _extend_positive(away_small, cfg).shift(+1, n=n)
 
     u = _completion_row(plane_vectors(bigger), away)
     v = u / _proportionality(u, away, bigger)  # v ^ away = bigger

@@ -21,9 +21,7 @@ from grassball.chamber import (
     ValidationError,
     assemble,
     e_fiber,
-    e_fiber_polytope,
     f_fiber,
-    f_fiber_polytope,
     nudge_into,
     split,
 )
@@ -202,7 +200,7 @@ def test_t_is_one_lipschitz_in_rho():
 
 def test_f_fiber_positive_eta_has_interior():
     s = split(vandermonde_point())
-    poly = f_fiber_polytope(s.eta)
+    poly = f_fiber(s.eta).polytope
     assert chebyshev_like_radius(poly) > 0
 
 
@@ -240,7 +238,7 @@ def test_e_fiber_segment_example():
 
 def test_e_fiber_positive_interior():
     s = split(vandermonde_point())
-    poly = e_fiber_polytope(s.omega)
+    poly = e_fiber(s.omega).polytope
     assert chebyshev_like_radius(poly) > 0
 
 
@@ -282,8 +280,8 @@ def test_fiber_polytopes_vary_continuously():
         perturbed.append(shifted)
 
     def hausdorff(a, b):
-        va = [tuple(map(float, v)) for v in vertices(f_fiber_polytope(a))]
-        vb = [tuple(map(float, v)) for v in vertices(f_fiber_polytope(b))]
+        va = [tuple(map(float, v)) for v in vertices(f_fiber(a).polytope)]
+        vb = [tuple(map(float, v)) for v in vertices(f_fiber(b).polytope)]
         d = 0.0
         for u in va:
             d = max(d, min(sum((x - y) ** 2 for x, y in zip(u, w)) for w in vb))
@@ -298,7 +296,7 @@ def test_fiber_polytopes_vary_continuously():
 
 def test_nudge_into_pulls_points_inside():
     s = split(vandermonde_point())
-    poly = e_fiber_polytope(s.omega)
+    poly = e_fiber(s.omega).polytope
     far = tuple(Fraction(10) for _ in range(poly.dim))
     pulled = nudge_into(poly, far)
     assert poly.contains_point(pulled)

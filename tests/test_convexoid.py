@@ -21,7 +21,7 @@ from grassball.convexoid import (
     HalfBallMap,
     HPolytope,
     UnboundedError,
-    _Ray,
+    _JoinedBody,
     barycenter,
     base_gauge,
     centered,
@@ -63,6 +63,18 @@ def centered_spec(spec):
     return ConvexoidSpec(
         spec.base_dim, spec.fiber_dim, lambda p: centered(spec.fiber(p))
     )
+
+
+def centered_fiber(spec, q):
+    return centered(spec.fiber(q))
+
+
+def joined_exit_time(fiber_at, nb, direction):
+    """Exit time of the ray along ``direction``, whose base part lies in
+    the base cube, from the joined body of the fibers ``fiber_at`` reads."""
+    v = rationalize_point(direction)
+    body = _JoinedBody(fiber_at, v[:nb])
+    return body.exit_time(*convexoid._integer_vector(v))
 
 
 # -- vertices ------------------------------------------------------------------
@@ -309,8 +321,13 @@ def test_radial_project_examples():
 
 
 def joined_radius(spec, p, y):
-    """sup{l : l * y in the joined fiber over p}, exact."""
-    return HalfBallMap(spec)._lambda_joined(p, tuple(map(F, y)))
+    """sup{l : l * y in the joined fiber over p}, exact: the half-ball
+    map's rescale along y times the radial function of the fiber over p."""
+    p, y = rationalize_point(p), rationalize_point(y)
+    hb = HalfBallMap(spec)
+    fiber = centered_fiber(spec, p)
+    return (hb._joined_scale(hb._body(p), fiber, p, y)
+            * convexoid.radial(fiber, y))
 
 
 def test_join_fiber_constant_and_extremes():
@@ -426,10 +443,10 @@ def test_star_convexity_scan_never_reenters():
             continue
         # the joined body of the constant fiber [-1, 1] is the square, so
         # the ray is inside exactly up to its exit time and never re-enters
-        ray = _Ray(spec.fiber, 1, direction)
-        t_star = ray.exit_bound()
+        vb, vf = rationalize_point(direction)
+        t_star = joined_exit_time(spec.fiber, 1, direction)
         for t in sorted(rationalize(rng.uniform(0, 3)) for _ in range(8)):
-            tb, tf = t * ray.vb[0], t * ray.vf[0]
+            tb, tf = t * vb, t * vf
             inside = 0 <= tb <= 1 and -1 <= tf <= 1
             assert inside == (t <= t_star)
 
@@ -438,7 +455,7 @@ def test_exit_scale_caps_the_exit_time_below_2_to_the_80():
     spec = centered_spec(square_spec())
     # straight up the fiber [-1, 1] from the bottom center: t* = 1 / vf
     top = F(2**80 - 1)
-    assert _Ray(spec.fiber, 1, (F(0), 1 / top)).exit_bound() == top
+    assert joined_exit_time(spec.fiber, 1, (F(0), 1 / top)) == top
     assert exit_time(spec, (F(0), 1 / top)) == top
     for vf in (F(1, 2**80), F(1, 2**85)):
         with pytest.raises(UnboundedError):
@@ -581,6 +598,33 @@ def test_half_ball_injective_on_samples():
         gap = max(abs(a - b) for a, b in zip(points[i], points[j]))
         if gap >= 1e-6:
             assert float(np.linalg.norm(images[i] - images[j])) > 0
+
+
+def test_each_half_ball_leg_reads_at_most_three_fibers(monkeypatch):
+    """A forward or inverse call reads the fiber over its base point and
+    the two its joined body joins, each once, on 2-D fibers: interior
+    points, bottom points, the bottom center and the distinguished
+    boundary."""
+    spec = degenerate_spec(2)
+    hb = HalfBallMap(spec)
+    reads = []
+    fiber = ConvexoidSpec.fiber
+
+    def counted(self, p):
+        reads.append(p)
+        return fiber(self, p)
+
+    monkeypatch.setattr(ConvexoidSpec, "fiber", counted)
+    for x in [(0.3, 0.2, 0.1, -0.2), (0.0, -0.5, 0.2, 0.3),
+              (0.6, 0.9, 0.0, 0.0), (0.0, 0.0, 0.1, 0.1),
+              (0.0, 0.0, 0.0, 0.0), (0.5, -1.0, 0.1, 0.0),
+              (1.0, 0.25, 0.0, 0.0)]:
+        reads.clear()
+        h = hb.forward(x)
+        assert len(reads) <= 3, (x, reads)
+        reads.clear()
+        hb.inverse(h)
+        assert len(reads) <= 3, (h, reads)
 
 
 # -- gluing ---------------------------------------------------------------------------
@@ -736,14 +780,16 @@ def test_regauge_equals_the_ball_cube_rescales_exactly():
     assert sum(x[0] < 0 for x in points) >= 1000
     assert regauge_mismatches(FORMS, points) == {}
     # below its threshold an oracle snapped to 0 and regauge does not: there
-    # the two differ by at most a few |x|
+    # the two differ by at most a few |x|, both measured by ``math.hypot``,
+    # since ``np.linalg.norm`` underflows to 0 on such points and an
+    # absolute term would swamp them
     banded = 0
     for name, (oracle, form, guard, threshold) in FORMS.items():
         for x in points:
             if x.any() and guard(x) < threshold:
                 banded += 1
-                gap = float(np.linalg.norm(form(x) - oracle(x)))
-                assert gap <= 3 * float(np.linalg.norm(x)) + 2.3e-16, name
+                gap = math.hypot(*(form(x) - oracle(x)))
+                assert gap <= 3 * math.hypot(*x), name
     assert banded >= 50
 
 
@@ -982,8 +1028,7 @@ def oracle_directions(rng, m, count):
 def test_exit_time_closed_form_equals_lp_exactly(m):
     spec = degenerate_spec(m)
     for direction in oracle_directions(random.Random(40 + m), m, 12):
-        ray = _Ray(spec.fiber, spec.base_dim, direction)
-        t_star = ray.exit_bound()
+        t_star = joined_exit_time(spec.fiber, spec.base_dim, direction)
         assert t_star == exit_time_lp_oracle(spec, direction)
         assert member_lp_oracle(spec, direction, t_star)
         assert member_lp_oracle(spec, direction, t_star * F(999, 1000))
@@ -996,25 +1041,31 @@ def test_exit_scale_equals_lp_optimum(m):
     for direction in oracle_directions(random.Random(50 + m), m, 6):
         assert exit_time(spec, direction) == exit_time_lp_oracle(
             spec, direction)
+        # a ray's exit time scales inversely with its direction, whose base
+        # part may then leave the cube
+        longer = tuple(4 * x for x in direction)
+        assert exit_time(spec, longer) == exit_time(spec, direction) / 4
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_lambda_joined_equals_lp(m):
     rng = random.Random(60 + m)
-    hb = HalfBallMap(degenerate_spec(m))
-    e0 = hb.centered_fiber(hb.spec.origin())
+    spec = degenerate_spec(m)
+    e0 = centered_fiber(spec, spec.origin())
     tops = [(F(1), F(1, 3)), (F(1, 2), F(-1))]
     if m > 1:
         tops.append((F(3, 4), F(1)))  # the segment fiber
     for q in tops:
-        e1 = hb.centered_fiber(q)
+        e1 = centered_fiber(spec, q)
         for s in (F(1, 5), F(1, 2), F(7, 8)):
             p = tuple(s * x for x in q)
+            body = _JoinedBody(functools.partial(centered_fiber, spec), p)
+            assert body.e0 is e0 and body.e1 is e1
             for _ in range(3):
                 y = tuple(F(rng.randint(-8, 8), 8) for _ in range(m))
                 if not any(y):
                     continue
-                assert hb._lambda_joined(p, y) == lambda_joined_lp_oracle(
+                assert body.radial(s, y) == lambda_joined_lp_oracle(
                     e0, e1, s, y
                 )
 
@@ -1815,6 +1866,15 @@ def fraction_exit_bound(fiber_at, nb, direction):
     return best
 
 
+def fraction_exit_time(fiber_at, nb, direction):
+    """``fraction_exit_bound`` with the cap at 2^80 and the clamp at 0 of
+    ``_JoinedBody.exit_time``."""
+    t_star = fraction_exit_bound(fiber_at, nb, direction)
+    if t_star is None or t_star >= 2**80:
+        raise UnboundedError("ray never leaves the joined body")
+    return max(t_star, F(0))
+
+
 def fraction_radial_project_base(p):
     p = rationalize_point(p)
     if p[0] < 0 or p[0] > 1 or any(abs(v) > 1 for v in p[1:]):
@@ -1825,15 +1885,15 @@ def fraction_radial_project_base(p):
     return tuple(v / g for v in p), g
 
 
-def fraction_lambda_joined(hb, p, y):
+def fraction_lambda_joined(spec, p, y):
     key = rationalize_point(p)
     if all(v == 0 for v in key):
-        return fraction_radial(hb.centered_fiber(key), y)
+        return fraction_radial(centered_fiber(spec, key), y)
     q, s = fraction_radial_project_base(key)
     if s == 1:
-        return fraction_radial(hb.centered_fiber(key), y)
-    e0 = hb.centered_fiber(hb.spec.origin())
-    e1 = hb.centered_fiber(q)
+        return fraction_radial(centered_fiber(spec, key), y)
+    e0 = centered_fiber(spec, spec.origin())
+    e1 = centered_fiber(spec, q)
     verts0, verts1 = memo_reference_vertices(e0), memo_reference_vertices(e1)
     best = None
     for u in fraction_join_normals(e0, e1):
@@ -2063,16 +2123,14 @@ def test_exit_bound_matches_fraction_form_on_random_specs(m):
     for _ in range(10 if m < 3 else 6):  # 3-D rays have many join normals
         nb = rng.randint(1, 2)
         spec = ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m))
-        hb = HalfBallMap(spec)
-        for fiber_at in (spec.fiber, hb.centered_fiber):
+        for body_spec in (spec, centered_spec(spec)):
             for _ in range(5):
                 direction = random_ray_direction(rng, nb, m)
                 if not any(direction):
                     continue
-                got = polytope_outcome(
-                    lambda: _Ray(fiber_at, nb, direction).exit_bound())
-                want = polytope_outcome(fraction_exit_bound, fiber_at, nb,
-                                        direction)
+                got = polytope_outcome(exit_time, body_spec, direction)
+                want = polytope_outcome(fraction_exit_time, body_spec.fiber,
+                                        nb, direction)
                 assert got == want, direction
                 seen[want.split("(")[0]] += 1
     assert seen["Fraction"] > 0.8 * sum(seen.values()), seen
@@ -2084,7 +2142,7 @@ def test_lambda_joined_matches_fraction_form_on_random_specs(m):
     checked = 0
     for _ in range(8):
         nb = rng.randint(1, 2)
-        hb = HalfBallMap(ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m)))
+        spec = ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m))
         points = [(F(0),) * nb, (F(1),) + (F(0),) * (nb - 1)]
         points += [(random_rational(rng, 0, 1),) + tuple(
             random_rational(rng, -1, 1) for _ in range(nb - 1))
@@ -2095,7 +2153,7 @@ def test_lambda_joined_matches_fraction_form_on_random_specs(m):
                     fraction_radial_project_base(p))
             for _ in range(3):
                 y = random_direction(rng, m)
-                assert repr(hb._lambda_joined(p, y)) == repr(
-                    fraction_lambda_joined(hb, p, y))
+                assert repr(joined_radius(spec, p, y)) == repr(
+                    fraction_lambda_joined(spec, p, y))
                 checked += 1
     assert checked == 8 * 6 * 3
