@@ -36,7 +36,6 @@ from .plucker import (
 )
 from .lemmas import (
     EpsilonExhausted,
-    EpsilonSearch,
     extend_nonneg,
     extend_positive,
     shrink_nonneg,

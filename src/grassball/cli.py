@@ -129,12 +129,8 @@ def _cmd_witness(args) -> int:
     """``shrink`` or ``extend``: the lemma's positive or nonnegative witness,
     the pair of lemma functions set on ``args`` by the subcommand."""
     mv = _load_multivector(args.multivector)
-    cfg = lemmas.EpsilonSearch(
-        initial=Fraction(args.epsilon_initial),
-        max_iterations=args.epsilon_max_iter,
-    )
     positive, nonneg = args.witnesses
-    result = positive(mv, cfg) if args.positive else nonneg(mv)
+    result = positive(mv) if args.positive else nonneg(mv)
     _emit(result.to_json_dict(), args.out)
     return 0
 
@@ -161,8 +157,9 @@ def _cmd_chart(args) -> int:
 def _cmd_chart_inverse(args) -> int:
     data = _read_json(args.chart)
     coords = data["coords"] if isinstance(data, dict) else None
+    # type(), not isinstance(): JSON true and false are ints to isinstance
     if not isinstance(coords, list) or not all(
-            isinstance(c, (int, float)) for c in coords):
+            type(c) in (int, float) for c in coords):
         raise ValueError("chart input is an object whose coords are numbers")
     point = chamber.ball_chart_inverse(coords, args.k, args.n)
     _emit(point.rho.to_json_dict(), args.out)
@@ -399,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=f"{name} witness one grade")
         p.add_argument("multivector")
-        p.add_argument("--positive", action="store_true")
-        p.add_argument("--epsilon-initial", default="1/2")
-        p.add_argument("--epsilon-max-iter", type=int, default=64)
+        p.add_argument("--positive", action="store_true",
+                       help="a strictly positive witness, with epsilon "
+                            "halved as far as the input's integers require")
         common(p)
         p.set_defaults(func=_cmd_witness, witnesses=witnesses)
 

@@ -76,6 +76,7 @@ from math import gcd, hypot, lcm
 from typing import Callable, Sequence
 
 from . import linalg
+from .linalg import _EXACT, _ratio
 
 __all__ = [
     "HPolytope",
@@ -102,7 +103,6 @@ GLUE_TOL = 1e-6
 NORM_SLACK = float(SLACK)
 # the largest fiber dimension the centroid and the exit times handle
 MAX_FIBER_DIM = 3
-_EXACT = (int, Fraction)
 
 
 class UnboundedError(ValueError):
@@ -305,14 +305,6 @@ def _fill(poly: HPolytope, dim: int, rows, den: int) -> HPolytope:
     object.__setattr__(poly, "_den", den)
     object.__setattr__(poly, "_cache", {})
     return poly
-
-
-def _ratio(value) -> tuple[int, int]:
-    """(numerator, denominator > 0) of an int, a ``Fraction`` or anything
-    ``Fraction`` accepts."""
-    if type(value) not in _EXACT:
-        value = Fraction(value)
-    return value.numerator, value.denominator
 
 
 def _integer_vector(values) -> tuple[list[int], int]:
@@ -928,7 +920,16 @@ class HalfBallMap:
         return ((lam_j if lam_j > 0 else SLACK)
                 / (lam_e if lam_e > 0 else SLACK))
 
+    def _require_dim(self, x) -> None:
+        """DomainError unless x has ``spec.dim`` coordinates."""
+        if len(x) != self.spec.dim:
+            raise DomainError(
+                f"point has {len(x)} coordinates; the map takes "
+                f"{self.spec.dim}"
+            )
+
     def forward(self, x) -> tuple[Fraction, ...]:
+        self._require_dim(x)
         nb = self.spec.base_dim
         p = _cube_point(x[:nb], 0, "base cube")
         y = rationalize_point(x[nb:])
@@ -954,6 +955,7 @@ class HalfBallMap:
     def inverse(self, h) -> tuple[Fraction, ...]:
         """The body point h t*(h) sup(h), its fiber part rescaled back from
         the joined fiber and uncentered, each coordinate rounded."""
+        self._require_dim(h)
         h = _cube_point(h, 0, "half-cube")
         nb = self.spec.base_dim
         if not any(h):

@@ -47,6 +47,8 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
+from .linalg import _ratio
+
 __all__ = [
     "SignClass",
     "MultiVector",
@@ -98,15 +100,6 @@ def _shuffle_sign(a: IndexSet, b: IndexSet) -> int:
             if x > y:
                 inversions += 1
     return -1 if inversions % 2 else 1
-
-
-def _ratio(value) -> tuple[int, int]:
-    """(numerator, denominator) of anything ``Fraction`` accepts."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    return value.numerator, value.denominator
 
 
 _set = object.__setattr__

@@ -3,8 +3,9 @@
 Given a normalized nonnegative decomposable grade-k element, ``shrink_*``
 produces a contained grade-(k-1) element and ``extend_*`` a containing
 grade-(k+1) element, preserving nonnegativity; the ``*_positive`` variants
-keep strict positivity by an explicit epsilon construction, with epsilon
-found by exact geometric halving.
+keep strict positivity by an explicit epsilon construction, epsilon the
+first of 1/2, 1/4, ... that works, halved as far as a bound read off the
+candidate's own integers requires (``_search``).
 
 Every witness is a wedge of vectors by construction, so it carries the
 decomposable mark of ``exterior`` and ``plucker`` reads its plane with no
@@ -19,8 +20,8 @@ no wedge built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .exterior import (
     MultiVector,
@@ -37,7 +38,6 @@ from .exterior import (
 from .plucker import contains, plane_vectors, require_chamber_vector
 
 __all__ = [
-    "EpsilonSearch",
     "EpsilonExhausted",
     "shrink_nonneg",
     "shrink_positive",
@@ -47,41 +47,37 @@ __all__ = [
 
 
 class EpsilonExhausted(RuntimeError):
-    """The epsilon halving search ran out of iterations.
+    """No epsilon makes the witness candidate positive: on some key its
+    lowest-order coefficient is not positive, so the witness's hypothesis
+    fails, which a strictly positive decomposable input rules out."""
 
-    Sufficiently small epsilon always works, so hitting this indicates a bug
-    or a far too small iteration budget.
+
+def _l1(v: MultiVector) -> int:
+    """Sum of the absolute values of v's integer coefficients."""
+    return sum(map(abs, v._ints.values()))
+
+
+def _search(bound: int, candidate) -> MultiVector:
+    """First eps = 2^-j, j = 1, 2, ..., whose candidate is strictly positive,
+    tried up to j = ``bound.bit_length()``.
+
+    Each candidate is a polynomial in eps; over one denominator it has
+    integer coefficients on every key, and ``bound`` is at least the sum of
+    the absolute values of those above the lowest nonzero one, on any key.
+    When the witness exists that lowest coefficient, of eps^i say, is an
+    integer a >= 1, so for eps <= 1 the key's value is at least
+    eps^i (a - eps bound), positive once 2^j > bound, which holds at
+    j = bound.bit_length().  If instead some key's polynomial is zero or its
+    lowest coefficient negative, that key's value stays at most 0 from that
+    j on, so a search that fails there could not succeed further down.
     """
-
-
-@dataclass(frozen=True)
-class EpsilonSearch:
-    """Halving schedule for the 'sufficiently small epsilon' searches."""
-
-    initial: Fraction = Fraction(1, 2)
-    max_iterations: int = 64
-
-    def __post_init__(self):
-        if not 0 < self.initial <= 1:
-            raise ValueError("initial epsilon must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration")
-
-    def values(self):
-        eps = Fraction(self.initial)
-        for _ in range(self.max_iterations):
-            yield eps
-            eps /= 2
-
-
-def _search(cfg: EpsilonSearch, candidate) -> MultiVector:
-    """First epsilon in the schedule whose candidate is strictly positive."""
-    for eps in cfg.values():
-        result = candidate(eps)
+    halvings = bound.bit_length()
+    for j in range(1, halvings + 1):
+        result = candidate(Fraction(1, 1 << j))
         if classify_sign(result) is SignClass.POSITIVE:
             return normalize(result)
     raise EpsilonExhausted(
-        f"no positive candidate after {cfg.max_iterations} halvings"
+        f"no positive candidate for eps down to 2^-{halvings}"
     )
 
 
@@ -138,21 +134,26 @@ def _proportionality(u: MultiVector, w: MultiVector, b: MultiVector
     return Fraction(total * b._den, u._den * w._den * b._ints[key])
 
 
-def shrink_positive(
-    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch()
-) -> MultiVector:
+def shrink_positive(mv: MultiVector) -> MultiVector:
     """Strictly positive grade-(k-1) element contained in ``mv``.
 
     Recursive construction: for grade 2 take eps*(e_1+v_1) + v_2; above that,
     refactor the tail wedge so its own tail is positive (recursion one grade
     and one dimension down) and combine per
     (eps*w_2 + w_3) ^ (-eps^2*(e_1+v_1) + w_3) ^ w_4 ^ ... ^ w_k.
+
+    ``_search`` halves eps within a bound, here over integer vectors F,
+    W_i, L over denominators d_F, d_i: at grade 2 the candidate times
+    d_F d_2 is d_F W_2 + eps d_2 F, bound |F|_1 d_2; above it, it is
+    eps w_2^w_3^L - eps^2 w_3^f^L - eps^3 w_2^f^L, L the later factors, and
+    no minor exceeds the product of its rows' l1 norms (Hadamard), so the
+    bound is prod |L|_1 |F|_1 (|W_3|_1 d_2 + |W_2|_1 d_3).
     """
     require_chamber_vector(mv, positive=True)
-    return _shrink_positive(mv, cfg)
+    return _shrink_positive(mv)
 
 
-def _shrink_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
+def _shrink_positive(mv: MultiVector) -> MultiVector:
     """``shrink_positive`` of a positive ``mv``, unchecked: its recursion
     hands on only positive elements."""
     n, k = mv.n, mv.k
@@ -164,11 +165,12 @@ def _shrink_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
     first, *tail = plane_vectors(mv)  # first is e_1 + v_1, no earlier columns
 
     if k == 2:
-        return _search(cfg, lambda eps: first * eps + tail[0])
+        return _search(_l1(first) * tail[0]._den,
+                       lambda eps: first * eps + tail[0])
 
     # Tail wedge is positive away from index 1; recurse in R^(n-1).
     tail_wedge = normalize(wedge_all(tail))
-    inner = _shrink_positive(tail_wedge.shift(-1), cfg).shift(+1, n=n)
+    inner = _shrink_positive(tail_wedge.shift(-1)).shift(+1, n=n)
 
     # The rows of inner's RREF have minor 1 on their pivot columns I, so
     # w3 ^ later = inner / inner[I], a positive multiple of the recursive
@@ -181,7 +183,9 @@ def _shrink_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
     def candidate(eps: Fraction) -> MultiVector:
         return wedge_all([w2 * eps + w3, first * (-eps * eps) + w3, *later])
 
-    return _search(cfg, candidate)
+    bound = prod(map(_l1, [first, *later])) * (
+        _l1(w3) * w2._den + _l1(w2) * w3._den)
+    return _search(bound, candidate)
 
 
 def _least_omitted_index(mv: MultiVector) -> int:
@@ -206,22 +210,22 @@ def extend_nonneg(mv: MultiVector) -> MultiVector:
     return normalize(wedge(MultiVector.basis(mv.n, (j,)), mv) * sign)
 
 
-def extend_positive(
-    mv: MultiVector, cfg: EpsilonSearch = EpsilonSearch()
-) -> MultiVector:
+def extend_positive(mv: MultiVector) -> MultiVector:
     """Strictly positive grade-(k+1) element containing ``mv``.
 
     Induction on the ambient dimension: the part of ``mv`` away from index 1
     is positive one dimension down; a recursively extended witness supplies a
     direction v with v ^ omega_2 positive, and (e_1 + eps*v) ^ mv works for
     small eps.  That candidate is e_1 ^ mv + eps * (v ^ mv): a relabel and
-    one wedge, made once, and one integer combination per eps.
+    one wedge, made once, and one integer combination per eps.  Over the
+    denominators d_v of v and d of mv it is d_v (e_1 ^ M) + eps (V ^ M), so
+    ``_search`` halves eps within the bound max |V ^ M|.
     """
     require_chamber_vector(mv, positive=True)
-    return _extend_positive(mv, cfg)
+    return _extend_positive(mv)
 
 
-def _extend_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
+def _extend_positive(mv: MultiVector) -> MultiVector:
     """``extend_positive`` of a positive ``mv``, unchecked: its recursion
     hands on only positive elements."""
     n, k = mv.n, mv.k
@@ -237,7 +241,7 @@ def _extend_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
         mv._den, known,
     )
     away_small = normalize(away.shift(-1))
-    bigger = _extend_positive(away_small, cfg).shift(+1, n=n)
+    bigger = _extend_positive(away_small).shift(+1, n=n)
 
     u = _completion_row(plane_vectors(bigger), away)
     v = u / _proportionality(u, away, bigger)  # v ^ away = bigger
@@ -253,4 +257,4 @@ def _extend_positive(mv: MultiVector, cfg: EpsilonSearch) -> MultiVector:
             scale * mv._den, known,
         )
 
-    return _search(cfg, candidate)
+    return _search(max(map(abs, moved.values())), candidate)

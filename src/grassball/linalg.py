@@ -23,6 +23,14 @@ Matrix = list
 _EXACT = (int, Fraction)
 
 
+def _ratio(value) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int, a ``Fraction`` or anything
+    ``Fraction`` accepts."""
+    if type(value) not in _EXACT:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def integer_row(row: Sequence) -> tuple[list[int], int, int]:
     """(integer row, lcm of denominators, content): row == ints * content / lcm.
 

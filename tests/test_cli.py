@@ -1,7 +1,6 @@
 """Command-line front end: formats, exit codes, determinism."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -64,17 +63,16 @@ def test_shrink_and_extend_flags(tmp_path, capsys):
     assert eta["k"] == 1 and all(
         not v.startswith("-") for v in eta["coeffs"].values()
     )
-    assert main(["extend", mv, "--positive", "--epsilon-initial", "1/4"]) == 0
+    assert main(["extend", mv, "--positive"]) == 0
     out = read_json(capsys)
     assert out["k"] == 3 and len(out["coeffs"]) == 4
     # one handler serves both subcommands, each with its own two lemmas
     rho = MultiVector.from_json_dict(VANDERMONDE)
-    cfg = lemmas.EpsilonSearch(initial=Fraction(1, 2), max_iterations=64)
     cases = [
         (["shrink", mv], lemmas.shrink_nonneg(rho)),
-        (["shrink", mv, "--positive"], lemmas.shrink_positive(rho, cfg)),
+        (["shrink", mv, "--positive"], lemmas.shrink_positive(rho)),
         (["extend", mv], lemmas.extend_nonneg(rho)),
-        (["extend", mv, "--positive"], lemmas.extend_positive(rho, cfg)),
+        (["extend", mv, "--positive"], lemmas.extend_positive(rho)),
     ]
     for argv, want in cases:
         assert main(argv) == 0
@@ -244,6 +242,29 @@ def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):
         })
         assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
         assert "invalid input" in capsys.readouterr().err, name
+
+
+def test_points_of_the_wrong_length_and_boolean_coords_exit_two(
+        tmp_path, capsys):
+    spec = write(tmp_path, "spec.json", {
+        "base_dim": 2, "fiber_dim": 1, "normals": [["1"], ["-1"]],
+        "grid_shape": [2, 2],
+        "offsets": [[["1", "1"], ["1", "1"]], [["1", "1"], ["1", "1"]]],
+    })
+    for name, pts in {"short": [[0.1, 0]],
+                      "long": [[0.1, 0, 0.2, 0, 0]]}.items():
+        points = write(tmp_path, f"{name}.json", pts)
+        assert main(["convexoid-map", "--spec", spec, "--points", points]) == 2
+        assert "takes 3" in capsys.readouterr().err, name
+    points = write(tmp_path, "pts.json", [[0.1, 0, 0.2]])
+    assert main(["convexoid-map", "--spec", spec, "--points", points]) == 0
+    capsys.readouterr()
+    # JSON true and false are ints to isinstance, never coordinates
+    chart = write(tmp_path, "c.json", {"coords": [True, False, 0, 0]})
+    assert main(["chart-inverse", chart, "--k", "2", "--n", "4"]) == 2
+    assert "coords are numbers" in capsys.readouterr().err
+    chart = write(tmp_path, "c.json", {"coords": [0, 0, 0, 0]})
+    assert main(["chart-inverse", chart, "--k", "2", "--n", "4"]) == 0
 
 
 def test_roundtrip_refuses_an_unsupported_chart(capsys):

@@ -491,6 +491,20 @@ def test_half_ball_domain_errors():
         from_half_ball(spec, (0.8, 0.8))  # norm > 1
 
 
+def test_half_ball_maps_refuse_points_of_the_wrong_length():
+    # a short point once lost its fiber part, and a long one was cut to
+    # length, both mapped as if they were some other point
+    spec = ConvexoidSpec(2, 1, lambda p: interval(-1, 1))
+    hb = HalfBallMap(spec)
+    for point in ([0.1, 0.0], [0.1, 0.0, 0.2, 0.0, 0.0]):
+        for run in (hb.forward, hb.inverse,
+                    functools.partial(to_half_ball, spec),
+                    functools.partial(from_half_ball, spec)):
+            with pytest.raises(DomainError, match="takes 3"):
+                run(point)
+    assert len(hb.inverse(hb.forward([0.1, 0.0, 0.2]))) == 3
+
+
 def random_convexoid(rng):
     """Base dims <= 2, fiber dims <= 2, affine-in-base interval fibers."""
     nb = rng.randint(1, 2)

@@ -17,9 +17,9 @@ from grassball.exterior import (
 )
 from grassball.lemmas import (
     EpsilonExhausted,
-    EpsilonSearch,
     _completion_row,
     _proportionality,
+    _search,
     extend_nonneg,
     extend_positive,
     shrink_nonneg,
@@ -142,10 +142,9 @@ def test_shrink_positive_factor_identity_grade_three():
 @pytest.mark.parametrize("k,n", SPACES)
 def test_shrink_positive_random(k, n):
     rng = random.Random(100 + k + 10 * n)
-    cfg = EpsilonSearch(max_iterations=20)
     for _ in range(60):
         point = random_positive_point(rng, k, n)
-        eta = shrink_positive(point.rho, cfg)
+        eta = shrink_positive(point.rho)
         assert_shrink_post(eta, point.rho, positive=True)
 
 
@@ -155,22 +154,34 @@ def test_shrink_positive_deterministic():
     assert shrink_positive(point.rho) == shrink_positive(point.rho)
 
 
-def test_epsilon_exhausted_on_tiny_budget():
+@pytest.mark.parametrize("power", [20, 30, 60])
+def test_skewed_inputs_halve_as_far_as_their_integers_need(power):
+    # the shrink candidate first turns positive near eps = 10^-power, past
+    # 2^-64 for every power here, where a fixed budget of 64 halvings ended
     skewed = normalize(
-        plucker_of_matrix(PlaneMatrix([[1, 10, 1, 1], [0, 1, 2, 3]]))
+        plucker_of_matrix(PlaneMatrix([[1, 10**power, 1, 1], [0, 1, 2, 3]]))
     )
     assert classify_sign(skewed) is SignClass.POSITIVE
-    with pytest.raises(EpsilonExhausted):
-        shrink_positive(skewed, EpsilonSearch(max_iterations=2))
-    eta = shrink_positive(skewed)  # default budget succeeds
+    eta = shrink_positive(skewed)
     assert_shrink_post(eta, skewed, positive=True)
+    assert eta == reference_shrink_positive(skewed)
+    eta = extend_positive(skewed)
+    assert_extend_post(eta, skewed, positive=True)
+    assert eta == reference_extend_positive(skewed)
 
 
-def test_epsilon_search_validation():
-    with pytest.raises(ValueError):
-        EpsilonSearch(initial=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        EpsilonSearch(max_iterations=0)
+def test_epsilon_exhausted_when_no_candidate_can_become_positive():
+    # e_1 - eps e_2: its e_2 polynomial has lowest coefficient -1, so no eps
+    # works, and the search stops after bound.bit_length() tries
+    tried = []
+
+    def candidate(eps):
+        tried.append(eps)
+        return MultiVector.from_vector([1, -eps])
+
+    with pytest.raises(EpsilonExhausted):
+        _search(5, candidate)
+    assert tried == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
 
 # -- extend_nonneg ---------------------------------------------------------------
@@ -215,10 +226,9 @@ def test_extend_positive_worked_example():
 @pytest.mark.parametrize("k,n", SPACES)
 def test_extend_positive_random(k, n):
     rng = random.Random(200 + k + 10 * n)
-    cfg = EpsilonSearch(max_iterations=20)
     for _ in range(60):
         point = random_positive_point(rng, k, n)
-        eta = extend_positive(point.rho, cfg)
+        eta = extend_positive(point.rho)
         assert_extend_post(eta, point.rho, positive=True)
 
 
@@ -278,11 +288,17 @@ def reference_proportionality(a, b):
     return a.coefficient(key) / b.coefficient(key)
 
 
-def reference_search(cfg, candidate):
-    for eps in cfg.values():
+# long enough for the skewed inputs above: their shrinks stop near 2^-200
+REFERENCE_HALVINGS = 256
+
+
+def reference_search(candidate):
+    eps = Fraction(1, 2)
+    for _ in range(REFERENCE_HALVINGS):
         result = candidate(eps)
         if classify_sign(result) is SignClass.POSITIVE:
             return normalize(result)
+        eps /= 2
     raise EpsilonExhausted("no positive candidate")
 
 
@@ -293,7 +309,7 @@ def reference_shrink_nonneg(mv):
     return normalize(wedge_all([MultiVector.from_vector(r) for r in rows[1:]]))
 
 
-def reference_shrink_positive(mv, cfg=EpsilonSearch()):
+def reference_shrink_positive(mv):
     n, k = mv.n, mv.k
     if k == 1:
         return MultiVector.scalar(n, 1)
@@ -301,9 +317,9 @@ def reference_shrink_positive(mv, cfg=EpsilonSearch()):
     first = MultiVector.from_vector(rows[0])
     tail = [MultiVector.from_vector(r) for r in rows[1:]]
     if k == 2:
-        return reference_search(cfg, lambda eps: first * eps + tail[0])
+        return reference_search(lambda eps: first * eps + tail[0])
     tail_wedge = normalize(wedge_all(tail))
-    inner = reference_shrink_positive(tail_wedge.shift(-1), cfg).shift(+1, n=n)
+    inner = reference_shrink_positive(tail_wedge.shift(-1)).shift(+1, n=n)
     tail_plane = spanning_vectors(tail_wedge).rows
     w_rest = [list(r) for r in spanning_vectors(inner).rows]
     rest_wedge = wedge_all([MultiVector.from_vector(r) for r in w_rest])
@@ -324,10 +340,10 @@ def reference_shrink_positive(mv, cfg=EpsilonSearch()):
             [w2_mv * eps + w3_mv, first * (-eps * eps) + w3_mv] + later
         )
 
-    return reference_search(cfg, candidate)
+    return reference_search(candidate)
 
 
-def reference_extend_positive(mv, cfg=EpsilonSearch()):
+def reference_extend_positive(mv):
     n, k = mv.n, mv.k
     if n == k + 1:
         return MultiVector.basis(n, range(1, n + 1))
@@ -335,7 +351,7 @@ def reference_extend_positive(mv, cfg=EpsilonSearch()):
         key: c for key, c in mv.coeffs.items() if 1 not in key
     })
     bigger = reference_extend_positive(
-        normalize(away.shift(-1)), cfg
+        normalize(away.shift(-1))
     ).shift(+1, n=n)
     away_plane = spanning_vectors(away).rows
     row = reference_completion_row(
@@ -344,7 +360,7 @@ def reference_extend_positive(mv, cfg=EpsilonSearch()):
     u = MultiVector.from_vector(row)
     v = u / reference_proportionality(wedge(u, away), bigger)
     e1 = MultiVector.basis(n, (1,))
-    return reference_search(cfg, lambda eps: wedge(e1 + v * eps, mv))
+    return reference_search(lambda eps: wedge(e1 + v * eps, mv))
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
