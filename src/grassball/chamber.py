@@ -496,8 +496,9 @@ class _SimplexChart:
     c_i = d_1 + ... + d_i in the basis e_i - e_(i+1) of the sum-zero
     hyperplane, and each ray is rescaled so that the sup norm of c matches
     the simplex gauge -count min(d).  Used at every recursion leaf (grade 1
-    and corank 1, where every nonnegative normalized element is
-    decomposable).
+    and corank <= 1, where every nonnegative normalized element is
+    decomposable).  The point chamber (corank 0) has one value, 1, and maps
+    to the point of the cube [-1, 1]^0.
     """
 
     def __init__(self, n: int, k: int):
@@ -513,7 +514,7 @@ class _SimplexChart:
         ints, den = integer_coeffs(point.rho)
         offsets = [self.count * ints.get(key, 0) - den for key in self.subsets]
         sums = list(accumulate(offsets[:-1]))
-        top = max(map(abs, sums))
+        top = max(map(abs, sums), default=0)
         if not top:
             return (Fraction(0),) * len(sums)
         low = -min(offsets)
@@ -664,7 +665,7 @@ class _Side:
 class BallChart:
     """Chart of the nonnegative (k, n) chamber onto the ball.
 
-    Grade 1 and corank 1 are simplex leaves; a chart whose fibers, of
+    Grade 1 and corank <= 1 are simplex leaves; a chart whose fibers, of
     dimension k - 1 and n - k - 1, exceed ``convexoid.MAX_FIBER_DIM`` is
     refused here, before any recursion.  Otherwise the chamber splits
     into the two fibered halves (``_Side``), each half becomes a convexoid
@@ -681,15 +682,15 @@ class BallChart:
         self.dim = k * (n - k)
         self._simplex = None
         self._glued = None
-        if k == 1 or k == n - 1:
+        if k == 1 or k >= n - 1:
             self._simplex = _SimplexChart(n, k)
-        elif k != n:
-            if max(k - 1, n - k - 1) > MAX_FIBER_DIM:
-                raise ValidationError(
-                    f"no chart for grade {k} in dimension {n}: its fibers "
-                    f"have dimension {k - 1} and {n - k - 1}, and fibers of "
-                    f"dimension above {MAX_FIBER_DIM} are not supported"
-                )
+        elif max(k - 1, n - k - 1) > MAX_FIBER_DIM:
+            raise ValidationError(
+                f"no chart for grade {k} in dimension {n}: its fibers "
+                f"have dimension {k - 1} and {n - k - 1}, and fibers of "
+                f"dimension above {MAX_FIBER_DIM} are not supported"
+            )
+        else:
             self._e = _Side("E", n, get_chart(k, n - 1), EFiberFrame, k - 1,
                             -1)
             self._f = _Side("F", n, get_chart(k - 1, n - 1), FFiberFrame,
@@ -734,8 +735,6 @@ class BallChart:
     def forward(self, point: ChamberPoint) -> ChartPoint:
         if point.n != self.n or point.k != self.k:
             raise ValidationError("point belongs to a different chamber")
-        if self.dim == 0:
-            return ChartPoint(())
         return ChartPoint(regauge(self._cube_of(point), sup_gauge, norm_gauge))
 
     def _cube_of(self, point: ChamberPoint) -> tuple[Fraction, ...]:
@@ -757,10 +756,6 @@ class BallChart:
             raise DomainError(f"chart point has norm {norm} > 1")
         if norm > 1:
             coords = tuple(c / norm for c in coords)
-        if self.dim == 0:
-            return ChamberPoint(
-                MultiVector.basis(self.n, range(1, self.n + 1))
-            )
         cube = regauge(coords, norm_gauge, sup_gauge)
         return self._point_of_cube(rationalize_point(cube))
 

@@ -122,14 +122,19 @@ class GluingError(ValueError):
 
 
 def rationalize(value) -> Fraction:
-    """Exact value for rationals; bounded-denominator rational for floats."""
+    """Exact value for ints and ``Fraction``s; anything else, such as a
+    float, a numpy float of any width or a ``Decimal``, rounded by ``_limit``
+    from its exact ratio.  A value with no ``as_integer_ratio``, such as a
+    numpy integer or a string, reads its ratio off ``Fraction``."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(*_limit(*value.as_integer_ratio()))
-    return Fraction(value).limit_denominator(RATIONALIZE_DEN)
+    try:
+        ratio = value.as_integer_ratio()
+    except AttributeError:
+        ratio = Fraction(value).as_integer_ratio()
+    return Fraction(*_limit(*ratio))
 
 
 def _limit(num: int, den: int) -> tuple[int, int]:

@@ -535,10 +535,13 @@ def classify_sign(mv: MultiVector) -> SignClass:
 
 
 def complement(mv: MultiVector) -> MultiVector:
-    """Send every e_A to e_{A complement}; preserves the coefficient multiset."""
+    """Send every e_A to e_{A complement}; preserves the coefficient multiset.
+
+    For a decomposable element this is the Q-complement of its plane up to
+    scale (``plucker.q_orthocomplement`` says why the sign is global)."""
     everything = range(1, mv.n + 1)
     out = {
-        tuple(i for i in everything if i not in set(key)): c
+        tuple(i for i in everything if i not in key): c
         for key, c in mv._ints.items()
     }
     return MultiVector._of_ints(mv.n, mv.n - mv.k, out, mv._den)

@@ -9,13 +9,19 @@ candidate's own integers requires (``_search``).
 
 Every witness is a wedge of vectors by construction, so it carries the
 decomposable mark of ``exterior`` and ``plucker`` reads its plane with no
-decomposability product.  The searches wedge as little as they can: an
-extend candidate (e_1 + eps v) ^ omega is e_1 ^ omega + eps (v ^ omega), an
-integer combination of a relabel and one wedge made once per search; a
-completion row is tested by substituting it into the integer RREF rows of
-the element it completes (``plucker.contains``); and a sign or scale that
-needs one coefficient of u ^ w reads it by a Laplace expansion along u, with
-no wedge built.
+decomposability product.  The searches wedge as little as they can.  The
+contained plane a shrink starts from, the wedge of the plane's RREF rows
+after the first, is a relabel: ``mv`` contracted by e_j, j the least index
+in its support, keeps the keys that hold j and drops j from them, and over
+the integer coefficients c of ``mv`` the wedge of the integer RREF rows
+(the RREF times p = c[I], I the first key) after the first is p^(k-2)
+times that contraction (``_contract_least``).  An extend candidate
+(e_1 + eps v) ^ omega is e_1 ^ omega + eps (v ^ omega), an integer
+combination of a relabel and one wedge made once per search; a completion
+row is tested by substituting it into the integer RREF rows of the element
+it completes (``plucker.contains``); and a sign or scale that needs one
+coefficient of u ^ w reads it by a Laplace expansion along u, with no wedge
+built.
 """
 
 from __future__ import annotations
@@ -81,19 +87,37 @@ def _search(bound: int, candidate) -> MultiVector:
     )
 
 
+def _contract_least(mv: MultiVector) -> MultiVector:
+    """mv contracted by e_j, j the least index in its support: the keys that
+    hold j, with j dropped and no sign, since j comes first in each of them.
+
+    With p = mv[I] on the first key I and r_1, ..., r_k the RREF rows of
+    mv's plane, r_1 reads 1 at column j and the other rows 0 there, so
+    contracting r_1 ^ R by e_j gives R = r_2 ^ ... ^ r_k; and r_1 ^ R is
+    mv / p.  So the result is p R, a multiple of a wedge of vectors, and
+    carries the decomposable mark.
+    """
+    j = min(mv._ints)[0]
+    return MultiVector._of_ints(
+        mv.n, mv.k - 1,
+        {key[1:]: c for key, c in mv._ints.items() if key[0] == j},
+        mv._den, True,
+    )
+
+
 def shrink_nonneg(mv: MultiVector) -> MultiVector:
     """Nonnegative nonzero grade-(k-1) element contained in ``mv``.
 
     Row-reduce the plane so the first spanning vector is e_j plus higher
-    columns (j the least index in the support); dropping it leaves a
-    nonnegative wedge of the remaining rows.
+    columns (j the least index in the support); the wedge of the remaining
+    rows is nonnegative and lies in the plane.  It is read off the
+    coordinates, normalized: mv contracted by e_j is mv[I] times that wedge
+    (``_contract_least``), I the first key, and mv[I] > 0.
     """
     require_chamber_vector(mv)
     if mv.k < 1:
         raise ValueError("cannot shrink a grade-0 element")
-    if mv.k == 1:
-        return MultiVector.scalar(mv.n, 1)
-    return normalize(wedge_all(plane_vectors(mv)[1:]))
+    return normalize(_contract_least(mv))
 
 
 def _all_hyperplane_vector(n: int) -> MultiVector:
@@ -168,8 +192,9 @@ def _shrink_positive(mv: MultiVector) -> MultiVector:
         return _search(_l1(first) * tail[0]._den,
                        lambda eps: first * eps + tail[0])
 
-    # Tail wedge is positive away from index 1; recurse in R^(n-1).
-    tail_wedge = normalize(wedge_all(tail))
+    # mv contracted by e_1, a positive multiple of the wedge of the tail
+    # rows, is positive away from index 1; recurse in R^(n-1).
+    tail_wedge = _contract_least(mv)
     inner = _shrink_positive(tail_wedge.shift(-1)).shift(+1, n=n)
 
     # The rows of inner's RREF have minor 1 on their pivot columns I, so

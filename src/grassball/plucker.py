@@ -22,13 +22,11 @@ elimination.  An element that carries the decomposable mark of ``exterior``
 all.  Minors are wedges too: ``plucker_of_matrix`` is the wedge of the
 integer rows of the matrix, so it carries the mark.
 
-Every basis built on a plane comes from those integer rows over p, with no
-``Fraction`` row and no solve: ``plane_vectors`` is the rows over p as
-grade-1 elements, for the witnesses of ``lemmas``, and
-``complement_vectors`` reads the kernel of the RREF off them, one element
-(p e_f - sum_r rows[r][f] e_(i_r)) / p per non-pivot column f.  The
-Q-complement is the wedge of that kernel basis with its even coordinates
-negated.
+``plane_vectors`` is those integer rows over p as grade-1 elements, for
+the witnesses of ``lemmas``, with no ``Fraction`` row and no solve.  The
+Q-complement needs no basis at all: it is the relabel e_J -> e_([n] without
+J) of the coordinates (``exterior.complement``), up to a sign that
+``canonical_scale`` divides out.
 """
 
 from __future__ import annotations
@@ -45,6 +43,7 @@ from .exterior import (
     MultiVector,
     SignClass,
     classify_sign,
+    complement,
     integer_coeffs,
     wedge_all,
     wedge_ints,
@@ -58,7 +57,6 @@ __all__ = [
     "is_decomposable",
     "spanning_vectors",
     "plane_vectors",
-    "complement_vectors",
     "contains",
     "q_orthocomplement",
     "canonical_scale",
@@ -279,26 +277,6 @@ def plane_vectors(mv: MultiVector) -> list[MultiVector]:
     ]
 
 
-def complement_vectors(mv: MultiVector) -> list[MultiVector]:
-    """Basis of the orthogonal complement of the plane of mv, read off its RREF.
-
-    For each non-pivot column f, ascending, the vector is
-    e_f - sum_r rows[r][f] / p * e_(i_r), built as the integer map p at f
-    and -rows[r][f] at each pivot i_r over p: it has 1 in the one free
-    column f and solves every row, which is ``linalg.kernel_basis`` of the
-    spanning rows.  A nonzero scalar spans the zero plane, whose complement
-    is every e_j.
-    """
-    rows, p = _plane(mv)
-    pivots = min(integer_coeffs(mv)[0])
-    return [
-        MultiVector._of_ints(mv.n, 1, {(f,): p} | {
-            (i,): -row[f - 1] for i, row in zip(pivots, rows) if row[f - 1]
-        }, p)
-        for f in range(1, mv.n + 1) if f not in pivots
-    ]
-
-
 def contains(lower: MultiVector, upper: MultiVector) -> bool:
     """True iff the plane of ``lower`` is a subspace of the plane of ``upper``.
 
@@ -353,19 +331,22 @@ def q_orthocomplement(mv: MultiVector) -> MultiVector:
 
     Q on R^n is the diagonal form with entries (+1, -1, +1, ...); the induced
     map on planes reverses inclusions.  x is Q-orthogonal to the plane
-    exactly when x with its even coordinates negated is orthogonal to it, so
-    the complement is spanned by ``complement_vectors`` with their even
-    coordinates negated; ``canonical_scale`` makes the wedge of that basis
-    independent of the basis.  The complement of the zero plane (a nonzero
-    scalar) is all of R^n.
+    exactly when x with its even coordinates negated is orthogonal to it.
+    With e(S) the number of even indices in S and J^c = [n] without J, the
+    orthogonal complement of a plane with coordinates p_J has the
+    coordinate eps(J) p_J at J^c, eps(J) = (-1)^(sum J - k(k+1)/2) the sign
+    of the permutation (J, J^c) (the Hodge star), and negating the even
+    coordinates multiplies that by (-1)^e(J^c), e(J^c) = e([n]) - e(J).
+    sum J has the parity of k - e(J), so the product sign is
+    (-1)^(e([n]) + k - k(k+1)/2), the same for every J: the Q-complement is
+    ``exterior.complement(mv)``, the relabel e_J -> e_(J^c), up to a global
+    scale, which ``canonical_scale`` removes.  The complement of the zero
+    plane (a nonzero scalar) is all of R^n.
     """
     if mv.k >= mv.n:
         raise GradeError("the Q-complement of a full plane is the zero plane")
-    ints, den = integer_coeffs(wedge_all(complement_vectors(mv)))
-    # negating a factor's even coordinates negates e_A once per even i in A
-    flipped = {key: (-1) ** sum(1 - i % 2 for i in key) * c
-               for key, c in ints.items()}
-    return canonical_scale(MultiVector._of_ints(mv.n, mv.n - mv.k, flipped, den))
+    _plane(mv)  # the zero element and an element with no plane raise here
+    return canonical_scale(complement(mv))
 
 
 def require_chamber_vector(mv: MultiVector, *, positive: bool = False) -> None:

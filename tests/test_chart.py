@@ -84,11 +84,14 @@ def test_simplex_boundary_maps_to_sphere_exactly():
             assert abs(norm - 1) < 1e-12
 
 
-def test_top_grade_chart_is_trivial():
-    chart = get_chart(3, 3)
-    point = ChamberPoint(MultiVector.basis(3, (1, 2, 3)))
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_top_grade_chart_is_trivial(n):
+    chart = get_chart(n, n)
+    point = ChamberPoint(MultiVector.basis(n, range(1, n + 1)))
     assert chart.forward(point).coords == ()
     assert chart.inverse(()).rho == point.rho
+    with pytest.raises(ValidationError, match="dimension 1, expected 0"):
+        chart.inverse((0.0,))
 
 
 # -- recursive chart -------------------------------------------------------------

@@ -481,6 +481,19 @@ def test_half_ball_center_fixed_point():
     assert from_half_ball(spec, np.zeros(2)) == (0.0, 0.0)
 
 
+def test_half_ball_maps_take_float32_points():
+    spec = square_spec()
+    for x in ([0.3, -0.7], [1.0, 0.1], [0.05, 0.9], [0.0, 0.0]):
+        x32 = np.array(x, dtype=np.float32)
+        image = to_half_ball(spec, x32)
+        assert np.array_equal(image, to_half_ball(spec, x32.astype(np.float64)))
+        back = from_half_ball(spec, image)
+        assert max(abs(a - float(b)) for a, b in zip(back, x32)) < 1e-12
+        if np.linalg.norm(image) < 0.99:  # float32 can round out of the ball
+            back = from_half_ball(spec, image.astype(np.float32))
+            assert max(abs(a - float(b)) for a, b in zip(back, x32)) < 1e-6
+
+
 def test_half_ball_domain_errors():
     spec = square_spec()
     with pytest.raises(DomainError):
@@ -1669,12 +1682,26 @@ def test_rationalize_floats_match_limit_denominator():
             rationalize_outcome(stdlib_rationalize, v)
     assert rationalize_outcome(rationalize, float("nan")) == "ValueError"
     assert rationalize_outcome(rationalize, float("inf")) == "OverflowError"
-    # inputs that are not floats keep the Fraction path
-    for v in (decimal.Decimal("0.1234567890123456789"),
-              "0.3333333333333333333", np.float32(0.1)):
+    # Decimals and strings round as the stdlib rounds them
+    rng = random.Random(93)
+    decimals = [decimal.Decimal("0.1234567890123456789"),
+                decimal.Decimal("NaN"), decimal.Decimal("-Infinity")]
+    decimals += [decimal.Decimal(f"{rng.randint(-10**25, 10**25)}"
+                                 f"e-{rng.randint(0, 40)}") for _ in range(500)]
+    for v in decimals + ["0.3333333333333333333", "-7/3"]:
         assert rationalize_outcome(rationalize, v) == \
             rationalize_outcome(stdlib_rationalize, v)
+    # numpy floats of other widths, which Fraction refuses, round as their
+    # exact float64 values
+    narrow = [np.float32(0.1), np.float32("nan"), np.float32("-inf"),
+              np.float16(0.3), np.float32(1e-30)]
+    narrow += [np.float32(rng.gauss(0, 1) * 10.0 ** rng.randint(-12, 12))
+               for _ in range(500)]
+    for v in narrow:
+        assert rationalize_outcome(rationalize, v) == \
+            rationalize_outcome(stdlib_rationalize, float(v))
     assert rationalize(F(7, 3)) == F(7, 3) and rationalize(5) == F(5)
+    assert rationalize(np.int64(-4)) == F(-4)
 
 
 @pytest.mark.parametrize("den", [1, 2, 3, 10, 1000])

@@ -27,7 +27,6 @@ from grassball.lemmas import (
 )
 from grassball.plucker import (
     PlaneMatrix,
-    canonical_scale,
     contains,
     is_decomposable,
     plucker_of_matrix,
@@ -255,12 +254,8 @@ def test_duality_dual_shrink_gives_extension_witness():
     rng = random.Random(13)
     for _ in range(15):
         point = random_positive_point(rng, 2, 4)
-        dual = canonical_scale(q_orthocomplement(point.rho))
-        if classify_sign(dual) is not SignClass.POSITIVE:
-            dual = canonical_scale(-dual)
-        if classify_sign(dual) is not SignClass.POSITIVE:
-            continue  # empirical positivity failed; covered by plucker report
-        smaller = shrink_positive(normalize(dual))
+        dual = q_orthocomplement(point.rho)
+        smaller = shrink_positive(dual)
         witness = q_orthocomplement(smaller)
         assert witness.k == point.rho.k + 1
         assert is_decomposable(witness)
@@ -455,8 +450,36 @@ def test_plane_rows_wedge_to_the_element_over_its_first_coefficient():
         assert wedge_all(plucker.plane_vectors(mv)) == mv / first
 
 
+def test_shrink_nonneg_of_a_marked_element_makes_no_wedge(monkeypatch):
+    """On normalized minors from ``plucker_of_matrix``, which carry the
+    decomposable mark, reading the plane makes no product, and the contained
+    plane is a contraction by e_j: no ``wedge_ints`` call.  Wedging the
+    plane's rows after the first made k - 2."""
+    rng = random.Random(463)
+    inputs = [normalize(plucker_of_matrix(random_positive_matrix(rng, k, n)))
+              for k, n in [(1, 4), (2, 5), (3, 7), (4, 8), (6, 8)]]
+    inputs.append(normalize(plucker_of_matrix(PlaneMatrix(
+        [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 2, 3]]))))
+    assert classify_sign(inputs[-1]) is SignClass.NONNEGATIVE
+    calls = 0
+    wedge_ints = exterior.wedge_ints
+
+    def counting(a, b, n):
+        nonlocal calls
+        calls += 1
+        return wedge_ints(a, b, n)
+
+    for module in (exterior, lemmas, plucker):
+        monkeypatch.setattr(module, "wedge_ints", counting)
+    shrunk = [shrink_nonneg(mv) for mv in inputs]
+    monkeypatch.undo()
+    assert calls == 0
+    for eta, mv in zip(shrunk, inputs):
+        assert_shrink_post(eta, mv, positive=False)
+
+
 # the counts of the guard below
-WEDGE_CAP = 247
+WEDGE_CAP = 207
 PRODUCT_CAP = 0
 
 
@@ -467,9 +490,11 @@ def test_witness_chains_wedge_little_and_prove_no_plane_again(monkeypatch):
     ``wedge_ints`` calls and at most PRODUCT_CAP decomposability products.
     A product is a run of ``plucker``'s wedges of plane rows; it starts
     with the wedge of two rows.  With the decomposable mark, one wedge per
-    extend search and the witness pieces read off plane rows and single
-    coefficients, the chains make 247 calls and no product.  Without them
-    they made 957 calls and 190 products; on the benchmark's exact_algebra
+    extend search, the witness pieces read off plane rows and single
+    coefficients and the shrink's tail wedge read off the coordinates as a
+    contraction by e_1, the chains make 207 calls and no product (247 when
+    the tail rows were wedged).  Without the mark and the single wedge they
+    made 957 calls and 190 products; on the benchmark's exact_algebra
     inputs that was 45.8 ``wedge_ints`` calls and 9.0 products per op."""
     calls = products = 0
     wedge_ints = exterior.wedge_ints

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from grassball import linalg
+from grassball import exterior, linalg, plucker
 from grassball.exterior import (
     DECOMPOSABLE,
     GradeError,
@@ -26,7 +26,6 @@ from grassball.plucker import (
     _plane,
     _plane_rows,
     canonical_scale,
-    complement_vectors,
     contains,
     is_decomposable,
     plane_vectors,
@@ -692,27 +691,45 @@ def test_q_ortho_reverses_containment():
         checked += 1
 
 
-def test_q_ortho_positivity_empirical_report():
-    """The complement map empirically respects positivity on these spaces.
-
-    Reported, not assumed: failures would print rather than abort the suite.
-    """
+def test_q_ortho_keeps_the_sign_class_and_the_coefficients():
+    """The Q-complement of a chamber point is in the dual chamber with no
+    sign fix: the relabel e_J -> e_(J^c) keeps the coefficient multiset, so
+    the normalized complement has exactly the point's coefficients."""
     rng = random.Random(9)
-    failures = []
-    for trial in range(200):
-        k, n = (2, 4) if trial % 2 else (2, 5)
-        mv = normalize(plucker_of_matrix(random_positive_matrix(rng, k, n)))
-        dual = canonical_scale(q_orthocomplement(mv))
-        sign = classify_sign(dual)
-        if sign is not SignClass.POSITIVE:
-            sign = classify_sign(canonical_scale(-dual))
-        if sign is not SignClass.POSITIVE:
-            failures.append((k, n, mv))
-    print(
-        f"[soft] q_orthocomplement positivity: {200 - len(failures)}/200 "
-        "positive after sign fix"
-    )
-    assert len(failures) in range(0, 201)  # recorded, never fatal
+    for k, n in [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6), (2, 7), (4, 8)]:
+        for _ in range(6):
+            for point in (random_positive_point(rng, k, n),
+                          random_nonneg_point(rng, k, n)):
+                mv = point.rho
+                dual = q_orthocomplement(mv)
+                assert classify_sign(dual) is classify_sign(mv)
+                assert classify_sign(dual) in (SignClass.POSITIVE,
+                                               SignClass.NONNEGATIVE)
+                assert sorted(dual.coeffs.values()) == sorted(
+                    mv.coeffs.values())
+
+
+def test_q_ortho_of_a_marked_element_makes_no_wedge(monkeypatch):
+    """On minors from ``plucker_of_matrix``, which carry the decomposable
+    mark, reading the plane makes no product, and the Q-complement is a
+    relabel: no ``wedge_ints`` call.  Wedging a kernel basis made n - k - 1."""
+    rng = random.Random(10)
+    inputs = [plucker_of_matrix(random_positive_matrix(rng, k, n))
+              for k, n in [(2, 5), (3, 5), (3, 7), (4, 8), (2, 8)]]
+    calls = 0
+    wedge_ints = exterior.wedge_ints
+
+    def counting(a, b, n):
+        nonlocal calls
+        calls += 1
+        return wedge_ints(a, b, n)
+
+    for module in (exterior, plucker):
+        monkeypatch.setattr(module, "wedge_ints", counting)
+    for mv in inputs:
+        assert plane_state(mv) is DECOMPOSABLE
+        assert q_orthocomplement(mv).k == mv.n - mv.k
+    assert calls == 0
 
 
 def test_q_ortho_grade_errors():
@@ -738,24 +755,14 @@ def test_plane_matrix_json_round_trip():
 
 
 # -- bases read off the integer rows, against the Fraction-row forms ----------------
-# ``plane_vectors``, ``complement_vectors`` and ``q_orthocomplement`` build
-# their vectors from the integer RREF rows.  The oracles below are the forms
-# they replace: ``from_vector`` of the ``Fraction`` rows, ``kernel_basis`` of
-# those rows, and the Q-complement through a kernel solve and an RREF.
+# ``plane_vectors`` builds its vectors from the integer RREF rows, and
+# ``q_orthocomplement`` relabels the coordinates.  The oracles below are the
+# forms they replace: ``from_vector`` of the ``Fraction`` rows, and the
+# Q-complement through a kernel solve and an RREF.
 
 
 def reference_plane_vectors(mv):
     return [MultiVector.from_vector(row) for row in spanning_vectors(mv).rows]
-
-
-def reference_complement_vectors(mv):
-    rows = spanning_vectors(mv).rows if mv.k else []
-    if mv.is_zero():
-        raise ValueError("the zero multivector has no well-defined plane")
-    return [
-        MultiVector.from_vector(vec)
-        for vec in linalg.kernel_basis(list(rows), mv.n)
-    ]
 
 
 def reference_q_orthocomplement(mv):
@@ -817,27 +824,6 @@ def test_plane_vectors_match_fraction_rows():
         )
     assert grades == {"0", "1", "n-1", "n"}
     assert outcomes == {list, DecomposabilityError, GradeError, ValueError}
-
-
-def test_complement_vectors_match_kernel_basis():
-    grades = set()
-    outcomes = set()
-    for mv in basis_cases():
-        outcomes.add(
-            same_outcome(complement_vectors, reference_complement_vectors, mv)
-        )
-        grades.update(
-            name for name, k in (("0", 0), ("1", 1), ("n-1", mv.n - 1),
-                                 ("n", mv.n)) if mv.k == k
-        )
-    assert grades == {"0", "1", "n-1", "n"}
-    assert outcomes == {list, DecomposabilityError, ValueError}
-    # grade 0 spans the zero plane, whose complement is every e_j; grade n
-    # spans everything, whose complement has no basis vector
-    assert complement_vectors(MultiVector.scalar(3, 5)) == [
-        MultiVector.basis(3, (j,)) for j in (1, 2, 3)
-    ]
-    assert complement_vectors(MultiVector.basis(3, (1, 2, 3)) * 2) == []
 
 
 def test_q_orthocomplement_matches_kernel_solve():
