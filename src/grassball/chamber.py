@@ -561,6 +561,11 @@ class _Side:
     point in the cube of ``base`` (the recursive chart of the base factor)
     and y the fiber element's centered point in the base element's frame.
 
+    ``coords`` reads a split triple's coordinates and ``triple_of_coords``
+    builds the triple back; these two are the side's one fiber path.
+    ``point_of_coords`` assembles that triple, and ``bottom_to`` hands it,
+    at t = 1/2, to the other side's ``coords``.
+
     The cube points a side hands to ``base`` and takes from it are rounded
     (``convexoid.limit_point``).  ``element_of_cube`` inverts ``base`` once
     per rounded point and caches the element in ``elements``, keyed by it.
@@ -591,7 +596,8 @@ class _Side:
 
     def cube_of_element(self, base_el: MultiVector) -> tuple[Fraction, ...]:
         # unchecked: base_el is a part of a valid split triple or a fiber
-        # element (see ``_assemble``), a chamber vector away from index 1
+        # element (see ``triple_of_coords``), a chamber vector away from
+        # index 1
         point = ChamberPoint._unchecked(base_el.shift(-1))
         return limit_point(self.base._cube_of(point))
 
@@ -614,25 +620,22 @@ class _Side:
         scaled = tuple((1 - tau) * v for v in y)
         return (tau, *self.cube_of_element(base_el), *scaled)
 
-    def _unpack(self, x):
-        """(tau, z, fiber part) of convexoid coordinates."""
-        return x[0], x[1 : 1 + self.base.dim], x[1 + self.base.dim :]
-
-    def point_of_coords(self, x) -> ChamberPoint:
-        # tau is in [0, 1]: x is a half-cube inverse, whose base point lies
-        # in the cube, and rounding keeps it there
-        tau, z, scaled = self._unpack(x)
-        base_el = self.element_of_cube(z)
+    def triple_of_coords(self, x) -> SplitTriple:
+        """The split triple of convexoid coordinates x, unchecked."""
+        # tau is in [0, 1]: x is a half-cube inverse or a bottom point,
+        # whose base point lies in the cube, and rounding keeps it there
+        tau = x[0]
+        base_el = self.element_of_cube(x[1 : 1 + self.base.dim])
         if 1 - tau < SLACK:
-            return self._assemble(Fraction(1 + self.sign, 2), base_el, None)
-        frame = self.frame(base_el)
-        y = nudge_into(
-            frame.centered_polytope, [v / (1 - tau) for v in scaled]
-        )
-        fiber_el = frame.element_of_centered(y)
-        return self._assemble((1 + self.sign * tau) / 2, base_el, fiber_el)
-
-    def _assemble(self, t, base_el, fiber_el) -> ChamberPoint:
+            t, fiber_el = Fraction(1 + self.sign, 2), None
+        else:
+            frame = self.frame(base_el)
+            y = nudge_into(
+                frame.centered_polytope,
+                [v / (1 - tau) for v in x[1 + self.base.dim :]],
+            )
+            t = (1 + self.sign * tau) / 2
+            fiber_el = frame.element_of_centered(y)
         # unchecked: t is in [0, 1], with the fiber element absent exactly
         # at t = (1 + sign) / 2; base_el is a base chart point moved off
         # index 1; the fiber element was nudged exactly into the slice
@@ -643,23 +646,16 @@ class _Side:
             self.frame_cls.base_part: base_el,
             self.frame_cls.fiber_part: fiber_el,
         }
-        return assemble(SplitTriple._unchecked(t, **parts))
+        return SplitTriple._unchecked(t, **parts)
+
+    def point_of_coords(self, x) -> ChamberPoint:
+        return assemble(self.triple_of_coords(x))
 
     def bottom_to(self, other: "_Side", x) -> tuple[Fraction, ...]:
-        """This side's bottom coordinates -> the other side's.
-
-        At t = 1/2 both elements are present; the base element here is the
-        fiber element there and the other way round.
-        """
-        _, z, y = self._unpack(x)
-        base_el = self.element_of_cube(z)
-        frame = self.frame(base_el)
-        fiber_el = frame.element_of_centered(
-            nudge_into(frame.centered_polytope, y)
-        )
-        z_other = other.cube_of_element(fiber_el)
-        y_other = other.frame(fiber_el).centered_point_of(base_el)
-        return (Fraction(0), *z_other, *y_other)
+        """This side's bottom coordinates -> the other side's, through the
+        split triple at t = 1/2, where both elements are present: the base
+        element here is the fiber element there and the other way round."""
+        return other.coords(self.triple_of_coords(x))
 
 
 class BallChart:

@@ -12,27 +12,29 @@ Polytope data is exact rational, held over integers: an ``HPolytope`` is
 integer rows over one positive denominator in lowest terms, and its
 vertices are cached as integer points over theirs.  Membership, the radial
 function, translation and scaling, vertex enumeration, the boundedness
-check, the centroid, the support function (cached per primitive integer
-direction), the join normals (primitive integer rows), the exit time and
-the joined radial function all compute on those integers and build one
-``Fraction`` per result; ``constraints`` and ``vertices`` are ``Fraction``
-views built when asked for.  Every centroid, of a full polytope or of a
-flat one in its own affine span, is one exact simplex fan over the integer
-vertices (``_fan_centroid``), except that of an interval: the midpoint of
-its two bounds, read off the rows, so that its vertices stay unenumerated
-until asked for.  No linear program runs: boundedness is an exact extreme-ray
-check on the integer normals, and the joined body (the union of segments
-from the bottom center's fiber to the fibers over the distinguished
-boundary) is never built as a polytope.  Its exit times and radial
-functions are closed forms in the support functions of the two fibers it
-joins, both read off one ``_JoinedBody`` that each map call builds once,
-and the half-cube maps divide by the exact exit time.  The maps
-center fibers with ``centroid`` and ``centered``, which cache on the
-polytope; ``translated`` and ``scaled`` carry the integer vertices and the
-centroid over, so a fiber centered once is never centered again; shifting
-by 0 and scaling by 1 return the polytope itself, caches and all.  Those
-copies keep the normals, already checked, so they are built unchecked; the
-public ``HPolytope`` constructor checks and converts every constraint.
+check, the centroid, the support function, the join normals (primitive
+integer rows), the exit time and the joined radial function all compute on
+those integers and build one ``Fraction`` per result; ``constraints`` and
+``vertices`` are ``Fraction`` views built when asked for.  Every centroid,
+of a full polytope or of a flat one in its own affine span, is one exact
+simplex fan over the integer vertices (``_fan_centroid``), except that of
+an interval: the midpoint of its two bounds, read off the rows, so that its
+vertices stay unenumerated until asked for.  No linear program runs:
+boundedness is an exact extreme-ray check on the integer normals, and the
+joined body (the union of segments from the bottom center's fiber to the
+fibers over the distinguished boundary) is never built as a polytope.  Its
+exit times and radial functions are closed forms in the support functions
+of the two fibers it joins, both read off one ``_JoinedBody`` that each map
+call builds once, reading each support value over the join normals once,
+and the half-cube maps divide by the exact exit time.  A polytope caches
+its own geometry only: its integer vertices, centroid, centered copy and
+edges, nothing keyed by a query direction or by another polytope.  The
+maps center fibers with ``centroid`` and ``centered``; ``translated`` and
+``scaled`` carry the integer vertices and the centroid over, so a fiber
+centered once is never centered again; shifting by 0 and scaling by 1
+return the polytope itself, caches and all.  Those copies keep the
+normals, already checked, so they are built unchecked; the public
+``HPolytope`` constructor checks and converts every constraint.
 
 ``HalfBallMap`` and ``GluedBallMap`` take and return rationals, each
 coordinate they return rounded to a denominator of at most
@@ -703,23 +705,18 @@ def radial(poly: HPolytope, y) -> Fraction:
 
 def _support(poly: HPolytope, row: tuple[int, ...]) -> tuple[int, int]:
     """Support function h(u) = max of u . v over the vertices, for u the
-    integer row ``row``, as (M, D) with h(u) = M / D, cached per row.
+    integer row ``row``, as (M, D) with h(u) = M / D.
 
-    With the integer vertices X / D (``_integer_vertices``), M is the max of
-    row . X.  The callers pass primitive rows: a positive multiple of u
-    scales h(u) by the same factor, and their closed forms are invariant
-    under it.
+    With the integer vertices X / D (``_integer_vertices``, cached on the
+    polytope), M is the max of row . X.  Nothing is cached per row: each
+    ``_JoinedBody`` reads the values it needs once.  The callers pass
+    primitive rows: a positive multiple of u scales h(u) by the same
+    factor, and their closed forms are invariant under it.
     """
-    table = poly._cache.get("support")
-    if table is None:
-        table = poly._cache["support"] = {}
     points, den = _integer_vertices(poly)
-    h = table.get(row)
-    if h is None:
-        if not points:
-            raise DegenerateError("empty polytope")
-        h = table[row] = max(sum(map(operator.mul, row, x)) for x in points)
-    return h, den
+    if not points:
+        raise DegenerateError("empty polytope")
+    return max(sum(map(operator.mul, row, x)) for x in points), den
 
 
 def _edge_directions(poly: HPolytope) -> list[tuple[int, ...]]:
@@ -753,7 +750,7 @@ def _edge_directions(poly: HPolytope) -> list[tuple[int, ...]]:
 def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
     """Directions u, as primitive integer rows, whose inequalities
     u . y <= (1 - s) h0(u) + s h1(u) together cut out (1 - s) E0 + s E1 for
-    every s in [0, 1].
+    every s in [0, 1]; a fresh tuple per call, cached nowhere.
 
     A facet of a Minkowski sum is a sum of faces of the summands, so its
     normal is a facet normal of E0 or of E1 or, in dimension 3, normal to an
@@ -761,28 +758,23 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
     valid inequality, so extra directions cost time, not exactness.  With no
     E1 (a ray inside the bottom center's fiber) only E0 counts.
     """
-    owner = e0 if e1 is None else e1
-    key = ("join normals", e0)
-    normals = owner._cache.get(key)
-    if normals is None:
-        if e0.dim > MAX_FIBER_DIM:
-            raise ValueError(
-                f"exit times implemented for fiber dimension <= {MAX_FIBER_DIM}"
-            )
-        polys = (e0,) if e1 is None else (e0, e1)
-        found = dict.fromkeys(
-            _primitive(row[:-1]) for poly in polys for row in poly._rows
+    if e0.dim > MAX_FIBER_DIM:
+        raise ValueError(
+            f"exit times implemented for fiber dimension <= {MAX_FIBER_DIM}"
         )
-        if e0.dim == 3 and e1 is not None:
-            for a in _edge_directions(e0):
-                for b in _edge_directions(e1):
-                    u = _cross(a, b)
-                    if any(u):
-                        u = _primitive(u)
-                        found[u] = None
-                        found[tuple(-x for x in u)] = None
-        normals = owner._cache[key] = tuple(found)
-    return normals
+    polys = (e0,) if e1 is None else (e0, e1)
+    found = dict.fromkeys(
+        _primitive(row[:-1]) for poly in polys for row in poly._rows
+    )
+    if e0.dim == 3 and e1 is not None:
+        for a in _edge_directions(e0):
+            for b in _edge_directions(e1):
+                u = _cross(a, b)
+                if any(u):
+                    u = _primitive(u)
+                    found[u] = None
+                    found[tuple(-x for x in u)] = None
+    return tuple(found)
 
 
 class _JoinedBody:
@@ -796,15 +788,25 @@ class _JoinedBody:
     cut out by the inequalities u . y <= (1 - s) h0(u) + s h1(u) for the
     join normals u (``_join_normals``), h0 and h1 the support functions of
     E0 and E1.  ``radial`` and ``exit_time`` are closed forms in h0 and h1
-    over those normals; the fibers are read once, through ``fiber_at``.
+    over those normals.  The fibers are read once, through ``fiber_at``,
+    and the support values once, here: ``terms`` holds one (u, M0, M1) per
+    join normal, with h0(u) = M0 / d0 and h1(u) = M1 / d1 over the fibers'
+    own denominators (M1 = 0 and d1 = 1 without E1).  The polytopes cache
+    their vertices, not these values.
     """
 
-    __slots__ = ("e0", "e1", "normals")
+    __slots__ = ("e0", "e1", "terms", "d0", "d1")
 
     def __init__(self, fiber_at: Callable, p):
         self.e0 = fiber_at((Fraction(0),) * len(p))
         self.e1 = fiber_at(radial_project_base(p)[0]) if any(p) else None
-        self.normals = _join_normals(self.e0, self.e1)
+        self.d0 = _integer_vertices(self.e0)[1]
+        self.d1 = 1 if self.e1 is None else _integer_vertices(self.e1)[1]
+        self.terms = tuple(
+            (u, _support(self.e0, u)[0],
+             0 if self.e1 is None else _support(self.e1, u)[0])
+            for u in _join_normals(self.e0, self.e1)
+        )
 
     def radial(self, s: Fraction, y) -> Fraction:
         """sup{l : l * y in the joined fiber at gauge s}, by support
@@ -815,18 +817,16 @@ class _JoinedBody:
         numerator and u . Y vary with u."""
         ints, den = _integer_vector(y)
         s_num, s_den = s.numerator, s.denominator
+        d0, d1 = self.d0, self.d1
         best = None
-        for u in self.normals:
+        for u, m0, m1 in self.terms:
             d = sum(map(operator.mul, u, ints))
             if d > 0:
-                m0, d0 = _support(self.e0, u)
-                m1, d1 = _support(self.e1, u)
                 num = (s_den - s_num) * m0 * d1 + s_num * m1 * d0
                 if best is None or num * best[1] < best[0] * d:
                     best = (num, d)
         if best is None:
             raise UnboundedError("joined fiber radial function undefined")
-        # D0 and D1 are the polytopes' own, the same for every u
         return Fraction(best[0] * den, best[1] * s_den * d0 * d1)
 
     def exit_time(self, ints, den: int) -> Fraction:
@@ -851,13 +851,12 @@ class _JoinedBody:
         nb = len(ints) - self.e0.dim
         gauge = base_gauge(ints[:nb])
         vf = ints[nb:]
+        d0, d1 = self.d0, self.d1
         best = (1, gauge) if gauge else None
-        for u in self.normals:
-            m0, d0 = _support(self.e0, u)
-            n, cap = sum(map(operator.mul, u, vf)) * d0, m0
-            if gauge:
-                m1, d1 = _support(self.e1, u)
-                n, cap = n * d1 - gauge * (m1 * d0 - m0 * d1), m0 * d1
+        for u, m0, m1 in self.terms:
+            n = (sum(map(operator.mul, u, vf)) * d0 * d1
+                 - gauge * (m1 * d0 - m0 * d1))
+            cap = m0 * d1
             if n > 0 and (best is None or cap * best[1] < best[0] * n):
                 best = (cap, n)
         if best is None or best[0] * den >= 2**80 * best[1]:

@@ -28,12 +28,13 @@ that ``plucker`` reads its plane without proving it a single wedge again.
 The mark is set only where the construction guarantees it: on a nonzero
 ``wedge_all`` of factors known to be decomposable, and on the results of
 operations that keep decomposability (nonzero scaling, negation,
-``normalize``, ``shift``, and the two index-1 parts that ``chamber.split``
-and ``lemmas.extend_positive`` take: the contraction by e_1 and the
-projection away from e_1).  Wedges formed without ``wedge_all`` get it
-under the same condition: e_1 ^ eta in ``chamber.assemble`` and the extend
-candidates (e_1 + eps v) ^ omega in ``lemmas``.  Sums, the public
-constructor, ``from_json`` and ``_of_ints`` on a caller's ints never set it.
+``normalize``, ``shift``, ``complement``, and the two index-1 parts that
+``chamber.split`` and ``lemmas.extend_positive`` take: the contraction by
+e_1 and the projection away from e_1).  Wedges formed without
+``wedge_all`` get it under the same condition: e_1 ^ eta in
+``chamber.assemble`` and the extend candidates (e_1 + eps v) ^ omega in
+``lemmas``.  Sums, the public constructor, ``from_json`` and ``_of_ints``
+on a caller's ints never set it.
 """
 
 from __future__ import annotations
@@ -94,12 +95,8 @@ def _check_index_set(elements: IndexSet, n: int, k: int) -> None:
 
 def _shuffle_sign(a: IndexSet, b: IndexSet) -> int:
     """Sign of the permutation merging two disjoint ascending tuples."""
-    inversions = 0
-    for x in a:
-        for y in b:
-            if x > y:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    inversions = sum(x > y for x in a for y in b)
+    return -1 if inversions & 1 else 1
 
 
 _set = object.__setattr__
@@ -131,9 +128,9 @@ class MultiVector:
     by ``wedge_all`` on a nonzero product whose factors are all known to be
     decomposable (by grade 0, 1, n - 1 or n, or by their ``_plane`` state),
     and carried by nonzero ``*`` and ``/`` by a scalar, negation,
-    ``normalize``, ``shift`` and the two index-1 parts (the module docstring
-    lists them).  ``plucker`` reads a marked element's rows without the
-    decomposability product.
+    ``normalize``, ``shift``, ``complement`` and the two index-1 parts (the
+    module docstring lists them).  ``plucker`` reads a marked element's rows
+    without the decomposability product.
     """
 
     __slots__ = ("n", "k", "_ints", "_den", "_plane")
@@ -416,9 +413,8 @@ def wedge_ints(a: Mapping[IndexSet, int], b: Mapping[IndexSet, int], n: int
             if not set(key_a).isdisjoint(key_b):
                 continue
             merged = tuple(sorted(key_a + key_b))
-            inversions = sum(x > y for x in key_a for y in key_b)
-            term = ca * cb
-            out[merged] = out.get(merged, 0) + (-term if inversions & 1 else term)
+            term = _shuffle_sign(key_a, key_b) * ca * cb
+            out[merged] = out.get(merged, 0) + term
     return {key: c for key, c in out.items() if c}
 
 
@@ -538,13 +534,15 @@ def complement(mv: MultiVector) -> MultiVector:
     """Send every e_A to e_{A complement}; preserves the coefficient multiset.
 
     For a decomposable element this is the Q-complement of its plane up to
-    scale (``plucker.q_orthocomplement`` says why the sign is global)."""
+    scale (``plucker.q_orthocomplement`` says why the sign is global), so
+    it is decomposable too, and the result keeps the decomposable mark."""
     everything = range(1, mv.n + 1)
     out = {
         tuple(i for i in everything if i not in key): c
         for key, c in mv._ints.items()
     }
-    return MultiVector._of_ints(mv.n, mv.n - mv.k, out, mv._den)
+    return MultiVector._of_ints(mv.n, mv.n - mv.k, out, mv._den,
+                                _known_decomposable(mv))
 
 
 def _complement_sign(key: IndexSet, n: int) -> int:

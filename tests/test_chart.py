@@ -388,6 +388,38 @@ def test_coordinate_points_reach_sphere_and_round_trip(k, n, key):
     assert roundtrip_error(chart, point) < 1e-6
 
 
+def _jump_from_e12(coeffs) -> float:
+    """Sup-norm distance between the G(2,4) images of the point with these
+    coefficients and of e{1,2}."""
+    chart = get_chart(2, 4)
+    home = chart.forward(ChamberPoint(MultiVector.basis(4, (1, 2)))).coords
+    moved = chart.forward(ChamberPoint(MultiVector(4, 2, coeffs))).coords
+    return max(abs(a - b) for a, b in zip(moved, home))
+
+
+CONTINUITY_EPS = [pytest.param(Fraction(1, 10**j), id=f"eps1e-{j}")
+                  for j in (3, 6, 9, 12)]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the F fiber over e2 depends on the direction of "
+                          "approach; the jump is 0.4806 at every eps")
+@pytest.mark.parametrize("eps", CONTINUITY_EPS)
+def test_g24_forward_is_continuous_at_e12_toward_e13_plus_e14(eps):
+    """(1 - eps) e{1,2} + (eps / 2)(e{1,3} + e{1,4}) maps within 10 eps of
+    the image of e{1,2}, as a continuous chart would."""
+    jump = _jump_from_e12(
+        {(1, 2): 1 - eps, (1, 3): eps / 2, (1, 4): eps / 2})
+    assert jump <= 10 * eps
+
+
+@pytest.mark.parametrize("eps", CONTINUITY_EPS)
+def test_g24_forward_is_continuous_at_e12_toward_e13(eps):
+    """Along e{1,3} alone the chart is continuous at e{1,2}: the jump is
+    about 0.39 eps (3.9e-4 at eps = 1e-3, 3.9e-13 at 1e-12)."""
+    assert _jump_from_e12({(1, 2): 1 - eps, (1, 3): eps}) <= 10 * eps
+
+
 # -- interface edges ---------------------------------------------------------------
 
 

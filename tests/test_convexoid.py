@@ -654,6 +654,45 @@ def test_each_half_ball_leg_reads_at_most_three_fibers(monkeypatch):
         assert len(reads) <= 3, (h, reads)
 
 
+OWN_GEOMETRY = {"integer vertices", "centroid", "centered", "edges"}
+
+
+def cached_polytopes(spec):
+    """Every polytope in the spec's fiber memo and, through their
+    ``"centered"`` entries, every centered copy the maps read."""
+    todo, seen = list(spec._memo.values()), {}
+    while todo:
+        poly = todo.pop()
+        if id(poly) not in seen:
+            seen[id(poly)] = poly
+            if "centered" in poly._cache:
+                todo.append(poly._cache["centered"])
+    return list(seen.values())
+
+
+def test_polytopes_cache_their_own_geometry_only():
+    """After chart and half-ball round trips, no fiber caches anything keyed
+    by a query direction or by another polytope: each joined body reads its
+    support values and join normals itself."""
+    chart = chamber.get_chart(2, 4)
+    rng = random.Random(3)
+    for _ in range(6):
+        chart.inverse(chart.forward(random_positive_point(rng, 2, 4)))
+    glued = chart._glued_map()
+    specs = [glued.e_map.spec, glued.f_map.spec]
+    for m in (2, 3):
+        spec = degenerate_spec(m)
+        for x in [(0.3, 0.2) + (0.1,) * m, (0.0, -0.5) + (0.2,) * m,
+                  (0.6, 0.9) + (0.0,) * m, (0.5, -1.0) + (-0.1,) * m]:
+            from_half_ball(spec, to_half_ball(spec, x))
+        specs.append(spec)
+    for spec in specs:
+        polys = cached_polytopes(spec)
+        assert polys
+        for poly in polys:
+            assert set(poly._cache) <= OWN_GEOMETRY, set(poly._cache)
+
+
 # -- gluing ---------------------------------------------------------------------------
 
 

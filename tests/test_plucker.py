@@ -706,6 +706,21 @@ def test_q_ortho_keeps_the_sign_class_and_the_coefficients():
                     mv.coeffs.values())
 
 
+def _count_wedges(monkeypatch) -> list:
+    """Count ``wedge_ints`` calls made through ``exterior`` and ``plucker``
+    from here on: one entry per call in the returned list."""
+    calls = []
+    wedge_ints = exterior.wedge_ints
+
+    def counting(a, b, n):
+        calls.append(n)
+        return wedge_ints(a, b, n)
+
+    for module in (exterior, plucker):
+        monkeypatch.setattr(module, "wedge_ints", counting)
+    return calls
+
+
 def test_q_ortho_of_a_marked_element_makes_no_wedge(monkeypatch):
     """On minors from ``plucker_of_matrix``, which carry the decomposable
     mark, reading the plane makes no product, and the Q-complement is a
@@ -713,20 +728,22 @@ def test_q_ortho_of_a_marked_element_makes_no_wedge(monkeypatch):
     rng = random.Random(10)
     inputs = [plucker_of_matrix(random_positive_matrix(rng, k, n))
               for k, n in [(2, 5), (3, 5), (3, 7), (4, 8), (2, 8)]]
-    calls = 0
-    wedge_ints = exterior.wedge_ints
-
-    def counting(a, b, n):
-        nonlocal calls
-        calls += 1
-        return wedge_ints(a, b, n)
-
-    for module in (exterior, plucker):
-        monkeypatch.setattr(module, "wedge_ints", counting)
+    calls = _count_wedges(monkeypatch)
     for mv in inputs:
         assert plane_state(mv) is DECOMPOSABLE
         assert q_orthocomplement(mv).k == mv.n - mv.k
-    assert calls == 0
+    assert len(calls) == 0
+
+
+def test_q_ortho_keeps_the_decomposable_mark(monkeypatch):
+    """The complement relabel of a decomposable element is decomposable, so
+    the Q-complement carries the mark and reading its plane makes no
+    product.  Without the mark, ``is_decomposable`` made 2 products."""
+    rho = random_positive_point(random.Random(13), 2, 5).rho
+    dual = q_orthocomplement(rho)
+    calls = _count_wedges(monkeypatch)
+    assert is_decomposable(dual)
+    assert len(calls) == 0
 
 
 def test_q_ortho_grade_errors():
