@@ -17,11 +17,12 @@ the integer coefficients c of ``mv`` the wedge of the integer RREF rows
 (the RREF times p = c[I], I the first key) after the first is p^(k-2)
 times that contraction (``_contract_least``).  An extend candidate
 (e_1 + eps v) ^ omega is e_1 ^ omega + eps (v ^ omega), an integer
-combination of a relabel and one wedge made once per search; a completion
-row is tested by substituting it into the integer RREF rows of the element
-it completes (``plucker.contains``); and a sign or scale that needs one
-coefficient of u ^ w reads it by a Laplace expansion along u, with no wedge
-built.
+combination of a relabel and one wedge made once per search.  The row that
+completes a recursive witness to the plane around it needs no search, and
+its sign or scale no wedge: the recursion's inputs are positive, so every
+plane involved has the first columns of its ambient as RREF pivots, the
+first RREF row of the outer plane completes the inner one, and the
+proportionality factor is a ratio of two coefficients, positive.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .exterior import (
     wedge_first_ints,
     wedge_ints,
 )
-from .plucker import contains, plane_vectors, require_chamber_vector
+from .plucker import plane_vectors, require_chamber_vector
 
 __all__ = [
     "EpsilonExhausted",
@@ -128,36 +129,6 @@ def _all_hyperplane_vector(n: int) -> MultiVector:
     return normalize(MultiVector(n, n - 1, coeffs))
 
 
-def _completion_row(candidates, partial: MultiVector) -> MultiVector:
-    """First candidate vector outside the plane of ``partial``, the first v
-    with partial ^ v nonzero, decided by substituting v into the integer
-    RREF rows of ``partial`` (``plucker.contains``), with no wedge built and
-    no elimination."""
-    for v in candidates:
-        if not contains(v, partial):
-            return v
-    raise AssertionError("no completion row found; plane dimensions are off")
-
-
-def _proportionality(u: MultiVector, w: MultiVector, b: MultiVector
-                     ) -> Fraction:
-    """Scalar c with u ^ w = c * b, for a grade-1 u and u ^ w and b
-    proportional and nonzero, read at the first key K of b's support with
-    no wedge built: the e_K coefficient of u ^ w is the Laplace expansion
-    sum_r (-1)^r u[K_r] w[K without K_r], since e_(K_r) passes the r indices
-    of K below it to reach its place."""
-    key = min(b._ints)
-    u_ints, w_ints = u._ints, w._ints
-    total = 0
-    for r, i in enumerate(key):
-        x = u_ints.get((i,))
-        if x:
-            y = w_ints.get(key[:r] + key[r + 1:])
-            if y:
-                total += -x * y if r & 1 else x * y
-    return Fraction(total * b._den, u._den * w._den * b._ints[key])
-
-
 def shrink_positive(mv: MultiVector) -> MultiVector:
     """Strictly positive grade-(k-1) element contained in ``mv``.
 
@@ -197,13 +168,14 @@ def _shrink_positive(mv: MultiVector) -> MultiVector:
     tail_wedge = _contract_least(mv)
     inner = _shrink_positive(tail_wedge.shift(-1)).shift(+1, n=n)
 
-    # The rows of inner's RREF have minor 1 on their pivot columns I, so
-    # w3 ^ later = inner / inner[I], a positive multiple of the recursive
-    # witness: w2 is completed and signed against inner itself.
+    # The rows of inner's RREF wedge to inner over its first coefficient, a
+    # positive multiple of the recursive witness.  The tail wedge is positive
+    # on 2..n with pivots I = {2..k}, and tail[0], its first RREF row, is 1
+    # at column 2 and 0 at 3..k, so tail[0] ^ inner is
+    # inner[{3..k}] / tail_wedge[I] > 0 times the tail wedge: tail[0]
+    # completes inner, with the right sign.
+    w2 = tail[0]
     w3, *later = plane_vectors(inner)
-    w2 = _completion_row(plane_vectors(tail_wedge), inner)
-    if _proportionality(w2, inner, tail_wedge) < 0:
-        w2 = -w2
 
     def candidate(eps: Fraction) -> MultiVector:
         return wedge_all([w2 * eps + w3, first * (-eps * eps) + w3, *later])
@@ -268,8 +240,12 @@ def _extend_positive(mv: MultiVector) -> MultiVector:
     away_small = normalize(away.shift(-1))
     bigger = _extend_positive(away_small).shift(+1, n=n)
 
-    u = _completion_row(plane_vectors(bigger), away)
-    v = u / _proportionality(u, away, bigger)  # v ^ away = bigger
+    # bigger is positive on 2..n with pivots I = {2..k+2}, and its first
+    # RREF row u is 1 at column 2 and 0 at 3..k+2, so
+    # u ^ away = away[{3..k+2}] / bigger[I] * bigger; v ^ away = bigger
+    pivots = min(bigger._ints)
+    v = plane_vectors(bigger)[0] * (
+        bigger.coefficient(pivots) / away.coefficient(pivots[1:]))
 
     # (e_1 + eps v) ^ mv over b * v den * mv den, for eps = a / b
     lifted = wedge_first_ints(mv._ints)

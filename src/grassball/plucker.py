@@ -286,8 +286,11 @@ def contains(lower: MultiVector, upper: MultiVector) -> bool:
     its plane (they are its RREF times a nonzero integer), so the planes nest
     exactly when each such row x has p x == sum_r x[i_r] R[r]: at a pivot
     column both sides read p x[i_r], so only the other columns are compared,
-    and the first one that differs answers False.
+    and the first one that differs answers False.  Elements of different
+    ambient dimensions raise ``GradeError`` before any grade is compared.
     """
+    if lower.n != upper.n:
+        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
     if lower.k > upper.k:
         return False
     if lower.k == 0:
@@ -296,8 +299,6 @@ def contains(lower: MultiVector, upper: MultiVector) -> bool:
         return True
     rows = _plane(lower)[0]
     basis, p = _plane(upper)
-    if lower.n != upper.n:
-        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
     # each row of basis is 0 left of its pivot, where it reads p
     pivots = [row.index(p) for row in basis]
     free = [j for j in range(upper.n) if j not in pivots]

@@ -798,3 +798,23 @@ def test_chart_and_witnesses_solve_no_kernel(monkeypatch):
     for rho in witness_inputs:
         assert contains(lemmas.shrink_positive(rho), rho)
         assert contains(rho, lemmas.extend_positive(rho))
+
+
+EMPTY = HPolytope(1, [((1,), 0), ((-1,), -1)])  # x <= 0 and x >= 1
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: SplitTriple(Fraction(1, 2), MultiVector.basis(4, (2,)),
+                                     None),
+                 "omega must be present exactly when t < 1", id="no omega"),
+    pytest.param(lambda: SplitTriple(Fraction(1, 2), MultiVector.basis(4, (2,)),
+                                     MultiVector.basis(4, (2, 3, 4))),
+                 "eta must have grade one below omega", id="grade gap"),
+    pytest.param(lambda: nudge_into(EMPTY, (5,)),
+                 "cannot nudge into an empty polytope", id="empty polytope"),
+    pytest.param(lambda: BallChart(0, 4), "no chamber for grade 0",
+                 id="grade 0 chart"),
+])
+def test_public_input_checks_raise_validation_errors(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()

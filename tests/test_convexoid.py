@@ -2237,3 +2237,36 @@ def test_lambda_joined_matches_fraction_form_on_random_specs(m):
                     fraction_lambda_joined(spec, p, y))
                 checked += 1
     assert checked == 8 * 6 * 3
+
+
+def cube4_spec():
+    """A spec whose fibers are the 4-cube, above ``MAX_FIBER_DIM``."""
+    rows = [(tuple(s * (i == j) for j in range(4)), 1)
+            for i in range(4) for s in (1, -1)]
+    return ConvexoidSpec(1, 4, lambda p: HPolytope(4, rows))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: HPolytope(2, [((1,), 0)]),
+                 "constraint normal has the wrong dimension", id="short normal"),
+    pytest.param(lambda: HPolytope(2, [((0, 0), 1)]),
+                 "constraint normal is zero", id="zero normal"),
+    pytest.param(lambda: ConvexoidSpec(0, 1, lambda p: interval(-1, 1)),
+                 "dimensions must be positive", id="no base"),
+    pytest.param(lambda: ConvexoidSpec(1, 2, lambda p: interval(-1, 1)).fiber(
+        (0,)), "fiber of the wrong dimension", id="oracle dimension"),
+    pytest.param(lambda: exit_time(cube4_spec(), (1, 0, 0, 0, 0)),
+                 "fiber dimension <= ", id="4-D fibers"),
+    pytest.param(lambda: exit_time(square_spec(), (0, 0)),
+                 "ray direction is zero", id="zero ray"),
+    pytest.param(lambda: GluedBallMap(square_spec(), cube4_spec(),
+                                      identity_phi, identity_phi),
+                 "different dimensions", id="glued dimensions"),
+    pytest.param(lambda: GluedBallMap(square_spec(), square_spec(),
+                                      identity_phi, identity_phi
+                                      ).forward("G", (0.5, 0)),
+                 "unknown side 'G'", id="unknown side"),
+])
+def test_public_input_checks_raise_value_errors(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -773,3 +773,28 @@ def test_the_mark_is_set_on_products_of_vectors_and_carried_by_scaling():
         # a factor that is not known to be decomposable keeps the product
         # unmarked
         assert not marked(wedge(product + other, rows[0]))
+
+
+@pytest.mark.parametrize("build,error,message", [
+    pytest.param(lambda: MultiVector(4, 2, {(1,): 1}), ValueError,
+                 "does not have size 2", id="short key"),
+    pytest.param(lambda: MultiVector(4, 2, {(2, 1): 1}), ValueError,
+                 "not ascending in 1..4", id="descending key"),
+    pytest.param(lambda: MultiVector(2, 3), GradeError,
+                 "grade 3 out of range", id="grade above n"),
+    pytest.param(lambda: MultiVector.basis(4, (1,)) + MultiVector.basis(4, (1, 2)),
+                 GradeError, r"shape mismatch: \(4,1\) vs \(4,2\)",
+                 id="sum of shapes"),
+    pytest.param(lambda: contract(MultiVector.basis(4, (1, 2)),
+                                  MultiVector.basis(4, (1, 2))),
+                 GradeError, "direction must have grade 1", id="contract grade"),
+    pytest.param(lambda: contract(MultiVector.basis(4, (1, 2)),
+                                  MultiVector.basis(3, (1,))),
+                 GradeError, "ambient mismatch: 4 vs 3", id="contract ambient"),
+    pytest.param(lambda: inner(MultiVector.basis(4, (1,)),
+                               MultiVector.basis(4, (1, 2))),
+                 GradeError, "requires equal shapes", id="inner shapes"),
+])
+def test_public_input_checks_raise_documented_errors(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -17,8 +17,6 @@ from grassball.exterior import (
 )
 from grassball.lemmas import (
     EpsilonExhausted,
-    _completion_row,
-    _proportionality,
     _search,
     extend_nonneg,
     extend_positive,
@@ -37,7 +35,6 @@ from grassball.sampling import (
     random_nonneg_point,
     random_positive_matrix,
     random_positive_point,
-    random_rational,
 )
 
 SPACES = [(2, 4), (2, 5), (3, 5)]
@@ -263,10 +260,13 @@ def test_duality_dual_shrink_gives_extension_witness():
 
 
 # -- the witnesses against their Fraction-row forms ----------------------------------
-# The witnesses build their vectors with ``plucker.plane_vectors`` and pick a
-# completion row by a wedge.  The oracles below are the forms they replace:
-# ``from_vector`` of the ``Fraction`` rows of ``spanning_vectors`` and a
-# completion row found by ranks.
+# The witnesses build their vectors with ``plucker.plane_vectors`` and take
+# each completion row, and its sign or scale, straight from the RREF rows of
+# their positive inputs.  The oracles below are the forms they replace:
+# ``from_vector`` of the ``Fraction`` rows of ``spanning_vectors``, a
+# completion row searched for by ranks, and a sign fixed by comparing
+# coefficients, so equality also checks that the first row is the one the
+# search finds and that no sign flip is needed.
 
 
 def reference_completion_row(plane_rows, partial_rows):
@@ -358,7 +358,8 @@ def reference_extend_positive(mv):
     return reference_search(lambda eps: wedge(e1 + v * eps, mv))
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (4, 8)])
+@pytest.mark.parametrize(
+    "k,n", [(2, 5), (3, 6), (3, 7), (2, 7), (4, 8), (5, 9), (6, 9)])
 def test_witnesses_match_fraction_row_oracles(k, n):
     rng = random.Random(400 + k + 10 * n)
     for _ in range(4):
@@ -373,75 +374,12 @@ def test_witnesses_match_fraction_row_oracles(k, n):
 # -- the pieces of the witness searches -------------------------------------------
 
 
-def wedge_completion_row(candidates, partial):
-    """The wedge test that the rank test replaces: the first v with
-    partial ^ v nonzero."""
-    for v in candidates:
-        if not wedge(partial, v).is_zero():
-            return v
-    raise AssertionError("no completion row found")
-
-
-def random_vector(rng, n, zeros=0.3):
-    return MultiVector.from_vector(
-        [0 if rng.random() < zeros else random_rational(rng) for _ in range(n)]
-    )
-
-
-def test_completion_row_by_ranks_picks_the_row_the_wedge_picked():
-    rng = random.Random(460)
-    inside = 0
-    for _ in range(300):
-        n = rng.randint(3, 8)
-        k = rng.randint(1, n - 1)
-        rows = [random_vector(rng, n) for _ in range(k)]
-        partial = wedge_all(rows)
-        if partial.is_zero():
-            continue
-        # candidates in the plane (combinations of the rows) come first
-        candidates = []
-        for _ in range(rng.randint(0, 3)):
-            mix = [random_rational(rng) for _ in rows]
-            v = sum((r * c for r, c in zip(rows, mix)), MultiVector.zero(n, 1))
-            if not v.is_zero():
-                candidates.append(v)
-        inside += len(candidates)
-        candidates += [random_vector(rng, n) for _ in range(3)]
-        candidates = [v for v in candidates if not v.is_zero()]
-        try:
-            expected = wedge_completion_row(candidates, partial)
-        except AssertionError:
-            with pytest.raises(AssertionError):
-                _completion_row(candidates, partial)
-            continue
-        assert _completion_row(candidates, partial) is expected
-    assert inside >= 200
-
-
-def test_proportionality_reads_one_coefficient_of_the_wedge():
-    rng = random.Random(461)
-    checked = 0
-    for _ in range(300):
-        n = rng.randint(2, 8)
-        k = rng.randint(0, n - 1)
-        u = random_vector(rng, n)
-        w = wedge_all([MultiVector.scalar(n, random_rational(rng) or 1)]
-                      + [random_vector(rng, n) for _ in range(k)])
-        if u.is_zero() or w.is_zero() or wedge(u, w).is_zero():
-            continue
-        scale = random_rational(rng) or Fraction(7, 3)
-        b = wedge(u, w) * scale
-        assert _proportionality(u, w, b) == 1 / scale
-        assert _proportionality(u, w, b) == reference_proportionality(
-            wedge(u, w), b)
-        checked += 1
-    assert checked >= 150
-
-
 def test_plane_rows_wedge_to_the_element_over_its_first_coefficient():
-    """shrink_positive signs its completion row against the recursive
-    witness itself, because the wedge of the witness's plane rows is the
-    witness over its first coefficient, a positive multiple of it."""
+    """The witnesses read signs and scales off RREF rows: the wedge of an
+    element's plane rows is the element over its first coefficient, a
+    positive multiple of it for a positive element, so shrink_positive's
+    inner rows w3, ... wedge to a positive multiple of the recursive
+    witness."""
     rng = random.Random(462)
     for k, n in [(1, 4), (2, 5), (3, 7), (4, 8)] * 5:
         mv = random_positive_point(rng, k, n).rho
@@ -523,7 +461,9 @@ def test_witness_chains_decide_containment_without_elimination(monkeypatch):
     ``linalg.rank`` or ``linalg.eliminate`` call inside ``contains``, which
     substitutes the lower plane's rows into the upper plane's RREF rows.
     Ranking the stacked rows instead made one ``rank`` and one ``eliminate``
-    call per ``contains`` call: 260 calls over the chains' 130 checks."""
+    call per ``contains`` call.  The witnesses make no ``contains`` call, so
+    the checks are the chains' own two per chain: 40 in all (130 when the
+    witnesses searched for completion rows by ``contains``)."""
     depth = checks = eliminations = 0
     original = plucker.contains
 
@@ -547,11 +487,10 @@ def test_witness_chains_decide_containment_without_elimination(monkeypatch):
 
     for name in ("rank", "eliminate"):
         monkeypatch.setattr(linalg, name, counting(name))
-    for module in (plucker, lemmas):
-        monkeypatch.setattr(module, "contains", counting_contains)
+    monkeypatch.setattr(plucker, "contains", counting_contains)
     run_witness_chains()
     monkeypatch.undo()
-    assert checks > 100, checks
+    assert checks == 40, checks
     assert eliminations == 0, eliminations
 
 

@@ -528,6 +528,8 @@ def test_contains_matches_oracle():
 
 
 def reference_contains(lower, upper):
+    if lower.n != upper.n:
+        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
     if lower.k > upper.k:
         return False
     if lower.k == 0:
@@ -535,8 +537,6 @@ def reference_contains(lower, upper):
             raise ValueError("the zero multivector has no well-defined plane")
         return True
     planes = [_plane(mv)[0] for mv in (lower, upper)]
-    if lower.n != upper.n:
-        raise GradeError(f"ambient mismatch: {lower.n} vs {upper.n}")
     return linalg.rank(planes[1] + planes[0]) == upper.k
 
 
@@ -605,20 +605,20 @@ def test_contains_matches_rank_form_on_seeded_pairs():
 
 
 def test_contains_error_paths_match_rank_form():
-    """Every error path, in the rank form's order: a grade above is False
-    before anything is read, a grade-0 lower answers before the upper plane
-    is read, lower's plane is read before upper's, and both before the
-    ambient dimensions are compared."""
+    """Every error path, in the rank form's order: the ambient dimensions
+    are compared first, a grade above is False before any plane is read, a
+    grade-0 lower answers before the upper plane is read, and lower's plane
+    is read before upper's."""
     rng = random.Random(21)
     e12 = MultiVector.basis(5, (1, 2))
     tangled = MultiVector.basis(4, (1, 2)) + MultiVector.basis(4, (3, 4))
     cases = {
         "grade above": (MultiVector.basis(4, (1, 2, 3)), tangled),
-        "scalar": (MultiVector.scalar(5, -2), tangled),
+        "scalar": (MultiVector.scalar(4, -2), tangled),
         "zero scalar": (MultiVector.zero(5, 0), e12),
         "zero lower": (MultiVector.zero(5, 1), e12),
         "zero upper": (MultiVector.basis(5, (1,)), MultiVector.zero(5, 2)),
-        "tangled lower": (tangled, MultiVector.basis(6, (1, 2, 3))),
+        "tangled lower": (tangled, MultiVector.basis(4, (1, 2, 3))),
         "tangled upper": (MultiVector.basis(4, (1,)), tangled),
         "tangled lower, zero upper": (tangled, MultiVector.zero(4, 3)),
         "tangled upper, ambient": (MultiVector.basis(5, (1,)), tangled),
@@ -636,10 +636,22 @@ def test_contains_error_paths_match_rank_form():
         "tangled lower": DecomposabilityError,
         "tangled upper": DecomposabilityError,
         "tangled lower, zero upper": DecomposabilityError,
-        "tangled upper, ambient": DecomposabilityError,
+        "tangled upper, ambient": GradeError,
         "ambient": GradeError,
         "ambient, random": GradeError,
     }
+
+
+@pytest.mark.parametrize("lower", [
+    MultiVector.basis(3, (1, 2)),  # a grade above: was False
+    MultiVector.scalar(3, 1),  # a nonzero scalar: was True
+    MultiVector.basis(3, (1,)),
+], ids=["grade above", "scalar", "grade 1"])
+def test_contains_refuses_planes_of_different_ambients(lower):
+    """The ambient dimensions are compared before the grade shortcuts, so
+    no answer is given about planes in different spaces."""
+    with pytest.raises(GradeError, match="ambient mismatch: 3 vs 4"):
+        contains(lower, MultiVector.basis(4, (1,)))
 
 
 # -- q_orthocomplement ------------------------------------------------------------
@@ -851,3 +863,12 @@ def test_q_orthocomplement_matches_kernel_solve():
                 assert q_orthocomplement(point.rho) == (
                     reference_q_orthocomplement(point.rho)
                 )
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([], "at least one spanning vector"),
+    ([[1, 0, 0], [0, 1]], "ragged spanning matrix"),
+], ids=["no rows", "ragged"])
+def test_plane_matrix_refuses_empty_and_ragged_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        PlaneMatrix(rows)
