@@ -60,6 +60,7 @@ from .convexoid import (
     MAX_FIBER_DIM,
     NORM_SLACK,
     SLACK,
+    _float,
     _integer_vector,
     centered,
     centroid,
@@ -475,7 +476,7 @@ class ChartPoint:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        coords = tuple(float(v) for v in coords)
+        coords = tuple(_float(v) for v in coords)
         norm = norm_gauge(coords)
         if not norm <= 1 + NORM_SLACK:  # NaN fails it too
             raise ValidationError(f"chart point has norm {norm} > 1")
@@ -568,14 +569,16 @@ class _Side:
 
     The cube points a side hands to ``base`` and takes from it are rounded
     (``convexoid.limit_point``).  ``element_of_cube`` inverts ``base`` once
-    per rounded point and caches the element in ``elements``, keyed by it.
+    per rounded point and caches the element in ``elements``, keyed by its
+    (numerator, denominator) pairs, as ``ConvexoidSpec.fiber`` keys its
+    memo: they hash without the modular inverse a ``Fraction`` hash takes.
     """
 
     def __init__(self, name, n, base, frame_cls, fiber_dim, sign):
         self.name, self.n, self.base = name, n, base
         self.frame_cls = frame_cls
         self.frames: dict[MultiVector, FiberFrame] = {}
-        self.elements: dict[tuple[Fraction, ...], MultiVector] = {}
+        self.elements: dict[tuple[tuple[int, int], ...], MultiVector] = {}
         self.fiber_dim = fiber_dim
         self.sign = sign
 
@@ -588,10 +591,11 @@ class _Side:
 
     def element_of_cube(self, z) -> MultiVector:
         z = limit_point(z)
-        element = self.elements.get(z)
+        key = tuple((v.numerator, v.denominator) for v in z)
+        element = self.elements.get(key)
         if element is None:
             element = self.base._point_of_cube(z).rho.shift(+1, n=self.n)
-            self.elements[z] = element
+            self.elements[key] = element
         return element
 
     def cube_of_element(self, base_el: MultiVector) -> tuple[Fraction, ...]:

@@ -457,7 +457,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    # OSError: an input path that is missing, a directory, or too long
+    except (json.JSONDecodeError, OSError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

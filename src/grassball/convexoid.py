@@ -19,7 +19,8 @@ those integers and build one ``Fraction`` per result; ``constraints`` and
 of a full polytope or of a flat one in its own affine span, is one exact
 simplex fan over the integer vertices (``_fan_centroid``), except that of
 an interval: the midpoint of its two bounds, read off the rows, so that its
-vertices stay unenumerated until asked for.  No linear program runs:
+vertices stay unenumerated until asked for; they are those two bounds, with
+no subset search.  No linear program runs:
 boundedness is an exact extreme-ray check on the integer normals, and the
 joined body (the union of segments from the bottom center's fiber to the
 fibers over the distinguished boundary) is never built as a polytope.  Its
@@ -40,7 +41,8 @@ normals, already checked, so they are built unchecked; the public
 coordinate they return rounded to a denominator of at most
 ``RATIONALIZE_DEN`` by ``_limit``, the continued fraction over integers
 that ``rationalize`` runs for floats too; unrounded, the denominators grow
-with every level of a chart.  Floats appear only at the public API, where
+with every level of a chart.  ``HalfBallMap.inverse`` rounds the body point
+it reads a fiber at the same way.  Floats appear only at the public API, where
 one radial map, ``regauge``, takes the cube onto the Euclidean ball
 (``chamber.BallChart``) and the half-cube onto the half-ball
 (``to_half_ball``, ``from_half_ball``); it guards an exact 0 only.  The
@@ -74,7 +76,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, hypot, lcm
+from math import gcd, hypot, inf, lcm
 from typing import Callable, Sequence
 
 from . import linalg
@@ -154,12 +156,12 @@ def _limit(num: int, den: int) -> tuple[int, int]:
     p0, q0, p1, q1 = 0, 1, 1, 0
     n, d = num, den
     while d:
-        a = n // d
+        a, r = divmod(n, d)
         q2 = q0 + a * q1
         if q2 > RATIONALIZE_DEN:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
+        n, d = d, r
     else:
         return p1, q1
     k = (RATIONALIZE_DEN - q0) // q1
@@ -171,7 +173,10 @@ def _limit(num: int, den: int) -> tuple[int, int]:
 
 
 def rationalize_point(point) -> tuple[Fraction, ...]:
-    return tuple(rationalize(v) for v in point)
+    """``rationalize`` of each coordinate; ``Fraction``s pass through as
+    they are, without a call."""
+    return tuple(v if isinstance(v, Fraction) else rationalize(v)
+                 for v in point)
 
 
 def limit_point(point) -> tuple[Fraction, ...]:
@@ -346,9 +351,8 @@ def _cross(a, b) -> tuple:
 
 
 def _kernel_line(rows, dim: int):
-    """Spanning vector of {d : rows d = 0} if that is a line, else None."""
-    if dim == 1:
-        return (1,)
+    """Spanning vector of {d : rows d = 0} if that is a line, else None,
+    for the dim - 1 rows of dimension dim >= 2."""
     if dim == 2:
         (a, b), = rows
         return (-b, a)
@@ -382,7 +386,9 @@ def _is_unbounded(normals, dim: int) -> bool:
 
 
 def vertices(poly: HPolytope) -> list[tuple[Fraction, ...]]:
-    """Exact vertex set by exhaustive dim-subset constraint intersection.
+    """Exact vertex set, by exhaustive dim-subset constraint intersection
+    from dimension 2 on, and read off the two interval bounds in dimension 1
+    (``_enumerate_vertices``).
 
     The work is over integers: each row is divided by its content to a
     primitive integer row (a, b), every dim-subset of rows is solved by
@@ -407,9 +413,20 @@ def _integer_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _enumerate_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
+    """The integer vertices of ``vertices``, uncached.
+
+    An interval is no subset search: its vertices are its bounds lo and hi
+    (``_interval_bounds``), one vertex when they meet and none when
+    lo > hi, in the order of the first row that gives each, which is the
+    order in which the one-row subsets find them.  A missing bound raises
+    ``UnboundedError``, as the extreme-ray check does in every other
+    dimension.
+    """
     dim = poly.dim
     if dim == 0:
         return [()], 1
+    if dim == 1:
+        return _interval_vertices(poly)
     rows = [_primitive(row) for row in poly._rows]
     if _is_unbounded([row[:dim] for row in rows], dim):
         raise UnboundedError("polytope is unbounded")
@@ -591,21 +608,45 @@ def centered(poly: HPolytope) -> HPolytope:
     return poly._cache["centered"]
 
 
-def _interval_midpoint(poly: HPolytope) -> tuple[Fraction] | None:
-    """((lo + hi) / 2,) for the interval {y : a y <= b for every row}, or
-    None if it is unbounded or empty.
+def _interval_bounds(poly: HPolytope) -> tuple:
+    """(lo, hi) of the interval {y : a y <= b for every row}, each as
+    (p, q, i) with bound p / q, q > 0, and i the first row that gives it, or
+    None where no row bounds that side.
 
     lo is the largest b / a over the rows with a < 0 and hi the smallest
-    over those with a > 0, compared as integer pairs (p, q), q > 0, by
-    cross-multiplying; the vertices are never enumerated.
+    over those with a > 0, compared as integer pairs by cross-multiplying;
+    a strict comparison keeps the first row attaining each.
     """
     lo = hi = None
-    for a, b in poly._rows:
+    for i, (a, b) in enumerate(poly._rows):
         if a < 0:
             if lo is None or -b * lo[1] > lo[0] * -a:
-                lo = (-b, -a)
+                lo = (-b, -a, i)
         elif hi is None or b * hi[1] < hi[0] * a:
-            hi = (b, a)
+            hi = (b, a, i)
+    return lo, hi
+
+
+def _interval_vertices(poly: HPolytope) -> tuple[list[tuple[int]], int]:
+    """``_enumerate_vertices`` of an interval: its bounds in lowest terms
+    over the lcm of their denominators, in the order of their first rows."""
+    lo, hi = _interval_bounds(poly)
+    if lo is None or hi is None:
+        raise UnboundedError("polytope is unbounded")
+    gap = lo[0] * hi[1] - hi[0] * lo[1]
+    if gap > 0:
+        return [], 1
+    ends = [lo] if gap == 0 else sorted((lo, hi), key=operator.itemgetter(2))
+    ends = [(p // gcd(p, q), q // gcd(p, q)) for p, q, _ in ends]
+    den = lcm(*[q for _, q in ends])
+    return [(p * (den // q),) for p, q in ends], den
+
+
+def _interval_midpoint(poly: HPolytope) -> tuple[Fraction] | None:
+    """((lo + hi) / 2,) for the interval {y : a y <= b for every row}
+    (``_interval_bounds``), or None if it is unbounded or empty; the
+    vertices are never enumerated."""
+    lo, hi = _interval_bounds(poly)
     if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return (Fraction(lo[0] * hi[1] + hi[0] * lo[1], 2 * lo[1] * hi[1]),)
@@ -779,10 +820,12 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
 
 class _JoinedBody:
     """The joined body over the ray from the bottom center through a base
-    point p: the union of the segments from the bottom center's fiber E0 to
-    the fiber E1 over q, the radial projection of p onto the distinguished
-    boundary (``radial_project_base``).  Over the bottom center there is no
-    q, and E1 is None.
+    point p of the cube: the union of the segments from the bottom center's
+    fiber E0 to the fiber E1 over q, the radial projection of p onto the
+    distinguished boundary (``radial_project_base``), read here off p's
+    integer form P / L as P / G, G the base gauge of P, with no domain
+    check: the callers' points are in the cube.  Over the bottom center
+    there is no q, and E1 is None.
 
     Over the base point s q, 0 <= s <= 1, its fiber is (1 - s) E0 + s E1,
     cut out by the inequalities u . y <= (1 - s) h0(u) + s h1(u) for the
@@ -799,7 +842,12 @@ class _JoinedBody:
 
     def __init__(self, fiber_at: Callable, p):
         self.e0 = fiber_at((Fraction(0),) * len(p))
-        self.e1 = fiber_at(radial_project_base(p)[0]) if any(p) else None
+        if any(p):
+            ints, _ = _integer_vector(p)
+            gauge = base_gauge(ints)
+            self.e1 = fiber_at(tuple(Fraction(x, gauge) for x in ints))
+        else:
+            self.e1 = None
         self.d0 = _integer_vertices(self.e0)[1]
         self.d1 = 1 if self.e1 is None else _integer_vertices(self.e1)[1]
         self.terms = tuple(
@@ -892,7 +940,8 @@ class HalfBallMap:
     once, and both the rescale and the exit time are exact closed forms over
     that body.  The bottom (base first coordinate 0) lands on the half-cube
     bottom.  Points in and out are rational, and each coordinate out is
-    rounded (``_limit``).
+    rounded (``_limit``); ``inverse`` also rounds the body point it reads
+    its fiber at, as the exact one runs to hundreds of bits.
     """
 
     def __init__(self, spec: ConvexoidSpec):
@@ -958,7 +1007,13 @@ class HalfBallMap:
 
     def inverse(self, h) -> tuple[Fraction, ...]:
         """The body point h t*(h) sup(h), its fiber part rescaled back from
-        the joined fiber and uncentered, each coordinate rounded."""
+        the joined fiber and uncentered, each coordinate rounded.
+
+        The body point is rounded (``_limit``) before its fiber is read, so
+        the fiber, the rescale and the uncentering run on coordinates of
+        denominator at most ``RATIONALIZE_DEN``, not on the exact point; the
+        rounding keeps its base part in the cube, whose bounds 0 and +-1 it
+        never crosses.  The output is rounded again (``limit_point``)."""
         self._require_dim(h)
         h = _cube_point(h, 0, "half-cube")
         nb = self.spec.base_dim
@@ -971,10 +1026,10 @@ class HalfBallMap:
         # over h's integer form V / L, h t* sup(h) is V t* S / L^2,
         # S = max |V|; its base part is in the cube, since t* is at most the
         # cube's cap 1 / (base gauge of h), and a multiple of h's, so the
-        # joined body over it is the one over h's
+        # joined body over it is the one over h's; it is rounded here
         num = t_star.numerator * max(map(abs, ints))
         den = t_star.denominator * den * den
-        point = tuple(Fraction(v * num, den) for v in ints)
+        point = tuple(Fraction(*_limit(v * num, den)) for v in ints)
         p, yj = point[:nb], point[nb:]
         fiber = self.spec.fiber(p)
         scale = self._joined_scale(body, centered(fiber), p, yj)
@@ -985,15 +1040,34 @@ class HalfBallMap:
 def _cube_point(x, low: int, body: str) -> tuple[Fraction, ...]:
     """x as rationals clamped into [low, 1] x [-1, 1]^(d-1), if it lies
     within ``NORM_SLACK`` of it; else ``DomainError`` naming ``body``.  The
-    test reads floats, so NaN and infinities fail before rationalizing."""
-    values = [float(v) for v in x]
+    test reads floats (``_float``), so NaN, infinities and numbers too large
+    for a float fail before rationalizing.
+
+    Only a coordinate whose float is at or past a bound is clamped: float
+    rounding is monotone and the bounds are floats, so a float strictly
+    inside (low, 1) or (-1, 1) comes from a value strictly inside, and
+    ``rationalize`` keeps it inside, as the best approximations it takes
+    never cross a bound of denominator 1.
+    """
+    values = [_float(v) for v in x]
     if not (values[0] >= low - NORM_SLACK
             and all(abs(v) <= 1 + NORM_SLACK for v in values)):
         raise DomainError(f"point outside the closed {body}")
     x = rationalize_point(x)
-    return (min(max(x[0], low), 1),) + tuple(
-        min(max(v, -1), 1) for v in x[1:]
+    lows = (low,) + (-1,) * (len(x) - 1)
+    return tuple(
+        v if lo < f < 1 else min(max(v, lo), 1)
+        for v, f, lo in zip(x, values, lows)
     )
+
+
+def _float(value) -> float:
+    """``float(value)``, signed infinity for a number too large for a
+    float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
 
 
 def to_half_ball(spec: ConvexoidSpec, x):
@@ -1018,8 +1092,12 @@ def from_half_ball(spec: ConvexoidSpec, h) -> tuple[float, ...]:
 
 def norm_gauge(x) -> float:
     """Euclidean norm: the gauge of the unit ball.  ``hypot`` scales, so it
-    neither underflows nor overflows."""
-    return hypot(*x)
+    neither underflows nor overflows; a coordinate too large for a float
+    gives infinity."""
+    try:
+        return hypot(*x)
+    except OverflowError:
+        return inf
 
 
 def sup_gauge(x) -> float:
@@ -1031,7 +1109,7 @@ def regauge(x, gauge_from: Callable, gauge_to: Callable) -> list[float]:
     """Radial map x * gauge_from(x) / gauge_to(x) from the unit body of
     gauge_from onto that of gauge_to, as a list of floats; x itself where
     gauge_to(x) = 0."""
-    x = [float(v) for v in x]
+    x = [_float(v) for v in x]
     to = gauge_to(x)
     if to == 0:
         return x

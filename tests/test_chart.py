@@ -634,6 +634,45 @@ def test_g24_round_trips_invert_each_base_cube_point_once(monkeypatch):
     assert calls <= LEAF_INVERSE_CAP, calls
 
 
+def test_g24_round_trips_enumerate_no_vertex_subsets(monkeypatch):
+    """A guard with no timing in it: the 20 G(2,4) round trips above make
+    no ``_subset_vertex`` call, as every G(2,4) fiber is an interval, whose
+    vertices are read off its two bounds.  Through the subset search they
+    made 148."""
+    rng = random.Random(5)
+    points = [random_nonneg_point(rng, 2, 4) for _ in range(20)]
+    chart = BallChart(2, 4)
+    chart._glued_map()
+    calls = 0
+    subset_vertex = convexoid._subset_vertex
+
+    def counting(subset, dim):
+        nonlocal calls
+        calls += 1
+        return subset_vertex(subset, dim)
+
+    monkeypatch.setattr(convexoid, "_subset_vertex", counting)
+    backs = [chart.inverse(chart.forward(point)) for point in points]
+    monkeypatch.undo()
+    assert max(roundtrip_error(chart, p) for p in points) < 1e-6
+    assert all(isinstance(b, ChamberPoint) for b in backs)
+    assert calls == 0, calls
+
+
+def test_coordinates_too_large_for_a_float_are_outside_the_domain():
+    """An integer chart coordinate too large for a float is refused as an
+    infinite one is, not with an ``OverflowError``."""
+    for big in (10**400, -10**400):
+        with pytest.raises(DomainError):
+            get_chart(2, 4).inverse([big, 0, 0, 0])
+        with pytest.raises(DomainError):
+            ball_chart_inverse([0, big, 0, 0], 2, 4)
+        with pytest.raises(ValidationError):
+            ChartPoint([big, 0, 0, 0])
+    with pytest.raises(DomainError):
+        get_chart(2, 4).inverse([float("inf"), 0, 0, 0])
+
+
 def uncached_element_of_cube(side, z):
     """The base element of cube point z, looked up without the cache."""
     point = side.base._point_of_cube(convexoid.limit_point(z))

@@ -213,6 +213,28 @@ def test_malformed_input_exits_two(tmp_path, capsys):
             assert main(argv) == 2, (name, argv)
 
 
+def test_unreadable_input_paths_exit_two(tmp_path, capsys):
+    """A directory or a name too long for the file system is an input
+    error, as a missing file is, not a traceback."""
+    too_long = str(tmp_path / ("x" * 300 + ".json"))
+    for path in (str(tmp_path), too_long):
+        for argv in (["check", path],
+                     ["chart-inverse", path, "--k", "2", "--n", "4"]):
+            assert main(argv) == 2, argv
+            assert "input error" in capsys.readouterr().err, argv
+
+
+def test_chart_coordinates_too_large_for_a_float_exit_two(tmp_path, capsys):
+    """An integer coordinate beyond the float range exits 2 as invalid
+    input, as 1e400, which JSON reads as infinity, does."""
+    big = write(tmp_path, "big.json", {"coords": [10**400, 0, 0, 0]})
+    inf = tmp_path / "inf.json"
+    inf.write_text('{"coords": [1e400, 0, 0, 0]}')
+    for path in (big, str(inf)):
+        assert main(["chart-inverse", path, "--k", "2", "--n", "4"]) == 2
+        assert "invalid input" in capsys.readouterr().err, path
+
+
 def test_empty_sample_counts_and_point_lists_exit_two(tmp_path, capsys):
     for argv in (["roundtrip", "--k", "2", "--n", "4", "--samples", "0"],
                  ["selftest", "--samples", "0"]):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from grassball import chamber, convexoid, linalg, lp
-from grassball.sampling import random_positive_point
+from grassball.sampling import random_nonneg_point, random_positive_point
 from grassball.convexoid import (
     ConvexoidSpec,
     DegenerateError,
@@ -652,6 +652,202 @@ def test_each_half_ball_leg_reads_at_most_three_fibers(monkeypatch):
         reads.clear()
         hb.inverse(h)
         assert len(reads) <= 3, (h, reads)
+
+
+def always_clamped_cube_point(x, low, body):
+    """``_cube_point`` as it was, clamping every coordinate."""
+    values = [float(v) for v in x]
+    if not (values[0] >= low - convexoid.NORM_SLACK
+            and all(abs(v) <= 1 + convexoid.NORM_SLACK for v in values)):
+        raise DomainError(f"point outside the closed {body}")
+    x = rationalize_point(x)
+    return (min(max(x[0], low), 1),) + tuple(
+        min(max(v, -1), 1) for v in x[1:]
+    )
+
+
+def test_cube_point_clamps_as_the_always_clamping_form():
+    """Clamping only the coordinates whose float is at or past a bound gives
+    the always-clamping form, value and type, at the bounds, within the
+    slack past them, and at rationals whose float rounds onto a bound."""
+    tiny = F(1, 10**30)
+    below_one = F(1) - tiny
+    assert float(below_one) == 1.0 and below_one < 1
+    values = [1.0, -1.0, 0.0, -0.0, 1 + 1e-10, -1 - 1e-10, 1e-10, -1e-10,
+              1 - 1e-10, F(1), F(-1), F(0), 1, -1, 0, F(1) + tiny,
+              below_one, F(-1) - tiny, -below_one, tiny, -tiny,
+              F(1, 3), np.float32(-0.25), 0.5 + 2e-9]
+    seen = collections.Counter()
+    for low in (0, -1):
+        for x in itertools.product(values, repeat=2):
+            want = polytope_outcome(always_clamped_cube_point, x, low, "cube")
+            got = polytope_outcome(convexoid._cube_point, x, low, "cube")
+            assert got == want, (x, low)
+            seen[want == "DomainError"] += 1
+    assert seen[True] and seen[False] > 500, seen
+
+
+def test_joined_body_reads_the_fiber_at_the_radial_projection():
+    """``_JoinedBody`` reads q off p's integer form; it is the point of
+    ``radial_project_base``, so the memoized fiber is the same polytope."""
+    spec = ConvexoidSpec(3, 1, lambda p: interval(
+        -1 - p[1] / 4, 1 + p[0] / 3 + p[2] / 5))
+    rng = random.Random(29)
+    points = [(F(1), F(0), F(0)), (F(1, 2), F(-1, 2), F(1, 3)),
+              (F(0), F(1, 7), F(-3, 7)), (F(0), F(0), F(1)),
+              (F(1, 10**13), F(-1, 10**13 + 1), F(0))]
+    points += [(F(rng.randint(0, 10**6), 10**6 + rng.randint(0, 99)),
+                *[F(rng.randint(-10**6, 10**6), 10**6 + rng.randint(0, 99))
+                  for _ in range(2)]) for _ in range(20)]
+    for p in points:
+        body = _JoinedBody(spec.fiber, p)
+        assert body.e0 is spec.fiber((F(0),) * 3)
+        assert body.e1 is spec.fiber(radial_project_base(p)[0]), p
+    assert _JoinedBody(spec.fiber, (F(0),) * 3).e1 is None
+
+
+def test_numbers_too_large_for_a_float_are_outside_the_domain():
+    """A coordinate too large for a float is a ``DomainError``, as an
+    infinite one is, not an ``OverflowError``."""
+    spec = square_spec()
+    for big in (10**400, -10**400, F(10**400), F(-10**400, 3)):
+        for run in (functools.partial(to_half_ball, spec),
+                    functools.partial(from_half_ball, spec),
+                    HalfBallMap(spec).forward, HalfBallMap(spec).inverse):
+            for point in ([big, 0], [F(1, 2), big]):
+                with pytest.raises(DomainError):
+                    run(point)
+        for low in (0, -1):
+            with pytest.raises(DomainError):
+                convexoid._cube_point((big, 0), low, "half-cube")
+        assert convexoid.norm_gauge([big, 0]) == math.inf
+    with pytest.raises(DomainError):
+        from_half_ball(spec, [float("inf"), 0])
+
+
+def exact_point_inverse(hb, h):
+    """``HalfBallMap.inverse`` with its body point exact, the form that read
+    the fiber there before the point was rounded; returns the output and
+    that exact body point."""
+    h = convexoid._cube_point(h, 0, "half-cube")
+    nb = hb.spec.base_dim
+    if not any(h):
+        p = hb.spec.origin()
+        return convexoid.limit_point(p + centroid(hb.spec.fiber(p))), p
+    body = hb._body(h[:nb])
+    ints, den = convexoid._integer_vector(h)
+    t_star = body.exit_time(ints, den)
+    num = t_star.numerator * max(map(abs, ints))
+    den = t_star.denominator * den * den
+    point = tuple(F(v * num, den) for v in ints)
+    p, yj = point[:nb], point[nb:]
+    fiber = hb.spec.fiber(p)
+    scale = hb._joined_scale(body, centered(fiber), p, yj)
+    y = tuple(v / scale + c for v, c in zip(yj, centroid(fiber)))
+    return convexoid.limit_point(p + y), point
+
+
+HEX_NORMALS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+HEX_SLOPES = ((F(1, 4), F(-1, 8), F(1, 8)), (F(-1, 8), F(1, 4), F(0)),
+              (F(1, 8), F(1, 8), F(-1, 4)), (F(-1, 4), F(0), F(1, 8)),
+              (F(0), F(-1, 4), F(1, 8)), (F(1, 8), F(-1, 8), F(-1, 4)))
+
+
+def hexagon_spec():
+    """Hexagon fibers over a 4-D base cube whose offsets move with the base
+    point and shrink to the top, shaped like the benchmark's 2-D ones."""
+    def fiber(p):
+        scale = max(F(0), 1 - p[0])
+        return HPolytope(2, [
+            (normal, (1 + sum(s * z for s, z in zip(slopes, p[1:]))) * scale)
+            for normal, slopes in zip(HEX_NORMALS, HEX_SLOPES)])
+    return ConvexoidSpec(4, 2, fiber)
+
+
+def spied_inverses(monkeypatch, run):
+    """(map, h, output, fiber reads) of each ``HalfBallMap.inverse`` call
+    that ``run()`` makes."""
+    calls, reads = [], []
+    inverse, fiber = HalfBallMap.inverse, ConvexoidSpec.fiber
+
+    def spy_inverse(self, h):
+        reads.clear()
+        out = inverse(self, h)
+        calls.append((self, h, out, list(reads)))
+        return out
+
+    def spy_fiber(self, p):
+        reads.append(p)
+        return fiber(self, p)
+
+    monkeypatch.setattr(HalfBallMap, "inverse", spy_inverse)
+    monkeypatch.setattr(ConvexoidSpec, "fiber", spy_fiber)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def check_inverse_body_points(calls):
+    """Each inverse reads fibers only at the bottom center, at the radial
+    projection of its base point and at a body point of denominators at
+    most ``RATIONALIZE_DEN``, and its output is within 1e-12 of the form
+    that reads the fiber at the exact body point.  Returns how many exact
+    body points had a larger denominator."""
+    limit = convexoid.RATIONALIZE_DEN
+    exact_large = 0
+    for hb, h, out, reads in calls:
+        want, exact = exact_point_inverse(hb, h)
+        assert max(abs(float(a) - float(b)) for a, b in zip(out, want)) \
+            < 1e-12, h
+        exact_large += any(rationalize(v).denominator > limit for v in exact)
+        nb = hb.spec.base_dim
+        cube = convexoid._cube_point(h, 0, "half-cube")
+        known = {hb.spec.origin()}
+        if any(cube[:nb]):
+            known.add(radial_project_base(cube[:nb])[0])
+        for p in reads:
+            p = rationalize_point(p)
+            assert p in known or all(
+                v.denominator <= limit for v in p), (h, p)
+    return exact_large
+
+
+def test_half_ball_inverse_reads_no_fiber_at_an_unrounded_body_point(
+        monkeypatch):
+    """On hexagon fibers the inverse rounds its body point before reading
+    the fiber there, where the exact point can have denominators of hundreds
+    of bits; its outputs stay within 1e-12 of the exact-point form."""
+    spec = hexagon_spec()
+    hb = HalfBallMap(spec)
+    rng = random.Random(43)
+    points = []
+    for _ in range(30):
+        tau = rng.choice([0.0, rng.uniform(0.05, 0.95)])
+        z = [rng.uniform(-0.9, 0.9) for _ in range(3)]
+        scale = 1 - tau
+        y = [scale * rng.uniform(-0.3, 0.3) for _ in range(2)]
+        points.append(hb.forward([tau, *z, *y]))
+    points += [(F(0),) * 6, (F(1), F(0), F(0), F(0), F(0), F(0)),
+               (F(1, 2), F(1), F(-1, 3), F(0), F(1, 5), F(-1, 7)),
+               (F(0), F(1, 3), F(-1), F(1, 2), F(1, 4), F(0))]
+    calls = spied_inverses(
+        monkeypatch, lambda: [hb.inverse(h) for h in points])
+    assert len(calls) == len(points)
+    # 7 of the 34 exact body points have a larger denominator
+    assert check_inverse_body_points(calls) >= 5
+
+
+def test_g24_inverses_read_no_fiber_at_an_unrounded_body_point(monkeypatch):
+    """The same on 20 fixed G(2,4) round trips, whose exact body points ran
+    to hundreds of bits."""
+    rng = random.Random(5)
+    points = [random_nonneg_point(rng, 2, 4) for _ in range(20)]
+    chart = chamber.BallChart(2, 4)
+    calls = spied_inverses(monkeypatch, lambda: [
+        chart.inverse(chart.forward(point)) for point in points])
+    # 14 of the 46 exact body points have a larger denominator
+    assert len(calls) > 20
+    assert check_inverse_body_points(calls) >= 10
 
 
 OWN_GEOMETRY = {"integer vertices", "centroid", "centered", "edges"}
@@ -1540,6 +1736,52 @@ def test_polytope_layer_matches_fraction_oracle(dim, count):
         kinds.add("overdetermined")
     assert kinds <= set(seen), seen
 
+
+
+# 1-D rows (a, b) for a y <= b, named by what they exercise
+INTERVAL_CASES = {
+    "hi row first": [(1, 2), (-1, 1)],
+    "lo row first": [(-1, 1), (1, 2)],
+    "repeated rows": [(1, 2), (-1, 1), (1, 2), (-1, 1)],
+    "non-primitive rows": [(2, 3), (-4, 2), (6, 9)],
+    "fractional offsets": [(3, -1), (-5, 2)],
+    "redundant rows between": [(1, 5), (-1, 0), (1, 7), (-1, 3), (2, 3)],
+    "point cut by two rows": [(2, 3), (-4, -6)],
+    "point with a redundant row": [(1, 4), (-4, -6), (2, 3)],
+    "point with the same row twice": [(1, 1), (-1, -1), (1, 1)],
+    "empty": [(1, 0), (-1, -1)],
+    "empty by a later row": [(1, 5), (-1, 0), (1, -1)],
+    "unbounded above": [(-1, 1), (-2, 3)],
+    "unbounded below": [(1, 1), (3, 5)],
+    "no rows": [],
+}
+
+
+@pytest.mark.parametrize("name", INTERVAL_CASES)
+def test_interval_vertices_match_the_subset_search_oracle(name):
+    """An interval's vertices are its bounds, not a subset search: in value,
+    order and type they equal ``reference_vertices``, the search the 1-D
+    path replaced, its integer form is in lowest terms over the lcm of the
+    denominators, and the midpoint, read through the same bounds, equals
+    the ``Fraction`` form."""
+    poly = HPolytope(1, [((F(a),), F(b)) for a, b in INTERVAL_CASES[name]])
+    want = polytope_outcome(reference_vertices, poly)
+    assert polytope_outcome(vertices, poly) == want
+    assert repr(convexoid._interval_midpoint(poly)) == repr(
+        fraction_interval_midpoint(poly))
+    if want == "UnboundedError":
+        assert name.startswith("unbounded") or name == "no rows"
+        return
+    points, den = convexoid._integer_vertices(poly)
+    assert math.gcd(den, *[x for p in points for x in p]) == 1
+    assert den == math.lcm(*[v.denominator for p in vertices(poly)
+                             for v in p])
+    if name.startswith("empty"):
+        assert (points, den) == ([], 1)
+    elif name.startswith("point"):
+        assert len(points) == 1
+    else:
+        assert len(points) == 2
 
 def reference_monotone_chain(points):
     """Counterclockwise hull vertices by Andrew's monotone chain, points on
