@@ -62,11 +62,11 @@ from .convexoid import (
     SLACK,
     _float,
     _integer_vector,
+    _radial_about,
     centered,
     centroid,
     limit_point,
     norm_gauge,
-    radial,
     rationalize,
     rationalize_point,
     regauge,
@@ -446,10 +446,10 @@ def nudge_into(poly: HPolytope, y: Sequence) -> tuple[Fraction, ...]:
     """Exact pullback of a nearly-feasible point into the polytope.
 
     Moves from the vertex mean m toward y by the radial function of the
-    polytope about m along y - m (``convexoid.radial``), which is just far
-    enough to satisfy every constraint; a no-op for feasible points.  The
-    mean lies in the polytope and y outside it, so that factor is in
-    [0, 1).
+    polytope about m along y - m (``convexoid._radial_about``, read off the
+    polytope's own rows), which is just far enough to satisfy every
+    constraint; a no-op for feasible points.  The mean lies in the polytope
+    and y outside it, so that factor is in [0, 1).
     """
     y = tuple(Fraction(v) for v in y)
     if poly.contains_point(y):
@@ -462,7 +462,7 @@ def nudge_into(poly: HPolytope, y: Sequence) -> tuple[Fraction, ...]:
         for i in range(poly.dim)
     )
     direction = tuple(a - b for a, b in zip(y, center))
-    lam = radial(poly.translated([-c for c in center]), direction)
+    lam = _radial_about(poly, center, direction)
     return tuple(c + lam * d for c, d in zip(center, direction))
 
 

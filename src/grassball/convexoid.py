@@ -30,12 +30,17 @@ call builds once, reading each support value over the join normals once,
 and the half-cube maps divide by the exact exit time.  A polytope caches
 its own geometry only: its integer vertices, centroid, centered copy and
 edges, nothing keyed by a query direction or by another polytope.  The
-maps center fibers with ``centroid`` and ``centered``; ``translated`` and
-``scaled`` carry the integer vertices and the centroid over, so a fiber
-centered once is never centered again; shifting by 0 and scaling by 1
-return the polytope itself, caches and all.  Those copies keep the
-normals, already checked, so they are built unchecked; the public
-``HPolytope`` constructor checks and converts every constraint.
+maps read each fiber in place, about its ``centroid``: centering is a
+translation, so the support function of K - c is h_K(u) - u . c and its
+radial function the least (b - a . c) / (a . y) over the rows, both read
+off the fiber's own vertices and rows, and no centered copy is built.
+``centered`` builds that copy for the chart's fiber frames;
+``translated`` and ``scaled`` carry the integer vertices and the centroid
+over, so a fiber centered once is never centered again; shifting by 0
+and scaling by 1 return the polytope itself, caches and all.  Those
+copies keep the normals, already checked, so they are built unchecked;
+the public ``HPolytope`` constructor checks and converts every
+constraint.
 
 ``HalfBallMap`` and ``GluedBallMap`` take and return rationals, each
 coordinate they return rounded to a denominator of at most
@@ -379,8 +384,17 @@ def _is_unbounded(normals, dim: int) -> bool:
         if r is None:
             continue
         independent = True
-        dots = [sum(map(operator.mul, n, r)) for n in normals]
-        if all(d <= 0 for d in dots) or all(d >= 0 for d in dots):
+        # r or -r is a recession direction unless the dots take both signs
+        below = above = False
+        for n in normals:
+            d = sum(map(operator.mul, n, r))
+            if d < 0:
+                below = True
+            elif d > 0:
+                above = True
+            if below and above:
+                break
+        else:
             return True
     return not independent
 
@@ -433,10 +447,11 @@ def _enumerate_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
     found = {}
     for subset in itertools.combinations(rows, dim):
         point = _subset_vertex(subset, dim)
-        if point is not None and point not in found and all(
+        # most 2-D candidates are not vertices: reduce only the kept ones
+        if point is not None and all(
             sum(map(operator.mul, row, point)) <= 0 for row in rows
         ):
-            found[point] = None
+            found[_primitive(point)] = None
     # each vertex is in lowest terms, so the lcm of their denominators is
     # that of all their coordinates
     den = lcm(*[-p[-1] for p in found])
@@ -444,28 +459,27 @@ def _enumerate_vertices(poly: HPolytope) -> tuple[list[tuple[int, ...]], int]:
 
 
 def _subset_vertex(subset, dim: int) -> tuple[int, ...] | None:
-    """Canonical key (X, -D) of the point where the dim integer rows (a | b)
-    of ``subset`` hold with equality, or None when their normals are
-    dependent.  X / D is the point in lowest terms with D > 0, so D is the
-    lcm of the reduced denominators of its coordinates.
+    """(X, -D) for the point X / D, D > 0, where the dim integer rows
+    (a | b) of ``subset`` hold with equality, or None when their normals
+    are dependent.  Its ``_primitive`` form, X / D in lowest terms, is the
+    canonical key, and D is then the lcm of the reduced denominators of
+    the point's coordinates.
 
     For dim 2 the point is N / det by Cramer's rule, det the determinant of
-    the normals and N_r that determinant with column r replaced by b;
-    dividing N and det by their common gcd, signed as det, gives X and D.
-    Other dims are reduced by ``linalg.eliminate``: every column pivots
-    exactly when the normals are independent, and then row r reads
-    p y_r = q with gcd(p, q) = 1, so D is the lcm of the p.
+    the normals and N_r that determinant with column r replaced by b, all
+    three signed so that det > 0 and not reduced.  Other dims are reduced
+    by ``linalg.eliminate``: every column pivots exactly when the normals
+    are independent, and then row r reads p y_r = q with gcd(p, q) = 1, so
+    D is the lcm of the p and the point is in lowest terms already.
     """
     if dim == 2:
         (a1, a2, b1), (c1, c2, b2) = subset
         det = a1 * c2 - a2 * c1
-        if not det:
-            return None
-        x, y = b1 * c2 - a2 * b2, a1 * b2 - b1 * c1
-        g = gcd(det, x, y)
+        if det > 0:
+            return b1 * c2 - a2 * b2, a1 * b2 - b1 * c1, -det
         if det < 0:
-            g = -g
-        return x // g, y // g, -(det // g)
+            return a2 * b2 - b1 * c2, b1 * c1 - a1 * b2, det
+        return None
     reduced = list(subset)
     if linalg.eliminate(reduced, reduced=True) != list(range(dim)):
         return None
@@ -729,19 +743,33 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
 def radial(poly: HPolytope, y) -> Fraction:
     """Radial function sup{l >= 0 : l * y in poly} of a polytope that holds
     the origin, along y != 0: the least offset / (normal . y) over the
-    constraints with normal . y > 0, which over the rows, with y = Y / L, is
-    b L / (a . Y).  Every chart fiber is centered, so it holds the origin;
-    ``chamber.nudge_into`` moves its polytope so that the vertex mean is the
-    origin."""
+    constraints with normal . y > 0 (``_radial_about`` the origin)."""
+    return _radial_about(poly, (0,) * poly.dim, y)
+
+
+def _radial_about(poly: HPolytope, center, y) -> Fraction:
+    """Radial function of poly - c along y != 0, for a point c of poly, read
+    off poly's own rows, with no translated copy built: the least
+    (b - a . c) / (a . y) over the rows with a . y > 0.  Over integers, with
+    c = C / K and y = Y / L, that is L (b K - a . C) / (K (a . Y)).  The
+    half-ball maps read their fibers about the centroid this way, and
+    ``chamber.nudge_into`` its polytope about the vertex mean; a center of
+    0 costs one ``any``."""
     ints, den = _integer_vector(y)
+    if any(center):
+        c_ints, c_den = _integer_vector(center)
+    else:
+        c_ints, c_den = (), 1
     best = None
     for row in poly._rows:
         d = sum(map(operator.mul, row, ints))
-        if d > 0 and (best is None or row[-1] * best[1] < best[0] * d):
-            best = (row[-1], d)
+        if d > 0:
+            b = row[-1] * c_den - sum(map(operator.mul, row, c_ints))
+            if best is None or b * best[1] < best[0] * d:
+                best = (b, d)
     if best is None:
         raise UnboundedError("radial function undefined; polytope unbounded")
-    return Fraction(best[0] * den, best[1])
+    return Fraction(best[0] * den, best[1] * c_den)
 
 
 def _support(poly: HPolytope, row: tuple[int, ...]) -> tuple[int, int]:
@@ -758,6 +786,22 @@ def _support(poly: HPolytope, row: tuple[int, ...]) -> tuple[int, int]:
     if not points:
         raise DegenerateError("empty polytope")
     return max(sum(map(operator.mul, row, x)) for x in points), den
+
+
+def _supports_about(poly: HPolytope, center, normals
+                    ) -> tuple[list[int], int]:
+    """The support values of poly - c over the integer rows ``normals``, as
+    (numerators, d) with h(u) = M_u / d, c = ``center`` a point: h(u) - u . c
+    (Schneider, *Convex Bodies: The Brunn-Minkowski Theory*, 1.7).  With
+    the vertices X / D and c = C / K, M_u is (max u . X) K - (u . C) D over
+    d = D K, not in lowest terms; a center of 0 costs one ``any``."""
+    tops = [_support(poly, u) for u in normals]
+    den = _integer_vertices(poly)[1]
+    if not any(center):
+        return [m for m, _ in tops], den
+    c_ints, c_den = _integer_vector(center)
+    return [m * c_den - sum(map(operator.mul, u, c_ints)) * den
+            for u, (m, _) in zip(normals, tops)], den * c_den
 
 
 def _edge_directions(poly: HPolytope) -> list[tuple[int, ...]]:
@@ -818,6 +862,11 @@ def _join_normals(e0: HPolytope, e1: HPolytope | None) -> tuple:
     return tuple(found)
 
 
+def _origin(poly: HPolytope) -> tuple[int, ...]:
+    """The point a ``_JoinedBody`` reads its fibers about by default."""
+    return (0,) * poly.dim
+
+
 class _JoinedBody:
     """The joined body over the ray from the bottom center through a base
     point p of the cube: the union of the segments from the bottom center's
@@ -827,20 +876,29 @@ class _JoinedBody:
     check: the callers' points are in the cube.  Over the bottom center
     there is no q, and E1 is None.
 
+    Each fiber E is read about the point ``center_of(E)``: the body is that
+    of the fibers E - center_of(E).  By default that point is the origin,
+    so the body is that of the fibers ``fiber_at`` returns, as the public
+    ``exit_time`` wants; ``HalfBallMap`` passes ``centroid``, so that it
+    reads uncentered fibers in place, with no centered copy built.
+
     Over the base point s q, 0 <= s <= 1, its fiber is (1 - s) E0 + s E1,
     cut out by the inequalities u . y <= (1 - s) h0(u) + s h1(u) for the
     join normals u (``_join_normals``), h0 and h1 the support functions of
     E0 and E1.  ``radial`` and ``exit_time`` are closed forms in h0 and h1
     over those normals.  The fibers are read once, through ``fiber_at``,
     and the support values once, here: ``terms`` holds one (u, M0, M1) per
-    join normal, with h0(u) = M0 / d0 and h1(u) = M1 / d1 over the fibers'
-    own denominators (M1 = 0 and d1 = 1 without E1).  The polytopes cache
+    join normal, with h0(u) = M0 / d0 and h1(u) = M1 / d1 (M1 = 0 and
+    d1 = 1 without E1).  Read about c = C / K, a fiber with vertices X / D
+    has h(u) = (M K - (u . C) D) / (D K), M the max of u . X (Schneider,
+    *Convex Bodies*, 1.7): the pairs need not be in lowest terms, as every
+    closed form here is homogeneous in each (M, d).  The polytopes cache
     their vertices, not these values.
     """
 
     __slots__ = ("e0", "e1", "terms", "d0", "d1")
 
-    def __init__(self, fiber_at: Callable, p):
+    def __init__(self, fiber_at: Callable, p, center_of: Callable = _origin):
         self.e0 = fiber_at((Fraction(0),) * len(p))
         if any(p):
             ints, _ = _integer_vector(p)
@@ -848,13 +906,14 @@ class _JoinedBody:
             self.e1 = fiber_at(tuple(Fraction(x, gauge) for x in ints))
         else:
             self.e1 = None
-        self.d0 = _integer_vertices(self.e0)[1]
-        self.d1 = 1 if self.e1 is None else _integer_vertices(self.e1)[1]
-        self.terms = tuple(
-            (u, _support(self.e0, u)[0],
-             0 if self.e1 is None else _support(self.e1, u)[0])
-            for u in _join_normals(self.e0, self.e1)
-        )
+        normals = _join_normals(self.e0, self.e1)
+        tops0, self.d0 = _supports_about(self.e0, center_of(self.e0), normals)
+        if self.e1 is None:
+            tops1, self.d1 = (0,) * len(normals), 1
+        else:
+            tops1, self.d1 = _supports_about(
+                self.e1, center_of(self.e1), normals)
+        self.terms = tuple(zip(normals, tops0, tops1))
 
     def radial(self, s: Fraction, y) -> Fraction:
         """sup{l : l * y in the joined fiber at gauge s}, by support
@@ -933,15 +992,19 @@ class HalfBallMap:
     """Homeomorphism from a convexoid body onto the closed half-cube
     [0, 1] x [-1, 1]^(d-1), the closed unit half-ball of the sup norm.
 
-    Pipeline: center the fiber (``centered``; free for centered ones),
-    radially rescale it onto the joined body's fiber, then take the point to
-    point / (t* sup(point)), t* the exit time of the ray through it.  Each
-    leg reads its fiber once and builds the joined body (``_JoinedBody``)
-    once, and both the rescale and the exit time are exact closed forms over
-    that body.  The bottom (base first coordinate 0) lands on the half-cube
-    bottom.  Points in and out are rational, and each coordinate out is
-    rounded (``_limit``); ``inverse`` also rounds the body point it reads
-    its fiber at, as the exact one runs to hundreds of bits.
+    Pipeline: read the fiber point about the fiber's centroid (``centroid``,
+    cached on the fiber), radially rescale it onto the joined body's fiber,
+    then take the point to point / (t* sup(point)), t* the exit time of the
+    ray through it.  Each leg reads its fiber once and builds the joined
+    body (``_JoinedBody``) once, of the fibers read about their centroids,
+    and both the rescale and the exit time are exact closed forms over that
+    body.  Centering is a translation, so no centered copy of a fiber is
+    built: a fiber's support values and radial function about its centroid
+    are read off its own vertices and rows.  The bottom (base first
+    coordinate 0) lands on the half-cube bottom.  Points in and out are
+    rational, and each coordinate out is rounded (``_limit``); ``inverse``
+    also rounds the body point it reads its fiber at, as the exact one runs
+    to hundreds of bits.
     """
 
     def __init__(self, spec: ConvexoidSpec):
@@ -949,23 +1012,23 @@ class HalfBallMap:
         self.degenerate_rescales = 0
 
     def _body(self, p) -> _JoinedBody:
-        """The joined body over the ray through base point p, of the
-        centered fibers."""
-        return _JoinedBody(lambda q: centered(self.spec.fiber(q)), p)
+        """The joined body over the ray through base point p, of the fibers
+        read about their centroids."""
+        return _JoinedBody(self.spec.fiber, p, centroid)
 
     def _joined_scale(self, body: _JoinedBody, fiber: HPolytope, p, y
                       ) -> Fraction:
         """Radial function along y of the joined fiber over p, over that of
-        the centered fiber over p; forward multiplies by it and inverse
-        divides, and y = 0 stays.  Over the bottom center (no E1) and over
-        the distinguished boundary (gauge 1) the joined fiber is the fiber
-        itself.  0 on the boundary of either body means the radial map
-        degenerates; it is counted, perturbed by the slack, and the map
-        carries on, as the hypotheses put such points over the distinguished
-        boundary only."""
+        the fiber over p about its centroid (``_radial_about``); forward
+        multiplies by it and inverse divides, and y = 0 stays.  Over the
+        bottom center (no E1) and over the distinguished boundary (gauge 1)
+        the joined fiber is the fiber itself.  0 on the boundary of either
+        body means the radial map degenerates; it is counted, perturbed by
+        the slack, and the map carries on, as the hypotheses put such points
+        over the distinguished boundary only."""
         if not any(y):
             return Fraction(1)
-        lam_e = radial(fiber, y)
+        lam_e = _radial_about(fiber, centroid(fiber), y)
         s = base_gauge(p)
         lam_j = lam_e if body.e1 is None or s == 1 else body.radial(s, y)
         if lam_e <= 0 or lam_j <= 0:
@@ -993,7 +1056,7 @@ class HalfBallMap:
         # gauge fraction in the fiber becomes gauge fraction in the joined
         # fiber
         body = self._body(p)
-        scale = self._joined_scale(body, centered(fiber), p, yc)
+        scale = self._joined_scale(body, fiber, p, yc)
         point = p + tuple(v * scale for v in yc)
         if not any(point):
             return (Fraction(0),) * self.spec.dim
@@ -1032,7 +1095,7 @@ class HalfBallMap:
         point = tuple(Fraction(*_limit(v * num, den)) for v in ints)
         p, yj = point[:nb], point[nb:]
         fiber = self.spec.fiber(p)
-        scale = self._joined_scale(body, centered(fiber), p, yj)
+        scale = self._joined_scale(body, fiber, p, yj)
         y = tuple(v / scale + c for v, c in zip(yj, centroid(fiber)))
         return limit_point(p + y)
 

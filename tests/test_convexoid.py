@@ -889,6 +889,33 @@ def test_polytopes_cache_their_own_geometry_only():
             assert set(poly._cache) <= OWN_GEOMETRY, set(poly._cache)
 
 
+def test_half_ball_round_trips_copy_no_spec_fiber(monkeypatch):
+    """Round trips on hexagon fibers, most of them off center, read every
+    fiber in place, about its centroid: no ``HPolytope._moved`` call starts
+    from a fiber the spec returned, so no centered copy of one is built."""
+    spec = hexagon_spec()
+    sources = []
+    moved = HPolytope._moved
+
+    def spy(self, *args):
+        sources.append(self)
+        return moved(self, *args)
+
+    monkeypatch.setattr(HPolytope, "_moved", spy)
+    rng = random.Random(47)
+    for _ in range(12):
+        tau = rng.choice([0.0, rng.uniform(0.05, 0.95)])
+        z = [rng.uniform(-0.9, 0.9) for _ in range(3)]
+        y = [(1 - tau) * rng.uniform(-0.3, 0.3) for _ in range(2)]
+        x = [tau, *z, *y]
+        back = from_half_ball(spec, to_half_ball(spec, x))
+        assert max(abs(a - b) for a, b in zip(x, back)) < 1e-9
+    monkeypatch.undo()
+    fibers = {id(poly) for poly in spec._memo.values()}
+    assert sum(any(centroid(poly)) for poly in spec._memo.values()) > 12
+    assert not [poly for poly in sources if id(poly) in fibers]
+
+
 # -- gluing ---------------------------------------------------------------------------
 
 
@@ -1855,9 +1882,11 @@ def reference_subset_vertex(subset, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_subset_vertex_matches_elimination(dim):
-    """Canonical keys (X, -D) on random primitive integer rows (a | b),
-    small entries so that many subsets are singular, with proportional and
-    zero normals among them, and with determinants of both signs."""
+    """Keys (X, -D), D > 0, on random primitive integer rows (a | b), small
+    entries so that many subsets are singular, with proportional and zero
+    normals among them, and with determinants of both signs: their
+    ``_primitive`` forms are the canonical keys, which the eliminate form
+    gives, and only the Cramer keys of the plane come unreduced."""
     rng = random.Random(80 + dim)
     seen = collections.Counter()
     for _ in range(3000):
@@ -1870,16 +1899,22 @@ def test_subset_vertex_matches_elimination(dim):
         # vertices() hands in primitive rows, which the eliminate form needs
         subset = [convexoid._primitive(row) for row in subset]
         got = convexoid._subset_vertex(subset, dim)
-        assert got == reference_subset_vertex(subset, dim), subset
-        if got is None:
+        want = reference_subset_vertex(subset, dim)
+        if got is None or want is None:
+            assert got is want, subset
             seen["singular"] += 1
             continue
-        assert got[-1] < 0 and math.gcd(*got) == 1
+        assert convexoid._primitive(got) == want, subset
+        assert got[-1] < 0
+        if dim != 2:
+            assert got == want
+        seen["unreduced"] += math.gcd(*got) > 1
         normals = [row[:dim] for row in subset]
         seen["negative det"] += linalg.det(normals) < 0
         for row in subset:  # every row holds with equality at X / D
             assert sum(a * x for a, x in zip(row, got)) == 0
     assert seen["singular"] > 100 and seen["negative det"] > 100
+    assert seen["unreduced"] > 0 if dim == 2 else not seen["unreduced"]
 
 
 def test_integer_vertices_keep_order_and_exact_values():
@@ -2479,6 +2514,57 @@ def test_lambda_joined_matches_fraction_form_on_random_specs(m):
                     fraction_lambda_joined(spec, p, y))
                 checked += 1
     assert checked == 8 * 6 * 3
+
+
+def support_ratios(body):
+    """(u, h0(u), h1(u)) for each join normal of a ``_JoinedBody``."""
+    return [(u, F(m0, body.d0), F(m1, body.d1)) for u, m0, m1 in body.terms]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_joined_body_about_centroids_matches_centered_copies(m):
+    """The half-ball maps read uncentered fibers about their centroids,
+    with no centered copy built: the support values, joined radial
+    functions, exit times and rescales are those of a ``_JoinedBody`` of
+    the ``centered`` copies, value and type alike (compared by ``repr``),
+    and so is the radial function of the fiber over p about its centroid.
+    In dimension 3 the join normals take in the cross products of the two
+    fibers' edge directions."""
+    rng = random.Random(170 + m)
+    seen = collections.Counter()
+    for _ in range(8 if m < 3 else 5):  # 3-D rays have many join normals
+        nb = rng.randint(1, 2)
+        spec = ConvexoidSpec(nb, m, random_fiber_family(rng, nb, m))
+        hb = HalfBallMap(spec)
+        points = [(F(0),) * nb, (F(1),) + (F(0),) * (nb - 1)]
+        points += [(random_rational(rng, 0, 1),) + tuple(
+            random_rational(rng, -1, 1) for _ in range(nb - 1))
+            for _ in range(3)]
+        for p in points:
+            about = hb._body(p)
+            copies = _JoinedBody(functools.partial(centered_fiber, spec), p)
+            assert repr(support_ratios(about)) == repr(support_ratios(copies))
+            fiber = spec.fiber(p)
+            seen["off center"] += any(centroid(fiber))
+            s = base_gauge(p)
+            for _ in range(3):
+                y = random_direction(rng, m)
+                about_centroid = convexoid._radial_about(
+                    fiber, centroid(fiber), y)
+                assert repr(about_centroid) == repr(
+                    convexoid.radial(centered(fiber), y))
+                assert repr(hb._joined_scale(about, fiber, p, y)) == repr(
+                    hb._joined_scale(copies, centered(fiber), p, y))
+                if copies.e1 is not None:
+                    assert repr(about.radial(s, y)) == repr(
+                        copies.radial(s, y))
+                t = random_rational(rng, 0, 3)
+                ints, den = convexoid._integer_vector(
+                    tuple(t * x for x in p) + y)
+                got = polytope_outcome(about.exit_time, ints, den)
+                assert got == polytope_outcome(copies.exit_time, ints, den)
+                seen[got.split("(")[0]] += 1
+    assert seen["off center"] > 20 and seen["Fraction"] > 60, seen
 
 
 def cube4_spec():
