@@ -61,7 +61,6 @@ from .convexoid import (
     HPolytope,
     UnboundedError,
     barycenter,
-    centered,
     centroid,
     exit_time,
     from_half_ball,

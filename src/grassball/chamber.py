@@ -20,14 +20,15 @@ So no RREF pivot moves with the base, and each generator image depends
 linearly on the base element's coefficients.  The generator images are
 those integer maps run through ``exterior.contract_ints`` or
 ``wedge_ints`` with the base's integer coefficients, all over the base's
-denominator.  A frame is one integer affine map from centered slice
-coordinates to fiber elements: the slice is parametrized by the free
-generator coordinates, measured from the pivot point of the slice (the
-point on the first generator whose image has a nonzero coefficient sum),
-whose image O and the images M_f of the free directions are integer
-combinations of the generator images; an element is one integer
-combination of O and the M_f, and its centered point is one integer
-solve against the generator images.
+denominator.  A frame is one integer affine map from slice coordinates
+to fiber elements: the slice is parametrized by the free generator
+coordinates, measured from the pivot point of the slice (the point on the
+first generator whose image has a nonzero coefficient sum), whose image O
+and the images M_f of the free directions are integer combinations of the
+generator images; an element is one integer combination of O and the M_f,
+and the point of an element is one integer solve against the generator
+images.  Nothing here centers a fiber: the half-ball maps read each fiber
+about its centroid (``convexoid.HalfBallMap``).
 
 Every level of the chart maps onto the cube [-1, 1]^d, the sup-norm ball,
 over the rationals, and a side reads its base chart in cube coordinates,
@@ -63,7 +64,6 @@ from .convexoid import (
     _float,
     _integer_vector,
     _radial_about,
-    centered,
     centroid,
     limit_point,
     norm_gauge,
@@ -257,11 +257,11 @@ def assemble(triple: SplitTriple) -> ChamberPoint:
 
 
 class FiberFrame:
-    """Normalized fiber over a base element, as a polytope in centered coords.
+    """Normalized fiber over a base element, as a polytope in slice coords.
 
     The fiber elements are the images ``image(base, g)`` of the linear span
     of the grade-1 generators g that have coefficient sum 1 and are
-    nonnegative.  The frame is one integer affine map from centered slice
+    nonnegative.  The frame is one integer affine map from slice
     coordinates to those elements, and ``polytope`` collects one
     nonnegativity inequality per coefficient of the grade-``grade`` images.
     Subclasses pick the generators and the image map, and name the
@@ -280,14 +280,12 @@ class FiberFrame:
     every f but the first p with v_p != 0, measured from the pivot point
     x = (D / v_p) e_p: over E = |v_p D| and with s the sign of v_p D, that
     point maps to O = s D I_p, and free coordinate f, which moves x_p by
-    -v_f / v_p, to M_f = s (v_p I_f - v_f I_p).  ``polytope`` and
-    ``center`` are in those slice coordinates; centering cancels the choice
-    of origin, so the centered polytope, its points and their elements do
-    not depend on it.  A centered point yc is the slice point
-    y = center + yc, and the centered point of an element is read off the
-    free columns of its generator coordinates.  ``center`` is computed when
-    the frame is built, ``centered_polytope`` the first time it is read:
-    a frame that only maps elements to centered points never builds it.
+    -v_f / v_p, to M_f = s (v_p I_f - v_f I_p).  ``polytope`` and the points
+    of ``element_of`` and ``point_of`` are in those slice coordinates, and
+    the point of an element is read off the free columns of its generator
+    coordinates.  A frame computes no centroid: ``centroid(polytope)`` is
+    cached on the polytope the first time a side's oracle reads it, so a
+    frame that only maps points never computes one.
     """
 
     base_part = fiber_part = None
@@ -321,22 +319,11 @@ class FiberFrame:
             if any(normal):
                 rows.append((*normal, origin.get(key, 0)))
         self.polytope = HPolytope._of_rows(self.dim, rows, self._map_den)
-        # chart fibers are centered only by their frames, on the first read
-        # of ``centered_polytope``; ``_Side.oracle`` scales them with their
-        # centroid cached.  The pivot point has free coordinates 0, so the
-        # centered origin has free generator coordinates ``center``.
-        self.center = centroid(self.polytope)
 
-    @property
-    def centered_polytope(self) -> HPolytope:
-        """The fiber polytope translated by -``center``, built on first read
-        and then cached on ``polytope`` (``convexoid.centered``)."""
-        return centered(self.polytope)
-
-    def element_of_centered(self, yc: Sequence) -> MultiVector:
-        """(O + sum_f y_f M_f) / E at y = center + yc, as one integer
+    def element_of(self, y: Sequence) -> MultiVector:
+        """(O + sum_f y_f M_f) / E at slice point y, as one integer
         combination over L E, with L the lcm of the denominators of y."""
-        y = [Fraction(1)] + [c + v for c, v in zip(self.center, yc)]
+        y = [Fraction(1), *y]
         scale = lcm(*[c.denominator for c in y])
         out = combine_ints(
             [c.numerator * (scale // c.denominator) for c in y], self._maps
@@ -345,8 +332,8 @@ class FiberFrame:
             self.base.n, self._grade, out, scale * self._map_den
         )
 
-    def centered_point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
-        """The centered point whose element is ``element``.
+    def point_of(self, element: MultiVector) -> tuple[Fraction, ...]:
+        """The slice point whose element is ``element``.
 
         Its generator coordinates x solve sum_j x_j I_j / D = e / d, e the
         element's integers over d; that is the integer system (d I) x = D e,
@@ -369,7 +356,7 @@ class FiberFrame:
             raise ValidationError(
                 f"{self.fiber_part} does not lie on the normalized slice"
             )
-        return tuple(x[f] - c for f, c in zip(self._free, self.center))
+        return tuple(x[f] for f in self._free)
 
 
 @cache
@@ -560,7 +547,12 @@ class _Side:
     convexoid coordinates are (tau, z, (1 - tau) y): tau = sign * (2t - 1)
     runs from the shared bottom t = 1/2 to the top, z is the base element's
     point in the cube of ``base`` (the recursive chart of the base factor)
-    and y the fiber element's centered point in the base element's frame.
+    and y the fiber element's slice point in the base element's frame,
+    measured from the frame's pivot point, not from the fiber's centroid.
+    ``oracle`` hands the convexoid the frame's own polytope scaled by
+    1 - tau, with the centroid computed once on the frame's polytope and
+    carried to every scaled copy; the half-ball maps read each fiber about
+    that centroid.
 
     ``coords`` reads a split triple's coordinates and ``triple_of_coords``
     builds the triple back; these two are the side's one fiber path.
@@ -607,8 +599,9 @@ class _Side:
 
     def oracle(self, p) -> HPolytope:
         tau, z = p[0], p[1:]
-        frame = self.frame(self.element_of_cube(z))
-        return frame.centered_polytope.scaled(max(Fraction(0), 1 - tau))
+        poly = self.frame(self.element_of_cube(z)).polytope
+        centroid(poly)  # cached before scaling, so every copy carries it
+        return poly.scaled(max(Fraction(0), 1 - tau))
 
     def spec(self) -> ConvexoidSpec:
         return ConvexoidSpec(1 + self.base.dim, self.fiber_dim, self.oracle)
@@ -620,7 +613,7 @@ class _Side:
         if fiber_el is None:
             y = (Fraction(0),) * self.fiber_dim
         else:
-            y = self.frame(base_el).centered_point_of(fiber_el)
+            y = self.frame(base_el).point_of(fiber_el)
         scaled = tuple((1 - tau) * v for v in y)
         return (tau, *self.cube_of_element(base_el), *scaled)
 
@@ -635,11 +628,10 @@ class _Side:
         else:
             frame = self.frame(base_el)
             y = nudge_into(
-                frame.centered_polytope,
-                [v / (1 - tau) for v in x[1 + self.base.dim :]],
+                frame.polytope, [v / (1 - tau) for v in x[1 + self.base.dim :]]
             )
             t = (1 + self.sign * tau) / 2
-            fiber_el = frame.element_of_centered(y)
+            fiber_el = frame.element_of(y)
         # unchecked: t is in [0, 1], with the fiber element absent exactly
         # at t = (1 + sign) / 2; base_el is a base chart point moved off
         # index 1; the fiber element was nudged exactly into the slice
@@ -715,7 +707,7 @@ class BallChart:
         for _ in range(count):
             z = [rng.uniform(-0.8, 0.8) for _ in range(e.base.dim)]
             frame = e.frame(e.element_of_cube(rationalize_point(z)))
-            verts = vertices(frame.centered_polytope)
+            verts = vertices(frame.polytope)
             # Dirichlet(1, ..., 1): exponential draws over their sum
             draws = [rng.expovariate(1.0) for _ in verts]
             weights = [rationalize(d / sum(draws)) for d in draws]
@@ -726,7 +718,7 @@ class BallChart:
                 )
                 for i in range(frame.dim)
             ]
-            y = nudge_into(frame.centered_polytope, y)
+            y = nudge_into(frame.polytope, y)
             samples.append(
                 (Fraction(0),) + rationalize_point(z) + tuple(y)
             )

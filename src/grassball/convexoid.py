@@ -11,36 +11,35 @@ them onto the sup-norm forms of those balls: the half-cube
 Polytope data is exact rational, held over integers: an ``HPolytope`` is
 integer rows over one positive denominator in lowest terms, and its
 vertices are cached as integer points over theirs.  Membership, the radial
-function, translation and scaling, vertex enumeration, the boundedness
-check, the centroid, the support function, the join normals (primitive
-integer rows), the exit time and the joined radial function all compute on
-those integers and build one ``Fraction`` per result; ``constraints`` and
-``vertices`` are ``Fraction`` views built when asked for.  Every centroid,
-of a full polytope or of a flat one in its own affine span, is one exact
-simplex fan over the integer vertices (``_fan_centroid``), except that of
-an interval: the midpoint of its two bounds, read off the rows, so that its
-vertices stay unenumerated until asked for; they are those two bounds, with
-no subset search.  No linear program runs:
-boundedness is an exact extreme-ray check on the integer normals, and the
-joined body (the union of segments from the bottom center's fiber to the
-fibers over the distinguished boundary) is never built as a polytope.  Its
-exit times and radial functions are closed forms in the support functions
-of the two fibers it joins, both read off one ``_JoinedBody`` that each map
-call builds once, reading each support value over the join normals once,
-and the half-cube maps divide by the exact exit time.  A polytope caches
-its own geometry only: its integer vertices, centroid, centered copy and
-edges, nothing keyed by a query direction or by another polytope.  The
-maps read each fiber in place, about its ``centroid``: centering is a
-translation, so the support function of K - c is h_K(u) - u . c and its
-radial function the least (b - a . c) / (a . y) over the rows, both read
-off the fiber's own vertices and rows, and no centered copy is built.
-``centered`` builds that copy for the chart's fiber frames;
-``translated`` and ``scaled`` carry the integer vertices and the centroid
-over, so a fiber centered once is never centered again; shifting by 0
-and scaling by 1 return the polytope itself, caches and all.  Those
-copies keep the normals, already checked, so they are built unchecked;
-the public ``HPolytope`` constructor checks and converts every
-constraint.
+function, scaling, vertex enumeration, the boundedness check, the
+centroid, the support function, the join normals (primitive integer rows),
+the exit time and the joined radial function all compute on those integers
+and build one ``Fraction`` per result; ``constraints`` and ``vertices`` are
+``Fraction`` views built when asked for.  Every centroid, of a full
+polytope or of a flat one in its own affine span, is one exact simplex fan
+over the integer vertices (``_fan_centroid``), except that of an interval:
+the midpoint of its two bounds, read off the rows, so that its vertices
+stay unenumerated until asked for; they are those two bounds, with no
+subset search.  No linear program runs: boundedness is an exact
+extreme-ray check on the integer normals, and the joined body (the union
+of segments from the bottom center's fiber to the fibers over the
+distinguished boundary) is never built as a polytope.  Its exit times and
+radial functions are closed forms in the support functions of the two
+fibers it joins, both read off one ``_JoinedBody`` that each map call
+builds once, reading each support value over the join normals once, and
+the half-cube maps divide by the exact exit time.  A polytope caches its
+own geometry only: its integer vertices, centroid and edges, nothing keyed
+by a query direction or by another polytope.  The maps read each fiber in
+place, about its ``centroid``, and nothing here translates a polytope:
+the support function of K - c is h_K(u) - u . c and its radial function
+the least (b - a . c) / (a . y) over the rows, both read off the fiber's
+own vertices and rows (Schneider, *Convex Bodies*, 1.7).  ``scaled`` is
+the one copy a polytope makes: it carries the integer vertices and the
+centroid over, scaled, so a chart fiber's centroid is computed once per
+frame and not per scaled copy, and scaling by 1 returns the polytope
+itself, caches and all.  A copy keeps the normals, already checked, so it
+is built unchecked; the public ``HPolytope`` constructor checks and
+converts every constraint.
 
 ``HalfBallMap`` and ``GluedBallMap`` take and return rationals, each
 coordinate they return rounded to a denominator of at most
@@ -97,7 +96,6 @@ __all__ = [
     "vertices",
     "barycenter",
     "centroid",
-    "centered",
     "radial_project_base",
     "exit_time",
     "to_half_ball",
@@ -260,60 +258,40 @@ class HPolytope:
             for row in self._rows
         )
 
-    def _moved(self, num: int, den: int, shift, shift_den: int
-               ) -> "HPolytope":
-        """Image under y -> (num / den) y + S / L, with num >= 0 and den > 0
-        integers and S = ``shift`` an integer point over L = ``shift_den``.
+    def scaled(self, factor) -> "HPolytope":
+        """Image under y -> f y for a factor f = num / den >= 0; f = 1 gives
+        the polytope itself, caches and all.
 
         The normals are the same, in the same order, so the cached integer
-        vertices (in their order) and centroid carry over, moved; the copy is
-        built unchecked.  An empty vertex cache is not carried: scaling by 0
-        keeps the normals and zeroes the offsets, so the copy of an empty
+        vertices (in their order) and centroid carry over, scaled; the copy
+        is built unchecked.  An empty vertex cache is not carried: scaling by
+        0 keeps the normals and zeroes the offsets, so the copy of an empty
         polytope need not be empty, and it enumerates its own.  Over the
-        common denominator D den L of the image, row (a, b) becomes
-        (a den L, b num L + (a . S) den).  Moved vertices are de-duplicated:
-        a shift or a positive scale keeps them distinct, and scaling by 0
-        sends them all to the shift, the one vertex of the point polytope.
+        common denominator D den of the image, row (a, b) becomes
+        (a den, b num).  Scaled vertices are de-duplicated: a positive scale
+        keeps them distinct, and scaling by 0 sends them all to 0, the one
+        vertex of the point polytope.
         """
-        rows = [
-            (*[a * den * shift_den for a in row[:-1]],
-             row[-1] * num * shift_den
-             + sum(map(operator.mul, row, shift)) * den)
-            for row in self._rows
-        ]
-        out = HPolytope._of_rows(self.dim, rows, self._den * den * shift_den)
-        cached = self._cache.get("integer vertices")
-        if cached is not None and cached[0]:
-            points, vden = cached
-            moved = dict.fromkeys(
-                tuple(x * num * shift_den + d * vden * den
-                      for x, d in zip(p, shift))
-                for p in points
-            )
-            out._cache["integer vertices"] = _in_lowest_terms(
-                list(moved), vden * den * shift_den)
-        if "centroid" in self._cache:
-            out._cache["centroid"] = tuple(
-                Fraction(c.numerator * num * shift_den
-                         + d * c.denominator * den,
-                         c.denominator * den * shift_den)
-                for c, d in zip(self._cache["centroid"], shift)
-            )
-        return out
-
-    def scaled(self, factor) -> "HPolytope":
         num, den = _ratio(factor)
         if num < 0:
             raise ValueError("scale factor must be nonnegative")
         if num == den:  # in lowest terms: the factor is 1
             return self
-        return self._moved(num, den, (0,) * self.dim, 1)
-
-    def translated(self, shift) -> "HPolytope":
-        ints, den = _integer_vector(shift)
-        if not any(ints):
-            return self
-        return self._moved(1, 1, ints, den)
+        rows = [(*[a * den for a in row[:-1]], row[-1] * num)
+                for row in self._rows]
+        out = HPolytope._of_rows(self.dim, rows, self._den * den)
+        cached = self._cache.get("integer vertices")
+        if cached is not None and cached[0]:
+            points, vden = cached
+            scaled = dict.fromkeys(tuple(x * num for x in p) for p in points)
+            out._cache["integer vertices"] = _in_lowest_terms(
+                list(scaled), vden * den)
+        if "centroid" in self._cache:
+            out._cache["centroid"] = tuple(
+                Fraction(c.numerator * num, c.denominator * den)
+                for c in self._cache["centroid"]
+            )
+        return out
 
 
 def _fill(poly: HPolytope, dim: int, rows, den: int) -> HPolytope:
@@ -606,20 +584,14 @@ def barycenter(poly: HPolytope) -> tuple[Fraction, ...]:
 def centroid(poly: HPolytope) -> tuple[Fraction, ...]:
     """Centroid with respect to the polytope's own affine hull, cached.
 
-    Needed for the centering step on degenerate boundary fibers; exact for
+    The point the half-ball maps read a fiber about, degenerate boundary
+    fibers included (``HalfBallMap``); exact for
     hulls of dimension <= 2 in any dimension and for full-dimensional
     polytopes of dimension <= ``MAX_FIBER_DIM`` (``_fan_centroid``).
     """
     if "centroid" not in poly._cache:
         poly._cache["centroid"] = _hull_centroid(poly)
     return poly._cache["centroid"]
-
-
-def centered(poly: HPolytope) -> HPolytope:
-    """The polytope translated to centroid zero, cached; idempotent."""
-    if "centered" not in poly._cache:
-        poly._cache["centered"] = poly.translated([-c for c in centroid(poly)])
-    return poly._cache["centered"]
 
 
 def _interval_bounds(poly: HPolytope) -> tuple:
@@ -727,7 +699,7 @@ def radial_project_base(p) -> tuple[tuple[Fraction, ...], Fraction]:
     projection P / G.
     """
     p = rationalize_point(p)
-    if p[0] < 0 or p[0] > 1 or any(abs(v) > 1 for v in p[1:]):
+    if not p or p[0] < 0 or p[0] > 1 or any(abs(v) > 1 for v in p[1:]):
         raise DomainError("point lies outside the base cube")
     ints, den = _integer_vector(p)
     g = base_gauge(ints)
@@ -749,7 +721,7 @@ def radial(poly: HPolytope, y) -> Fraction:
 
 def _radial_about(poly: HPolytope, center, y) -> Fraction:
     """Radial function of poly - c along y != 0, for a point c of poly, read
-    off poly's own rows, with no translated copy built: the least
+    off poly's own rows, with no shifted copy built: the least
     (b - a . c) / (a . y) over the rows with a . y > 0.  Over integers, with
     c = C / K and y = Y / L, that is L (b K - a . C) / (K (a . Y)).  The
     half-ball maps read their fibers about the centroid this way, and
@@ -880,7 +852,7 @@ class _JoinedBody:
     of the fibers E - center_of(E).  By default that point is the origin,
     so the body is that of the fibers ``fiber_at`` returns, as the public
     ``exit_time`` wants; ``HalfBallMap`` passes ``centroid``, so that it
-    reads uncentered fibers in place, with no centered copy built.
+    reads each fiber in place, about its centroid.
 
     Over the base point s q, 0 <= s <= 1, its fiber is (1 - s) E0 + s E1,
     cut out by the inequalities u . y <= (1 - s) h0(u) + s h1(u) for the
@@ -973,9 +945,14 @@ class _JoinedBody:
 
 def exit_time(spec: ConvexoidSpec, direction) -> Fraction:
     """Exit time of the ray t -> t * direction, t >= 0, from the joined body
-    of a centered spec, exact (``_JoinedBody.exit_time``).  A ray whose base
-    part points below the bottom leaves the base cube at once."""
+    of the spec's fibers as they are, read about the origin, exact
+    (``_JoinedBody.exit_time``).  A ray whose base part points below the
+    bottom leaves the base cube at once.  A direction of any length but
+    ``spec.dim`` raises ``ValueError``."""
     v = rationalize_point(direction)
+    if len(v) != spec.dim:
+        raise ValueError(f"ray direction has {len(v)} coordinates; the "
+                         f"spec has dimension {spec.dim}")
     if not any(v):
         raise ValueError("ray direction is zero")
     if v[0] < 0:
@@ -998,9 +975,9 @@ class HalfBallMap:
     ray through it.  Each leg reads its fiber once and builds the joined
     body (``_JoinedBody``) once, of the fibers read about their centroids,
     and both the rescale and the exit time are exact closed forms over that
-    body.  Centering is a translation, so no centered copy of a fiber is
-    built: a fiber's support values and radial function about its centroid
-    are read off its own vertices and rows.  The bottom (base first
+    body.  No shifted copy of a fiber is built: a fiber's support values
+    and radial function about its centroid are read off its own vertices
+    and rows.  The bottom (base first
     coordinate 0) lands on the half-cube bottom.  Points in and out are
     rational, and each coordinate out is rounded (``_limit``); ``inverse``
     also rounds the body point it reads its fiber at, as the exact one runs
@@ -1036,16 +1013,8 @@ class HalfBallMap:
         return ((lam_j if lam_j > 0 else SLACK)
                 / (lam_e if lam_e > 0 else SLACK))
 
-    def _require_dim(self, x) -> None:
-        """DomainError unless x has ``spec.dim`` coordinates."""
-        if len(x) != self.spec.dim:
-            raise DomainError(
-                f"point has {len(x)} coordinates; the map takes "
-                f"{self.spec.dim}"
-            )
-
     def forward(self, x) -> tuple[Fraction, ...]:
-        self._require_dim(x)
+        _require_dim(x, self.spec.dim)
         nb = self.spec.base_dim
         p = _cube_point(x[:nb], 0, "base cube")
         y = rationalize_point(x[nb:])
@@ -1077,7 +1046,7 @@ class HalfBallMap:
         denominator at most ``RATIONALIZE_DEN``, not on the exact point; the
         rounding keeps its base part in the cube, whose bounds 0 and +-1 it
         never crosses.  The output is rounded again (``limit_point``)."""
-        self._require_dim(h)
+        _require_dim(h, self.spec.dim)
         h = _cube_point(h, 0, "half-cube")
         nb = self.spec.base_dim
         if not any(h):
@@ -1098,6 +1067,14 @@ class HalfBallMap:
         scale = self._joined_scale(body, fiber, p, yj)
         y = tuple(v / scale + c for v, c in zip(yj, centroid(fiber)))
         return limit_point(p + y)
+
+
+def _require_dim(x, dim: int) -> None:
+    """DomainError unless x has ``dim`` coordinates, the map's dimension."""
+    if len(x) != dim:
+        raise DomainError(
+            f"point has {len(x)} coordinates; the map takes {dim}"
+        )
 
 
 def _cube_point(x, low: int, body: str) -> tuple[Fraction, ...]:
@@ -1226,6 +1203,7 @@ class GluedBallMap:
         raise ValueError(f"unknown side {side!r}")
 
     def inverse(self, cube_point):
+        _require_dim(cube_point, self.dim)
         u, *w = _cube_point(cube_point, -1, "cube")
         if u <= 0:
             return "E", self.e_map.inverse((-u, *w))

@@ -211,8 +211,8 @@ def test_f_fiber_corank_one_is_a_point():
     )
     frame = f_fiber(eta)
     assert frame.dim == 0
-    assert vertices(frame.centered_polytope) == [()]
-    omega = frame.element_of_centered(())
+    assert vertices(frame.polytope) == [()]
+    omega = frame.element_of(())
     assert omega.k == 3 and contains(eta, omega)
 
 
@@ -220,9 +220,9 @@ def test_f_fiber_segment_example():
     # eta = e_2 with omega ranging over e_2 ^ (b e_3 + c e_4): a segment
     frame = f_fiber(MultiVector.basis(4, (2,)))
     assert frame.dim == 1
-    ends = vertices(frame.centered_polytope)
+    ends = vertices(frame.polytope)
     assert len(ends) == 2
-    omegas = [frame.element_of_centered(v) for v in ends]
+    omegas = [frame.element_of(v) for v in ends]
     keys = {tuple(mv.support()) for mv in omegas}
     assert keys == {((2, 3),), ((2, 4),)}
 
@@ -230,8 +230,8 @@ def test_f_fiber_segment_example():
 def test_e_fiber_segment_example():
     frame = e_fiber(MultiVector.basis(4, (2, 3)))
     assert frame.dim == 1
-    ends = vertices(frame.centered_polytope)
-    etas = [frame.element_of_centered(v) for v in ends]
+    ends = vertices(frame.polytope)
+    etas = [frame.element_of(v) for v in ends]
     keys = {tuple(mv.support()) for mv in etas}
     assert keys == {((2,),), ((3,),)}
 
@@ -259,14 +259,14 @@ def test_fiber_frames_round_trip_points():
         point = random_positive_point(rng, 2, 5)
         s = split(point)
         eframe = e_fiber(s.omega)
-        y = eframe.centered_point_of(s.eta)
-        assert eframe.element_of_centered(y) == s.eta
+        y = eframe.point_of(s.eta)
+        assert eframe.element_of(y) == s.eta
         fframe = f_fiber(s.eta)
-        z = fframe.centered_point_of(s.omega)
-        assert fframe.element_of_centered(z) == s.omega
+        z = fframe.point_of(s.omega)
+        assert fframe.element_of(z) == s.omega
         # the fiber coordinates lie in their polytopes exactly
-        assert eframe.centered_polytope.contains_point(y)
-        assert fframe.centered_polytope.contains_point(z)
+        assert eframe.polytope.contains_point(y)
+        assert fframe.polytope.contains_point(z)
 
 
 def test_fiber_polytopes_vary_continuously():
@@ -377,49 +377,48 @@ def test_fiber_validation_errors():
     assert type(info.value) is ValidationError
 
 
-def test_centered_point_of_rejects_elements_off_the_fiber():
+def test_point_of_rejects_elements_off_the_fiber():
     frame = e_fiber(MultiVector.basis(4, (2, 3)))
     with pytest.raises(
         ValidationError, match="^eta is not contained in the fiber family$"
     ) as info:
-        frame.centered_point_of(MultiVector.basis(4, (4,)))
+        frame.point_of(MultiVector.basis(4, (4,)))
     assert type(info.value) is ValidationError
     with pytest.raises(
         ValidationError, match="^eta does not lie on the normalized slice$"
     ) as info:
-        frame.centered_point_of(MultiVector(4, 1, {(2,): 1, (3,): 1}))
+        frame.point_of(MultiVector(4, 1, {(2,): 1, (3,): 1}))
     assert type(info.value) is ValidationError
     # both: the containment check comes first
     with pytest.raises(ValidationError, match="not contained"):
-        frame.centered_point_of(MultiVector(4, 1, {(2,): 1, (4,): 1}))
+        frame.point_of(MultiVector(4, 1, {(2,): 1, (4,): 1}))
     frame = f_fiber(MultiVector.basis(4, (2,)))
     with pytest.raises(
         ValidationError, match="^omega is not contained in the fiber family$"
     ):
-        frame.centered_point_of(MultiVector.basis(4, (3, 4)))
+        frame.point_of(MultiVector.basis(4, (3, 4)))
     with pytest.raises(
         ValidationError, match="^omega does not lie on the normalized slice$"
     ):
-        frame.centered_point_of(MultiVector(4, 2, {(2, 3): 2}))
+        frame.point_of(MultiVector(4, 2, {(2, 3): 2}))
 
 
 # -- integer frames against their Fraction form --------------------------------------
-# A ``FiberFrame`` is one integer affine map in centered coordinates.  The
+# A ``FiberFrame`` is one integer affine map in slice coordinates.  The
 # oracle below is its Fraction form, kept as the reference: the pivot point
 # and kernel of the slice sum == 1, the images built by Fraction multivector
 # arithmetic, a checked ``HPolytope``, the centroid through vertex
-# enumeration and the barycenter, with the centered copy carrying the
-# translated vertices, and the element of a centered point as the origin's
-# image plus the basis images at the uncentered point.  The elements are
-# compared at 0, at every centered vertex and at seeded interior rationals.
-# Every comparison is on ``repr``.
+# enumeration and the barycenter, and the element of a slice point as the
+# origin's image plus the basis images at that point.  The elements are
+# compared at the centroid, at every vertex and at seeded interior
+# rationals.  Every comparison is on ``repr``.
 
 
-def probe_points(verts, rng):
-    """0, the vertices, and three seeded rational convex combinations of the
-    vertices of a centered polytope."""
+def probe_points(center, verts, rng):
+    """The centroid, the vertices, and three seeded rational convex
+    combinations of the vertices of a polytope."""
     dim = len(verts[0])
-    points = [(Fraction(0),) * dim] + list(verts)
+    points = [center] + list(verts)
     for _ in range(3):
         weights = [Fraction(rng.randint(1, 9)) for _ in verts]
         total = sum(weights)
@@ -432,8 +431,8 @@ def probe_points(verts, rng):
 
 
 def reference_frame(frame_cls, base, rng):
-    """repr of the frame's polytopes, centroid and elements at the probe
-    points over base, or the error raised."""
+    """repr of the frame's polytope, its vertices and centroid, and the
+    elements at the probe points over base, or the error raised."""
     try:
         return _reference_frame(frame_cls, base, rng)
     except ValueError as exc:
@@ -495,25 +494,19 @@ def _reference_frame(frame_cls, base, rng):
     poly = HPolytope(dim, constraints)
     verts = vertices(poly)
     center = reference_centroid(poly, verts)
-    shifted = [
-        (n, o - sum((a * c for a, c in zip(n, center)), Fraction(0)))
-        for n, o in constraints
-    ]
-    moved = [tuple(x - c for x, c in zip(v, center)) for v in verts]
-    probes = probe_points(moved, rng)
+    probes = probe_points(center, verts, rng)
 
-    def element(yc):
+    def element(y):
         out = origin_image
-        for y, c, img in zip(yc, center, basis_images):
-            out = out + img * (y + c)
+        for v, img in zip(y, basis_images):
+            out = out + img * v
         return out
 
     return {
         "dim": repr(dim),
         "polytope": repr((poly.dim, poly.constraints)),
-        "center": repr(center),
-        "centered_polytope": repr((dim, HPolytope(dim, shifted).constraints)),
-        "centered_vertices": repr(moved),
+        "centroid": repr(center),
+        "vertices": repr(verts),
         "probes": probes,
         "elements": repr([element(p) for p in probes]),
     }
@@ -553,21 +546,18 @@ def reference_centroid(poly, verts):
 
 def frame_state(frame_cls, base, probes):
     """The reference's entries for the frame over base, its elements at the
-    probe points, and that ``centered_point_of`` gives the probes back."""
+    probe points, and that ``point_of`` gives the probes back."""
     try:
         frame = frame_cls(base)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
-    elements = [frame.element_of_centered(p) for p in probes]
-    assert [frame.centered_point_of(e) for e in elements] == probes
+    elements = [frame.element_of(p) for p in probes]
+    assert [frame.point_of(e) for e in elements] == probes
     return {
         "dim": repr(frame.dim),
         "polytope": repr((frame.polytope.dim, frame.polytope.constraints)),
-        "center": repr(frame.center),
-        "centered_polytope": repr(
-            (frame.centered_polytope.dim, frame.centered_polytope.constraints)
-        ),
-        "centered_vertices": repr(vertices(frame.centered_polytope)),
+        "centroid": repr(convexoid.centroid(frame.polytope)),
+        "vertices": repr(vertices(frame.polytope)),
         "probes": probes,
         "elements": repr(elements),
     }
@@ -687,11 +677,11 @@ def test_g24_frame_rows_stay_small():
     assert bits <= FRAME_BITS * 11 // 10, bits
 
 
-# -- centered points by integer elimination ------------------------------------------
+# -- slice points by integer elimination ---------------------------------------------
 
 
-def solve_centered_point_of(frame, element):
-    """``centered_point_of`` through ``linalg.solve``, the reference for the
+def solve_point_of(frame, element):
+    """``point_of`` through ``linalg.solve``, the reference for the
     integer solve: the generator images as integer columns, and the
     element's ``Fraction`` coefficients times the images' denominator as
     the right-hand side."""
@@ -708,7 +698,7 @@ def solve_centered_point_of(frame, element):
         raise ValidationError(
             f"{frame.fiber_part} does not lie on the normalized slice"
         )
-    return tuple(x[f] - c for f, c in zip(frame._free, frame.center))
+    return tuple(x[f] for f in frame._free)
 
 
 def point_or_error(solve, frame, element):
@@ -720,7 +710,7 @@ def point_or_error(solve, frame, element):
     return point, repr(point)
 
 
-def test_centered_point_of_matches_its_fraction_solve():
+def test_point_of_matches_its_fraction_solve():
     """The integer solve gives the ``linalg.solve`` points, by value and
     type, on elements of the family, and the same errors on elements off
     the slice or outside the family; with a generator image repeated, so
@@ -737,11 +727,11 @@ def test_centered_point_of_matches_its_fraction_solve():
         frame = frame_cls(base)
         repeated = copy.copy(frame)
         repeated._ints = frame._ints + [frame._ints[-1]]
-        verts = vertices(frame.centered_polytope)
+        verts = vertices(frame.polytope)
         mean = tuple(sum(v[i] for v in verts) / len(verts)
                      for i in range(frame.dim))
         probes = verts + [mean]
-        family = [frame.element_of_centered(p) for p in probes]
+        family = [frame.element_of(p) for p in probes]
         n, grade = base.n, frame._grade
         outside = [MultiVector.basis(n, (1,) + tuple(range(2, grade + 1)))]
         outside += [
@@ -750,21 +740,50 @@ def test_centered_point_of_matches_its_fraction_solve():
         ]
         off_slice = [el * 2 for el in family[-2:]]
         for element in family + off_slice + outside:
-            want = point_or_error(solve_centered_point_of, frame, element)
-            assert point_or_error(
-                FiberFrame.centered_point_of, frame, element) == want
-            for solve in (FiberFrame.centered_point_of,
-                          solve_centered_point_of):
+            want = point_or_error(solve_point_of, frame, element)
+            assert point_or_error(FiberFrame.point_of, frame, element) == want
+            for solve in (FiberFrame.point_of, solve_point_of):
                 assert point_or_error(solve, repeated, element) == want
             if want[0] is ValidationError:
                 seen[want[1].split(" ", 1)[1]] += 1
             else:
                 assert all(type(c) is Fraction for c in want[0])
                 seen["point"] += 1
-        assert [frame.centered_point_of(el) for el in family] == probes
+        assert [frame.point_of(el) for el in family] == probes
     assert seen["point"] >= 3 * len(bases), seen
     assert seen["does not lie on the normalized slice"] >= len(bases), seen
     assert seen["is not contained in the fiber family"] >= len(bases), seen
+
+
+def test_frames_that_only_map_points_compute_no_centroid(monkeypatch):
+    """A frame computes no centroid of its own: one used only through
+    ``point_of`` and ``element_of`` makes no ``_hull_centroid`` call.  When
+    each frame centered its polytope on construction it made one per
+    frame."""
+    rng = random.Random(83)
+    triples = [split(sample(rng, k, n))
+               for k, n in [(2, 4), (2, 5), (3, 5), (2, 6), (4, 6)]
+               for sample in (random_positive_point, random_nonneg_point)
+               for _ in range(2)]
+    calls = built = 0
+    hull_centroid = convexoid._hull_centroid
+
+    def counting(poly):
+        nonlocal calls
+        calls += 1
+        return hull_centroid(poly)
+
+    monkeypatch.setattr(convexoid, "_hull_centroid", counting)
+    for s in triples:
+        for frame_cls, base, fiber in ((EFiberFrame, s.omega, s.eta),
+                                       (FFiberFrame, s.eta, s.omega)):
+            if base is None or fiber is None:
+                continue
+            frame = frame_cls(base)
+            built += 1
+            assert frame.element_of(frame.point_of(fiber)) == fiber
+    assert built >= 20, built
+    assert calls == 0, calls
 
 
 # -- no Fraction rows or kernel solves on the plane paths ----------------------------

@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from grassball import convexoid
+from grassball import chamber, convexoid
 from grassball.chamber import (
     BallChart,
     ChamberPoint,
@@ -23,7 +23,13 @@ from grassball.chamber import (
     get_chart,
     split,
 )
-from grassball.convexoid import DomainError
+from grassball.convexoid import (
+    ConvexoidSpec,
+    DomainError,
+    HalfBallMap,
+    HPolytope,
+    centroid,
+)
 from grassball.exterior import (
     MultiVector,
     classify_sign,
@@ -213,8 +219,9 @@ def test_t_degenerate_points_round_trip():
     "sample", [random_positive_point, random_nonneg_point]
 )
 def test_chart_fibers_are_centered_only_by_their_frames(monkeypatch, sample):
-    """The half-cube maps find every chart fiber already centered, the
-    point fibers at tau = 1 included."""
+    """The half-cube maps read every chart fiber about a centroid computed
+    once per frame, on the frame's polytope, and carried to its scaled
+    copies, the point fibers at tau = 1 included."""
     chart = BallChart(2, 4)  # fresh, so that its frames are built here
     rng = random.Random(45)
     chart.inverse(chart.forward(sample(rng, 2, 4)))  # warm-up
@@ -659,6 +666,86 @@ def test_g24_round_trips_enumerate_no_vertex_subsets(monkeypatch):
     assert calls == 0, calls
 
 
+# the count of the guard below with each fiber frame's polytope scaled with
+# its vertices and centroid cached; when every frame also built a centered
+# copy it was 118
+ENUMERATE_CAP = 114
+
+
+def test_g25_round_trips_enumerate_each_frame_polytope_once(monkeypatch):
+    """A guard with no timing in it: 12 fixed G(2,5) round trips on fresh
+    charts, their glued maps built first, enumerate vertices
+    (``_enumerate_vertices``) at most ENUMERATE_CAP times, since the scaled
+    fibers a side's oracle hands out carry the vertices and centroid of
+    the frame's polytope."""
+    monkeypatch.setattr(chamber, "_CHARTS", {})  # base charts fresh too
+    rng = random.Random(7)
+    points = [(random_positive_point, random_nonneg_point)[i % 2](rng, 2, 5)
+              for i in range(12)]
+    chart = get_chart(2, 5)
+    chart._glued_map()
+    calls = 0
+    enumerate_vertices = convexoid._enumerate_vertices
+
+    def counting(poly):
+        nonlocal calls
+        calls += 1
+        return enumerate_vertices(poly)
+
+    monkeypatch.setattr(convexoid, "_enumerate_vertices", counting)
+    errors = [roundtrip_error(chart, point) for point in points]
+    assert max(errors) < 1e-12
+    assert calls <= ENUMERATE_CAP, calls
+
+
+def moved(poly, factor, shift):
+    """poly's image under y -> factor y + shift, built through the public
+    constructor from the ``Fraction`` rows (n, factor o + n . shift)."""
+    return HPolytope(poly.dim, [
+        (n, o * factor + sum((a * b for a, b in zip(n, shift)), Fraction(0)))
+        for n, o in poly.constraints
+    ])
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 5)])
+def test_e_side_forward_equals_that_of_centered_fibers(k, n):
+    """The E side hands its half-ball map the frames' own polytopes in slice
+    coordinates; read about their centroids, they map E-side points
+    (t < 1/2, so no handoff across the bottom) to the same rationals as a
+    spec whose fibers are those polytopes moved to centroid 0 (``moved``),
+    at the same point in centered coordinates: its fiber part moved by
+    (1 - tau) times the centroid of the frame polytope the map reads, that
+    of the base element the base chart gives back at z."""
+    chart = get_chart(k, n)
+    side, e_map = chart._e, chart._glued_map().e_map
+    nb = 1 + side.base.dim
+
+    def polytope_at(p):
+        return side.frame(side.element_of_cube(p[1:nb])).polytope
+
+    def centered_fiber(p):
+        poly, scale = polytope_at(p), max(Fraction(0), 1 - p[0])
+        return moved(poly, scale, [-scale * c for c in centroid(poly)])
+
+    local = HalfBallMap(ConvexoidSpec(1 + side.base.dim, side.fiber_dim,
+                                      centered_fiber))
+    rng = random.Random(91 + n + k)
+    triples = [split(ChamberPoint(MultiVector.basis(n, key)))
+               for key in combinations(range(2, n + 1), k)]
+    while len(triples) < 24:
+        sample = (random_positive_point, random_nonneg_point)[len(triples) % 2]
+        triple = split(sample(rng, k, n))
+        if 2 * triple.t < 1:
+            triples.append(triple)
+    for triple in triples:
+        x = side.coords(triple)
+        xc = x[:nb] + tuple(v - (1 - x[0]) * c
+                            for v, c in zip(x[nb:], centroid(polytope_at(x))))
+        got = e_map.forward(x)
+        assert got == local.forward(xc) and all(type(v) is Fraction
+                                                for v in got)
+
+
 def test_coordinates_too_large_for_a_float_are_outside_the_domain():
     """An integer chart coordinate too large for a float is refused as an
     infinite one is, not with an ``OverflowError``."""
@@ -705,13 +792,15 @@ def test_cached_base_lookups_equal_uncached_ones(k, n):
 
 
 def test_fibers_at_the_bottom_are_the_frames_own_polytopes():
-    """At tau = 0 a side's oracle scales the frame's centered polytope by 1,
-    which returns that polytope itself, its caches included."""
+    """At tau = 0 a side's oracle scales the frame's polytope by 1, which
+    returns that polytope itself, its caches included, its centroid among
+    them."""
     chart = BallChart(2, 4)
     for side in (chart._e, chart._f):
         z = (Fraction(1, 5), Fraction(-2, 7))
         fiber = side.oracle((Fraction(0),) + z)
-        assert fiber is side.frame(side.element_of_cube(z)).centered_polytope
+        assert fiber is side.frame(side.element_of_cube(z)).polytope
+        assert "centroid" in fiber._cache
         assert side.oracle((Fraction(1, 2),) + z) is not fiber
 
 

@@ -24,7 +24,6 @@ from grassball.convexoid import (
     _JoinedBody,
     barycenter,
     base_gauge,
-    centered,
     centroid,
     exit_time,
     from_half_ball,
@@ -58,8 +57,21 @@ def square_spec():
     return ConvexoidSpec(1, 1, lambda p: interval(-1, 1))
 
 
+def moved(poly, factor, shift):
+    """poly's image under y -> factor y + shift, built through the public
+    constructor from the ``Fraction`` rows (n, factor o + n . shift)."""
+    return HPolytope(poly.dim, moved_fraction_form(poly, factor, shift))
+
+
+@functools.cache
+def centered(poly):
+    """poly moved to centroid zero (``moved``), one copy per polytope, so
+    that a fiber read twice gives the same copy."""
+    return moved(poly, 1, [-c for c in centroid(poly)])
+
+
 def centered_spec(spec):
-    """The same convexoid with every fiber translated to centroid zero."""
+    """The same convexoid with every fiber moved to centroid zero."""
     return ConvexoidSpec(
         spec.base_dim, spec.fiber_dim, lambda p: centered(spec.fiber(p))
     )
@@ -206,31 +218,13 @@ def test_barycenter_matches_monte_carlo():
             assert abs(float(c) - e) <= 4 * s + 1e-9
 
 
-# -- centering --------------------------------------------------------------------
+# -- scaled copies -------------------------------------------------------------
 
 
-def test_centered_shifts_and_is_idempotent():
-    poly = interval(0, 2)
-    once = centered(poly)
-    assert sorted(vertices(once)) == [(F(-1),), (F(1),)]
-    twice = centered(once)
-    assert sorted(vertices(twice)) == [(F(-1),), (F(1),)]
-    assert barycenter(once) == (F(0),)
-    assert twice is once and centered(poly) is once
-
-
-def moved_copies(poly, rng):
-    """Translated and scaled images of poly, by rational shifts and factors."""
-    shift = tuple(
-        F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(poly.dim)
-    )
-    return [
-        poly.translated(shift),
-        poly.scaled(F(3, 2)),
-        poly.scaled(F(1, 3)),
-        poly.scaled(1),
-        poly.scaled(F(2, 5)).translated(shift),
-    ]
+def scaled_copies(poly):
+    """Scaled images of poly, by rational factors, one of them 1."""
+    return [poly.scaled(F(3, 2)), poly.scaled(F(1, 3)), poly.scaled(1),
+            poly.scaled(F(2, 5)).scaled(F(7, 4))]
 
 
 def test_moved_polytope_caches_equal_a_fresh_computation():
@@ -241,23 +235,21 @@ def test_moved_polytope_caches_equal_a_fresh_computation():
     for poly in polys:
         vertices(poly)
         centroid(poly)
-        for moved in moved_copies(poly, rng):
+        for copy in scaled_copies(poly):
             # the copies come from the source, not from a new computation
-            assert "integer vertices" in moved._cache
-            assert "centroid" in moved._cache
-            fresh = HPolytope(moved.dim, moved.constraints)
-            assert vertices(moved) == vertices(fresh)  # same order, too
-            assert centroid(moved) == centroid(fresh)
+            assert "integer vertices" in copy._cache
+            assert "centroid" in copy._cache
+            fresh = HPolytope(copy.dim, copy.constraints)
+            assert vertices(copy) == vertices(fresh)  # same order, too
+            assert centroid(copy) == centroid(fresh)
 
 
-def test_scaling_by_one_and_shifting_by_zero_return_the_polytope_itself():
+def test_scaling_by_one_returns_the_polytope_itself():
     rng = random.Random(45)
     polys = [interval(-1, 3), box2(-1, 2, 0, 1), flat_segment(),
              random_bounded_3d(rng)]
     for poly in polys:
-        zero = (F(0),) * poly.dim
-        for same in (poly.scaled(1), poly.scaled(F(3, 3)), poly.scaled(1.0),
-                     poly.translated(zero), poly.translated([0] * poly.dim)):
+        for same in (poly.scaled(1), poly.scaled(F(3, 3)), poly.scaled(1.0)):
             assert same is poly
         assert poly.scaled(F(2, 3)) is not poly
     with pytest.raises(ValueError, match="nonnegative"):
@@ -277,9 +269,6 @@ def test_scaled_zero_of_empty_polytope_does_not_depend_on_call_order(dim):
     assert vertices(warm) == []
     point = [(F(0),) * dim]
     assert vertices(cold.scaled(0)) == vertices(warm.scaled(0)) == point
-    shift = tuple(F(i + 1, 3) for i in range(dim))
-    assert vertices(warm.scaled(0).translated(shift)) == [shift]
-    assert vertices(warm.translated(shift)) == []
 
 
 def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
@@ -295,10 +284,10 @@ def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
     half_plane = HPolytope(2, [((F(1), F(0)), F(1))])
     with pytest.raises(UnboundedError):
         vertices(half_plane)
-    for moved in moved_copies(half_plane, rng):
-        assert not moved._cache
+    for copy in scaled_copies(half_plane):
+        assert copy is half_plane or not copy._cache
         with pytest.raises(UnboundedError):
-            vertices(moved)
+            vertices(copy)
 
 
 # -- radial projection --------------------------------------------------------------
@@ -516,6 +505,12 @@ def test_half_ball_maps_refuse_points_of_the_wrong_length():
             with pytest.raises(DomainError, match="takes 3"):
                 run(point)
     assert len(hb.inverse(hb.forward([0.1, 0.0, 0.2]))) == 3
+    # the glued map names its dimension too, for an empty point as well
+    ball = GluedBallMap(spec, spec, identity_phi, identity_phi)
+    for point in ((), (0.1, 0.0), (0.1, 0.0, 0.2, 0.0)):
+        with pytest.raises(DomainError, match="has %d coordinates; the map "
+                           "takes 3" % len(point)):
+            ball.inverse(point)
 
 
 def random_convexoid(rng):
@@ -742,7 +737,7 @@ def exact_point_inverse(hb, h):
     point = tuple(F(v * num, den) for v in ints)
     p, yj = point[:nb], point[nb:]
     fiber = hb.spec.fiber(p)
-    scale = hb._joined_scale(body, centered(fiber), p, yj)
+    scale = hb._joined_scale(body, fiber, p, yj)
     y = tuple(v / scale + c for v, c in zip(yj, centroid(fiber)))
     return convexoid.limit_point(p + y), point
 
@@ -850,20 +845,7 @@ def test_g24_inverses_read_no_fiber_at_an_unrounded_body_point(monkeypatch):
     assert check_inverse_body_points(calls) >= 10
 
 
-OWN_GEOMETRY = {"integer vertices", "centroid", "centered", "edges"}
-
-
-def cached_polytopes(spec):
-    """Every polytope in the spec's fiber memo and, through their
-    ``"centered"`` entries, every centered copy the maps read."""
-    todo, seen = list(spec._memo.values()), {}
-    while todo:
-        poly = todo.pop()
-        if id(poly) not in seen:
-            seen[id(poly)] = poly
-            if "centered" in poly._cache:
-                todo.append(poly._cache["centered"])
-    return list(seen.values())
+OWN_GEOMETRY = {"integer vertices", "centroid", "edges"}
 
 
 def test_polytopes_cache_their_own_geometry_only():
@@ -883,7 +865,7 @@ def test_polytopes_cache_their_own_geometry_only():
             from_half_ball(spec, to_half_ball(spec, x))
         specs.append(spec)
     for spec in specs:
-        polys = cached_polytopes(spec)
+        polys = list(spec._memo.values())
         assert polys
         for poly in polys:
             assert set(poly._cache) <= OWN_GEOMETRY, set(poly._cache)
@@ -891,17 +873,17 @@ def test_polytopes_cache_their_own_geometry_only():
 
 def test_half_ball_round_trips_copy_no_spec_fiber(monkeypatch):
     """Round trips on hexagon fibers, most of them off center, read every
-    fiber in place, about its centroid: no ``HPolytope._moved`` call starts
-    from a fiber the spec returned, so no centered copy of one is built."""
+    fiber in place, about its centroid: no ``HPolytope.scaled`` call, the
+    one copy a polytope makes, starts from a fiber the spec returned."""
     spec = hexagon_spec()
     sources = []
-    moved = HPolytope._moved
+    scaled = HPolytope.scaled
 
     def spy(self, *args):
         sources.append(self)
-        return moved(self, *args)
+        return scaled(self, *args)
 
-    monkeypatch.setattr(HPolytope, "_moved", spy)
+    monkeypatch.setattr(HPolytope, "scaled", spy)
     rng = random.Random(47)
     for _ in range(12):
         tau = rng.choice([0.0, rng.uniform(0.05, 0.95)])
@@ -1136,9 +1118,11 @@ def test_glued_map_is_a_sign_flip_of_the_half_cubes():
     """E half-cube points go to the cube with their first coordinate
     negated, F ones as they are (the identity moves nothing across), and
     the inverse picks E exactly where the first coordinate is <= 0."""
-    ball = GluedBallMap(square_spec(), square_spec(), identity_phi,
-                        identity_phi)
-    ball.e_map = ball.f_map = _IdentityHalfCube()
+    balls = {}
+    for dim in (2, 3, 4):
+        spec = ConvexoidSpec(dim - 1, 1, lambda p: interval(-1, 1))
+        balls[dim] = GluedBallMap(spec, spec, identity_phi, identity_phi)
+        balls[dim].e_map = balls[dim].f_map = _IdentityHalfCube()
     rng = random.Random(29)
     points = [(F(0), F(1, 2))] + [
         (F(rng.randint(0, 8), 8), *(F(rng.randint(-8, 8), 8)
@@ -1146,6 +1130,7 @@ def test_glued_map_is_a_sign_flip_of_the_half_cubes():
         for dim in (2, 3, 4) for _ in range(20)
     ]
     for h in points:
+        ball = balls[len(h)]
         u, *w = h
         assert ball.forward("E", h) == (-u, *w)
         assert ball.forward("F", h) == h
@@ -2065,16 +2050,13 @@ def test_support_matches_fraction_max_dot():
                 assert support_of(poly, u) == max(dot(u, v) for v in verts)
                 checked["bounded"] += 1
             if verts:
-                shift = (F(rng.randint(1, 5), rng.randint(1, 4)),) + tuple(
-                    F(rng.randint(-5, 5), rng.randint(1, 4))
-                    for _ in range(dim - 1))
-                moved = poly.translated(shift)
+                factor = F(rng.randint(1, 5), rng.randint(1, 4))
+                copy = poly.scaled(factor)
                 assert "integer vertices" in poly._cache
-                assert "integer vertices" in moved._cache  # carried over
+                assert "integer vertices" in copy._cache  # carried over
                 for u in us:
-                    assert support_of(moved, u) == max(
-                        dot(u, tuple(a + b for a, b in zip(v, shift)))
-                        for v in verts)
+                    assert support_of(copy, u) == max(
+                        dot(u, tuple(factor * a for a in v)) for v in verts)
     assert checked["bounded"] > 500 and checked["empty"] > 0, checked
 
 
@@ -2271,11 +2253,10 @@ def random_rational(rng, lo, hi, dens=(1, 2, 3, 4, 7, 16)):
 
 
 def uncentered(rng, poly):
-    """poly moved by a random shift of up to 5 per coordinate, built through
-    the public constructor: offsets o + n . c, often negative."""
+    """poly moved by a random shift of up to 5 per coordinate (``moved``):
+    offsets o + n . c, often negative."""
     c = tuple(random_rational(rng, -5, 5) for _ in range(poly.dim))
-    return HPolytope(poly.dim,
-                     [(n, o + dot(n, c)) for n, o in poly.constraints])
+    return moved(poly, 1, c)
 
 
 def random_polytopes(rng, dim, count):
@@ -2368,15 +2349,15 @@ def test_contains_point_matches_fraction_form_near_facets(dim):
 
 
 def moved_fraction_form(poly, factor, shift):
-    """Constraints of the image under y -> factor y + shift, in the order of
-    the parent's ``scaled`` then ``translated``."""
+    """Constraints of the image under y -> factor y + shift, in row
+    order."""
     return tuple(
         (n, o * factor + dot(n, shift)) for n, o in poly.constraints
     )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_translated_and_scaled_match_fraction_forms(dim):
+def test_scaled_matches_fraction_forms(dim):
     rng = random.Random(130 + dim)
     seen = collections.Counter()
     for poly in random_polytopes(rng, dim, 120):
@@ -2390,35 +2371,30 @@ def test_translated_and_scaled_match_fraction_forms(dim):
             if hull is not None:
                 centroid(poly)
         zero = (F(0),) * dim
-        shift = tuple(random_rational(rng, -5, 5) if rng.random() < 0.8
-                      else F(0) for _ in range(dim))
-        factor = rng.choice([F(0), F(1), F(3, 2), F(1, 3),
-                             random_rational(rng, 0, 4)])
-        cases = [(poly.translated(shift), F(1), shift),
-                 (poly.scaled(factor), factor, zero),
-                 (poly.scaled(factor).translated(shift), factor, shift)]
-        for moved, f, s in cases:
-            assert moved.constraints == moved_fraction_form(poly, f, s)
+        factors = [rng.choice([F(0), F(1), F(3, 2), F(1, 3)]),
+                   random_rational(rng, 0, 4)]
+        for f in factors:
+            copy = poly.scaled(f)
+            assert copy.constraints == moved_fraction_form(poly, f, zero)
             assert all(type(x) is F
-                       for n, o in moved.constraints for x in (*n, o))
-            assert in_lowest_terms(moved._rows, moved._den)
+                       for n, o in copy.constraints for x in (*n, o))
+            assert in_lowest_terms(copy._rows, copy._den)
             if not poly._cache.get("integer vertices", ([], 1))[0]:
                 # nothing to carry: no vertices read yet, or none at all;
-                # a zero shift returns the polytope itself
-                assert moved is poly or "integer vertices" not in moved._cache
+                # a factor of 1 returns the polytope itself
+                assert copy is poly or "integer vertices" not in copy._cache
                 continue
             seen["carried"] += 1
-            points, den = moved._cache["integer vertices"]
+            points, den = copy._cache["integer vertices"]
             assert in_lowest_terms(points, den)
             want = list(dict.fromkeys(
-                tuple(f * x + d for x, d in zip(v, s)) for v in verts))
-            assert vertices(moved) == want  # carried, in order
-            assert vertices(HPolytope(dim, moved.constraints)) == want
+                tuple(f * x for x in v) for v in verts))
+            assert vertices(copy) == want  # carried, in order
+            assert vertices(HPolytope(dim, copy.constraints)) == want
             if hull is not None:
                 seen["centroid"] += 1
-                got = moved._cache["centroid"]
-                assert repr(got) == repr(
-                    tuple(f * x + d for x, d in zip(hull, s)))
+                got = copy._cache["centroid"]
+                assert repr(got) == repr(tuple(f * x for x in hull))
     assert seen["carried"] > 100 and seen["centroid"] > 50, seen
 
 
@@ -2587,6 +2563,14 @@ def cube4_spec():
                  "fiber dimension <= ", id="4-D fibers"),
     pytest.param(lambda: exit_time(square_spec(), (0, 0)),
                  "ray direction is zero", id="zero ray"),
+    pytest.param(lambda: exit_time(square_spec(), (1, 0, 0)),
+                 "has 3 coordinates; the spec has dimension 2",
+                 id="long ray"),
+    pytest.param(lambda: exit_time(square_spec(), (1,)),
+                 "has 1 coordinates; the spec has dimension 2",
+                 id="short ray"),
+    pytest.param(lambda: radial_project_base(()),
+                 "outside the base cube", id="empty base point"),
     pytest.param(lambda: GluedBallMap(square_spec(), cube4_spec(),
                                       identity_phi, identity_phi),
                  "different dimensions", id="glued dimensions"),
