@@ -27,7 +27,6 @@ from grassball.convexoid import (
     ConvexoidSpec,
     DomainError,
     HalfBallMap,
-    HPolytope,
     centroid,
 )
 from grassball.exterior import (
@@ -36,6 +35,7 @@ from grassball.exterior import (
     normalize,
 )
 from grassball.sampling import random_nonneg_point, random_positive_point
+from moved_polytopes import moved
 
 
 def roundtrip_error(chart, point):
@@ -696,15 +696,6 @@ def test_g25_round_trips_enumerate_each_frame_polytope_once(monkeypatch):
     errors = [roundtrip_error(chart, point) for point in points]
     assert max(errors) < 1e-12
     assert calls <= ENUMERATE_CAP, calls
-
-
-def moved(poly, factor, shift):
-    """poly's image under y -> factor y + shift, built through the public
-    constructor from the ``Fraction`` rows (n, factor o + n . shift)."""
-    return HPolytope(poly.dim, [
-        (n, o * factor + sum((a * b for a, b in zip(n, shift)), Fraction(0)))
-        for n, o in poly.constraints
-    ])
 
 
 @pytest.mark.parametrize("k, n", [(2, 5), (3, 5)])

@@ -33,6 +33,7 @@ from grassball.convexoid import (
     to_half_ball,
     vertices,
 )
+from moved_polytopes import moved, moved_fraction_form
 
 F = Fraction
 
@@ -55,12 +56,6 @@ def box2(lo1, hi1, lo2, hi2):
 
 def square_spec():
     return ConvexoidSpec(1, 1, lambda p: interval(-1, 1))
-
-
-def moved(poly, factor, shift):
-    """poly's image under y -> factor y + shift, built through the public
-    constructor from the ``Fraction`` rows (n, factor o + n . shift)."""
-    return HPolytope(poly.dim, moved_fraction_form(poly, factor, shift))
 
 
 @functools.cache
@@ -285,7 +280,7 @@ def test_point_copy_carries_fresh_caches_and_unbounded_copies_nothing():
     with pytest.raises(UnboundedError):
         vertices(half_plane)
     for copy in scaled_copies(half_plane):
-        assert copy is half_plane or not copy._cache
+        assert not copy._cache
         with pytest.raises(UnboundedError):
             vertices(copy)
 
@@ -2346,14 +2341,6 @@ def test_contains_point_matches_fraction_form_near_facets(dim):
         y = tuple(rng.randint(-3, 3) for _ in range(dim))  # int entries
         assert poly.contains_point(y) is fraction_contains_point(poly, y)
     assert seen["slack decides"] > 100 and seen[True] and seen[False], seen
-
-
-def moved_fraction_form(poly, factor, shift):
-    """Constraints of the image under y -> factor y + shift, in row
-    order."""
-    return tuple(
-        (n, o * factor + dot(n, shift)) for n, o in poly.constraints
-    )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
